@@ -34,7 +34,7 @@ from .errors import (
 )
 from .losses import AamConfig, LossWeights, PairBatch, total_loss
 from .scoring import ScoreRecord, evidence_score, final_score, score_trials
-from .trait_layer import PhoneticTraitSet, SpeakerEmbedding, extract_traits, filter_traits
+from .trait_layer import PhoneticTraitSet, extract_traits, filter_traits
 from .training import ModelConfig, ModelState, TrainConfig, grad_check, train
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "PhoneticTraitSet",
     "PhonetraitError",
     "ScoreRecord",
-    "SpeakerEmbedding",
     "TrainConfig",
     "Trial",
     "TrialList",

@@ -2,10 +2,11 @@
 
 Subcommands: ``gen-corpus``, ``train``, ``score``, ``eval``, ``fratio``,
 ``explain``, ``gradcheck``. Every subcommand accepts ``--config`` (a
-key=value file whose keys are the flag names with dashes as underscores),
-``--seed`` and ``--out-dir``; explicit flags override config-file values,
-which override the built-in defaults. The effective settings are echoed to
-``config_used.txt`` in the output directory, in the same key=value format.
+key=value file whose keys are the flag names with dashes as underscores)
+and ``--out-dir``; explicit flags override config-file values, which
+override the built-in defaults from ``phonetrait.presets``. The effective
+settings are echoed to ``config_used.txt`` in the output directory, in the
+same key=value format.
 
 Exit codes: 0 success, 2 bad command line, 3 missing input file, 4 unparsable
 input, 5 invalid configuration or insufficient data, 6 numeric failure or
@@ -167,22 +168,25 @@ def build_parser():
     _add(sub, reg, "--learning-rate", type=float, default=default_train.learning_rate,
          help="constant SGD learning rate")
     _add(sub, reg, "--momentum", type=float, default=default_train.momentum, help="SGD momentum")
-    _add(sub, reg, "--alpha", type=float, default=0.0007,
+    _add(sub, reg, "--alpha", type=float, default=default_train.weights.alpha,
          help="weight of the matched trait verification term")
-    _add(sub, reg, "--beta", type=float, default=0.00001,
+    _add(sub, reg, "--beta", type=float, default=default_train.weights.beta,
          help="weight of the unmatched trait verification term")
-    _add(sub, reg, "--gamma", type=float, default=0.0001, help="weight of the trait center term")
-    _add(sub, reg, "--margin", type=float, default=0.2, help="angular margin of the class loss")
-    _add(sub, reg, "--scale", type=float, default=30.0, help="logit scale of the class loss")
-    _add(sub, reg, "--layers", type=str,
-         default="-1,0,1:16:relu;0:16:relu",
+    _add(sub, reg, "--gamma", type=float, default=default_train.weights.gamma,
+         help="weight of the trait center term")
+    _add(sub, reg, "--margin", type=float, default=default_train.aam.margin,
+         help="angular margin of the class loss")
+    _add(sub, reg, "--scale", type=float, default=default_train.aam.scale,
+         help="logit scale of the class loss")
+    default_model = presets.desk_model_config()
+    _add(sub, reg, "--layers", type=str, default=format_layer_string(default_model.encoder.layers),
          help="encoder layers as offsets:dim:nonlinearity groups separated by ';'")
-    _add(sub, reg, "--embedding-dim", type=int, default=8, help="speaker embedding width")
+    _add(sub, reg, "--embedding-dim", type=int, default=default_model.embedding_dim,
+         help="speaker embedding width")
 
     sub, reg = _new_subcommand(subparsers, registries, "score",
                                "score a trial list with a trained checkpoint")
     _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the score file")
-    _add(sub, reg, "--seed", type=int, default=0, help="unused, accepted for uniformity")
     _add(sub, reg, "--corpus-dir", type=str, default=None, help="directory holding the corpus files")
     _add(sub, reg, "--checkpoint", type=str, default=None, help="checkpoint file to score with")
     _add(sub, reg, "--trials", type=str, default=None,
@@ -191,7 +195,6 @@ def build_parser():
     sub, reg = _new_subcommand(subparsers, registries, "eval",
                                "compute detection metrics and the explainability correlation")
     _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the reports")
-    _add(sub, reg, "--seed", type=int, default=0, help="unused, accepted for uniformity")
     _add(sub, reg, "--scores", type=str, default=None, help="score file to evaluate")
     _add(sub, reg, "--p-target", type=float, default=0.01,
          help="target prior of the detection cost")
@@ -210,7 +213,6 @@ def build_parser():
     sub, reg = _new_subcommand(subparsers, registries, "explain",
                                "export one trial's per-phone evidence")
     _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the explanation")
-    _add(sub, reg, "--seed", type=int, default=0, help="unused, accepted for uniformity")
     _add(sub, reg, "--scores", type=str, default=None, help="score file to read")
     _add(sub, reg, "--inventory", type=str, default=None, help="inventory file naming the phones")
     _add(sub, reg, "--index", type=int, default=0, help="0-based trial row to explain")
@@ -298,9 +300,7 @@ def _load_corpus(corpus_dir: str):
 def cmd_gen_corpus(args) -> int:
     out = _out_dir(args)
     inventory = default_inventory()
-    weights = np.ones(inventory.size)
-    if args.rare_phone:
-        weights[inventory.index_of(args.rare_phone)] = args.rare_phone_weight
+    weights = presets.desk_phone_weights(inventory, args.rare_phone, args.rare_phone_weight)
     features, alignments, _ = generate_corpus(
         n_speakers=args.n_speakers,
         utts_per_speaker=args.utts_per_speaker,

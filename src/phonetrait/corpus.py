@@ -228,10 +228,6 @@ class CorpusIndex:
             utts_by_speaker=by_speaker,
         )
 
-    @property
-    def utterance_ids(self) -> list[str]:
-        return sorted(self.features)
-
     def class_label(self, speaker_id: str) -> int:
         return self.speakers.index(speaker_id)
 
@@ -369,13 +365,20 @@ def make_trials(
 
 @contextmanager
 def atomic_write(path):
-    """Write to a temp file in the target directory, then rename into place."""
+    """Write to a temp file in the target directory, then rename into place.
+
+    The file gets the mode ``open`` would give it (0o666 less the umask), not
+    the owner-only 0o600 that ``mkstemp`` creates.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             yield handle
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -124,19 +124,6 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderPara
     return EncoderParams(config, weights, biases)
 
 
-@dataclass
-class FrameEmbeddingSequence:
-    """T x D1 frame embeddings carrying their utterance identity."""
-
-    utterance_id: str
-    embeddings: np.ndarray
-
-    def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        if self.embeddings.ndim != 2:
-            raise DimensionError(f"embeddings must be 2-d, got shape {self.embeddings.shape}")
-
-
 def _gather_context(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     """Stack x[t + off] for each offset, clamping indices to [0, T)."""
     n_frames = x.shape[0]
@@ -155,11 +142,6 @@ def encode_frames(params: EncoderParams, features: np.ndarray) -> np.ndarray:
         pre = _gather_context(x, layer.context_offsets) @ w.T + b
         x = np.maximum(pre, 0.0) if layer.nonlinearity == "relu" else pre
     return x
-
-
-def encode_utterance(params: EncoderParams, feats) -> FrameEmbeddingSequence:
-    """Encode an UtteranceFeatures object, keeping its identity attached."""
-    return FrameEmbeddingSequence(feats.utterance_id, encode_frames(params, feats.features))
 
 
 def encode_backward(

@@ -39,10 +39,19 @@ EVAL_N_TARGET = 250
 EVAL_N_NONTARGET = 250
 
 
-def desk_phone_weights(inventory: PhoneInventory) -> np.ndarray:
+def desk_phone_weights(
+    inventory: PhoneInventory,
+    rare_phone: str = RARE_PHONE,
+    rare_weight: float = RARE_PHONE_WEIGHT,
+) -> np.ndarray:
+    """Uniform emission weights with ``rare_phone`` at ``rare_weight``.
+
+    An empty ``rare_phone`` leaves every weight at 1; a label missing from
+    the inventory raises ConfigurationError.
+    """
     weights = np.ones(inventory.size)
-    if RARE_PHONE in inventory:
-        weights[inventory.index_of(RARE_PHONE)] = RARE_PHONE_WEIGHT
+    if rare_phone:
+        weights[inventory.index_of(rare_phone)] = rare_weight
     return weights
 
 

@@ -108,29 +108,21 @@ def score_trials(
     index: CorpusIndex,
     trials: TrialList,
     n_phones: int,
-    use_cache: bool = True,
 ) -> list[ScoreRecord]:
-    """Score every trial; with the cache each utterance is encoded only once.
-
-    Caching is purely a runtime optimisation, the records are identical
-    either way.
-    """
+    """Score every trial, encoding each utterance only once."""
     trials.validate_against(index.features)
     cache = {}
 
     def forward(utt_id: str):
-        if use_cache and utt_id in cache:
-            return cache[utt_id]
-        result = forward_utterance(
-            index.features[utt_id].features,
-            index.alignments[utt_id],
-            state.encoder,
-            state.projection,
-            n_phones,
-        )
-        if use_cache:
-            cache[utt_id] = result
-        return result
+        if utt_id not in cache:
+            cache[utt_id] = forward_utterance(
+                index.features[utt_id].features,
+                index.alignments[utt_id],
+                state.encoder,
+                state.projection,
+                n_phones,
+            )
+        return cache[utt_id]
 
     records = []
     for trial in trials:

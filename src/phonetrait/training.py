@@ -416,6 +416,8 @@ def save_checkpoint(state: ModelState, model_cfg: ModelConfig, path) -> None:
 def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ModelState, ModelConfig]:
     """Read a checkpoint; reject version or configuration mismatches.
 
+    A repeated tensor block or a non-finite value is a ParseError.
+
     When ``expected`` is given the stored architecture must match it exactly.
     """
     with open(path) as f:
@@ -458,6 +460,8 @@ def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ModelSta
         if parts[0] != "tensor" or len(parts) < 3:
             raise ParseError(path, pos + 1, f"expected a tensor header, got {lines[pos]!r}")
         name = parts[1]
+        if name in tensors:
+            raise ParseError(path, pos + 1, f"duplicate tensor {name!r}")
         try:
             shape = tuple(int(d) for d in parts[2:])
         except ValueError:
@@ -475,6 +479,8 @@ def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ModelSta
                 data[r] = [float(v) for v in values]
             except ValueError:
                 raise ParseError(path, pos + 2 + r, "non-numeric tensor value") from None
+            if not np.isfinite(data[r]).all():
+                raise ParseError(path, pos + 2 + r, f"non-finite value in tensor {name!r}")
         tensors[name] = data.reshape(shape)
         pos += 1 + n_rows
 

@@ -7,8 +7,8 @@ present rows then go through statistics pooling (mean and standard deviation
 over traits) and a linear projection to the final speaker embedding.
 
 A phone whose frames average to the exact zero vector is indistinguishable
-from an absent phone on purpose: presence is defined by the trait value, so
-the convention survives save/load round trips of the trait matrix alone.
+from an absent phone on purpose: presence is defined by the trait value
+alone.
 """
 
 from __future__ import annotations
@@ -17,13 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PhoneAlignment, PhoneInventory, atomic_write
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    EmptyUtteranceError,
-    ParseError,
-)
+from .corpus import PhoneAlignment
+from .errors import ConfigurationError, DimensionError, EmptyUtteranceError
 
 # Inside the sqrt of the pooled standard deviation; keeps the gradient finite
 # when every present trait is identical (e.g. a single present phone).
@@ -51,10 +46,6 @@ class PhoneticTraitSet:
     @property
     def n_phones(self) -> int:
         return self.traits.shape[0]
-
-    @property
-    def n_present(self) -> int:
-        return int(self.present.sum())
 
     def validate_mask(self) -> None:
         """Check present[i] <=> traits[i] is not the zero vector."""
@@ -155,17 +146,6 @@ def init_projection(trait_dim: int, embedding_dim: int, rng: np.random.Generator
     )
 
 
-@dataclass
-class SpeakerEmbedding:
-    utterance_id: str
-    vector: np.ndarray  # (D2,)
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise DimensionError(f"embedding must be 1-d, got shape {self.vector.shape}")
-
-
 def pool_statistics(filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and (eps-stabilised population) std over the N filtered traits."""
     filtered = np.asarray(filtered, dtype=np.float64)
@@ -174,19 +154,6 @@ def pool_statistics(filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = filtered.mean(axis=0)
     var = np.mean((filtered - mean) ** 2, axis=0)
     return mean, np.sqrt(var + STD_EPS)
-
-
-def pool_and_project(
-    filtered: np.ndarray, projection: ProjectionParams, utterance_id: str = ""
-) -> SpeakerEmbedding:
-    """Statistics pooling over present traits followed by the linear projection."""
-    mean, std = pool_statistics(filtered)
-    if mean.shape[0] != projection.trait_dim:
-        raise DimensionError(
-            f"trait dim {mean.shape[0]} does not match projection trait dim {projection.trait_dim}"
-        )
-    stats = np.concatenate([mean, std])
-    return SpeakerEmbedding(utterance_id, projection.weight @ stats + projection.bias)
 
 
 @dataclass
@@ -221,6 +188,10 @@ def forward_utterance(
     trait_set = extract_traits(frames, alignment, n_phones)
     filtered, kept = filter_traits(trait_set)
     mean, std = pool_statistics(filtered)
+    if mean.shape[0] != projection.trait_dim:
+        raise DimensionError(
+            f"trait dim {mean.shape[0]} does not match projection trait dim {projection.trait_dim}"
+        )
     stats = np.concatenate([mean, std])
     embedding = projection.weight @ stats + projection.bias
     phones = alignment.frame_phones()
@@ -286,55 +257,3 @@ def trait_layer_backward(
     phones = cache.phone_of_frame
     d_frames = d_trait_full[phones] / cache.counts[phones, None]
     return d_proj_w, d_proj_b, d_frames
-
-
-# ---------------------------------------------------------------------------
-# trait dump I/O (present rows only)
-# ---------------------------------------------------------------------------
-
-def save_trait_sets(trait_sets, inventory: PhoneInventory, path) -> None:
-    with atomic_write(path) as f:
-        for ts in trait_sets:
-            for i in np.nonzero(ts.present)[0]:
-                row = " ".join(repr(float(v)) for v in ts.traits[i])
-                f.write(f"{ts.utterance_id}\t{inventory.labels[i]}\t{row}\n")
-
-
-def load_trait_sets(path, inventory: PhoneInventory, trait_dim: int) -> list[PhoneticTraitSet]:
-    order: list[str] = []
-    rows: dict[str, dict[int, np.ndarray]] = {}
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-            utt_id, label, values = parts
-            if label not in inventory:
-                raise ParseError(path, line_no, f"phone label {label!r} not in inventory")
-            split = values.split()
-            if len(split) != trait_dim:
-                raise ParseError(path, line_no, f"expected {trait_dim} values, got {len(split)}")
-            try:
-                vec = np.array([float(v) for v in split])
-            except ValueError:
-                raise ParseError(path, line_no, "non-numeric trait value") from None
-            if not np.any(vec != 0.0):
-                raise ParseError(path, line_no, "stored trait row is the zero vector")
-            if utt_id not in rows:
-                order.append(utt_id)
-                rows[utt_id] = {}
-            phone = inventory.index_of(label)
-            if phone in rows[utt_id]:
-                raise ParseError(path, line_no, f"duplicate trait row for {utt_id!r}/{label}")
-            rows[utt_id][phone] = vec
-    out = []
-    for utt_id in order:
-        traits = np.zeros((inventory.size, trait_dim))
-        present = np.zeros(inventory.size, dtype=bool)
-        for phone, vec in rows[utt_id].items():
-            traits[phone] = vec
-            present[phone] = True
-        out.append(PhoneticTraitSet(utt_id, traits, present))
-    return out

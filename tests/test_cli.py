@@ -1,5 +1,6 @@
 """Command line interface: pipelines, config files, exit codes, error text."""
 
+import dataclasses
 import shutil
 import subprocess
 
@@ -16,8 +17,12 @@ from phonetrait.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
+from phonetrait.encoder import parse_layer_string
+from phonetrait.losses import AamConfig, LossWeights
+from phonetrait.training import TrainConfig
 
 GEN_ARGS = [
     "gen-corpus",
@@ -69,6 +74,25 @@ class TestUsage:
     def test_bad_flag_value(self, capsys):
         assert main(["train", "--epochs", "three"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["score", "eval", "explain"])
+    def test_seed_only_where_it_acts(self, command, capsys):
+        assert main([command, "--seed", "1"]) == EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_bare_train_is_the_desk_experiment(self):
+        # Every TrainConfig/LossWeights/AamConfig field is a train flag of
+        # the same name whose default is the desk preset's value.
+        args = build_parser()[0].parse_args(["train"])
+        train_cfg = presets.desk_train_config()
+        for group, cls in ((train_cfg, TrainConfig), (train_cfg.weights, LossWeights),
+                           (train_cfg.aam, AamConfig)):
+            for f in dataclasses.fields(cls):
+                if f.name not in ("weights", "aam"):
+                    assert getattr(args, f.name) == getattr(group, f.name), f.name
+        model_cfg = presets.desk_model_config()
+        assert parse_layer_string(args.layers) == model_cfg.encoder.layers
+        assert args.embedding_dim == model_cfg.embedding_dim
+
 
 class TestGenCorpus:
     def test_writes_all_corpus_files(self, pipeline):
@@ -88,6 +112,11 @@ class TestGenCorpus:
         assert f"noise_std={presets.NOISE_STD}" in lines
         keys = [l.split("=")[0] for l in lines[1:]]
         assert keys == sorted(keys)
+
+    def test_unknown_rare_phone(self, tmp_path, capsys):
+        code = main(GEN_ARGS + ["--rare-phone", "QQ", "--out-dir", str(tmp_path / "c")])
+        assert code == EXIT_CONFIG
+        assert "unknown phone label 'QQ'" in capsys.readouterr().err
 
     def test_missing_out_dir(self, capsys):
         assert main(["gen-corpus"]) == EXIT_CONFIG
@@ -139,6 +168,20 @@ class TestScore:
         ])
         assert code == EXIT_CONFIG
         assert "checkpoint expects" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint(self, pipeline, tmp_path, capsys):
+        corpus, run = pipeline
+        lines = (run / "ckpt_epoch1").read_text().splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("tensor class_weights")) + 1
+        lines[row] = " ".join("nan" for _ in lines[row].split())
+        bad = tmp_path / "nan.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main([
+            "score", "--corpus-dir", str(corpus),
+            "--checkpoint", str(bad), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == EXIT_PARSE
+        assert "non-finite value in tensor 'class_weights'" in capsys.readouterr().err
 
 
 class TestEval:

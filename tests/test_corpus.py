@@ -1,5 +1,8 @@
 """Corpus generation, validation, and file round-trips."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from phonetrait.corpus import (
     Trial,
     TrialList,
     UtteranceFeatures,
+    atomic_write,
     default_inventory,
     generate_corpus,
     load_alignments,
@@ -245,7 +249,7 @@ class TestCorpusIndex:
         index = CorpusIndex.build(features, alignments)
         assert index.speakers == sorted({f.speaker_id for f in features})
         assert index.class_label(index.speakers[1]) == 1
-        assert len(index.utterance_ids) == len(features)
+        assert len(index.features) == len(features)
         for speaker, utts in index.utts_by_speaker.items():
             assert utts == sorted(utts)
             for u in utts:
@@ -266,6 +270,25 @@ class TestCorpusIndex:
         features, alignments, _ = small_corpus()
         with pytest.raises(ConfigurationError):
             CorpusIndex.build(features + [features[0]], alignments + [alignments[0]])
+
+
+@pytest.fixture
+def restore_umask():
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
+
+
+class TestAtomicWrite:
+    def test_mode_follows_umask(self, tmp_path, restore_umask):
+        os.umask(0o022)
+        with atomic_write(tmp_path / "a.txt") as f:
+            f.write("x\n")
+        assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == 0o644
+        os.umask(0o077)
+        with atomic_write(tmp_path / "b.txt") as f:
+            f.write("x\n")
+        assert stat.S_IMODE((tmp_path / "b.txt").stat().st_mode) == 0o600
 
 
 class TestFileRoundTrips:

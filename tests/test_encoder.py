@@ -11,7 +11,6 @@ from phonetrait.encoder import (
     LayerSpec,
     encode_backward,
     encode_frames,
-    encode_utterance,
     format_layer_string,
     init_encoder,
     parse_layer_string,
@@ -126,16 +125,6 @@ class TestForward:
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
         with pytest.raises(DimensionError):
             encode_frames(params, np.zeros((4, 2)))
-
-    def test_encode_utterance_keeps_id(self):
-        class Feats:
-            utterance_id = "u7"
-            features = np.zeros((3, 3))
-
-        params = init_encoder(two_layer_config(), np.random.default_rng(0))
-        seq = encode_utterance(params, Feats())
-        assert seq.utterance_id == "u7"
-        assert seq.embeddings.shape == (3, 4)
 
 
 class TestBackward:

@@ -36,7 +36,7 @@ from phonetrait.scoring import (
     score_trials,
     trait_similarity_vector,
 )
-from phonetrait.trait_layer import PhoneticTraitSet, ProjectionParams
+from phonetrait.trait_layer import PhoneticTraitSet, ProjectionParams, forward_utterance
 from phonetrait.training import ModelConfig, ModelState, init_model
 
 from _oracles import naive_cosine
@@ -143,13 +143,23 @@ class TestScoreTrials:
             assert np.isfinite(record.final)
 
     def test_cache_does_not_change_records(self):
+        # Each trial recomputed from fresh forward passes must match the
+        # records built from the once-per-utterance cache exactly.
         state, index, trials, inventory = scored_records()
-        fast = score_trials(state, index, trials, inventory.size, use_cache=True)
-        slow = score_trials(state, index, trials, inventory.size, use_cache=False)
-        for a, b in zip(fast, slow):
-            assert a.final == b.final
-            assert a.evidence == b.evidence
-            assert np.array_equal(a.similarity.defined, b.similarity.defined)
+        records = score_trials(state, index, trials, inventory.size)
+
+        def forward(utt_id):
+            return forward_utterance(index.features[utt_id].features, index.alignments[utt_id],
+                                     state.encoder, state.projection, inventory.size)
+
+        for record, trial in zip(records, trials):
+            enroll, test = forward(trial.enroll_id), forward(trial.test_id)
+            similarity = trait_similarity_vector(enroll.trait_set, test.trait_set)
+            evidence = evidence_score(similarity) if similarity.n_defined else None
+            assert record.final == final_score(enroll.embedding, test.embedding)
+            assert record.evidence == evidence
+            assert np.array_equal(record.similarity.defined, similarity.defined)
+            assert np.array_equal(record.similarity.values, similarity.values, equal_nan=True)
 
     def test_unknown_utterance_rejected(self):
         state, index, _, inventory = scored_records()

@@ -309,5 +309,33 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="class_weights"):
             load_checkpoint(tmp_path / "cut")
 
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        state, model_cfg = self.trained_state()
+        path = tmp_path / "ckpt"
+        save_checkpoint(state, model_cfg, path)
+        lines = path.read_text().splitlines()
+        start = next(i for i, l in enumerate(lines) if l.startswith("tensor class_weights"))
+        n_rows = int(lines[start].split()[2])
+        block = lines[start:start + 1 + n_rows]
+        # A second copy would silently win if the loader kept the last block.
+        nan_copy = [block[0]] + [" ".join(["nan"] * len(r.split())) for r in block[1:]]
+        (tmp_path / "dup").write_text("\n".join(lines + nan_copy) + "\n")
+        with pytest.raises(ParseError, match="duplicate tensor 'class_weights'"):
+            load_checkpoint(tmp_path / "dup")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        state, model_cfg = self.trained_state()
+        path = tmp_path / "ckpt"
+        save_checkpoint(state, model_cfg, path)
+        lines = path.read_text().splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("tensor class_weights")) + 1
+        values = lines[row].split()
+        values[-1] = bad
+        lines[row] = " ".join(values)
+        (tmp_path / "bad").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"bad:{row + 1}: non-finite value in tensor 'class_weights'"):
+            load_checkpoint(tmp_path / "bad")
+
     def test_header_magic_version_pinned(self):
         assert CHECKPOINT_MAGIC.endswith("v1")

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonetrait.corpus import CMU_PHONES, NON_VERBAL, PhoneAlignment, PhoneInventory
+from phonetrait.corpus import PhoneAlignment
 from phonetrait.encoder import EncoderConfig, EncoderParams, LayerSpec
-from phonetrait.errors import (
-    ConfigurationError,
-    DimensionError,
-    EmptyUtteranceError,
-    ParseError,
-)
+from phonetrait.errors import ConfigurationError, DimensionError, EmptyUtteranceError
 from phonetrait.trait_layer import (
     STD_EPS,
     PhoneticTraitSet,
@@ -21,10 +16,7 @@ from phonetrait.trait_layer import (
     filter_traits,
     forward_utterance,
     init_projection,
-    load_trait_sets,
-    pool_and_project,
     pool_statistics,
-    save_trait_sets,
     trait_layer_backward,
 )
 
@@ -148,18 +140,6 @@ class TestPooling:
         with pytest.raises(DimensionError):
             pool_statistics(np.zeros((0, 2)))
 
-    def test_pool_and_project_identity(self):
-        filtered = np.array([[1.0, 3.0], [3.0, 5.0]])
-        projection = ProjectionParams(np.eye(4), np.zeros(4))
-        emb = pool_and_project(filtered, projection, "u")
-        assert emb.utterance_id == "u"
-        assert np.allclose(emb.vector, [2.0, 4.0, 1.0, 1.0], atol=1e-8)
-
-    def test_dim_mismatch(self):
-        projection = ProjectionParams(np.eye(4), np.zeros(4))
-        with pytest.raises(DimensionError):
-            pool_and_project(np.ones((2, 3)), projection)
-
     def test_init_projection_shapes(self):
         p = init_projection(5, 3, np.random.default_rng(0))
         assert p.weight.shape == (3, 10)
@@ -184,6 +164,21 @@ class TestForwardUtterance:
         assert cache.kept.tolist() == kept.tolist()
         assert cache.counts.tolist() == [3, 2, 3, 0, 0]
         assert cache.utterance_id == "u"
+
+    def test_identity_hand_case(self):
+        # Two one-frame phones through identity maps: the embedding is the
+        # pooled statistics themselves, [mean, std] = [2, 4, 1, 1].
+        features = np.array([[1.0, 3.0], [3.0, 5.0]])
+        projection = ProjectionParams(np.eye(4), np.zeros(4))
+        cache = forward_utterance(features, alignment_for([0, 1]), identity_encoder(2),
+                                  projection, 3)
+        assert np.allclose(cache.embedding, [2.0, 4.0, 1.0, 1.0], atol=1e-8)
+
+    def test_dim_mismatch(self):
+        projection = ProjectionParams(np.eye(4), np.zeros(4))
+        with pytest.raises(DimensionError, match="projection trait dim 2"):
+            forward_utterance(np.ones((2, 3)), alignment_for([0, 1]), identity_encoder(3),
+                              projection, 3)
 
 
 class TestTraitLayerBackward:
@@ -240,55 +235,3 @@ class TestTraitLayerBackward:
         _, _, with_garbage = trait_layer_backward(cache, projection, g, d_traits=h)
         _, _, clean = trait_layer_backward(cache, projection, g, d_traits=np.zeros((5, 3)))
         assert np.array_equal(with_garbage, clean)
-
-
-class TestTraitSetIO:
-    def inventory(self):
-        return PhoneInventory(CMU_PHONES[:4] + (NON_VERBAL,))
-
-    def make_sets(self):
-        rng = np.random.default_rng(0)
-        sets = []
-        for name in ("a", "b"):
-            traits = rng.normal(size=(5, 3))
-            present = np.array([True, False, True, True, False])
-            traits[~present] = 0.0
-            sets.append(PhoneticTraitSet(name, traits, present))
-        return sets
-
-    def test_round_trip_exact(self, tmp_path):
-        inv = self.inventory()
-        sets = self.make_sets()
-        path = tmp_path / "traits.txt"
-        save_trait_sets(sets, inv, path)
-        loaded = load_trait_sets(path, inv, 3)
-        assert [t.utterance_id for t in loaded] == ["a", "b"]
-        for orig, back in zip(sets, loaded):
-            assert np.array_equal(orig.traits, back.traits)
-            assert np.array_equal(orig.present, back.present)
-        save_trait_sets(loaded, inv, tmp_path / "again.txt")
-        assert path.read_bytes() == (tmp_path / "again.txt").read_bytes()
-
-    def test_zero_row_rejected(self, tmp_path):
-        path = tmp_path / "traits.txt"
-        path.write_text("a\tAA\t0.0 0.0 0.0\n")
-        with pytest.raises(ParseError, match="zero vector"):
-            load_trait_sets(path, self.inventory(), 3)
-
-    def test_duplicate_row_rejected(self, tmp_path):
-        path = tmp_path / "traits.txt"
-        path.write_text("a\tAA\t1.0 0.0 0.0\na\tAA\t2.0 0.0 0.0\n")
-        with pytest.raises(ParseError, match="duplicate"):
-            load_trait_sets(path, self.inventory(), 3)
-
-    def test_unknown_label_rejected(self, tmp_path):
-        path = tmp_path / "traits.txt"
-        path.write_text("a\tZZ\t1.0 0.0 0.0\n")
-        with pytest.raises(ParseError, match="ZZ"):
-            load_trait_sets(path, self.inventory(), 3)
-
-    def test_wrong_width_rejected(self, tmp_path):
-        path = tmp_path / "traits.txt"
-        path.write_text("a\tAA\t1.0 0.0\n")
-        with pytest.raises(ParseError, match="expected 3"):
-            load_trait_sets(path, self.inventory(), 3)
