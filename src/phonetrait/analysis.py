@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PhoneInventory, atomic_write
-from .errors import ConfigurationError, NumericGuardError, ParseError
+from .corpus import _NA, PhoneInventory, _LineReader, atomic_write
+from .errors import ConfigurationError, NumericGuardError
 from .scoring import ScoreRecord, TraitSimilarityVector
 
 
@@ -230,7 +230,6 @@ def f_ratio(
     return rows
 
 
-_NA = "NA"
 FRATIO_HEADER = "phone,within,between,ratio,included"
 
 
@@ -249,26 +248,19 @@ def save_f_ratio(rows: list[FRatioRow], path) -> None:
 
 def load_f_ratio(path) -> list[FRatioRow]:
     rows = []
-    with open(path) as f:
-        lines = [line.rstrip("\n") for line in f]
-    if not lines or lines[0] != FRATIO_HEADER:
-        raise ParseError(path, 1, f"expected header {FRATIO_HEADER!r}")
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 5:
-            raise ParseError(path, line_no, f"expected 5 comma-separated fields, got {len(cells)}")
-        phone, within_s, between_s, ratio_s, included_s = cells
-        if included_s not in ("0", "1"):
-            raise ParseError(path, line_no, f"included must be 1 or 0, got {included_s!r}")
-        try:
-            within = np.nan if within_s == _NA else float(within_s)
-            between = np.nan if between_s == _NA else float(between_s)
-            ratio = np.nan if ratio_s == _NA else float(ratio_s)
-        except ValueError:
-            raise ParseError(path, line_no, "non-numeric ratio value") from None
-        rows.append(FRatioRow(phone, within, between, ratio, 0, included_s == "1"))
+    with _LineReader(path) as lines:
+        if lines.next_line() != FRATIO_HEADER:
+            raise lines.error(f"expected header {FRATIO_HEADER!r}", 1)
+        for text in lines.records():
+            phone, within_s, between_s, ratio_s, included_s = lines.fields(text, 5, ",")
+            if included_s not in ("0", "1"):
+                raise lines.error(f"included must be 1 or 0, got {included_s!r}")
+            within, between = lines.na_floats([within_s, between_s], "F-ratio value")
+            # f_ratio writes inf when the between-speaker mean is exactly 0.
+            ratio = np.inf if ratio_s == "inf" else lines.na_floats([ratio_s], "F-ratio value")[0]
+            rows.append(FRatioRow(
+                phone, float(within), float(between), float(ratio), 0, included_s == "1"
+            ))
     return rows
 
 
@@ -299,49 +291,39 @@ def export_explanation(record: ScoreRecord, inventory: PhoneInventory, path) -> 
 
 def load_explanation(path, inventory: PhoneInventory) -> ScoreRecord:
     """Parse an exported explanation back into an equivalent ScoreRecord."""
-    header: dict[str, str] = {}
-    values = np.full(inventory.size, np.nan)
-    defined = np.zeros(inventory.size, dtype=bool)
-    with open(path) as f:
-        lines = [line.rstrip("\n") for line in f]
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if line.startswith("trait\t"):
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected trait<TAB>phone<TAB>value, got {line!r}")
-            _, phone, cell = parts
-            if phone not in inventory:
-                raise ParseError(path, line_no, f"phone label {phone!r} not in inventory")
-            if cell == _NA:
+    header: dict[str, object] = {}
+    traits: dict[str, float] = {}
+    with _LineReader(path) as lines:
+        for text in lines.records():
+            if text.startswith("trait\t"):
+                _, phone, cell = lines.fields(text, 3)
+                if phone not in inventory:
+                    raise lines.error(f"phone label {phone!r} not in inventory")
+                value = lines.na_floats([cell], "similarity")[0]
+                traits[lines.unique_key(traits, phone, "trait")] = value
                 continue
-            try:
-                values[inventory.index_of(phone)] = float(cell)
-            except ValueError:
-                raise ParseError(path, line_no, f"non-numeric similarity {cell!r}") from None
-            defined[inventory.index_of(phone)] = True
-        else:
-            key, sep, value = line.partition(" ")
-            if not sep:
-                raise ParseError(path, line_no, f"expected 'key value', got {line!r}")
-            header[key] = value
-    for key in ("enroll", "test", "label", "final", "evidence"):
-        if key not in header:
-            raise ParseError(path, len(lines), f"missing header field {key!r}")
-    try:
-        label = None if header["label"] == _NA else int(header["label"])
-        final = float(header["final"])
-        evidence = None if header["evidence"] == _NA else float(header["evidence"])
-    except ValueError as exc:
-        raise ParseError(path, 1, f"bad header value: {exc}") from None
+            key, value = lines.key_value(text)
+            if key == "label":
+                value = lines.label(value)
+            elif key in ("final", "evidence"):
+                if key == "final" and value == _NA:
+                    raise lines.error("final score is NA")
+                value = lines.na_floats([value], "score")[0]
+            header[lines.unique_key(header, key)] = value
+        for key in ("enroll", "test", "label", "final", "evidence"):
+            if key not in header:
+                raise lines.error(f"missing header field {key!r}")
+    values = np.full(inventory.size, np.nan)
+    for phone, value in traits.items():
+        values[inventory.index_of(phone)] = value
+    evidence = header["evidence"]
     return ScoreRecord(
         enroll_id=header["enroll"],
         test_id=header["test"],
-        label=label,
-        final=final,
-        evidence=evidence,
-        similarity=TraitSimilarityVector(values, defined),
+        label=header["label"],
+        final=float(header["final"]),
+        evidence=None if np.isnan(evidence) else float(evidence),
+        similarity=TraitSimilarityVector(values, np.isfinite(values)),
     )
 
 
@@ -359,12 +341,8 @@ def write_report(entries: list[tuple[str, object]], path) -> None:
 
 def read_report(path) -> dict[str, str]:
     out = {}
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            key, sep, value = line.rstrip("\n").partition(" ")
-            if not sep:
-                raise ParseError(path, line_no, f"expected 'key value', got {line!r}")
-            out[key] = value
+    with _LineReader(path) as lines:
+        for text in lines.records():
+            key, value = lines.key_value(text)
+            out[lines.unique_key(out, key)] = value
     return out

@@ -10,7 +10,8 @@ same key=value format.
 
 Exit codes: 0 success, 2 bad command line, 3 missing input file, 4 unparsable
 input, 5 invalid configuration or insufficient data, 6 numeric failure or
-divergence, 7 gradient check failure. Errors print a single line
+divergence, 7 gradient check failure, 8 any other I/O failure (an input that
+is a directory, a permission error, a full disk). Errors print a single line
 ``error: <Kind>: <detail>`` on stderr.
 """
 
@@ -37,6 +38,7 @@ from .corpus import (
     NON_VERBAL,
     CorpusIndex,
     PhoneInventory,
+    _LineReader,
     atomic_write,
     default_inventory,
     generate_corpus,
@@ -81,6 +83,7 @@ EXIT_PARSE = 4
 EXIT_CONFIG = 5
 EXIT_NUMERIC = 6
 EXIT_GRADCHECK = 7
+EXIT_IO = 8
 
 INVENTORY_FILE = "inventory.txt"
 FEATURES_FILE = "features.txt"
@@ -256,26 +259,19 @@ def _find_config_value(argv: list[str]) -> str | None:
 
 def _load_config_file(path: str, registry: dict) -> dict:
     overrides = {}
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+    seen = set()
+    with _LineReader(path) as lines:
+        for text in lines.records():
+            stripped = text.strip()
+            if stripped.startswith("#"):
                 continue
-            key, sep, value = stripped.partition("=")
-            if not sep:
-                raise ParseError(path, line_no, f"expected key=value, got {stripped!r}")
-            key = key.strip()
+            key, value = (part.strip() for part in lines.key_value(stripped, "="))
+            seen.add(lines.unique_key(seen, key))
             if key == "command":
                 continue
             if key not in registry:
                 raise ConfigurationError(f"unknown config key {key!r} in {path}")
-            converter = registry[key]
-            try:
-                overrides[key] = converter(value.strip())
-            except ValueError:
-                raise ParseError(
-                    path, line_no, f"cannot convert {value.strip()!r} for key {key!r}"
-                ) from None
+            overrides[key] = lines.parse([value], registry[key], f"value for key {key!r}")[0]
     return overrides
 
 
@@ -524,6 +520,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _print_error(exc)
         return EXIT_MISSING_INPUT
+    except OSError as exc:
+        _print_error(exc)
+        return EXIT_IO
     except ParseError as exc:
         _print_error(exc)
         return EXIT_PARSE

@@ -13,6 +13,14 @@ File formats (one record per line, tab or space separated, floats written with
 * alignments: ``utt_id<TAB>start_frame<TAB>end_frame<TAB>phone_label``
 * trials:    ``label(1|0)<TAB>enroll_utt_id<TAB>test_utt_id``
 * features:  header ``utt_id speaker_id T F`` followed by T rows of F floats
+
+Every phonetrait text file (these, checkpoints, score files, reports, F-ratio
+tables, explanations and ``--config`` files) is read by the one private
+``_LineReader`` below, under one set of rules: lines are numbered from 1 and
+a ParseError names ``path:line``; blank lines between records are skipped (a
+blank inventory line, or one inside a feature or tensor block, is an error);
+every float cell must be finite (``NA`` marks a missing value where a format
+allows one); a repeated key is rejected at its second line.
 """
 
 from __future__ import annotations
@@ -388,8 +396,120 @@ def atomic_write(path):
         raise
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_NA = "NA"
+
+
+class _LineReader:
+    """One phonetrait text file, streamed under the rules above; ``line_no`` is
+    the 1-based number of the last line read, which ``error`` names."""
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path)
+        self._numbered = enumerate(self._file, start=1)
+        self.line_no = 0
+
+    def __enter__(self) -> "_LineReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def __iter__(self):
+        """Every remaining line, blank or not, without its newline."""
+        for self.line_no, line in self._numbered:
+            yield line.rstrip("\n")
+
+    def records(self):
+        """The remaining non-blank lines: blank lines between records are skipped."""
+        for self.line_no, line in self._numbered:
+            if line.strip():
+                yield line.rstrip("\n")
+
+    def next_line(self) -> str | None:
+        """The next line, blank or not, or None at the end of the file."""
+        return next(iter(self), None)
+
+    def error(self, message: str, line_no: int | None = None) -> ParseError:
+        return ParseError(self.path, self.line_no if line_no is None else line_no, message)
+
+    def fields(self, text: str, n: int, sep: str | None = "\t") -> list[str]:
+        """``text`` split on ``sep`` (None: on whitespace) into exactly ``n`` fields."""
+        parts = text.split(sep)
+        if len(parts) != n:
+            raise self.error(f"expected {n} fields, got {len(parts)}")
+        return parts
+
+    def key_value(self, text: str, sep: str = " ") -> tuple[str, str]:
+        key, found, value = text.partition(sep)
+        if not found:
+            raise self.error(f"expected 'key{sep}value', got {text!r}")
+        return key, value
+
+    def unique_key(self, seen, key: str, what: str = "key") -> str:
+        """``key``, which must not be in ``seen`` yet (the caller records it)."""
+        if key in seen:
+            raise self.error(f"duplicate {what} {key!r}")
+        return key
+
+    def parse(self, cells, convert, what: str) -> list:
+        """``convert`` (``int``, ``float`` or a flag's type) applied to every cell."""
+        try:
+            return list(map(convert, cells))
+        except ValueError as exc:
+            raise self.error(f"non-numeric {what} ({exc})") from None
+
+    def block(self, n_rows: int, row_len: int, what: str) -> np.ndarray:
+        """The ``n_rows`` lines after a block header, each ``row_len`` finite floats.
+
+        A block cut short by the end of the file is reported at its last line,
+        before any bad row in it; otherwise the first bad row is reported.
+        Nothing is allocated from the header's counts, and finiteness is
+        checked once per block, not once per cell.
+        """
+        rows, header_line, fault, r = [], self.line_no, None, -1
+        cell_what = f"value in {what}"
+        for r, text in zip(range(n_rows), self):
+            if fault is not None:
+                continue  # a block cut short is still reported first
+            cells = text.split()
+            try:
+                if len(cells) != row_len:
+                    raise self.error(f"expected {row_len} values, got {len(cells)}")
+                rows.append(self.parse(cells, float, cell_what))
+            except ParseError as exc:
+                fault = exc
+        if r < n_rows - 1:
+            raise self.error(f"truncated {what}")
+        data = np.array(rows, dtype=np.float64).reshape(len(rows), row_len)
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            bad_line = header_line + 1 + int(np.argmin(finite))
+            raise self.error(f"non-finite value in {what}", bad_line)
+        if fault is not None:
+            raise fault
+        return data
+
+    def na_floats(self, cells: list[str], what: str) -> np.ndarray:
+        """Float cells, NaN where a cell is ``NA``; every other cell must be finite."""
+        try:
+            row = np.array([np.nan if cell == _NA else float(cell) for cell in cells])
+        except ValueError as exc:
+            raise self.error(f"non-numeric {what} ({exc})") from None
+        if np.count_nonzero(np.isfinite(row)) != len(cells) - cells.count(_NA):
+            raise self.error(f"non-finite {what}")
+        return row
+
+    def label(self, text: str) -> int | None:
+        """A trial label of a score or explanation file: 1, 0 or NA (None)."""
+        if text not in ("0", "1", _NA):
+            raise self.error(f"label must be 1, 0 or NA, got {text!r}")
+        return None if text == _NA else int(text)
+
+
+def _write_row(f, row: np.ndarray) -> None:
+    """One row of floats as ``repr`` text, the exact inverse of ``_LineReader.block``."""
+    f.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def save_inventory(inventory: PhoneInventory, path) -> None:
@@ -400,13 +520,13 @@ def save_inventory(inventory: PhoneInventory, path) -> None:
 
 def load_inventory(path) -> PhoneInventory:
     labels = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            label = line.strip()
+    with _LineReader(path) as lines:
+        for text in lines:
+            label = text.strip()
             if not label:
-                raise ParseError(path, line_no, "empty inventory label")
+                raise lines.error("empty inventory label")
             if label in labels:
-                raise ParseError(path, line_no, f"duplicate inventory label {label!r}")
+                raise lines.error(f"duplicate inventory label {label!r}")
             labels.append(label)
     if len(labels) < 2:
         raise ParseError(path, len(labels), "inventory needs at least 2 labels")
@@ -424,34 +544,24 @@ def load_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
     """Parse an alignment file; an utterance's rows must be consecutive and in order."""
     order: list[str] = []
     segments: dict[str, list[tuple[int, int, int]]] = {}
-    first_line: dict[str, int] = {}
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise ParseError(path, line_no, f"expected 4 tab-separated fields, got {len(parts)}")
-            utt_id, start_s, end_s, label = parts
-            try:
-                start, end = int(start_s), int(end_s)
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer frame bounds {start_s!r}, {end_s!r}") from None
+    with _LineReader(path) as lines:
+        for text in lines.records():
+            utt_id, start_s, end_s, label = lines.fields(text, 4)
+            start, end = lines.parse((start_s, end_s), int, "frame bounds")
             if label not in inventory:
-                raise ParseError(path, line_no, f"phone label {label!r} not in inventory")
+                raise lines.error(f"phone label {label!r} not in inventory")
             if utt_id not in segments:
                 order.append(utt_id)
                 segments[utt_id] = []
-                first_line[utt_id] = line_no
             elif order[-1] != utt_id:
-                raise ParseError(path, line_no, f"rows of utterance {utt_id!r} are not consecutive")
+                raise lines.error(f"rows of utterance {utt_id!r} are not consecutive")
             if end <= start:
-                raise ParseError(path, line_no, f"empty segment ({start}, {end})")
+                raise lines.error(f"empty segment ({start}, {end})")
             prev = segments[utt_id]
             expected = prev[-1][1] if prev else 0
             if start != expected:
                 kind = "overlap" if start < expected else "gap"
-                raise ParseError(path, line_no, f"{kind} at frame {expected} of utterance {utt_id!r}")
+                raise lines.error(f"{kind} at frame {expected} of utterance {utt_id!r}")
             prev.append((start, end, inventory.index_of(label)))
     return [PhoneAlignment(utt, segments[utt]) for utt in order]
 
@@ -464,20 +574,15 @@ def save_trials(trials: TrialList, path) -> None:
 
 def load_trials(path) -> TrialList:
     out = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-            label_s, enroll, test = parts
+    with _LineReader(path) as lines:
+        for text in lines.records():
+            label_s, enroll, test = lines.fields(text, 3)
             if label_s not in ("0", "1"):
-                raise ParseError(path, line_no, f"trial label must be 1 or 0, got {label_s!r}")
+                raise lines.error(f"trial label must be 1 or 0, got {label_s!r}")
             try:
                 out.append(Trial(enroll, test, int(label_s)))
             except ConfigurationError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
+                raise lines.error(str(exc)) from None
     return TrialList(out)
 
 
@@ -487,43 +592,17 @@ def save_features(features: list[UtteranceFeatures], path) -> None:
             t, dim = feat.features.shape
             f.write(f"{feat.utterance_id} {feat.speaker_id} {t} {dim}\n")
             for row in feat.features:
-                f.write(" ".join(_fmt(v) for v in row) + "\n")
+                _write_row(f, row)
 
 
 def load_features(path) -> list[UtteranceFeatures]:
     out = []
-    with open(path) as f:
-        lines = f.readlines()
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        header = lines[i].split()
-        if len(header) != 4:
-            raise ParseError(path, i + 1, f"expected header 'utt_id speaker_id T F', got {lines[i]!r}")
-        utt_id, speaker_id, t_s, f_s = header
-        try:
-            n_frames, dim = int(t_s), int(f_s)
-        except ValueError:
-            raise ParseError(path, i + 1, f"non-integer T or F in header {header}") from None
-        if n_frames < 1 or dim < 1:
-            raise ParseError(path, i + 1, f"T and F must be >= 1, got {n_frames}, {dim}")
-        if i + 1 + n_frames > len(lines):
-            raise ParseError(path, len(lines), f"truncated feature block for {utt_id!r}")
-        rows = np.empty((n_frames, dim))
-        for r in range(n_frames):
-            line_no = i + 2 + r
-            values = lines[i + 1 + r].split()
-            if len(values) != dim:
-                raise ParseError(path, line_no, f"expected {dim} values, got {len(values)}")
-            try:
-                rows[r] = [float(v) for v in values]
-            except ValueError:
-                raise ParseError(path, line_no, "non-numeric feature value") from None
-        try:
+    with _LineReader(path) as lines:
+        for text in lines.records():
+            utt_id, speaker_id, t_s, f_s = lines.fields(text, 4, None)
+            n_frames, dim = lines.parse((t_s, f_s), int, "T or F")
+            if n_frames < 1 or dim < 1:
+                raise lines.error(f"T and F must be >= 1, got {n_frames}, {dim}")
+            rows = lines.block(n_frames, dim, f"feature block for {utt_id!r}")
             out.append(UtteranceFeatures(utt_id, speaker_id, rows))
-        except (ConfigurationError, DimensionError) as exc:
-            raise ParseError(path, i + 1, str(exc)) from None
-        i += 1 + n_frames
     return out

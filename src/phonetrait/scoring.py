@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusIndex, TrialList, atomic_write
+from .corpus import _NA, CorpusIndex, TrialList, _LineReader, atomic_write
 from .errors import (
     DimensionError,
     NumericGuardError,
-    ParseError,
     UndefinedEvidenceError,
 )
 from .trait_layer import PhoneticTraitSet, forward_utterance
@@ -150,9 +149,6 @@ def score_trials(
 # score file I/O
 # ---------------------------------------------------------------------------
 
-_NA = "NA"
-
-
 def save_scores(records: list[ScoreRecord], path) -> None:
     with atomic_write(path) as f:
         for r in records:
@@ -170,49 +166,23 @@ def save_scores(records: list[ScoreRecord], path) -> None:
 def load_scores(path, n_phones: int | None = None) -> list[ScoreRecord]:
     """Read a score file; ``n_phones`` defaults to what the first row implies."""
     records = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
+    with _LineReader(path) as lines:
+        for text in lines.records():
             if n_phones is None:
-                if len(cells) < 6:
-                    raise ParseError(path, line_no, "score row needs at least 6 fields")
-                n_phones = len(cells) - 5
-            if len(cells) != 5 + n_phones:
-                raise ParseError(
-                    path, line_no, f"expected {5 + n_phones} fields, got {len(cells)}"
-                )
-            enroll_id, test_id, label_s, final_s, evidence_s = cells[:5]
-            if label_s == _NA:
-                label = None
-            elif label_s in ("0", "1"):
-                label = int(label_s)
-            else:
-                raise ParseError(path, line_no, f"label must be 1, 0 or NA, got {label_s!r}")
-            try:
-                final = float(final_s)
-                evidence = None if evidence_s == _NA else float(evidence_s)
-            except ValueError:
-                raise ParseError(path, line_no, "non-numeric score") from None
-            values = np.full(n_phones, np.nan)
-            defined = np.zeros(n_phones, dtype=bool)
-            for i, cell in enumerate(cells[5:]):
-                if cell == _NA:
-                    continue
-                try:
-                    values[i] = float(cell)
-                except ValueError:
-                    raise ParseError(path, line_no, f"non-numeric similarity {cell!r}") from None
-                defined[i] = True
+                n_phones = max(text.count("\t") - 4, 1)
+            cells = lines.fields(text, 5 + n_phones)
+            label = lines.label(cells[2])
+            if cells[3] == _NA:
+                raise lines.error("final score is NA")
+            scores = lines.na_floats(cells[3:], "score")
             records.append(
                 ScoreRecord(
-                    enroll_id=enroll_id,
-                    test_id=test_id,
+                    enroll_id=cells[0],
+                    test_id=cells[1],
                     label=label,
-                    final=final,
-                    evidence=evidence,
-                    similarity=TraitSimilarityVector(values, defined),
+                    final=float(scores[0]),
+                    evidence=None if cells[4] == _NA else float(scores[1]),
+                    similarity=TraitSimilarityVector(scores[2:], np.isfinite(scores[2:])),
                 )
             )
     return records

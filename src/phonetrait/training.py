@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CorpusIndex, PhoneInventory, atomic_write
+from .corpus import CorpusIndex, PhoneInventory, _LineReader, _write_row, atomic_write
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -28,7 +28,6 @@ from .errors import (
     BatchError,
     ConfigurationError,
     DivergenceError,
-    ParseError,
 )
 from .losses import AamConfig, LossOutput, LossWeights, PairBatch, total_loss
 from .trait_layer import (
@@ -396,9 +395,8 @@ def grad_check(
 def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     dims = " ".join(str(d) for d in arr.shape)
     f.write(f"tensor {name} {dims}\n")
-    rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
-    for row in rows:
-        f.write(" ".join(repr(float(v)) for v in row) + "\n")
+    for row in arr.reshape(1, -1) if arr.ndim == 1 else arr:
+        _write_row(f, row)
 
 
 def save_checkpoint(state: ModelState, model_cfg: ModelConfig, path) -> None:
@@ -420,77 +418,53 @@ def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ModelSta
 
     When ``expected`` is given the stored architecture must match it exactly.
     """
-    with open(path) as f:
-        lines = [line.rstrip("\n") for line in f]
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ParseError(path, 1, f"not a {CHECKPOINT_MAGIC!r} file")
-
-    header: dict[str, str] = {}
-    pos = 1
-    for key in ("input_dim", "layers", "embedding_dim", "n_classes", "step"):
-        if pos >= len(lines):
-            raise ParseError(path, len(lines), f"missing header field {key!r}")
-        name, _, value = lines[pos].partition(" ")
-        if name != key or not value:
-            raise ParseError(path, pos + 1, f"expected header field {key!r}, got {lines[pos]!r}")
-        header[key] = value
-        pos += 1
-    try:
-        input_dim = int(header["input_dim"])
-        embedding_dim = int(header["embedding_dim"])
-        n_classes = int(header["n_classes"])
-        step = int(header["step"])
-        layers = parse_layer_string(header["layers"])
-    except (ValueError, ConfigurationError) as exc:
-        raise ParseError(path, 2, f"bad checkpoint header: {exc}") from None
-    model_cfg = ModelConfig(EncoderConfig(input_dim, layers), embedding_dim)
-    if expected is not None and model_cfg != expected:
-        raise ConfigurationError(
-            "checkpoint architecture does not match the requested configuration: "
-            f"stored input_dim={input_dim} layers={header['layers']!r} "
-            f"embedding_dim={embedding_dim}"
-        )
-
-    tensors: dict[str, np.ndarray] = {}
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        parts = lines[pos].split()
-        if parts[0] != "tensor" or len(parts) < 3:
-            raise ParseError(path, pos + 1, f"expected a tensor header, got {lines[pos]!r}")
-        name = parts[1]
-        if name in tensors:
-            raise ParseError(path, pos + 1, f"duplicate tensor {name!r}")
+    with _LineReader(path) as lines:
+        if lines.next_line() != CHECKPOINT_MAGIC:
+            raise lines.error(f"not a {CHECKPOINT_MAGIC!r} file", 1)
+        header: dict[str, str] = {}
+        for key in ("input_dim", "layers", "embedding_dim", "n_classes", "step"):
+            text = lines.next_line()
+            if text is None:
+                raise lines.error(f"missing header field {key!r}")
+            name, value = lines.key_value(text)
+            if name != key or not value:
+                raise lines.error(f"expected header field {key!r}, got {text!r}")
+            header[key] = value
         try:
-            shape = tuple(int(d) for d in parts[2:])
-        except ValueError:
-            raise ParseError(path, pos + 1, f"bad tensor shape in {lines[pos]!r}") from None
-        n_rows = 1 if len(shape) == 1 else shape[0]
-        row_len = shape[0] if len(shape) == 1 else int(np.prod(shape[1:]))
-        if pos + 1 + n_rows > len(lines):
-            raise ParseError(path, len(lines), f"truncated tensor {name!r}")
-        data = np.empty((n_rows, row_len))
-        for r in range(n_rows):
-            values = lines[pos + 1 + r].split()
-            if len(values) != row_len:
-                raise ParseError(path, pos + 2 + r, f"expected {row_len} values, got {len(values)}")
-            try:
-                data[r] = [float(v) for v in values]
-            except ValueError:
-                raise ParseError(path, pos + 2 + r, "non-numeric tensor value") from None
-            if not np.isfinite(data[r]).all():
-                raise ParseError(path, pos + 2 + r, f"non-finite value in tensor {name!r}")
-        tensors[name] = data.reshape(shape)
-        pos += 1 + n_rows
+            input_dim = int(header["input_dim"])
+            embedding_dim = int(header["embedding_dim"])
+            n_classes = int(header["n_classes"])
+            step = int(header["step"])
+            layers = parse_layer_string(header["layers"])
+        except (ValueError, ConfigurationError) as exc:
+            raise lines.error(f"bad checkpoint header: {exc}", 2) from None
+        model_cfg = ModelConfig(EncoderConfig(input_dim, layers), embedding_dim)
+        if expected is not None and model_cfg != expected:
+            raise ConfigurationError(
+                "checkpoint architecture does not match the requested configuration: "
+                f"stored input_dim={input_dim} layers={header['layers']!r} "
+                f"embedding_dim={embedding_dim}"
+            )
+
+        tensors: dict[str, np.ndarray] = {}
+        for text in lines.records():
+            parts = text.split()
+            if parts[0] != "tensor" or len(parts) < 3:
+                raise lines.error(f"expected a tensor header, got {text!r}")
+            name = lines.unique_key(tensors, parts[1], "tensor")
+            shape = tuple(lines.parse(parts[2:], int, "tensor shape"))
+            if min(shape) < 0:
+                raise lines.error(f"negative dimension in tensor {name!r}")
+            n_rows = 1 if len(shape) == 1 else shape[0]
+            row_len = shape[0] if len(shape) == 1 else int(np.prod(shape[1:]))
+            tensors[name] = lines.block(n_rows, row_len, f"tensor {name!r}").reshape(shape)
 
     state = init_model(model_cfg, n_classes, seed=0)
     expected_names = set(parameter_arrays(state))
     if set(tensors) != expected_names:
         missing = expected_names - set(tensors)
         extra = set(tensors) - expected_names
-        raise ParseError(
-            path, len(lines),
+        raise lines.error(
             f"checkpoint tensors do not match the architecture "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
         )

@@ -286,6 +286,12 @@ class TestFRatio:
         with pytest.raises(ParseError, match="header"):
             load_f_ratio(path)
 
+    def test_load_accepts_inf_ratio(self, tmp_path):
+        # f_ratio writes inf when the between-speaker mean is exactly 0.
+        path = tmp_path / "fratio.csv"
+        path.write_text(FRATIO_HEADER + "\nAA,0.5,0.0,inf,1\n")
+        assert load_f_ratio(path)[0].ratio == np.inf
+
     def test_load_rejects_bad_flag(self, tmp_path):
         path = tmp_path / "fratio.csv"
         path.write_text(FRATIO_HEADER + "\nAA,1.0,1.0,1.0,yes\n")

@@ -12,6 +12,7 @@ from phonetrait.analysis import FRATIO_HEADER, read_report
 from phonetrait.cli import (
     EXIT_CONFIG,
     EXIT_GRADCHECK,
+    EXIT_IO,
     EXIT_MISSING_INPUT,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -221,6 +222,20 @@ class TestEval:
 
     def test_missing_scores_flag(self, capsys):
         assert main(["eval", "--out-dir", "x"]) == EXIT_CONFIG
+
+    def test_non_finite_scores_rejected_where_read(self, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("a\tc\t0\t0.1\t0.5\t0.5\t0.5\na\tb\t1\tnan\tinf\tnan\t-inf\n")
+        code = main(["eval", "--scores", str(scores), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: ParseError: {scores}:2: non-finite")
+
+    def test_scores_path_is_a_directory(self, tmp_path, capsys):
+        code = main(["eval", "--scores", str(tmp_path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: IsADirectoryError:")
+        assert len(err.splitlines()) == 1
 
 
 class TestFRatio:

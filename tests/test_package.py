@@ -1,8 +1,31 @@
 """Package surface: the public export list stays in step with the modules."""
 
+import ast
+from pathlib import Path
+
 import phonetrait
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in phonetrait.__all__ if not hasattr(phonetrait, name)]
     assert not missing, f"__all__ names without a binding: {missing}"
+
+
+def _opens_for_reading(call: ast.Call) -> bool:
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax"))
+
+
+def test_only_corpus_opens_files_for_reading():
+    # Every text file is read through corpus._LineReader, which owns the rules
+    # for line numbers, blank lines, float cells and repeated keys.
+    package = Path(phonetrait.__file__).parent
+    readers = sorted(
+        path.name for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _opens_for_reading(node)
+    )
+    assert set(readers) == {"corpus.py"}, readers

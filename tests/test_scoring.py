@@ -232,7 +232,7 @@ class TestScoreFileIO:
     def test_too_few_fields(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("a\tb\t1\t0.5\n")
-        with pytest.raises(ParseError, match="at least 6"):
+        with pytest.raises(ParseError, match=r"scores\.txt:1: expected 6 fields, got 4"):
             load_scores(path)
 
     def test_inconsistent_width(self, tmp_path):
