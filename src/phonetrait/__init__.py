@@ -20,7 +20,7 @@ from .corpus import (
     generate_corpus,
     make_trials,
 )
-from .encoder import EncoderConfig, EncoderParams, LayerSpec, encode_frames
+from .encoder import EncoderConfig, EncoderParams, LayerSpec, encode_layers
 from .errors import (
     BatchError,
     ConfigurationError,
@@ -69,7 +69,7 @@ __all__ = [
     "UndefinedEvidenceError",
     "UtteranceFeatures",
     "default_inventory",
-    "encode_frames",
+    "encode_layers",
     "evidence_score",
     "extract_traits",
     "filter_traits",

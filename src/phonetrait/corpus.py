@@ -201,6 +201,14 @@ class TrialList:
                     raise ConfigurationError(f"trial references unknown utterance id {utt!r}")
 
 
+def _utterances_by_speaker(features) -> dict[str, list[str]]:
+    """Each speaker's utterance ids, sorted."""
+    by_speaker: dict[str, list[str]] = {}
+    for f in features:
+        by_speaker.setdefault(f.speaker_id, []).append(f.utterance_id)
+    return {speaker: sorted(utts) for speaker, utts in by_speaker.items()}
+
+
 @dataclass
 class CorpusIndex:
     """Fast lookup over a corpus: features and alignments by utterance id."""
@@ -224,11 +232,7 @@ class CorpusIndex:
                     f"alignment of {utt!r} covers {a.n_frames} frames "
                     f"but features have {feat_map[utt].n_frames}"
                 )
-        by_speaker: dict[str, list[str]] = {}
-        for f in features:
-            by_speaker.setdefault(f.speaker_id, []).append(f.utterance_id)
-        for utts in by_speaker.values():
-            utts.sort()
+        by_speaker = _utterances_by_speaker(features)
         return cls(
             features=feat_map,
             alignments=align_map,
@@ -335,11 +339,7 @@ def make_trials(
     """Sample labelled verification trials (with replacement across trials)."""
     if n_target < 0 or n_nontarget < 0:
         raise ConfigurationError("trial counts must be >= 0")
-    by_speaker: dict[str, list[str]] = {}
-    for f in features:
-        by_speaker.setdefault(f.speaker_id, []).append(f.utterance_id)
-    for utts in by_speaker.values():
-        utts.sort()
+    by_speaker = _utterances_by_speaker(features)
     speakers = sorted(by_speaker)
     pairable = [s for s in speakers if len(by_speaker[s]) >= 2]
     if n_target > 0 and not pairable:
@@ -529,7 +529,7 @@ def load_inventory(path) -> PhoneInventory:
                 raise lines.error(f"duplicate inventory label {label!r}")
             labels.append(label)
     if len(labels) < 2:
-        raise ParseError(path, len(labels), "inventory needs at least 2 labels")
+        raise ParseError(path, 1, "inventory needs at least 2 labels")
     return PhoneInventory(tuple(labels))
 
 

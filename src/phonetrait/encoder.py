@@ -124,64 +124,60 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderPara
     return EncoderParams(config, weights, biases)
 
 
-def _gather_context(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
-    """Stack x[t + off] for each offset, clamping indices to [0, T)."""
-    n_frames = x.shape[0]
-    idx = np.clip(np.arange(n_frames)[:, None] + np.asarray(offsets), 0, n_frames - 1)
-    return x[idx].reshape(n_frames, -1)
+def _context_index(n_frames: int, offsets: tuple[int, ...]) -> np.ndarray:
+    """T x n_offsets source frame of every context slot: t + offset clamped to [0, T)."""
+    return np.clip(np.arange(n_frames)[:, None] + np.asarray(offsets), 0, n_frames - 1)
 
 
-def encode_frames(params: EncoderParams, features: np.ndarray) -> np.ndarray:
-    """Map a T x F feature matrix to a T x D1 frame embedding matrix."""
+def encode_layers(params: EncoderParams, features: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activation for a T x F feature matrix.
+
+    The list starts with the input (as float64) and ends with the T x D1 frame
+    embeddings; ``encode_backward`` reads the whole list.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise DimensionError(
             f"features must be T x {params.config.input_dim}, got shape {x.shape}"
         )
+    n_frames = x.shape[0]
+    activations = [x]
     for layer, w, b in zip(params.config.layers, params.weights, params.biases):
-        pre = _gather_context(x, layer.context_offsets) @ w.T + b
+        idx = _context_index(n_frames, layer.context_offsets)
+        pre = x[idx].reshape(n_frames, -1) @ w.T + b
         x = np.maximum(pre, 0.0) if layer.nonlinearity == "relu" else pre
-    return x
+        activations.append(x)
+    return activations
 
 
 def encode_backward(
-    params: EncoderParams, features: np.ndarray, d_output: np.ndarray
+    params: EncoderParams, activations: list[np.ndarray], d_output: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Gradients of a scalar loss w.r.t. every weight, bias, and the input.
 
-    ``d_output`` is the loss gradient w.r.t. the encoder output (T x D1).
-    Recomputes the forward pass to keep the call self-contained.
+    ``activations`` is ``encode_layers``' result for the utterance and
+    ``d_output`` the loss gradient w.r.t. its last entry (T x D1).
 
     Returns (d_weights, d_biases, d_features) with the lists aligned to
     ``params.weights`` / ``params.biases``.
     """
-    x = np.asarray(features, dtype=np.float64)
-    inputs = [x]
-    contexts = []
-    pres = []
-    for layer, w, b in zip(params.config.layers, params.weights, params.biases):
-        ctx = _gather_context(inputs[-1], layer.context_offsets)
-        pre = ctx @ w.T + b
-        contexts.append(ctx)
-        pres.append(pre)
-        inputs.append(np.maximum(pre, 0.0) if layer.nonlinearity == "relu" else pre)
-
+    grad = np.asarray(d_output, dtype=np.float64)
+    if grad.shape != activations[-1].shape:
+        raise DimensionError(f"d_output shape {grad.shape}, want {activations[-1].shape}")
+    n_frames = grad.shape[0]
     d_weights = [np.zeros_like(w) for w in params.weights]
     d_biases = [np.zeros_like(b) for b in params.biases]
-    grad = np.asarray(d_output, dtype=np.float64)
-    if grad.shape != inputs[-1].shape:
-        raise DimensionError(f"d_output shape {grad.shape}, want {inputs[-1].shape}")
-    n_frames = x.shape[0]
     for l in range(len(params.config.layers) - 1, -1, -1):
         layer = params.config.layers[l]
-        d_pre = grad * (pres[l] > 0.0) if layer.nonlinearity == "relu" else grad
-        d_weights[l] = d_pre.T @ contexts[l]
+        x = activations[l]
+        # A ReLU output is positive exactly where its pre-activation is.
+        d_pre = grad * (activations[l + 1] > 0.0) if layer.nonlinearity == "relu" else grad
+        idx = _context_index(n_frames, layer.context_offsets)
+        d_weights[l] = d_pre.T @ x[idx].reshape(n_frames, -1)
         d_biases[l] = d_pre.sum(axis=0)
-        d_ctx = d_pre @ params.weights[l]
-        in_dim = inputs[l].shape[1]
-        grad = np.zeros_like(inputs[l])
-        # Clamped gathering means edge frames receive several contributions.
-        for o, off in enumerate(layer.context_offsets):
-            src = np.clip(np.arange(n_frames) + off, 0, n_frames - 1)
-            np.add.at(grad, src, d_ctx[:, o * in_dim:(o + 1) * in_dim])
+        d_ctx = (d_pre @ params.weights[l]).reshape(n_frames, len(layer.context_offsets), -1)
+        grad = np.zeros_like(x)
+        # Clamped gathering means edge frames receive several contributions,
+        # summed offset by offset and frame by frame within an offset.
+        np.add.at(grad, idx.T.ravel(), d_ctx.transpose(1, 0, 2).reshape(-1, x.shape[1]))
     return d_weights, d_biases, grad

@@ -39,4 +39,4 @@ class UndefinedEvidenceError(PhonetraitError):
 
 
 class DivergenceError(PhonetraitError):
-    """Training produced a non-finite loss."""
+    """Non-finite loss, gradient or parameter in training; the message names the group and step."""

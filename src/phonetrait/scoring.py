@@ -27,10 +27,9 @@ from .errors import (
     NumericGuardError,
     UndefinedEvidenceError,
 )
+from .losses import _NORM_FLOOR
 from .trait_layer import PhoneticTraitSet, forward_utterance
 from .training import ModelState
-
-_NORM_FLOOR = 1e-12
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -110,24 +109,25 @@ def score_trials(
 ) -> list[ScoreRecord]:
     """Score every trial, encoding each utterance only once."""
     trials.validate_against(index.features)
-    cache = {}
+    cache: dict[str, tuple[PhoneticTraitSet, np.ndarray]] = {}
 
-    def forward(utt_id: str):
+    def forward(utt_id: str) -> tuple[PhoneticTraitSet, np.ndarray]:
         if utt_id not in cache:
-            cache[utt_id] = forward_utterance(
+            fwd = forward_utterance(
                 index.features[utt_id].features,
                 index.alignments[utt_id],
                 state.encoder,
                 state.projection,
                 n_phones,
             )
+            cache[utt_id] = (fwd.trait_set, fwd.embedding)
         return cache[utt_id]
 
     records = []
     for trial in trials:
-        enroll = forward(trial.enroll_id)
-        test = forward(trial.test_id)
-        similarity = trait_similarity_vector(enroll.trait_set, test.trait_set)
+        enroll_traits, enroll_embedding = forward(trial.enroll_id)
+        test_traits, test_embedding = forward(trial.test_id)
+        similarity = trait_similarity_vector(enroll_traits, test_traits)
         try:
             evidence = evidence_score(similarity)
         except UndefinedEvidenceError:
@@ -137,7 +137,7 @@ def score_trials(
                 enroll_id=trial.enroll_id,
                 test_id=trial.test_id,
                 label=trial.label,
-                final=final_score(enroll.embedding, test.embedding),
+                final=final_score(enroll_embedding, test_embedding),
                 evidence=evidence,
                 similarity=similarity,
             )

@@ -213,7 +213,7 @@ def batch_loss_and_grads(
             )
             grads["projection_weight"] += d_proj_w
             grads["projection_bias"] += d_proj_b
-            d_enc_w, d_enc_b, _ = encode_backward(state.encoder, cache.features, d_frames)
+            d_enc_w, d_enc_b, _ = encode_backward(state.encoder, cache.activations, d_frames)
             for l, g in enumerate(d_enc_w):
                 grads[f"encoder_weight_{l}"] += g
             for l, g in enumerate(d_enc_b):
@@ -262,8 +262,16 @@ def train(
                     f"non-finite loss {out.total} at step {state.step}; lower the learning rate"
                 )
             for name, arr in params.items():
+                if not np.isfinite(grads[name]).all():
+                    raise DivergenceError(
+                        f"non-finite {name} gradient at step {state.step}; lower the learning rate"
+                    )
                 velocity[name] = train_cfg.momentum * velocity[name] + grads[name]
                 arr -= train_cfg.learning_rate * velocity[name]
+                if not np.isfinite(arr).all():
+                    raise DivergenceError(
+                        f"non-finite {name} after step {state.step}; lower the learning rate"
+                    )
             history.append(
                 StepRecord(
                     epoch=epoch,

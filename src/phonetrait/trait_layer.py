@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PhoneAlignment
+from .encoder import EncoderParams, encode_layers
 from .errors import ConfigurationError, DimensionError, EmptyUtteranceError
 
 # Inside the sqrt of the pooled standard deviation; keeps the gradient finite
@@ -61,30 +62,26 @@ class PhoneticTraitSet:
 
 def extract_traits(
     frame_embeddings: np.ndarray,
-    alignment: PhoneAlignment,
-    n_phones: int,
-    utterance_id: str | None = None,
+    phones: np.ndarray,
+    counts: np.ndarray,
+    utterance_id: str,
 ) -> PhoneticTraitSet:
     """Average frame embeddings per phone into an I x D1 trait matrix.
 
+    ``phones`` is the phone index of every frame and ``counts`` the number of
+    frames of each of the I phones, ``np.bincount(phones, minlength=I)``.
     Every frame of a phone counts equally, so a phone aligned to several
     segments pools all their frames together, weighted by duration.
     """
     emb = np.asarray(frame_embeddings, dtype=np.float64)
     if emb.ndim != 2:
         raise DimensionError(f"frame embeddings must be T x D1, got shape {emb.shape}")
-    if emb.shape[0] != alignment.n_frames:
+    if emb.shape[0] != phones.shape[0]:
         raise DimensionError(
-            f"{alignment.n_frames} aligned frames but {emb.shape[0]} embedding rows"
+            f"{phones.shape[0]} aligned frames but {emb.shape[0]} embedding rows"
         )
-    phones = alignment.frame_phones()
-    if phones.max() >= n_phones:
-        raise ConfigurationError(
-            f"alignment phone index {int(phones.max())} >= inventory size {n_phones}"
-        )
-    sums = np.zeros((n_phones, emb.shape[1]))
+    sums = np.zeros((counts.shape[0], emb.shape[1]))
     np.add.at(sums, phones, emb)
-    counts = np.bincount(phones, minlength=n_phones)
     traits = np.zeros_like(sums)
     seen = counts > 0
     traits[seen] = sums[seen] / counts[seen, None]
@@ -92,11 +89,7 @@ def extract_traits(
     # zero mean collapses onto the absent convention.
     present = seen & np.any(traits != 0.0, axis=1)
     traits[~present] = 0.0
-    return PhoneticTraitSet(
-        utterance_id=utterance_id if utterance_id is not None else alignment.utterance_id,
-        traits=traits,
-        present=present,
-    )
+    return PhoneticTraitSet(utterance_id=utterance_id, traits=traits, present=present)
 
 
 def filter_traits(trait_set: PhoneticTraitSet) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +154,7 @@ class UtteranceForward:
     """Cached intermediates of one utterance's forward pass, for backprop."""
 
     utterance_id: str
-    features: np.ndarray        # (T, F)
-    frame_embeddings: np.ndarray  # (T, D1)
+    activations: list[np.ndarray]  # encoder input (T, F) ... frame embeddings (T, D1)
     phone_of_frame: np.ndarray  # (T,)
     counts: np.ndarray          # (I,) frames per phone
     trait_set: PhoneticTraitSet
@@ -177,15 +169,19 @@ class UtteranceForward:
 def forward_utterance(
     features: np.ndarray,
     alignment: PhoneAlignment,
-    encoder_params,
+    encoder_params: EncoderParams,
     projection: ProjectionParams,
     n_phones: int,
 ) -> UtteranceForward:
     """Full path features -> frames -> traits -> filtered -> stats -> embedding."""
-    from .encoder import encode_frames
-
-    frames = encode_frames(encoder_params, features)
-    trait_set = extract_traits(frames, alignment, n_phones)
+    activations = encode_layers(encoder_params, features)
+    phones = alignment.frame_phones()
+    if phones.max() >= n_phones:
+        raise ConfigurationError(
+            f"alignment phone index {int(phones.max())} >= inventory size {n_phones}"
+        )
+    counts = np.bincount(phones, minlength=n_phones)
+    trait_set = extract_traits(activations[-1], phones, counts, alignment.utterance_id)
     filtered, kept = filter_traits(trait_set)
     mean, std = pool_statistics(filtered)
     if mean.shape[0] != projection.trait_dim:
@@ -194,13 +190,11 @@ def forward_utterance(
         )
     stats = np.concatenate([mean, std])
     embedding = projection.weight @ stats + projection.bias
-    phones = alignment.frame_phones()
     return UtteranceForward(
         utterance_id=trait_set.utterance_id,
-        features=np.asarray(features, dtype=np.float64),
-        frame_embeddings=frames,
+        activations=activations,
         phone_of_frame=phones,
-        counts=np.bincount(phones, minlength=n_phones),
+        counts=counts,
         trait_set=trait_set,
         kept=kept,
         filtered=filtered,

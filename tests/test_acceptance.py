@@ -127,10 +127,10 @@ def test_trait_extraction_matches_naive_group_means(capsys):
         alignment = PhoneAlignment("u", tuple(segments))
         embeddings = rng.standard_normal((cursor, 7))
 
-        got = extract_traits(embeddings, alignment, inventory.size)
-        want_traits, want_present = naive_traits(
-            embeddings, alignment.frame_phones(), inventory.size
-        )
+        phones = alignment.frame_phones()
+        got = extract_traits(embeddings, phones, np.bincount(phones, minlength=inventory.size),
+                             alignment.utterance_id)
+        want_traits, want_present = naive_traits(embeddings, phones, inventory.size)
         assert np.array_equal(got.present, want_present)
         worst = max(worst, float(np.abs(got.traits - want_traits).max()))
 

@@ -43,6 +43,8 @@ CHECKPOINT = (f"{CHECKPOINT_MAGIC}\ninput_dim 2\nlayers 0:2:relu\nembedding_dim 
 # (loader, file text, line the error must name)
 CASES = {
     "inventory-blank-line": ("inventory", "AA\n\nAE\n", 2),
+    "inventory-empty": ("inventory", "", 1),
+    "inventory-one-label": ("inventory", "AA\n", 1),
     "alignments-field-count": ("alignments", "u\t0\t2\tAA\nu\t2\t4\n", 2),
     "alignments-non-numeric": ("alignments", "u\t0\t2\tAA\nu\t2\tx\tAE\n", 2),
     "trials-field-count": ("trials", "1\ta\tb\n0\ta\tb\tc\n", 2),

@@ -1,12 +1,16 @@
 """Pair-batch SGD training loop, gradient certification, checkpoints."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from phonetrait import encoder, trait_layer, training
 from phonetrait.corpus import (
     CMU_PHONES,
     NON_VERBAL,
     CorpusIndex,
+    PhoneAlignment,
     PhoneInventory,
     generate_corpus,
 )
@@ -171,6 +175,28 @@ class TestBatchGradients:
         report = self.certify(with_classification=False)
         assert report.passed, report.lines()
 
+    def test_each_utterance_is_forwarded_once(self, monkeypatch):
+        # Backward reads the forward's cached activations and phone ids, so
+        # neither the encoder nor the alignment expansion runs a second time.
+        inventory, index, model_cfg = tiny_setup()
+        state = init_model(model_cfg, len(index.speakers), seed=1)
+        sel = sample_pair_batch(index, 3, np.random.default_rng(2))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        encode = counted("encode_layers", encoder.encode_layers)
+        monkeypatch.setattr(encoder, "encode_layers", encode)
+        monkeypatch.setattr(trait_layer, "encode_layers", encode)
+        monkeypatch.setattr(PhoneAlignment, "frame_phones",
+                            counted("frame_phones", PhoneAlignment.frame_phones))
+        batch_loss_and_grads(state, index, sel, LossWeights(), AamConfig(), inventory.size)
+        assert calls == {"encode_layers": 6, "frame_phones": 6}
+
     def test_grad_check_wrapper(self):
         inventory, index, model_cfg = tiny_setup()
         state = init_model(model_cfg, len(index.speakers), seed=1)
@@ -229,6 +255,25 @@ class TestTrain:
         )
         with pytest.raises(DivergenceError):
             train(index, inventory, model_cfg, cfg)
+
+    def test_divergence_names_the_gradient_group(self, monkeypatch):
+        inventory, index, model_cfg = tiny_setup()
+        real = training.batch_loss_and_grads
+
+        def poisoned(*args, **kwargs):
+            out, grads = real(*args, **kwargs)
+            grads["class_weights"][0, 0] = np.nan
+            return out, grads
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", poisoned)
+        with pytest.raises(DivergenceError, match="non-finite class_weights gradient at step 0"):
+            train(index, inventory, model_cfg, quick_train_cfg())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_parameter_group(self):
+        inventory, index, model_cfg = tiny_setup()
+        with pytest.raises(DivergenceError, match="non-finite encoder_weight_0 after step 0"):
+            train(index, inventory, model_cfg, quick_train_cfg(learning_rate=np.inf))
 
     def test_epoch_mean_losses(self):
         history = [

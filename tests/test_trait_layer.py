@@ -28,6 +28,11 @@ def identity_encoder(dim):
     return EncoderParams(config, [np.eye(dim)], [np.zeros(dim)])
 
 
+def traits_for(frames, phones_per_frame, n_phones):
+    phones = np.asarray(phones_per_frame)
+    return extract_traits(frames, phones, np.bincount(phones, minlength=n_phones), "u")
+
+
 def alignment_for(phones_per_frame):
     segments = []
     start = 0
@@ -44,7 +49,7 @@ def alignment_for(phones_per_frame):
 class TestExtractTraits:
     def test_hand_case(self):
         frames = np.array([[1.0, 1.0], [3.0, 3.0], [0.0, 2.0], [0.0, 0.0]])
-        ts = extract_traits(frames, alignment_for([0, 0, 1, 1]), 3)
+        ts = traits_for(frames, [0, 0, 1, 1], 3)
         assert ts.traits[0].tolist() == [2.0, 2.0]
         assert ts.traits[1].tolist() == [0.0, 1.0]
         assert ts.traits[2].tolist() == [0.0, 0.0]
@@ -53,13 +58,13 @@ class TestExtractTraits:
     def test_split_segments_pool_by_duration(self):
         # Phone 0 appears in two segments; all three of its frames average.
         frames = np.array([[3.0], [9.0], [100.0], [6.0]])
-        ts = extract_traits(frames, alignment_for([0, 0, 1, 0]), 2)
+        ts = traits_for(frames, [0, 0, 1, 0], 2)
         assert ts.traits[0].tolist() == [6.0]
         assert ts.traits[1].tolist() == [100.0]
 
     def test_cancelling_frames_mark_phone_absent(self):
         frames = np.array([[1.0], [-1.0]])
-        ts = extract_traits(frames, alignment_for([0, 0]), 2)
+        ts = traits_for(frames, [0, 0], 2)
         assert not ts.present[0]
         assert ts.traits[0].tolist() == [0.0]
 
@@ -67,7 +72,7 @@ class TestExtractTraits:
         rng = np.random.default_rng(5)
         frames = rng.normal(size=(12, 3))
         phones = [0, 0, 3, 3, 3, 1, 1, 0, 4, 4, 4, 4]
-        ts = extract_traits(frames, alignment_for(phones), 6)
+        ts = traits_for(frames, phones, 6)
         traits, present = naive_traits(frames, phones, 6)
         assert np.allclose(ts.traits, traits, atol=1e-12)
         assert np.array_equal(ts.present, present)
@@ -75,11 +80,12 @@ class TestExtractTraits:
 
     def test_frame_count_mismatch(self):
         with pytest.raises(DimensionError):
-            extract_traits(np.zeros((3, 2)), alignment_for([0, 0]), 2)
+            traits_for(np.zeros((3, 2)), [0, 0], 2)
 
     def test_phone_index_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            extract_traits(np.ones((2, 2)), alignment_for([0, 5]), 3)
+            forward_utterance(np.ones((2, 2)), alignment_for([0, 5]), identity_encoder(2),
+                              ProjectionParams(np.eye(4), np.zeros(4)), 3)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 14))
     @settings(max_examples=25, deadline=None)
@@ -87,7 +93,7 @@ class TestExtractTraits:
         rng = np.random.default_rng(seed)
         phones = rng.integers(0, 4, size=n_frames).tolist()
         frames = rng.normal(size=(n_frames, 2))
-        ts = extract_traits(frames, alignment_for(phones), 5)
+        ts = traits_for(frames, phones, 5)
         traits, present = naive_traits(frames, phones, 5)
         assert np.allclose(ts.traits, traits, atol=1e-12)
         assert np.array_equal(ts.present, present)
@@ -156,13 +162,14 @@ class TestForwardUtterance:
         projection = init_projection(3, 4, rng)
         cache = forward_utterance(features, alignment, identity_encoder(3), projection, 5)
 
-        ts = extract_traits(features, alignment, 5)
+        ts = traits_for(features, alignment.frame_phones(), 5)
         filtered, kept = filter_traits(ts)
         mean, std = pool_statistics(filtered)
         expected = projection.weight @ np.concatenate([mean, std]) + projection.bias
         assert np.allclose(cache.embedding, expected, atol=1e-12)
         assert cache.kept.tolist() == kept.tolist()
         assert cache.counts.tolist() == [3, 2, 3, 0, 0]
+        assert [a.tolist() for a in cache.activations] == [features.tolist()] * 2
         assert cache.utterance_id == "u"
 
     def test_identity_hand_case(self):
