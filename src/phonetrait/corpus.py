@@ -211,10 +211,11 @@ def _utterances_by_speaker(features) -> dict[str, list[str]]:
 
 @dataclass
 class CorpusIndex:
-    """Fast lookup over a corpus: features and alignments by utterance id."""
+    """Fast lookup over a corpus: features, alignments and frame phones by utterance id."""
 
     features: dict[str, UtteranceFeatures]
     alignments: dict[str, PhoneAlignment]
+    phones: dict[str, np.ndarray]  # every utterance's frame_phones(), expanded once
     speakers: list[str]
     utts_by_speaker: dict[str, list[str]]
 
@@ -236,8 +237,17 @@ class CorpusIndex:
         return cls(
             features=feat_map,
             alignments=align_map,
+            phones={utt: a.frame_phones() for utt, a in align_map.items()},
             speakers=sorted(by_speaker),
             utts_by_speaker=by_speaker,
+        )
+
+    def pack(self, utterance_ids: list[str]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The utterances' features (N x F) and frame phones (N,) back to back, and their lengths."""
+        return (
+            np.concatenate([self.features[u].features for u in utterance_ids]),
+            np.concatenate([self.phones[u] for u in utterance_ids]),
+            [self.features[u].n_frames for u in utterance_ids],
         )
 
     def class_label(self, speaker_id: str) -> int:

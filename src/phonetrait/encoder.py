@@ -124,47 +124,93 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderPara
     return EncoderParams(config, weights, biases)
 
 
-def _context_index(n_frames: int, offsets: tuple[int, ...]) -> np.ndarray:
-    """T x n_offsets source frame of every context slot: t + offset clamped to [0, T)."""
-    return np.clip(np.arange(n_frames)[:, None] + np.asarray(offsets), 0, n_frames - 1)
+def _bounds(lengths, n_frames: int) -> list[list[int]]:
+    """[start, end) rows of every packed utterance; ``None`` is one utterance of all rows."""
+    lengths = np.array([n_frames] if lengths is None else lengths, dtype=np.int64)
+    if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != n_frames:
+        raise DimensionError(
+            f"utterance lengths {lengths.tolist()} do not pack {n_frames} frames"
+        )
+    ends = np.cumsum(lengths)
+    return np.stack([ends - lengths, ends], axis=1).tolist()
 
 
-def encode_layers(params: EncoderParams, features: np.ndarray) -> list[np.ndarray]:
-    """Every layer's activation for a T x F feature matrix.
+def _context_index(bounds: list[list[int]], offsets: tuple[int, ...]) -> np.ndarray | None:
+    """N x n_offsets source row of every context slot; None for ``(0,)``.
 
-    The list starts with the input (as float64) and ends with the T x D1 frame
-    embeddings; ``encode_backward`` reads the whole list.
+    Frame t's slot for an offset reads row t + offset, clamped to t's own
+    utterance, so edges repeat that utterance's first/last frame. A ``(0,)``
+    layer's gather and scatter are identities and need no index.
+    """
+    if offsets == (0,):
+        return None
+    starts, ends = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+    first = np.repeat(starts, ends - starts)[:, None]
+    last = np.repeat(ends - 1, ends - starts)[:, None]
+    return np.clip(np.arange(first.shape[0])[:, None] + np.asarray(offsets), first, last)
+
+
+def _context(x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """N x (n_offsets * width) context rows of ``x``."""
+    return x if idx is None else x[idx].reshape(x.shape[0], -1)
+
+
+def _matmul_by_utterance(a: np.ndarray, b: np.ndarray, bounds: list[list[int]]) -> np.ndarray:
+    """``a @ b`` with every utterance's rows bit-equal to that utterance's own product.
+
+    GEMM computes each output row the same whatever rows surround it, but
+    NumPy hands a one-row or one-column product to gemv, whose sums depend
+    on the operand's shape. Those utterances are multiplied alone.
+    """
+    out = a @ b
+    if len(bounds) > 1:
+        for start, end in bounds:
+            if end - start == 1 or b.shape[1] == 1:
+                out[start:end] = a[start:end] @ b
+    return out
+
+
+def encode_layers(params: EncoderParams, features: np.ndarray, lengths=None) -> list[np.ndarray]:
+    """Every layer's activation for N x F frames of utterances packed back to back.
+
+    ``lengths`` gives each utterance's frame count in packing order (default:
+    one utterance of all N frames); no context window crosses from one
+    utterance into the next. The list starts with the input (as float64) and
+    ends with the N x D1 frame embeddings; ``encode_backward`` reads it.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise DimensionError(
             f"features must be T x {params.config.input_dim}, got shape {x.shape}"
         )
-    n_frames = x.shape[0]
+    bounds = _bounds(lengths, x.shape[0])
     activations = [x]
     for layer, w, b in zip(params.config.layers, params.weights, params.biases):
-        idx = _context_index(n_frames, layer.context_offsets)
-        pre = x[idx].reshape(n_frames, -1) @ w.T + b
+        ctx = _context(x, _context_index(bounds, layer.context_offsets))
+        pre = _matmul_by_utterance(ctx, w.T, bounds) + b
         x = np.maximum(pre, 0.0) if layer.nonlinearity == "relu" else pre
         activations.append(x)
     return activations
 
 
 def encode_backward(
-    params: EncoderParams, activations: list[np.ndarray], d_output: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every weight, bias, and the input.
+    params: EncoderParams, activations: list[np.ndarray], d_output: np.ndarray, lengths=None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Gradients of a scalar loss w.r.t. every weight and bias.
 
-    ``activations`` is ``encode_layers``' result for the utterance and
-    ``d_output`` the loss gradient w.r.t. its last entry (T x D1).
+    ``activations`` is ``encode_layers``' result for the same ``lengths`` and
+    ``d_output`` the loss gradient w.r.t. its last entry (N x D1).
 
-    Returns (d_weights, d_biases, d_features) with the lists aligned to
+    Each weight and bias gradient is the sum, in packing order, of every
+    utterance's own gradient, so a batch accumulates exactly as its
+    utterances would one by one. Returns (d_weights, d_biases), aligned to
     ``params.weights`` / ``params.biases``.
     """
     grad = np.asarray(d_output, dtype=np.float64)
     if grad.shape != activations[-1].shape:
         raise DimensionError(f"d_output shape {grad.shape}, want {activations[-1].shape}")
     n_frames = grad.shape[0]
+    bounds = _bounds(lengths, n_frames)
     d_weights = [np.zeros_like(w) for w in params.weights]
     d_biases = [np.zeros_like(b) for b in params.biases]
     for l in range(len(params.config.layers) - 1, -1, -1):
@@ -172,12 +218,20 @@ def encode_backward(
         x = activations[l]
         # A ReLU output is positive exactly where its pre-activation is.
         d_pre = grad * (activations[l + 1] > 0.0) if layer.nonlinearity == "relu" else grad
-        idx = _context_index(n_frames, layer.context_offsets)
-        d_weights[l] = d_pre.T @ x[idx].reshape(n_frames, -1)
-        d_biases[l] = d_pre.sum(axis=0)
-        d_ctx = (d_pre @ params.weights[l]).reshape(n_frames, len(layer.context_offsets), -1)
+        idx = _context_index(bounds, layer.context_offsets)
+        ctx = _context(x, idx)
+        for start, end in bounds:
+            d_weights[l] += d_pre[start:end].T @ ctx[start:end]
+            d_biases[l] += d_pre[start:end].sum(axis=0)
+        if l == 0:
+            break
+        d_ctx = _matmul_by_utterance(d_pre, params.weights[l], bounds)
+        if idx is None:
+            grad = d_ctx
+            continue
         grad = np.zeros_like(x)
         # Clamped gathering means edge frames receive several contributions,
         # summed offset by offset and frame by frame within an offset.
-        np.add.at(grad, idx.T.ravel(), d_ctx.transpose(1, 0, 2).reshape(-1, x.shape[1]))
-    return d_weights, d_biases, grad
+        np.add.at(grad, idx.T.ravel(),
+                  d_ctx.reshape(n_frames, idx.shape[1], -1).transpose(1, 0, 2).reshape(-1, x.shape[1]))
+    return d_weights, d_biases

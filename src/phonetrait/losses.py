@@ -127,8 +127,12 @@ def trait_verification_loss(
     if n_speakers < 2:
         raise BatchError("trait verification needs >= 2 speakers in the batch")
 
-    diff = enroll[:, None, :, :] - test[None, :, :, :]       # (K, K, I, D1)
-    sq = np.einsum("khid,khid->khi", diff, diff)             # (K, K, I)
+    # (K, K, I) squared distances, one phone at a time: a (K, K, I, D1)
+    # difference tensor would grow with K^2 * I * D1.
+    sq = np.empty((n_speakers, n_speakers, enroll.shape[1]))
+    for i in range(enroll.shape[1]):
+        diff = enroll[:, None, i, :] - test[None, :, i, :]
+        sq[:, :, i] = np.einsum("khd,khd->kh", diff, diff)
     valid = pe[:, None, :] & pt[None, :, :]
 
     loss = 0.0
@@ -141,7 +145,7 @@ def trait_verification_loss(
     if n_matched:
         loss += alpha * float(sq[diag, diag, :][matched_mask].sum()) / n_matched
         coef = 2.0 * alpha / n_matched
-        matched_diff = diff[diag, diag, :, :] * matched_mask[:, :, None]
+        matched_diff = (enroll - test) * matched_mask[:, :, None]
         d_enroll += coef * matched_diff
         d_test -= coef * matched_diff
 
@@ -156,7 +160,7 @@ def trait_verification_loss(
         coef = 2.0 * beta / n_retained
         ks, phones = np.nonzero(retained)
         hs = nearest[ks, phones]
-        pulled = coef * diff[ks, hs, phones, :]
+        pulled = coef * (enroll[ks, phones] - test[hs, phones])
         # A test trait can be the nearest neighbour of several enrollments.
         np.subtract.at(d_enroll, (ks, phones), pulled)
         np.add.at(d_test, (hs, phones), pulled)

@@ -120,7 +120,7 @@ def score_trials(
                 state.projection,
                 n_phones,
             )
-            cache[utt_id] = (fwd.trait_set, fwd.embedding)
+            cache[utt_id] = (fwd.utterances[0].trait_set, fwd.embeddings[0])
         return cache[utt_id]
 
     records = []

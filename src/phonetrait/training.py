@@ -31,9 +31,9 @@ from .errors import (
 )
 from .losses import AamConfig, LossOutput, LossWeights, PairBatch, total_loss
 from .trait_layer import (
+    BatchForward,
     ProjectionParams,
-    UtteranceForward,
-    forward_utterance,
+    forward_batch,
     init_projection,
     trait_layer_backward,
 )
@@ -160,31 +160,23 @@ def forward_pair_batch(
     index: CorpusIndex,
     selection: PairSelection,
     n_phones: int,
-) -> tuple[PairBatch, list[UtteranceForward], list[UtteranceForward]]:
-    """Run every utterance of the selection through the model."""
-
-    def run(utt_id: str) -> UtteranceForward:
-        return forward_utterance(
-            index.features[utt_id].features,
-            index.alignments[utt_id],
-            state.encoder,
-            state.projection,
-            n_phones,
-        )
-
-    enroll = [run(u) for u in selection.enroll_utts]
-    test = [run(u) for u in selection.test_utts]
+) -> tuple[PairBatch, BatchForward]:
+    """Run the selection's enrollments, then its tests, through the model as one batch."""
+    utts = selection.enroll_utts + selection.test_utts
+    features, phones, lengths = index.pack(utts)
+    cache = forward_batch(features, phones, lengths, utts, state.encoder, state.projection, n_phones)
+    k = len(selection.enroll_utts)
     batch = PairBatch(
         speaker_ids=selection.speaker_ids,
         class_labels=selection.class_labels,
-        enroll_traits=np.stack([c.trait_set.traits for c in enroll]),
-        enroll_present=np.stack([c.trait_set.present for c in enroll]),
-        test_traits=np.stack([c.trait_set.traits for c in test]),
-        test_present=np.stack([c.trait_set.present for c in test]),
-        enroll_embeddings=np.stack([c.embedding for c in enroll]),
-        test_embeddings=np.stack([c.embedding for c in test]),
+        enroll_traits=cache.traits[:k],
+        enroll_present=cache.present[:k],
+        test_traits=cache.traits[k:],
+        test_present=cache.present[k:],
+        enroll_embeddings=cache.embeddings[:k],
+        test_embeddings=cache.embeddings[k:],
     )
-    return batch, enroll, test
+    return batch, cache
 
 
 def batch_loss_and_grads(
@@ -196,39 +188,43 @@ def batch_loss_and_grads(
     n_phones: int,
     with_classification: bool = True,
 ) -> tuple[LossOutput, dict[str, np.ndarray]]:
-    """Loss components and gradients for every trainable array on one batch."""
-    batch, enroll_caches, test_caches = forward_pair_batch(state, index, selection, n_phones)
+    """Loss components and gradients for every trainable array on one batch.
+
+    Every gradient sums its per-utterance terms enrollments first, then
+    tests, in selection order. The desk experiment's trajectory depends on
+    that summation order, down to its EERs.
+    """
+    batch, cache = forward_pair_batch(state, index, selection, n_phones)
     out = total_loss(batch, weights, aam, state.class_weights, with_classification)
 
     grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
     grads["class_weights"] += out.d_class_weights
-    sides = (
-        (enroll_caches, out.d_enroll_embeddings, out.d_enroll_traits),
-        (test_caches, out.d_test_embeddings, out.d_test_traits),
+    d_proj_w, d_proj_b, d_frames = trait_layer_backward(
+        cache,
+        state.projection,
+        np.concatenate([out.d_enroll_embeddings, out.d_test_embeddings]),
+        np.concatenate([out.d_enroll_traits, out.d_test_traits]),
     )
-    for caches, d_embeddings, d_traits in sides:
-        for k, cache in enumerate(caches):
-            d_proj_w, d_proj_b, d_frames = trait_layer_backward(
-                cache, state.projection, d_embeddings[k], d_traits[k]
-            )
-            grads["projection_weight"] += d_proj_w
-            grads["projection_bias"] += d_proj_b
-            d_enc_w, d_enc_b, _ = encode_backward(state.encoder, cache.activations, d_frames)
-            for l, g in enumerate(d_enc_w):
-                grads[f"encoder_weight_{l}"] += g
-            for l, g in enumerate(d_enc_b):
-                grads[f"encoder_bias_{l}"] += g
+    grads["projection_weight"] += d_proj_w
+    grads["projection_bias"] += d_proj_b
+    d_enc_w, d_enc_b = encode_backward(state.encoder, cache.activations, d_frames, cache.lengths)
+    for l, g in enumerate(d_enc_w):
+        grads[f"encoder_weight_{l}"] += g
+    for l, g in enumerate(d_enc_b):
+        grads[f"encoder_bias_{l}"] += g
     return out, grads
 
 
-@dataclass
-class StepRecord:
-    epoch: int
-    step: int
-    total: float
-    classification: float
-    verification: float
-    center: float
+# One row per SGD step; ``train`` returns them as a record array, so a row
+# reads as ``rec.step``, ``rec.total`` and so on.
+LOSS_HISTORY_DTYPE = np.dtype([
+    ("epoch", np.int64),
+    ("step", np.int64),
+    ("total", np.float64),
+    ("classification", np.float64),
+    ("verification", np.float64),
+    ("center", np.float64),
+])
 
 
 def train(
@@ -237,20 +233,21 @@ def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     epoch_callback=None,
-) -> tuple[ModelState, list[StepRecord]]:
+) -> tuple[ModelState, np.recarray]:
     """Train a fresh model on the indexed corpus.
 
     Batch sampling and initialisation derive from ``train_cfg.seed`` alone, so
     the same corpus and config reproduce the exact same trajectory.
     ``epoch_callback(epoch_number, state)`` runs after each epoch (1-based),
-    e.g. to save per-epoch checkpoints.
+    e.g. to save per-epoch checkpoints. The loss history has one
+    ``LOSS_HISTORY_DTYPE`` row per step.
     """
     init_stream, sample_stream = np.random.SeedSequence(train_cfg.seed).spawn(2)
     state = init_model(model_cfg, len(index.speakers), init_stream)
     rng = np.random.default_rng(sample_stream)
     params = parameter_arrays(state)
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
-    history: list[StepRecord] = []
+    history = np.recarray(train_cfg.epochs * train_cfg.steps_per_epoch, dtype=LOSS_HISTORY_DTYPE)
     for epoch in range(train_cfg.epochs):
         for _ in range(train_cfg.steps_per_epoch):
             selection = sample_pair_batch(index, train_cfg.speakers_per_batch, rng)
@@ -272,27 +269,12 @@ def train(
                     raise DivergenceError(
                         f"non-finite {name} after step {state.step}; lower the learning rate"
                     )
-            history.append(
-                StepRecord(
-                    epoch=epoch,
-                    step=state.step,
-                    total=out.total,
-                    classification=out.classification,
-                    verification=out.verification,
-                    center=out.center,
-                )
-            )
+            history[state.step] = (epoch, state.step, out.total, out.classification,
+                                   out.verification, out.center)
             state.step += 1
         if epoch_callback is not None:
             epoch_callback(epoch + 1, state)
     return state, history
-
-
-def epoch_mean_losses(history: list[StepRecord]) -> dict[int, float]:
-    sums: dict[int, list[float]] = {}
-    for rec in history:
-        sums.setdefault(rec.epoch, []).append(rec.total)
-    return {epoch: float(np.mean(vals)) for epoch, vals in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +291,7 @@ def batch_loss_value(
     with_classification: bool = True,
 ) -> float:
     """Scalar total loss of one batch (forward only), for finite differences."""
-    batch, _, _ = forward_pair_batch(state, index, selection, n_phones)
+    batch, _ = forward_pair_batch(state, index, selection, n_phones)
     return total_loss(batch, weights, aam, state.class_weights, with_classification).total
 
 

@@ -62,34 +62,38 @@ class PhoneticTraitSet:
 
 def extract_traits(
     frame_embeddings: np.ndarray,
-    phones: np.ndarray,
+    segments: np.ndarray,
     counts: np.ndarray,
-    utterance_id: str,
-) -> PhoneticTraitSet:
-    """Average frame embeddings per phone into an I x D1 trait matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Average packed frame embeddings per (utterance, phone) into B x I x D1 traits.
 
-    ``phones`` is the phone index of every frame and ``counts`` the number of
-    frames of each of the I phones, ``np.bincount(phones, minlength=I)``.
-    Every frame of a phone counts equally, so a phone aligned to several
-    segments pools all their frames together, weighted by duration.
+    ``segments`` holds every frame's ``u * I + phone`` id, u being its
+    utterance's place in the batch, and ``counts`` the B x I frames of each
+    pair, ``np.bincount(segments, minlength=B * I).reshape(B, I)``. Every
+    frame of a phone counts equally, so a phone aligned to several segments
+    pools all their frames together, weighted by duration.
+
+    Returns (traits, present) with a (B, I) presence mask.
     """
     emb = np.asarray(frame_embeddings, dtype=np.float64)
     if emb.ndim != 2:
         raise DimensionError(f"frame embeddings must be T x D1, got shape {emb.shape}")
-    if emb.shape[0] != phones.shape[0]:
+    if emb.shape[0] != segments.shape[0]:
         raise DimensionError(
-            f"{phones.shape[0]} aligned frames but {emb.shape[0]} embedding rows"
+            f"{segments.shape[0]} aligned frames but {emb.shape[0]} embedding rows"
         )
-    sums = np.zeros((counts.shape[0], emb.shape[1]))
-    np.add.at(sums, phones, emb)
+    # One segment sum per embedding column; bincount adds frames in order.
+    sums = np.stack(
+        [np.bincount(segments, weights=column, minlength=counts.size) for column in emb.T], axis=-1
+    ).reshape(*counts.shape, emb.shape[1])
     traits = np.zeros_like(sums)
     seen = counts > 0
-    traits[seen] = sums[seen] / counts[seen, None]
+    traits[seen] = sums[seen] / counts[seen][:, None]
     # A phone can be present only if some value survives the mean; an exact
     # zero mean collapses onto the absent convention.
-    present = seen & np.any(traits != 0.0, axis=1)
+    present = seen & np.any(traits != 0.0, axis=-1)
     traits[~present] = 0.0
-    return PhoneticTraitSet(utterance_id=utterance_id, traits=traits, present=present)
+    return traits, present
 
 
 def filter_traits(trait_set: PhoneticTraitSet) -> tuple[np.ndarray, np.ndarray]:
@@ -151,12 +155,8 @@ def pool_statistics(filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class UtteranceForward:
-    """Cached intermediates of one utterance's forward pass, for backprop."""
+    """One utterance's trait filtering, statistics pooling and projection."""
 
-    utterance_id: str
-    activations: list[np.ndarray]  # encoder input (T, F) ... frame embeddings (T, D1)
-    phone_of_frame: np.ndarray  # (T,)
-    counts: np.ndarray          # (I,) frames per phone
     trait_set: PhoneticTraitSet
     kept: np.ndarray            # (N,) phone indices
     filtered: np.ndarray        # (N, D1)
@@ -166,88 +166,131 @@ class UtteranceForward:
     embedding: np.ndarray       # (D2,)
 
 
+@dataclass
+class BatchForward:
+    """Cached intermediates of a packed batch's forward pass, for backprop."""
+
+    lengths: np.ndarray            # (B,) frames of each utterance, in packing order
+    activations: list[np.ndarray]  # packed encoder input (N, F) ... frame embeddings (N, D1)
+    segments: np.ndarray           # (N,) u * I + phone of every frame
+    counts: np.ndarray             # (B, I) frames per (utterance, phone)
+    traits: np.ndarray             # (B, I, D1)
+    present: np.ndarray            # (B, I)
+    utterances: list[UtteranceForward]
+    embeddings: np.ndarray         # (B, D2)
+
+
+def _pool_and_project(trait_set: PhoneticTraitSet, projection: ProjectionParams) -> UtteranceForward:
+    filtered, kept = filter_traits(trait_set)
+    mean, std = pool_statistics(filtered)
+    stats = np.concatenate([mean, std])
+    embedding = projection.weight @ stats + projection.bias
+    return UtteranceForward(trait_set, kept, filtered, mean, std, stats, embedding)
+
+
+def forward_batch(
+    features: np.ndarray,
+    phones: np.ndarray,
+    lengths,
+    utterance_ids: list[str],
+    encoder_params: EncoderParams,
+    projection: ProjectionParams,
+    n_phones: int,
+) -> BatchForward:
+    """Full path features -> frames -> traits -> filtered -> stats -> embedding.
+
+    ``features`` (N x F) and ``phones`` (N,) hold the frames of the
+    utterances named by ``utterance_ids`` back to back, ``lengths`` frames
+    each. The encoder and the per-phone pooling run once over the whole
+    batch; filtering, statistics pooling and projection run per utterance.
+    """
+    activations = encode_layers(encoder_params, features, lengths)
+    if phones.max() >= n_phones:
+        raise ConfigurationError(
+            f"alignment phone index {int(phones.max())} >= inventory size {n_phones}"
+        )
+    lengths = np.asarray(lengths)
+    segments = np.repeat(np.arange(lengths.shape[0]) * n_phones, lengths) + phones
+    counts = np.bincount(segments, minlength=lengths.shape[0] * n_phones).reshape(-1, n_phones)
+    traits, present = extract_traits(activations[-1], segments, counts)
+    if traits.shape[2] != projection.trait_dim:
+        raise DimensionError(
+            f"trait dim {traits.shape[2]} does not match projection trait dim {projection.trait_dim}"
+        )
+    utterances = [
+        _pool_and_project(PhoneticTraitSet(utt, traits[u], present[u]), projection)
+        for u, utt in enumerate(utterance_ids)
+    ]
+    return BatchForward(
+        lengths=lengths,
+        activations=activations,
+        segments=segments,
+        counts=counts,
+        traits=traits,
+        present=present,
+        utterances=utterances,
+        embeddings=np.stack([u.embedding for u in utterances]),
+    )
+
+
 def forward_utterance(
     features: np.ndarray,
     alignment: PhoneAlignment,
     encoder_params: EncoderParams,
     projection: ProjectionParams,
     n_phones: int,
-) -> UtteranceForward:
-    """Full path features -> frames -> traits -> filtered -> stats -> embedding."""
-    activations = encode_layers(encoder_params, features)
+) -> BatchForward:
+    """``forward_batch`` of the one utterance ``alignment`` labels."""
     phones = alignment.frame_phones()
-    if phones.max() >= n_phones:
-        raise ConfigurationError(
-            f"alignment phone index {int(phones.max())} >= inventory size {n_phones}"
-        )
-    counts = np.bincount(phones, minlength=n_phones)
-    trait_set = extract_traits(activations[-1], phones, counts, alignment.utterance_id)
-    filtered, kept = filter_traits(trait_set)
-    mean, std = pool_statistics(filtered)
-    if mean.shape[0] != projection.trait_dim:
-        raise DimensionError(
-            f"trait dim {mean.shape[0]} does not match projection trait dim {projection.trait_dim}"
-        )
-    stats = np.concatenate([mean, std])
-    embedding = projection.weight @ stats + projection.bias
-    return UtteranceForward(
-        utterance_id=trait_set.utterance_id,
-        activations=activations,
-        phone_of_frame=phones,
-        counts=counts,
-        trait_set=trait_set,
-        kept=kept,
-        filtered=filtered,
-        mean=mean,
-        std=std,
-        stats=stats,
-        embedding=embedding,
-    )
+    return forward_batch(features, phones, [phones.shape[0]], [alignment.utterance_id],
+                         encoder_params, projection, n_phones)
 
 
 def trait_layer_backward(
-    cache: UtteranceForward,
+    cache: BatchForward,
     projection: ProjectionParams,
-    d_embedding: np.ndarray,
+    d_embeddings: np.ndarray,
     d_traits: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop from the embedding (and optionally the trait matrix) to frames.
+    """Backprop from the embeddings (and optionally the traits) to frames.
 
     Args:
-        cache: forward intermediates from ``forward_utterance``.
-        d_embedding: loss gradient w.r.t. the utterance embedding, shape (D2,).
-        d_traits: optional loss gradient w.r.t. the full I x D1 trait matrix
-            (e.g. from losses that act on traits directly). Rows of absent
-            phones are ignored; their traits are constant zero.
+        cache: forward intermediates from ``forward_batch``.
+        d_embeddings: loss gradient w.r.t. every utterance's embedding, (B, D2).
+        d_traits: optional loss gradient w.r.t. the B x I x D1 traits (e.g.
+            from losses that act on traits directly). Rows of absent phones
+            are ignored; their traits are constant zero.
 
     Returns:
-        (d_proj_weight, d_proj_bias, d_frame_embeddings).
+        (d_proj_weight, d_proj_bias, d_frame_embeddings). The projection
+        gradients are the sums, in batch order, of every utterance's own.
     """
-    d_emb = np.asarray(d_embedding, dtype=np.float64)
-    if d_emb.shape != cache.embedding.shape:
-        raise DimensionError(f"d_embedding shape {d_emb.shape}, want {cache.embedding.shape}")
-    d_proj_w = np.outer(d_emb, cache.stats)
-    d_proj_b = d_emb.copy()
-
-    d_stats = projection.weight.T @ d_emb
-    d1 = cache.mean.shape[0]
-    d_mean = d_stats[:d1]
-    d_std = d_stats[d1:]
-    n = cache.filtered.shape[0]
-    # d var / d row = 2 (row - mean) / N; the mean's dependence on each row
-    # cancels inside the variance, so no extra cross term appears.
-    d_var = d_std / (2.0 * cache.std)
-    d_filtered = d_mean / n + d_var * 2.0 * (cache.filtered - cache.mean) / n
-
-    d_trait_full = np.zeros_like(cache.trait_set.traits)
-    d_trait_full[cache.kept] = d_filtered
+    d_emb = np.asarray(d_embeddings, dtype=np.float64)
+    if d_emb.shape != cache.embeddings.shape:
+        raise DimensionError(f"d_embeddings shape {d_emb.shape}, want {cache.embeddings.shape}")
+    d_proj_w = np.zeros_like(projection.weight)
+    d_proj_b = np.zeros_like(projection.bias)
+    d_trait_full = np.zeros_like(cache.traits)
+    for u, utt in enumerate(cache.utterances):
+        d_proj_w += np.outer(d_emb[u], utt.stats)
+        d_proj_b += d_emb[u]
+        d_stats = projection.weight.T @ d_emb[u]
+        d1 = utt.mean.shape[0]
+        d_mean = d_stats[:d1]
+        d_std = d_stats[d1:]
+        n = utt.filtered.shape[0]
+        # d var / d row = 2 (row - mean) / N; the mean's dependence on each row
+        # cancels inside the variance, so no extra cross term appears.
+        d_var = d_std / (2.0 * utt.std)
+        d_trait_full[u, utt.kept] = d_mean / n + d_var * 2.0 * (utt.filtered - utt.mean) / n
     if d_traits is not None:
         extra = np.asarray(d_traits, dtype=np.float64)
         if extra.shape != d_trait_full.shape:
             raise DimensionError(f"d_traits shape {extra.shape}, want {d_trait_full.shape}")
-        d_trait_full[cache.kept] += extra[cache.kept]
+        d_trait_full[cache.present] += extra[cache.present]
 
     # Each frame contributed 1/count to its phone's mean.
-    phones = cache.phone_of_frame
-    d_frames = d_trait_full[phones] / cache.counts[phones, None]
+    segments = cache.segments
+    d_frames = (d_trait_full.reshape(-1, d_trait_full.shape[2])[segments]
+                / cache.counts.reshape(-1)[segments, None])
     return d_proj_w, d_proj_b, d_frames

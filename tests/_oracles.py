@@ -2,7 +2,9 @@
 
 Everything here trades speed for obviousness: explicit Python loops, direct
 counting, no vectorised shortcuts. Tests compare the package's optimised
-code against these.
+code against these. The ``per_utterance_*`` functions are the training step
+as it ran before batching, one utterance at a time; the batched step must
+reproduce their sums bit for bit, summation order included.
 """
 
 from __future__ import annotations
@@ -52,6 +54,132 @@ def naive_encode(config, weights, biases, features: np.ndarray) -> np.ndarray:
             out[t] = pre
         x = out
     return x
+
+
+def _per_utterance_context(n_frames, offsets):
+    return np.clip(np.arange(n_frames)[:, None] + np.asarray(offsets), 0, n_frames - 1)
+
+
+def per_utterance_encode(params, features):
+    """One utterance through the encoder; every layer's activation, input first."""
+    x = np.asarray(features, dtype=np.float64)
+    n_frames = x.shape[0]
+    activations = [x]
+    for layer, w, b in zip(params.config.layers, params.weights, params.biases):
+        idx = _per_utterance_context(n_frames, layer.context_offsets)
+        pre = x[idx].reshape(n_frames, -1) @ w.T + b
+        x = np.maximum(pre, 0.0) if layer.nonlinearity == "relu" else pre
+        activations.append(x)
+    return activations
+
+
+def per_utterance_encode_backward(params, activations, d_output):
+    """One utterance's encoder weight and bias gradients, and its input gradient."""
+    grad = np.asarray(d_output, dtype=np.float64)
+    n_frames = grad.shape[0]
+    d_weights = [np.zeros_like(w) for w in params.weights]
+    d_biases = [np.zeros_like(b) for b in params.biases]
+    for l in range(len(params.config.layers) - 1, -1, -1):
+        layer = params.config.layers[l]
+        x = activations[l]
+        d_pre = grad * (activations[l + 1] > 0.0) if layer.nonlinearity == "relu" else grad
+        idx = _per_utterance_context(n_frames, layer.context_offsets)
+        d_weights[l] = d_pre.T @ x[idx].reshape(n_frames, -1)
+        d_biases[l] = d_pre.sum(axis=0)
+        d_ctx = (d_pre @ params.weights[l]).reshape(n_frames, len(layer.context_offsets), -1)
+        grad = np.zeros_like(x)
+        np.add.at(grad, idx.T.ravel(), d_ctx.transpose(1, 0, 2).reshape(-1, x.shape[1]))
+    return d_weights, d_biases, grad
+
+
+def per_utterance_forward(features, phones, utterance_id, encoder_params, projection, n_phones):
+    """One utterance from features to embedding; a dict of every intermediate."""
+    from phonetrait.trait_layer import PhoneticTraitSet, filter_traits, pool_statistics
+
+    activations = per_utterance_encode(encoder_params, features)
+    emb = activations[-1]
+    counts = np.bincount(phones, minlength=n_phones)
+    sums = np.zeros((n_phones, emb.shape[1]))
+    np.add.at(sums, phones, emb)
+    traits = np.zeros_like(sums)
+    seen = counts > 0
+    traits[seen] = sums[seen] / counts[seen, None]
+    present = seen & np.any(traits != 0.0, axis=1)
+    traits[~present] = 0.0
+    trait_set = PhoneticTraitSet(utterance_id, traits, present)
+    filtered, kept = filter_traits(trait_set)
+    mean, std = pool_statistics(filtered)
+    stats = np.concatenate([mean, std])
+    return dict(activations=activations, phones=phones, counts=counts, trait_set=trait_set,
+                kept=kept, filtered=filtered, mean=mean, std=std, stats=stats,
+                embedding=projection.weight @ stats + projection.bias)
+
+
+def per_utterance_backward(cache, projection, d_emb, d_traits):
+    """One utterance's projection gradients and frame-embedding gradient."""
+    d_proj_w = np.outer(d_emb, cache["stats"])
+    d_proj_b = d_emb.copy()
+    d_stats = projection.weight.T @ d_emb
+    d1 = cache["mean"].shape[0]
+    d_mean, d_std = d_stats[:d1], d_stats[d1:]
+    n = cache["filtered"].shape[0]
+    d_var = d_std / (2.0 * cache["std"])
+    d_filtered = d_mean / n + d_var * 2.0 * (cache["filtered"] - cache["mean"]) / n
+    d_trait_full = np.zeros_like(cache["trait_set"].traits)
+    d_trait_full[cache["kept"]] = d_filtered
+    d_trait_full[cache["kept"]] += d_traits[cache["kept"]]
+    phones = cache["phones"]
+    return d_proj_w, d_proj_b, d_trait_full[phones] / cache["counts"][phones, None]
+
+
+def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones,
+                                 with_classification=True):
+    """A training step's loss and gradients, one utterance at a time.
+
+    Every utterance runs through the model alone, enrollments then tests, and
+    each gradient adds its utterances' terms in that order. Returns
+    (LossOutput, gradients, PairBatch).
+    """
+    from phonetrait.losses import PairBatch, total_loss
+    from phonetrait.training import parameter_arrays
+
+    def run(utt):
+        return per_utterance_forward(index.features[utt].features,
+                                     index.alignments[utt].frame_phones(), utt,
+                                     state.encoder, state.projection, n_phones)
+
+    enroll = [run(u) for u in selection.enroll_utts]
+    test = [run(u) for u in selection.test_utts]
+    batch = PairBatch(
+        speaker_ids=selection.speaker_ids,
+        class_labels=selection.class_labels,
+        enroll_traits=np.stack([c["trait_set"].traits for c in enroll]),
+        enroll_present=np.stack([c["trait_set"].present for c in enroll]),
+        test_traits=np.stack([c["trait_set"].traits for c in test]),
+        test_present=np.stack([c["trait_set"].present for c in test]),
+        enroll_embeddings=np.stack([c["embedding"] for c in enroll]),
+        test_embeddings=np.stack([c["embedding"] for c in test]),
+    )
+    out = total_loss(batch, weights, aam, state.class_weights, with_classification)
+    grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
+    grads["class_weights"] += out.d_class_weights
+    sides = (
+        (enroll, out.d_enroll_embeddings, out.d_enroll_traits),
+        (test, out.d_test_embeddings, out.d_test_traits),
+    )
+    for caches, d_embeddings, d_traits in sides:
+        for k, cache in enumerate(caches):
+            d_proj_w, d_proj_b, d_frames = per_utterance_backward(
+                cache, state.projection, d_embeddings[k], d_traits[k])
+            grads["projection_weight"] += d_proj_w
+            grads["projection_bias"] += d_proj_b
+            d_enc_w, d_enc_b, _ = per_utterance_encode_backward(
+                state.encoder, cache["activations"], d_frames)
+            for l, g in enumerate(d_enc_w):
+                grads[f"encoder_weight_{l}"] += g
+            for l, g in enumerate(d_enc_b):
+                grads[f"encoder_bias_{l}"] += g
+    return out, grads, batch
 
 
 def naive_traits(frame_embeddings: np.ndarray, frame_phones, n_phones: int):

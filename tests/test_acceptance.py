@@ -49,7 +49,6 @@ from phonetrait.training import (
     batch_loss_and_grads,
     batch_loss_value,
     compare_gradient_tables,
-    epoch_mean_losses,
     init_model,
     numeric_gradients,
     parameter_arrays,
@@ -128,11 +127,11 @@ def test_trait_extraction_matches_naive_group_means(capsys):
         embeddings = rng.standard_normal((cursor, 7))
 
         phones = alignment.frame_phones()
-        got = extract_traits(embeddings, phones, np.bincount(phones, minlength=inventory.size),
-                             alignment.utterance_id)
+        traits, present = extract_traits(
+            embeddings, phones, np.bincount(phones, minlength=inventory.size)[None])
         want_traits, want_present = naive_traits(embeddings, phones, inventory.size)
-        assert np.array_equal(got.present, want_present)
-        worst = max(worst, float(np.abs(got.traits - want_traits).max()))
+        assert np.array_equal(present[0], want_present)
+        worst = max(worst, float(np.abs(traits[0] - want_traits).max()))
 
     ok = worst <= 1e-12
     report(capsys, "2 trait extraction oracle",
@@ -189,18 +188,19 @@ def test_absent_phones_and_segment_order_leave_embedding_alone(capsys):
         widened = forward_utterance(features, alignment, state.encoder,
                                     state.projection, n_phones + 3)
         worst_absent = max(worst_absent,
-                           float(np.abs(widened.embedding - base.embedding).max()))
+                           float(np.abs(widened.embeddings[0] - base.embeddings[0]).max()))
 
         permuted, new_segments = _permute_same_label_segments(features, segments, rng)
         reordered = forward_utterance(permuted, PhoneAlignment("u", new_segments),
                                       state.encoder, state.projection, n_phones)
         worst_permuted = max(worst_permuted,
-                             float(np.abs(reordered.embedding - base.embedding).max()))
+                             float(np.abs(reordered.embeddings[0] - base.embeddings[0]).max()))
 
         for fwd in (base, widened, reordered):
-            fwd.trait_set.validate_mask()
-            nonzero_rows = np.any(fwd.trait_set.traits != 0.0, axis=1)
-            assert np.array_equal(nonzero_rows, fwd.trait_set.present)
+            trait_set = fwd.utterances[0].trait_set
+            trait_set.validate_mask()
+            nonzero_rows = np.any(trait_set.traits != 0.0, axis=1)
+            assert np.array_equal(nonzero_rows, trait_set.present)
 
     ok = worst_absent <= 1e-12 and worst_permuted <= 1e-12
     report(capsys, "3 masking and permutation invariants", ok,
@@ -293,7 +293,7 @@ def test_error_rate_metrics_match_sweep_oracles(capsys):
 class DeskRun:
     inventory: PhoneInventory
     snr: float
-    history: list
+    history: np.recarray
     records: list
     ablation_records: list
     ranking_records: list
@@ -356,8 +356,9 @@ def test_desk_experiment_verifies_speakers(desk, capsys):
 
 
 def test_loss_decreases_and_pairwise_terms_help(desk, capsys):
-    means = epoch_mean_losses(desk.history)
-    first_epoch, tenth_epoch = means[0], means[9]
+    history = desk.history
+    first_epoch, tenth_epoch = (float(np.mean(history.total[history.epoch == epoch]))
+                                for epoch in (0, 9))
     full_evidence = _eer_of(desk.records, "evidence")
     ablated_evidence = _eer_of(desk.ablation_records, "evidence")
 

@@ -127,30 +127,50 @@ class TestForward:
             encode_layers(params, np.zeros((4, 2)))
 
 
+def linear_under(top: LayerSpec, dim: int, rng) -> EncoderParams:
+    """A random identity-activation (0,) layer under ``top``.
+
+    The loss is linear in every weight, so a random draw cannot put a ReLU
+    kink inside a finite-difference step, and layer 0's weight gradient reads
+    the frame gradient ``top`` scatters back onto its input frames.
+    """
+    config = EncoderConfig(dim, (LayerSpec((0,), dim, "identity"), top))
+    return init_encoder(config, rng)
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
         feats = np.random.default_rng(1).normal(size=(5, 3))
-        d_w, d_b, d_x = encode_backward(params, encode_layers(params, feats), np.zeros((5, 4)))
+        d_w, d_b = encode_backward(params, encode_layers(params, feats), np.zeros((5, 4)))
         assert all(not w.any() for w in d_w)
         assert all(not b.any() for b in d_b)
-        assert not d_x.any()
 
     def test_identity_net_passes_gradient_through(self):
+        # Layer 1 is the identity, so layer 0 sees the upstream gradient as is.
         feats = np.random.default_rng(2).normal(size=(4, 3))
         upstream = np.random.default_rng(3).normal(size=(4, 3))
-        params = identity_params(3)
-        _, _, d_x = encode_backward(params, encode_layers(params, feats), upstream)
-        assert np.allclose(d_x, upstream, atol=1e-12)
+        params = EncoderParams(
+            EncoderConfig(3, (LayerSpec((0,), 3, "identity"), LayerSpec((0,), 3, "identity"))),
+            [np.eye(3), np.eye(3)], [np.zeros(3), np.zeros(3)],
+        )
+        d_w, d_b = encode_backward(params, encode_layers(params, feats), upstream)
+        assert np.allclose(d_w[0], upstream.T @ feats, atol=1e-12)
+        assert np.allclose(d_b[0], upstream.sum(axis=0), atol=1e-12)
 
     def test_clamped_edges_accumulate_input_gradient(self):
-        # Offsets (-1, 0): frame 0's context reads x0 twice via clamping, so
-        # x0 collects that doubled term plus one from frame 1's window.
-        config = EncoderConfig(1, (LayerSpec((-1, 0), 1, "identity"),))
-        params = EncoderParams(config, [np.array([[1.0, 1.0]])], [np.zeros(1)])
-        _, _, d_x = encode_backward(params, encode_layers(params, np.zeros((3, 1))),
-                                   np.ones((3, 1)))
-        assert d_x.ravel().tolist() == [3.0, 2.0, 1.0]
+        # Layer 1 has offsets (-1, 0): frame 0's context reads h0 twice via
+        # clamping, so h0 collects that doubled term plus one from frame 1's
+        # window, giving frame gradients (3, 2, 1) under layer 1. Layer 0 is
+        # the identity map h = x, so d_w0 = 3 * 1 + 2 * 10 + 1 * 100.
+        config = EncoderConfig(1, (LayerSpec((0,), 1, "identity"),
+                                   LayerSpec((-1, 0), 1, "identity")))
+        params = EncoderParams(config, [np.array([[1.0]]), np.array([[1.0, 1.0]])],
+                               [np.zeros(1), np.zeros(1)])
+        feats = np.array([[1.0], [10.0], [100.0]])
+        d_w, d_b = encode_backward(params, encode_layers(params, feats), np.ones((3, 1)))
+        assert d_w[0].tolist() == [[123.0]]
+        assert d_b[0].tolist() == [6.0]
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -165,11 +185,10 @@ class TestBackward:
         def loss():
             return float((encode_layers(params, feats)[-1] * upstream).sum())
 
-        d_w, d_b, d_x = encode_backward(params, encode_layers(params, feats), upstream)
+        d_w, d_b = encode_backward(params, encode_layers(params, feats), upstream)
         for l in range(2):
             assert max_relative_error(d_w[l], central_difference(loss, params.weights[l])) < 1e-6
             assert max_relative_error(d_b[l], central_difference(loss, params.biases[l])) < 1e-6
-        assert max_relative_error(d_x, central_difference(loss, feats)) < 1e-6
 
     def test_upstream_shape_checked(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
@@ -188,17 +207,55 @@ class TestBackward:
         slow = naive_encode(config, params.weights, params.biases, feats)
         assert np.allclose(fast, slow, atol=1e-12, rtol=0.0)
 
-        # Backward must scatter every clamped slot back onto its source frame.
-        # The same weights without the ReLU make the loss linear, so a random
-        # draw cannot put a kink inside a finite-difference step.
-        linear = EncoderParams(EncoderConfig(2, (LayerSpec((-2, 0, 3), 3, "identity"),)),
-                               params.weights, params.biases)
+        # Backward must scatter every clamped slot of layer 1 back onto its
+        # source frame, which layer 0's weight gradient reads.
+        linear = linear_under(LayerSpec((-2, 0, 3), 3, "identity"), 2, rng)
         upstream = rng.normal(size=(n_frames, 3))
 
         def loss():
             return float((encode_layers(linear, feats)[-1] * upstream).sum())
 
-        d_w, d_b, d_x = encode_backward(linear, encode_layers(linear, feats), upstream)
-        assert max_relative_error(d_x, central_difference(loss, feats)) < 1e-6
-        assert max_relative_error(d_w[0], central_difference(loss, linear.weights[0])) < 1e-6
-        assert max_relative_error(d_b[0], central_difference(loss, linear.biases[0])) < 1e-6
+        d_w, d_b = encode_backward(linear, encode_layers(linear, feats), upstream)
+        for l in range(2):
+            assert max_relative_error(d_w[l], central_difference(loss, linear.weights[l])) < 1e-6
+            assert max_relative_error(d_b[l], central_difference(loss, linear.biases[l])) < 1e-6
+
+
+class TestPackedUtterances:
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=6), st.integers(1, 3),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_packed_batch_equals_utterances_one_by_one(self, lengths, width, seed):
+        # No context window crosses into a neighbouring utterance, and the
+        # gradients are the per-utterance gradients summed in packing order.
+        # Widths of 1 make NumPy multiply with gemv rather than GEMM.
+        rng = np.random.default_rng(seed)
+        config = EncoderConfig(width, (LayerSpec((-2, 0, 3), width, "relu"),
+                                       LayerSpec((0,), width, "identity"),
+                                       LayerSpec((-1, 1), 2, "identity")))
+        params = init_encoder(config, rng)
+        utterances = [rng.normal(size=(n, width)) for n in lengths]
+        upstreams = [rng.normal(size=(n, 2)) for n in lengths]
+        packed = encode_layers(params, np.concatenate(utterances), lengths)
+        d_w, d_b = encode_backward(params, packed, np.concatenate(upstreams), lengths)
+
+        want_w = [np.zeros_like(w) for w in params.weights]
+        want_b = [np.zeros_like(b) for b in params.biases]
+        start = 0
+        for feats, upstream in zip(utterances, upstreams):
+            alone = encode_layers(params, feats)
+            for got, want in zip(packed, alone):
+                assert np.array_equal(got[start:start + len(feats)], want)
+            start += len(feats)
+            one_w, one_b = encode_backward(params, alone, upstream)
+            for l in range(3):
+                want_w[l] += one_w[l]
+                want_b[l] += one_b[l]
+        for l in range(3):
+            assert np.array_equal(d_w[l], want_w[l])
+            assert np.array_equal(d_b[l], want_b[l])
+
+    def test_lengths_must_pack_the_frames(self):
+        params = init_encoder(two_layer_config(), np.random.default_rng(0))
+        with pytest.raises(DimensionError, match="do not pack 5 frames"):
+            encode_layers(params, np.zeros((5, 3)), [2, 2])

@@ -103,12 +103,12 @@ class TestTraitVerification:
         loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
         assert abs(loss - naive_verification(enroll, pe, test, pt, 0.3, 0.7)) < 1e-12
 
-    @given(st.integers(0, 2 ** 31 - 1))
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 64))
     @settings(max_examples=30, deadline=None)
-    def test_oracle_agreement_random_masks(self, seed):
+    def test_oracle_agreement_random_masks(self, seed, n_speakers):
         rng = np.random.default_rng(seed)
-        enroll, pe = random_masked_traits(rng, p_present=0.5)
-        test, pt = random_masked_traits(rng, p_present=0.5)
+        enroll, pe = random_masked_traits(rng, n_speakers, p_present=0.5)
+        test, pt = random_masked_traits(rng, n_speakers, p_present=0.5)
         loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 1.0, 1.0)
         assert abs(loss - naive_verification(enroll, pe, test, pt, 1.0, 1.0)) < 1e-10
 

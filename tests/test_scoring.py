@@ -150,7 +150,7 @@ class TestScoreTrials:
 
         def forward(utt_id):
             return forward_utterance(index.features[utt_id].features, index.alignments[utt_id],
-                                     state.encoder, state.projection, inventory.size)
+                                     state.encoder, state.projection, inventory.size).utterances[0]
 
         for record, trial in zip(records, trials):
             enroll, test = forward(trial.enroll_id), forward(trial.test_id)

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phonetrait import encoder, trait_layer, training
 from phonetrait.corpus import (
@@ -12,6 +14,7 @@ from phonetrait.corpus import (
     CorpusIndex,
     PhoneAlignment,
     PhoneInventory,
+    UtteranceFeatures,
     generate_corpus,
 )
 from phonetrait.encoder import EncoderConfig, LayerSpec
@@ -19,6 +22,7 @@ from phonetrait.errors import (
     BatchError,
     ConfigurationError,
     DivergenceError,
+    EmptyUtteranceError,
     ParseError,
 )
 from phonetrait.losses import AamConfig, LossWeights
@@ -26,12 +30,11 @@ from phonetrait.training import (
     CHECKPOINT_MAGIC,
     GradCheckReport,
     ModelConfig,
-    StepRecord,
     TrainConfig,
     batch_loss_and_grads,
     batch_loss_value,
     compare_gradient_tables,
-    epoch_mean_losses,
+    forward_pair_batch,
     grad_check,
     init_model,
     load_checkpoint,
@@ -41,6 +44,8 @@ from phonetrait.training import (
     save_checkpoint,
     train,
 )
+
+from _oracles import per_utterance_loss_and_grads
 
 
 def tiny_setup(seed=0, n_speakers=4, utts=3, dim=3):
@@ -149,6 +154,37 @@ class TestSampling:
                (b.speaker_ids, b.enroll_utts, b.test_utts)
 
 
+_OFFSETS = ((0,), (-2, 0, 3), (-1, 0, 1), (0, 2))
+
+
+@st.composite
+def step_inputs(draw):
+    """A K-speaker, two-utterance corpus of ragged lengths (one of 1 frame) and a model."""
+    n_speakers = draw(st.integers(2, 12))
+    n_phones = draw(st.integers(2, 5))
+    input_dim = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 9), min_size=2 * n_speakers,
+                            max_size=2 * n_speakers))
+    lengths[draw(st.integers(0, 2 * n_speakers - 1))] = 1
+    layers = tuple(
+        LayerSpec(draw(st.sampled_from(_OFFSETS)), draw(st.integers(1, 4)),
+                  draw(st.sampled_from(("relu", "identity"))))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    rng = np.random.default_rng(seed)
+    features, alignments = [], []
+    for u, n_frames in enumerate(lengths):
+        utt = f"spk{u // 2:02d}_u{u % 2}"
+        features.append(UtteranceFeatures(utt, f"spk{u // 2:02d}",
+                                          rng.normal(size=(n_frames, input_dim))))
+        phones = rng.integers(0, n_phones, size=n_frames)
+        alignments.append(PhoneAlignment(utt, [(t, t + 1, int(p)) for t, p in enumerate(phones)]))
+    model_cfg = ModelConfig(EncoderConfig(input_dim, layers), draw(st.integers(1, 3)))
+    return (CorpusIndex.build(features, alignments), model_cfg, n_phones, seed,
+            draw(st.booleans()))
+
+
 class TestBatchGradients:
     def certify(self, with_classification):
         inventory, index, model_cfg = tiny_setup()
@@ -176,8 +212,8 @@ class TestBatchGradients:
         assert report.passed, report.lines()
 
     def test_each_utterance_is_forwarded_once(self, monkeypatch):
-        # Backward reads the forward's cached activations and phone ids, so
-        # neither the encoder nor the alignment expansion runs a second time.
+        # The pair batch runs through the encoder as one packed batch, forward
+        # and backward, and reads frame phones the index expanded once.
         inventory, index, model_cfg = tiny_setup()
         state = init_model(model_cfg, len(index.speakers), seed=1)
         sel = sample_pair_batch(index, 3, np.random.default_rng(2))
@@ -192,10 +228,42 @@ class TestBatchGradients:
         encode = counted("encode_layers", encoder.encode_layers)
         monkeypatch.setattr(encoder, "encode_layers", encode)
         monkeypatch.setattr(trait_layer, "encode_layers", encode)
+        backward = counted("encode_backward", encoder.encode_backward)
+        monkeypatch.setattr(encoder, "encode_backward", backward)
+        monkeypatch.setattr(training, "encode_backward", backward)
         monkeypatch.setattr(PhoneAlignment, "frame_phones",
                             counted("frame_phones", PhoneAlignment.frame_phones))
         batch_loss_and_grads(state, index, sel, LossWeights(), AamConfig(), inventory.size)
-        assert calls == {"encode_layers": 6, "frame_phones": 6}
+        assert calls == {"encode_layers": 1, "encode_backward": 1}
+
+    @given(step_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_step_matches_per_utterance_oracle(self, inputs):
+        # Bit for bit, not within a tolerance: the desk experiment's
+        # trajectory depends on every gradient's summation order.
+        index, model_cfg, n_phones, seed, with_classification = inputs
+        state = init_model(model_cfg, len(index.speakers), seed=seed)
+        sel = sample_pair_batch(index, len(index.speakers), np.random.default_rng(seed))
+        weights, aam = LossWeights(0.05, 0.02, 0.03), AamConfig()
+        try:
+            want, want_grads, want_batch = per_utterance_loss_and_grads(
+                state, index, sel, weights, aam, n_phones, with_classification)
+        except EmptyUtteranceError:
+            with pytest.raises(EmptyUtteranceError):
+                batch_loss_and_grads(state, index, sel, weights, aam, n_phones,
+                                     with_classification)
+            return
+        got, got_grads = batch_loss_and_grads(state, index, sel, weights, aam, n_phones,
+                                              with_classification)
+        got_batch, _ = forward_pair_batch(state, index, sel, n_phones)
+        for term in ("total", "classification", "verification", "center"):
+            assert getattr(got, term) == getattr(want, term), term
+        assert sorted(got_grads) == sorted(want_grads)
+        for name, grad in want_grads.items():
+            assert np.array_equal(got_grads[name], grad), name
+        for name in ("enroll_traits", "enroll_present", "test_traits", "test_present",
+                     "enroll_embeddings", "test_embeddings"):
+            assert np.array_equal(getattr(got_batch, name), getattr(want_batch, name)), name
 
     def test_grad_check_wrapper(self):
         inventory, index, model_cfg = tiny_setup()
@@ -228,7 +296,7 @@ class TestTrain:
         state_b, hist_b = train(index, inventory, model_cfg, cfg)
         for name, arr in parameter_arrays(state_a).items():
             assert np.array_equal(arr, parameter_arrays(state_b)[name])
-        assert hist_a == hist_b
+        assert np.array_equal(hist_a, hist_b)
 
     def test_zero_learning_rate_freezes_parameters(self):
         inventory, index, model_cfg = tiny_setup()
@@ -274,13 +342,6 @@ class TestTrain:
         inventory, index, model_cfg = tiny_setup()
         with pytest.raises(DivergenceError, match="non-finite encoder_weight_0 after step 0"):
             train(index, inventory, model_cfg, quick_train_cfg(learning_rate=np.inf))
-
-    def test_epoch_mean_losses(self):
-        history = [
-            StepRecord(0, 0, 2.0, 0, 0, 0), StepRecord(0, 1, 4.0, 0, 0, 0),
-            StepRecord(1, 2, 10.0, 0, 0, 0),
-        ]
-        assert epoch_mean_losses(history) == {0: 3.0, 1: 10.0}
 
 
 class TestGradCheckHelpers:

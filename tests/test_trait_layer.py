@@ -29,8 +29,10 @@ def identity_encoder(dim):
 
 
 def traits_for(frames, phones_per_frame, n_phones):
+    """One utterance's trait set: a batch of one, whose segment ids are its phones."""
     phones = np.asarray(phones_per_frame)
-    return extract_traits(frames, phones, np.bincount(phones, minlength=n_phones), "u")
+    traits, present = extract_traits(frames, phones, np.bincount(phones, minlength=n_phones)[None])
+    return PhoneticTraitSet("u", traits[0], present[0])
 
 
 def alignment_for(phones_per_frame):
@@ -77,6 +79,16 @@ class TestExtractTraits:
         assert np.allclose(ts.traits, traits, atol=1e-12)
         assert np.array_equal(ts.present, present)
         ts.validate_mask()
+
+    def test_packed_utterances_pool_separately(self):
+        # Phone 0 of utterance 0 is segment 0, phone 0 of utterance 1 is
+        # segment 2: the same phone in two utterances never shares a mean.
+        frames = np.array([[1.0], [3.0], [10.0], [20.0]])
+        segments = np.array([0, 0, 2, 3])
+        counts = np.bincount(segments, minlength=4).reshape(2, 2)
+        traits, present = extract_traits(frames, segments, counts)
+        assert traits[:, :, 0].tolist() == [[2.0, 0.0], [10.0, 20.0]]
+        assert present.tolist() == [[True, False], [True, True]]
 
     def test_frame_count_mismatch(self):
         with pytest.raises(DimensionError):
@@ -166,11 +178,11 @@ class TestForwardUtterance:
         filtered, kept = filter_traits(ts)
         mean, std = pool_statistics(filtered)
         expected = projection.weight @ np.concatenate([mean, std]) + projection.bias
-        assert np.allclose(cache.embedding, expected, atol=1e-12)
-        assert cache.kept.tolist() == kept.tolist()
-        assert cache.counts.tolist() == [3, 2, 3, 0, 0]
+        assert np.allclose(cache.embeddings[0], expected, atol=1e-12)
+        assert cache.utterances[0].kept.tolist() == kept.tolist()
+        assert cache.counts.tolist() == [[3, 2, 3, 0, 0]]
         assert [a.tolist() for a in cache.activations] == [features.tolist()] * 2
-        assert cache.utterance_id == "u"
+        assert cache.utterances[0].trait_set.utterance_id == "u"
 
     def test_identity_hand_case(self):
         # Two one-frame phones through identity maps: the embedding is the
@@ -179,7 +191,7 @@ class TestForwardUtterance:
         projection = ProjectionParams(np.eye(4), np.zeros(4))
         cache = forward_utterance(features, alignment_for([0, 1]), identity_encoder(2),
                                   projection, 3)
-        assert np.allclose(cache.embedding, [2.0, 4.0, 1.0, 1.0], atol=1e-8)
+        assert np.allclose(cache.embeddings[0], [2.0, 4.0, 1.0, 1.0], atol=1e-8)
 
     def test_dim_mismatch(self):
         projection = ProjectionParams(np.eye(4), np.zeros(4))
@@ -200,7 +212,7 @@ class TestTraitLayerBackward:
     def test_zero_upstream(self):
         rng, features, alignment, projection = self.rig()
         cache = forward_utterance(features, alignment, identity_encoder(3), projection, 5)
-        d_w, d_b, d_frames = trait_layer_backward(cache, projection, np.zeros(4))
+        d_w, d_b, d_frames = trait_layer_backward(cache, projection, np.zeros((1, 4)))
         assert not d_w.any() and not d_b.any() and not d_frames.any()
 
     def test_finite_differences_embedding_path(self):
@@ -210,10 +222,10 @@ class TestTraitLayerBackward:
 
         def loss():
             cache = forward_utterance(features, alignment, encoder, projection, 5)
-            return float(g @ cache.embedding)
+            return float(g @ cache.embeddings[0])
 
         cache = forward_utterance(features, alignment, encoder, projection, 5)
-        d_w, d_b, d_frames = trait_layer_backward(cache, projection, g)
+        d_w, d_b, d_frames = trait_layer_backward(cache, projection, g[None])
         assert max_relative_error(d_frames, central_difference(loss, features)) < 1e-6
         assert max_relative_error(d_w, central_difference(loss, projection.weight)) < 1e-6
         assert max_relative_error(d_b, central_difference(loss, projection.bias)) < 1e-6
@@ -226,19 +238,19 @@ class TestTraitLayerBackward:
 
         def loss():
             cache = forward_utterance(features, alignment, encoder, projection, 5)
-            return float(g @ cache.embedding) + float((h * cache.trait_set.traits).sum())
+            return float(g @ cache.embeddings[0]) + float((h * cache.traits[0]).sum())
 
         cache = forward_utterance(features, alignment, encoder, projection, 5)
-        _, _, d_frames = trait_layer_backward(cache, projection, g, d_traits=h)
+        _, _, d_frames = trait_layer_backward(cache, projection, g[None], d_traits=h[None])
         assert max_relative_error(d_frames, central_difference(loss, features)) < 1e-6
 
     def test_absent_rows_of_trait_gradient_ignored(self):
         rng, features, alignment, projection = self.rig(seed=4)
         cache = forward_utterance(features, alignment, identity_encoder(3), projection, 5)
-        assert not cache.trait_set.present.all()
-        g = rng.normal(size=4)
-        h = np.zeros((5, 3))
-        h[~cache.trait_set.present] = 1e6
+        assert not cache.present.all()
+        g = rng.normal(size=(1, 4))
+        h = np.zeros((1, 5, 3))
+        h[~cache.present] = 1e6
         _, _, with_garbage = trait_layer_backward(cache, projection, g, d_traits=h)
-        _, _, clean = trait_layer_backward(cache, projection, g, d_traits=np.zeros((5, 3)))
+        _, _, clean = trait_layer_backward(cache, projection, g, d_traits=np.zeros((1, 5, 3)))
         assert np.array_equal(with_garbage, clean)
