@@ -203,23 +203,26 @@ def f_ratio(
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     streams = np.random.SeedSequence(seed).spawn(inventory.size)
+    labelled = [r for r in records if r.label is not None]
+    shape = (len(labelled), inventory.size)
+    values = np.array([r.similarity.values for r in labelled], dtype=np.float64).reshape(shape)
+    defined = np.array([r.similarity.defined for r in labelled], dtype=bool).reshape(shape)
+    target = np.array([r.label == 1 for r in labelled], dtype=bool)
     rows = []
     any_pool = False
     for i, phone in enumerate(inventory.labels):
-        within, between = [], []
-        for r in records:
-            if r.label is None or not r.similarity.defined[i]:
-                continue
-            (within if r.label == 1 else between).append(r.similarity.values[i])
-        if within or between:
+        # A boolean mask keeps record order, on which the seeded draws depend.
+        within = values[defined[:, i] & target, i]
+        between = values[defined[:, i] & ~target, i]
+        if within.size or between.size:
             any_pool = True
-        n_available = min(len(within), len(between))
+        n_available = min(within.size, between.size)
         if n_available < n_samples:
             rows.append(FRatioRow(phone, np.nan, np.nan, np.nan, n_available, False))
             continue
         rng = np.random.default_rng(streams[i])
-        within_mean = float(rng.choice(np.array(within), size=n_samples, replace=True).mean())
-        between_mean = float(rng.choice(np.array(between), size=n_samples, replace=True).mean())
+        within_mean = float(rng.choice(within, size=n_samples, replace=True).mean())
+        between_mean = float(rng.choice(between, size=n_samples, replace=True).mean())
         if between_mean == 0.0:
             ratio = np.inf if within_mean > 0.0 else np.nan
         else:

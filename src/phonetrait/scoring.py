@@ -7,6 +7,13 @@ utterances; phones missing on either side are undefined (kept as NaN in the
 similarity vector) and excluded from the average. A trial with no shared
 phone has no evidence score at all.
 
+Every cosine here, the scalar ones included, comes from one kernel,
+``_row_cosines``, which takes each row pair's dot product from a stacked
+matmul, divides it by the product of the two norms and refuses a norm below
+``_NORM_FLOOR``. ``score_trials`` forwards each distinct utterance once and
+caches the norms of its trait rows and of its embedding, so a chunk of trials
+costs one kernel call for its per-phone cosines and one for its final scores.
+
 Score file format, one trial per line, tab separated::
 
     enroll_id  test_id  label  final  evidence  s0 .. s{I-1}
@@ -32,15 +39,43 @@ from .trait_layer import PhoneticTraitSet, forward_utterance
 from .training import ModelState
 
 
+# Trials scored per kernel call in ``score_trials``; bounds its temporaries.
+_TRIAL_CHUNK = 128
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two n x D stacks.
+
+    NumPy hands each 1 x D by D x 1 product of the stacked matmul to the same
+    BLAS ddot that ``a[k] @ b[k]`` uses, so every value is bit-identical to
+    the 1-d product.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dots(x, x))
+
+
+def _row_cosines(
+    a: np.ndarray, b: np.ndarray, norm_a: np.ndarray, norm_b: np.ndarray
+) -> np.ndarray:
+    """The cosine kernel: ``dot / (norm_a * norm_b)`` for each row pair.
+
+    Every row it is given must have a norm of at least ``_NORM_FLOOR``.
+    """
+    if (norm_a < _NORM_FLOOR).any() or (norm_b < _NORM_FLOOR).any():
+        raise NumericGuardError("cosine similarity of a near-zero vector is undefined")
+    return _row_dots(a, b) / (norm_a * norm_b)
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise DimensionError(f"vectors must share a 1-d shape, got {a.shape} and {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < _NORM_FLOOR or nb < _NORM_FLOOR:
-        raise NumericGuardError("cosine similarity of a near-zero vector is undefined")
-    return float(a @ b / (na * nb))
+    a, b = a[None], b[None]
+    return float(_row_cosines(a, b, _row_norms(a), _row_norms(b))[0])
 
 
 def final_score(enroll_embedding: np.ndarray, test_embedding: np.ndarray) -> float:
@@ -74,11 +109,11 @@ def trait_similarity_vector(
         raise DimensionError(
             f"trait sets have shapes {enroll.traits.shape} and {test.traits.shape}"
         )
-    n_phones = enroll.n_phones
     defined = enroll.present & test.present
-    values = np.full(n_phones, np.nan)
-    for i in np.nonzero(defined)[0]:
-        values[i] = cosine_similarity(enroll.traits[i], test.traits[i])
+    phones = np.nonzero(defined)[0]
+    a, b = enroll.traits[phones], test.traits[phones]
+    values = np.full(enroll.n_phones, np.nan)
+    values[phones] = _row_cosines(a, b, _row_norms(a), _row_norms(b))
     return TraitSimilarityVector(values, defined)
 
 
@@ -107,41 +142,64 @@ def score_trials(
     trials: TrialList,
     n_phones: int,
 ) -> list[ScoreRecord]:
-    """Score every trial, encoding each utterance only once."""
-    trials.validate_against(index.features)
-    cache: dict[str, tuple[PhoneticTraitSet, np.ndarray]] = {}
+    """Score every trial, encoding each utterance only once.
 
-    def forward(utt_id: str) -> tuple[PhoneticTraitSet, np.ndarray]:
-        if utt_id not in cache:
-            fwd = forward_utterance(
-                index.features[utt_id].features,
-                index.alignments[utt_id],
-                state.encoder,
-                state.projection,
-                n_phones,
-            )
-            cache[utt_id] = (fwd.utterances[0].trait_set, fwd.embeddings[0])
-        return cache[utt_id]
+    The distinct utterances' traits, presence masks and embeddings are
+    stacked, and their row norms computed once. Trials are then scored
+    ``_TRIAL_CHUNK`` at a time: one kernel call over the chunk's defined
+    (trial, phone) trait rows and one over its embedding pairs.
+    """
+    trials.validate_against(index.features)
+    place: dict[str, int] = {}
+    for trial in trials:
+        place.setdefault(trial.enroll_id, len(place))
+        place.setdefault(trial.test_id, len(place))
+    traits = np.empty((len(place), n_phones, state.encoder.config.output_dim))
+    present = np.empty((len(place), n_phones), dtype=bool)
+    embeddings = np.empty((len(place), state.projection.embedding_dim))
+    for u, utt_id in enumerate(place):
+        fwd = forward_utterance(
+            index.features[utt_id].features,
+            index.alignments[utt_id],
+            state.encoder,
+            state.projection,
+            n_phones,
+        )
+        traits[u], present[u], embeddings[u] = fwd.traits[0], fwd.present[0], fwd.embeddings[0]
+    trait_norms = _row_norms(traits.reshape(-1, traits.shape[2])).reshape(present.shape)
+    embedding_norms = _row_norms(embeddings)
 
     records = []
-    for trial in trials:
-        enroll_traits, enroll_embedding = forward(trial.enroll_id)
-        test_traits, test_embedding = forward(trial.test_id)
-        similarity = trait_similarity_vector(enroll_traits, test_traits)
-        try:
-            evidence = evidence_score(similarity)
-        except UndefinedEvidenceError:
-            evidence = None
-        records.append(
-            ScoreRecord(
-                enroll_id=trial.enroll_id,
-                test_id=trial.test_id,
-                label=trial.label,
-                final=final_score(enroll_embedding, test_embedding),
-                evidence=evidence,
-                similarity=similarity,
-            )
+    for start in range(0, len(trials), _TRIAL_CHUNK):
+        chunk = trials.trials[start:start + _TRIAL_CHUNK]
+        enroll = np.array([place[trial.enroll_id] for trial in chunk], dtype=np.intp)
+        test = np.array([place[trial.test_id] for trial in chunk], dtype=np.intp)
+        defined = present[enroll] & present[test]
+        rows, phones = np.nonzero(defined)
+        e, t = enroll[rows], test[rows]
+        values = np.full(defined.shape, np.nan)
+        values[rows, phones] = _row_cosines(
+            traits[e, phones], traits[t, phones], trait_norms[e, phones], trait_norms[t, phones]
         )
+        finals = _row_cosines(
+            embeddings[enroll], embeddings[test], embedding_norms[enroll], embedding_norms[test]
+        ).tolist()
+        for k, trial in enumerate(chunk):
+            similarity = TraitSimilarityVector(values[k], defined[k])
+            try:
+                evidence = evidence_score(similarity)
+            except UndefinedEvidenceError:
+                evidence = None
+            records.append(
+                ScoreRecord(
+                    enroll_id=trial.enroll_id,
+                    test_id=trial.test_id,
+                    label=trial.label,
+                    final=finals[k],
+                    evidence=evidence,
+                    similarity=similarity,
+                )
+            )
     return records
 
 
@@ -154,12 +212,10 @@ def save_scores(records: list[ScoreRecord], path) -> None:
         for r in records:
             label = _NA if r.label is None else str(r.label)
             evidence = _NA if r.evidence is None else repr(float(r.evidence))
-            cells = [r.enroll_id, r.test_id, label, repr(float(r.final)), evidence]
-            for i in range(r.similarity.values.shape[0]):
-                if r.similarity.defined[i]:
-                    cells.append(repr(float(r.similarity.values[i])))
-                else:
-                    cells.append(_NA)
+            cells = [r.enroll_id, r.test_id, label, repr(float(r.final)), evidence] + [
+                repr(v) if d else _NA
+                for v, d in zip(r.similarity.values.tolist(), r.similarity.defined.tolist())
+            ]
             f.write("\t".join(cells) + "\n")
 
 

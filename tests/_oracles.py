@@ -4,7 +4,9 @@ Everything here trades speed for obviousness: explicit Python loops, direct
 counting, no vectorised shortcuts. Tests compare the package's optimised
 code against these. The ``per_utterance_*`` functions are the training step
 as it ran before batching, one utterance at a time; the batched step must
-reproduce their sums bit for bit, summation order included.
+reproduce their sums bit for bit, summation order included. Likewise
+``per_trial_scores`` is trial scoring as it ran before batching, one scalar
+cosine at a time, and batched scoring must match it exactly.
 """
 
 from __future__ import annotations
@@ -180,6 +182,37 @@ def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones
             for l, g in enumerate(d_enc_b):
                 grads[f"encoder_bias_{l}"] += g
     return out, grads, batch
+
+
+def per_trial_scores(state, index, trials, n_phones):
+    """Score trials one at a time with scalar cosines, as before batching.
+
+    Each trial forwards both utterances afresh, takes every defined phone's
+    ``a @ b / (norm(a) * norm(b))`` and averages the defined values. Returns
+    one (final, evidence, values, defined) tuple per trial; evidence is None
+    when no phone is shared.
+    """
+    from phonetrait.trait_layer import forward_utterance
+
+    def forward(utt):
+        fwd = forward_utterance(index.features[utt].features, index.alignments[utt],
+                                state.encoder, state.projection, n_phones)
+        return fwd.traits[0], fwd.present[0], fwd.embeddings[0]
+
+    def cosine(a, b):
+        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+    scores = []
+    for trial in trials:
+        enroll_traits, enroll_present, enroll_embedding = forward(trial.enroll_id)
+        test_traits, test_present, test_embedding = forward(trial.test_id)
+        defined = enroll_present & test_present
+        values = np.full(n_phones, np.nan)
+        for i in np.nonzero(defined)[0]:
+            values[i] = cosine(enroll_traits[i], test_traits[i])
+        evidence = float(values[defined].mean()) if defined.any() else None
+        scores.append((cosine(enroll_embedding, test_embedding), evidence, values, defined))
+    return scores
 
 
 def naive_traits(frame_embeddings: np.ndarray, frame_phones, n_phones: int):

@@ -184,6 +184,25 @@ class TestScore:
         assert code == EXIT_PARSE
         assert "non-finite value in tensor 'class_weights'" in capsys.readouterr().err
 
+    def test_zero_embedding_is_a_numeric_error(self, pipeline, tmp_path, capsys):
+        # A zero projection maps every utterance to the zero embedding,
+        # whose cosine is undefined.
+        corpus, run = pipeline
+        lines = (run / "ckpt_epoch1").read_text().splitlines()
+        for name in ("projection_weight", "projection_bias"):
+            start = next(i for i, l in enumerate(lines) if l.startswith(f"tensor {name} ")) + 1
+            stop = next(i for i in range(start, len(lines)) if lines[i].startswith("tensor "))
+            lines[start:stop] = [" ".join("0.0" for _ in l.split()) for l in lines[start:stop]]
+        zero = tmp_path / "zero.ckpt"
+        zero.write_text("\n".join(lines) + "\n")
+        code = main([
+            "score", "--corpus-dir", str(corpus),
+            "--checkpoint", str(zero), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("error: NumericGuardError:")
+        assert not (tmp_path / "o" / "scores.txt").exists()
+
 
 class TestEval:
     def test_reports_written(self, pipeline):

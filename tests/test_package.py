@@ -29,3 +29,26 @@ def test_only_corpus_opens_files_for_reading():
         if isinstance(node, ast.Call) and _opens_for_reading(node)
     )
     assert set(readers) == {"corpus.py"}, readers
+
+
+def _names_norm_floor(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "_NORM_FLOOR" for n in ast.walk(node))
+
+
+def test_scoring_has_one_cosine_kernel():
+    # Every cosine in scoring goes through one kernel, which owns the
+    # near-zero-norm guard and takes norms from the same row dot product.
+    tree = ast.parse((Path(phonetrait.__file__).parent / "scoring.py").read_text())
+    guarded = sorted(
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(n, ast.Compare) and _names_norm_floor(n) for n in ast.walk(node))
+    )
+    assert len(guarded) == 1, guarded
+    linalg_norms = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "norm"
+            and ast.unparse(node.value) in ("np.linalg", "numpy.linalg"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg")
+    ]
+    assert not linalg_norms, linalg_norms

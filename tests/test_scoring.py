@@ -36,10 +36,10 @@ from phonetrait.scoring import (
     score_trials,
     trait_similarity_vector,
 )
-from phonetrait.trait_layer import PhoneticTraitSet, ProjectionParams, forward_utterance
+from phonetrait.trait_layer import PhoneticTraitSet, ProjectionParams
 from phonetrait.training import ModelConfig, ModelState, init_model
 
-from _oracles import naive_cosine
+from _oracles import naive_cosine, per_trial_scores
 
 
 def tiny_inventory():
@@ -56,6 +56,72 @@ def scored_records(seed=0):
     state = init_model(model_cfg, len(index.speakers), seed=1)
     trials = make_trials(features, 6, 6, seed=2)
     return state, index, trials, inventory
+
+
+def two_utterances(features_a, segments_a, features_b, segments_b):
+    """Utterances "a" and "b" under an identity encoder and projection."""
+    features_a, features_b = np.asarray(features_a), np.asarray(features_b)
+    dim = features_a.shape[1]
+    index = CorpusIndex.build(
+        [UtteranceFeatures("a", "s0", features_a), UtteranceFeatures("b", "s1", features_b)],
+        [PhoneAlignment("a", segments_a), PhoneAlignment("b", segments_b)],
+    )
+    encoder = EncoderParams(
+        EncoderConfig(dim, (LayerSpec((0,), dim, "identity"),)),
+        [np.eye(dim)], [np.zeros(dim)],
+    )
+    state = ModelState(
+        encoder,
+        ProjectionParams(np.eye(2 * dim), np.zeros(2 * dim)),
+        class_weights=np.ones((2, 2 * dim)),
+    )
+    return state, index
+
+
+@st.composite
+def scoring_cases(draw):
+    """Random utterances and trials; more than one chunk of trials at times.
+
+    Utterances "x" (phone 0), "y" (phone 1) and "z" (phones 0 and 1) add a
+    disjoint-phone trial (x, y) and a one-shared-phone trial (x, z).
+    """
+    n_phones = draw(st.integers(2, 40))
+    trait_dim = draw(st.integers(1, 16))
+    n_utterances = draw(st.integers(2, 8))
+    n_trials = draw(st.one_of(st.integers(0, 40), st.integers(120, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    input_dim, embedding_dim = 3, int(rng.integers(1, 9))
+
+    phone_lists = [
+        rng.choice(n_phones, size=rng.integers(1, n_phones + 1), replace=False)
+        for _ in range(n_utterances)
+    ]
+    ids = [f"u{u}" for u in range(n_utterances)] + ["x", "y", "z"]
+    phone_lists += [[0], [1], [0, 1]]
+    features, alignments = [], []
+    for utt, phones in zip(ids, phone_lists):
+        lengths = rng.integers(1, 4, size=len(phones))
+        ends = np.cumsum(lengths)
+        alignments.append(PhoneAlignment(utt, list(zip(ends - lengths, ends, phones))))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        features.append(UtteranceFeatures(utt, utt, scale * rng.normal(size=(ends[-1], input_dim))))
+    index = CorpusIndex.build(features, alignments)
+
+    encoder = EncoderParams(
+        EncoderConfig(input_dim, (LayerSpec((-1, 0, 1), trait_dim, "identity"),)),
+        [rng.normal(size=(trait_dim, 3 * input_dim))], [rng.normal(size=trait_dim)],
+    )
+    projection = ProjectionParams(rng.normal(size=(embedding_dim, 2 * trait_dim)),
+                                  rng.normal(size=embedding_dim))
+    state = ModelState(encoder, projection, class_weights=np.ones((2, embedding_dim)))
+
+    trials = []
+    for _ in range(n_trials):
+        e, t = rng.choice(len(ids), size=2, replace=False)
+        trials.append(Trial(ids[e], ids[t], int(rng.integers(0, 2))))
+    for pair in (("x", "y"), ("x", "z")):
+        trials.insert(int(rng.integers(0, len(trials) + 1)), Trial(*pair, 1))
+    return state, index, TrialList(trials), n_phones
 
 
 class TestCosine:
@@ -142,24 +208,20 @@ class TestScoreTrials:
             assert record.similarity.values.shape == (inventory.size,)
             assert np.isfinite(record.final)
 
-    def test_cache_does_not_change_records(self):
-        # Each trial recomputed from fresh forward passes must match the
-        # records built from the once-per-utterance cache exactly.
-        state, index, trials, inventory = scored_records()
-        records = score_trials(state, index, trials, inventory.size)
-
-        def forward(utt_id):
-            return forward_utterance(index.features[utt_id].features, index.alignments[utt_id],
-                                     state.encoder, state.projection, inventory.size).utterances[0]
-
-        for record, trial in zip(records, trials):
-            enroll, test = forward(trial.enroll_id), forward(trial.test_id)
-            similarity = trait_similarity_vector(enroll.trait_set, test.trait_set)
-            evidence = evidence_score(similarity) if similarity.n_defined else None
-            assert record.final == final_score(enroll.embedding, test.embedding)
+    @given(scoring_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_batched_scores_match_per_trial_oracle(self, case):
+        state, index, trials, n_phones = case
+        records = score_trials(state, index, trials, n_phones)
+        expected = per_trial_scores(state, index, trials, n_phones)
+        assert len(records) == len(expected)
+        for record, (final, evidence, values, defined) in zip(records, expected):
+            assert record.final == final
             assert record.evidence == evidence
-            assert np.array_equal(record.similarity.defined, similarity.defined)
-            assert np.array_equal(record.similarity.values, similarity.values, equal_nan=True)
+            assert np.array_equal(record.similarity.values, values, equal_nan=True)
+            assert np.array_equal(record.similarity.defined, defined)
+        shared = [r.similarity.n_defined for r in records]
+        assert 0 in shared and 1 in shared
 
     def test_unknown_utterance_rejected(self):
         state, index, _, inventory = scored_records()
@@ -170,29 +232,28 @@ class TestScoreTrials:
     def test_disjoint_phones_give_none_evidence(self):
         # Two utterances with no phone in common: final still defined,
         # evidence is not.
-        dim = 2
-        features = [
-            UtteranceFeatures("a", "s0", np.full((2, dim), 2.0)),
-            UtteranceFeatures("b", "s1", np.full((2, dim), 3.0)),
-        ]
-        alignments = [
-            PhoneAlignment("a", [(0, 2, 0)]),
-            PhoneAlignment("b", [(0, 2, 1)]),
-        ]
-        index = CorpusIndex.build(features, alignments)
-        encoder = EncoderParams(
-            EncoderConfig(dim, (LayerSpec((0,), dim, "identity"),)),
-            [np.eye(dim)], [np.zeros(dim)],
-        )
-        state = ModelState(
-            encoder,
-            ProjectionParams(np.eye(2 * dim), np.zeros(2 * dim)),
-            class_weights=np.ones((2, 2 * dim)),
-        )
+        state, index = two_utterances(np.full((2, 2), 2.0), [(0, 2, 0)],
+                                      np.full((2, 2), 3.0), [(0, 2, 1)])
         records = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
         assert records[0].evidence is None
         assert records[0].similarity.n_defined == 0
         assert np.isfinite(records[0].final)
+
+    def test_near_zero_shared_trait_is_a_numeric_error(self):
+        # Phone 0 of "a" has a nonzero trait, so it is present, but its norm
+        # is below the floor; "b" shares phone 0.
+        features_a = np.array([[1e-14, 0.0], [1.0, 2.0]])
+        state, index = two_utterances(features_a, [(0, 1, 0), (1, 2, 1)],
+                                      np.full((2, 2), 3.0), [(0, 2, 0)])
+        with pytest.raises(NumericGuardError):
+            score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
+
+    def test_zero_embedding_is_a_numeric_error(self):
+        state, index = two_utterances(np.full((2, 2), 2.0), [(0, 2, 0)],
+                                      np.full((2, 2), 3.0), [(0, 2, 0)])
+        state.projection = ProjectionParams(np.zeros((4, 4)), np.zeros(4))
+        with pytest.raises(NumericGuardError):
+            score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
 
 
 class TestScoreFileIO:
