@@ -33,8 +33,8 @@ from .errors import (
     UndefinedEvidenceError,
 )
 from .losses import AamConfig, LossWeights, PairBatch, total_loss
-from .scoring import ScoreRecord, evidence_score, final_score, score_trials
-from .trait_layer import PhoneticTraitSet, extract_traits, filter_traits
+from .scoring import ScoreRecord, evidence_score, score_trials
+from .trait_layer import PhoneticTraitSet, extract_traits
 from .training import ModelConfig, ModelState, TrainConfig, grad_check, train
 
 __version__ = "0.1.0"
@@ -72,8 +72,6 @@ __all__ = [
     "encode_layers",
     "evidence_score",
     "extract_traits",
-    "filter_traits",
-    "final_score",
     "generate_corpus",
     "grad_check",
     "make_trials",

@@ -5,9 +5,12 @@ and one test utterance. Gradients are derived by hand and returned alongside
 the loss values so the whole model can be trained without autodiff; every
 formula here is certified against central finite differences in the tests.
 
-Conventions shared by the trait losses: trait tensors are (K, I, D1) with one
-row per inventory phone, presence masks are (K, I) bools, and a loss term is
-dropped (not zero-divided) when its averaging set is empty.
+Conventions shared by the trait losses: each term function takes one side's
+(K, I, D1) trait tensor with one row per inventory phone and its (K, I) bool
+presence mask, and a loss term is dropped (not zero-divided) when its
+averaging set is empty. A ``PairBatch`` stacks the 2K utterances, enrollments
+first, then tests; ``total_loss`` hands each term the side it needs and
+returns the gradients stacked in the same order.
 """
 
 from __future__ import annotations
@@ -58,16 +61,17 @@ class AamConfig:
 
 @dataclass
 class PairBatch:
-    """K speakers, one (enrollment, test) utterance pair each."""
+    """K speakers, one (enrollment, test) utterance pair each.
+
+    The 2K utterances are stacked enrollments first, then tests, each side in
+    speaker order.
+    """
 
     speaker_ids: list[str]
-    class_labels: np.ndarray       # (K,) int
-    enroll_traits: np.ndarray      # (K, I, D1)
-    enroll_present: np.ndarray     # (K, I) bool
-    test_traits: np.ndarray        # (K, I, D1)
-    test_present: np.ndarray       # (K, I) bool
-    enroll_embeddings: np.ndarray  # (K, D2)
-    test_embeddings: np.ndarray    # (K, D2)
+    class_labels: np.ndarray  # (K,) int
+    traits: np.ndarray        # (2K, I, D1)
+    present: np.ndarray       # (2K, I) bool
+    embeddings: np.ndarray    # (2K, D2)
 
     def __post_init__(self):
         self.class_labels = np.asarray(self.class_labels, dtype=np.int64)
@@ -76,22 +80,14 @@ class PairBatch:
             raise BatchError("batch needs at least one speaker")
         if len(set(self.speaker_ids)) != k:
             raise BatchError("batch speakers must be distinct")
-        shapes = {
-            "class_labels": (self.class_labels, 1),
-            "enroll_traits": (self.enroll_traits, 3),
-            "enroll_present": (self.enroll_present, 2),
-            "test_traits": (self.test_traits, 3),
-            "test_present": (self.test_present, 2),
-            "enroll_embeddings": (self.enroll_embeddings, 2),
-            "test_embeddings": (self.test_embeddings, 2),
-        }
-        for name, (arr, ndim) in shapes.items():
-            if arr.ndim != ndim or arr.shape[0] != k:
-                raise DimensionError(f"{name} must have {ndim} dims with leading size {k}")
-        if self.enroll_traits.shape != self.test_traits.shape:
-            raise DimensionError("enroll and test trait tensors must share a shape")
-        if self.enroll_embeddings.shape != self.test_embeddings.shape:
-            raise DimensionError("enroll and test embeddings must share a shape")
+        if self.class_labels.shape != (k,):
+            raise DimensionError(f"class_labels must have shape {(k,)}")
+        if self.traits.ndim != 3 or self.traits.shape[0] != 2 * k:
+            raise DimensionError(f"traits must have 3 dims with leading size {2 * k}")
+        if self.present.shape != self.traits.shape[:2]:
+            raise DimensionError(f"present must have shape {self.traits.shape[:2]}")
+        if self.embeddings.ndim != 2 or self.embeddings.shape[0] != 2 * k:
+            raise DimensionError(f"embeddings must have 2 dims with leading size {2 * k}")
 
     @property
     def n_speakers(self) -> int:
@@ -267,16 +263,18 @@ def aam_softmax_loss(
 
 @dataclass
 class LossOutput:
-    """Loss components and every gradient needed for one update step."""
+    """Loss components and every gradient needed for one update step.
+
+    ``d_traits`` and ``d_embeddings`` follow the batch's utterance order,
+    enrollments first, then tests.
+    """
 
     total: float
     classification: float
     verification: float
     center: float
-    d_enroll_traits: np.ndarray
-    d_test_traits: np.ndarray
-    d_enroll_embeddings: np.ndarray
-    d_test_embeddings: np.ndarray
+    d_traits: np.ndarray      # (2K, I, D1)
+    d_embeddings: np.ndarray  # (2K, D2)
     d_class_weights: np.ndarray
 
 
@@ -289,39 +287,31 @@ def total_loss(
 ) -> LossOutput:
     """Sum of the classification, verification and center losses on one batch.
 
-    The classification term runs over the 2K embeddings (enrollments then
-    tests) with each speaker's label repeated. Trait gradients from the
-    verification and center terms are combined per side.
+    The classification term runs over all 2K embeddings with each speaker's
+    label repeated. The verification term pairs the enrollment side with the
+    test side, and the center term averages over each side on its own.
     """
     if batch.n_speakers < 2:
         raise BatchError("pair batch training needs >= 2 speakers")
-    l_veri, d_enroll_traits, d_test_traits = trait_verification_loss(
-        batch.enroll_traits, batch.enroll_present,
-        batch.test_traits, batch.test_present,
+    k = batch.n_speakers
+    enroll_traits, test_traits = batch.traits[:k], batch.traits[k:]
+    enroll_present, test_present = batch.present[:k], batch.present[k:]
+    l_veri, d_veri_e, d_veri_t = trait_verification_loss(
+        enroll_traits, enroll_present, test_traits, test_present,
         weights.alpha, weights.beta,
     )
-    l_center_e, d_center_e = trait_center_loss(
-        batch.enroll_traits, batch.enroll_present, weights.gamma
-    )
-    l_center_t, d_center_t = trait_center_loss(
-        batch.test_traits, batch.test_present, weights.gamma
-    )
+    l_center_e, d_center_e = trait_center_loss(enroll_traits, enroll_present, weights.gamma)
+    l_center_t, d_center_t = trait_center_loss(test_traits, test_present, weights.gamma)
     l_center = l_center_e + l_center_t
-    d_enroll_traits = d_enroll_traits + d_center_e
-    d_test_traits = d_test_traits + d_center_t
+    d_traits = np.concatenate([d_veri_e + d_center_e, d_veri_t + d_center_t])
 
-    k = batch.n_speakers
     if with_classification:
-        stacked = np.concatenate([batch.enroll_embeddings, batch.test_embeddings])
-        labels = np.concatenate([batch.class_labels, batch.class_labels])
-        l_aam, d_emb, d_class_weights = aam_softmax_loss(
-            stacked, labels, class_weights, aam_config
+        l_aam, d_embeddings, d_class_weights = aam_softmax_loss(
+            batch.embeddings, np.tile(batch.class_labels, 2), class_weights, aam_config
         )
-        d_enroll_emb, d_test_emb = d_emb[:k], d_emb[k:]
     else:
         l_aam = 0.0
-        d_enroll_emb = np.zeros_like(batch.enroll_embeddings)
-        d_test_emb = np.zeros_like(batch.test_embeddings)
+        d_embeddings = np.zeros_like(batch.embeddings)
         d_class_weights = np.zeros_like(np.asarray(class_weights, dtype=np.float64))
 
     return LossOutput(
@@ -329,10 +319,8 @@ def total_loss(
         classification=l_aam,
         verification=l_veri,
         center=l_center,
-        d_enroll_traits=d_enroll_traits,
-        d_test_traits=d_test_traits,
-        d_enroll_embeddings=d_enroll_emb,
-        d_test_embeddings=d_test_emb,
+        d_traits=d_traits,
+        d_embeddings=d_embeddings,
         d_class_weights=d_class_weights,
     )
 

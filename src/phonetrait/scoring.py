@@ -78,11 +78,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(_row_cosines(a, b, _row_norms(a), _row_norms(b))[0])
 
 
-def final_score(enroll_embedding: np.ndarray, test_embedding: np.ndarray) -> float:
-    """Utterance-level decision score: cosine of the two speaker embeddings."""
-    return cosine_similarity(enroll_embedding, test_embedding)
-
-
 @dataclass
 class TraitSimilarityVector:
     """Per-phone trait cosines for one trial; NaN where either side is absent."""

@@ -165,17 +165,8 @@ def forward_pair_batch(
     utts = selection.enroll_utts + selection.test_utts
     features, phones, lengths = index.pack(utts)
     cache = forward_batch(features, phones, lengths, utts, state.encoder, state.projection, n_phones)
-    k = len(selection.enroll_utts)
-    batch = PairBatch(
-        speaker_ids=selection.speaker_ids,
-        class_labels=selection.class_labels,
-        enroll_traits=cache.traits[:k],
-        enroll_present=cache.present[:k],
-        test_traits=cache.traits[k:],
-        test_present=cache.present[k:],
-        enroll_embeddings=cache.embeddings[:k],
-        test_embeddings=cache.embeddings[k:],
-    )
+    batch = PairBatch(selection.speaker_ids, selection.class_labels,
+                      cache.traits, cache.present, cache.embeddings)
     return batch, cache
 
 
@@ -200,10 +191,7 @@ def batch_loss_and_grads(
     grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
     grads["class_weights"] += out.d_class_weights
     d_proj_w, d_proj_b, d_frames = trait_layer_backward(
-        cache,
-        state.projection,
-        np.concatenate([out.d_enroll_embeddings, out.d_test_embeddings]),
-        np.concatenate([out.d_enroll_traits, out.d_test_traits]),
+        cache, state.projection, out.d_embeddings, out.d_traits
     )
     grads["projection_weight"] += d_proj_w
     grads["projection_bias"] += d_proj_b

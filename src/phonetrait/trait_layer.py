@@ -1,10 +1,17 @@
-"""Phonetic trait layer: per-phone pooling, trait filtering, utterance pooling.
+"""Phonetic trait layer: per-phone pooling, utterance pooling, projection.
 
 Sits between the frame encoder and the utterance embedding. For each phone in
 the inventory the trait is the mean of the frame embeddings aligned to that
 phone; phones with no frames get an all-zero row and are flagged absent. The
 present rows then go through statistics pooling (mean and standard deviation
 over traits) and a linear projection to the final speaker embedding.
+
+A batch of B utterances is held as stacked arrays in packing order: B x I x D1
+traits, a B x I presence mask, B x 2*D1 pooled statistics and B x D2
+embeddings. Statistics pooling is the one step taken an utterance at a time:
+a mean over a stacked, masked B x I x D1 array groups its sums differently
+(NumPy sums a width-1 column in pairwise blocks), and training's results are
+pinned to the per-utterance sums bit for bit.
 
 A phone whose frames average to the exact zero vector is indistinguishable
 from an absent phone on purpose: presence is defined by the trait value
@@ -96,16 +103,6 @@ def extract_traits(
     return traits, present
 
 
-def filter_traits(trait_set: PhoneticTraitSet) -> tuple[np.ndarray, np.ndarray]:
-    """Drop absent rows. Returns (N x D1 matrix, kept phone indices ascending)."""
-    kept = np.nonzero(trait_set.present)[0]
-    if kept.size == 0:
-        raise EmptyUtteranceError(
-            f"utterance {trait_set.utterance_id!r} has no present phonetic traits"
-        )
-    return trait_set.traits[kept], kept
-
-
 @dataclass
 class ProjectionParams:
     """Linear map from pooled statistics (2*D1) to the speaker embedding (D2)."""
@@ -154,19 +151,6 @@ def pool_statistics(filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class UtteranceForward:
-    """One utterance's trait filtering, statistics pooling and projection."""
-
-    trait_set: PhoneticTraitSet
-    kept: np.ndarray            # (N,) phone indices
-    filtered: np.ndarray        # (N, D1)
-    mean: np.ndarray            # (D1,)
-    std: np.ndarray             # (D1,)
-    stats: np.ndarray           # (2*D1,)
-    embedding: np.ndarray       # (D2,)
-
-
-@dataclass
 class BatchForward:
     """Cached intermediates of a packed batch's forward pass, for backprop."""
 
@@ -176,16 +160,8 @@ class BatchForward:
     counts: np.ndarray             # (B, I) frames per (utterance, phone)
     traits: np.ndarray             # (B, I, D1)
     present: np.ndarray            # (B, I)
-    utterances: list[UtteranceForward]
+    stats: np.ndarray              # (B, 2*D1) pooled mean, then std, of the present traits
     embeddings: np.ndarray         # (B, D2)
-
-
-def _pool_and_project(trait_set: PhoneticTraitSet, projection: ProjectionParams) -> UtteranceForward:
-    filtered, kept = filter_traits(trait_set)
-    mean, std = pool_statistics(filtered)
-    stats = np.concatenate([mean, std])
-    embedding = projection.weight @ stats + projection.bias
-    return UtteranceForward(trait_set, kept, filtered, mean, std, stats, embedding)
 
 
 def forward_batch(
@@ -197,12 +173,13 @@ def forward_batch(
     projection: ProjectionParams,
     n_phones: int,
 ) -> BatchForward:
-    """Full path features -> frames -> traits -> filtered -> stats -> embedding.
+    """Full path features -> frames -> traits -> stats -> embedding.
 
     ``features`` (N x F) and ``phones`` (N,) hold the frames of the
     utterances named by ``utterance_ids`` back to back, ``lengths`` frames
-    each. The encoder and the per-phone pooling run once over the whole
-    batch; filtering, statistics pooling and projection run per utterance.
+    each. Everything runs once over the whole batch except statistics
+    pooling, which runs per utterance over its present traits. An utterance
+    with no present trait raises EmptyUtteranceError naming it.
     """
     activations = encode_layers(encoder_params, features, lengths)
     if phones.max() >= n_phones:
@@ -217,10 +194,13 @@ def forward_batch(
         raise DimensionError(
             f"trait dim {traits.shape[2]} does not match projection trait dim {projection.trait_dim}"
         )
-    utterances = [
-        _pool_and_project(PhoneticTraitSet(utt, traits[u], present[u]), projection)
-        for u, utt in enumerate(utterance_ids)
-    ]
+    stats = np.empty((traits.shape[0], 2 * traits.shape[2]))
+    for u, utt in enumerate(utterance_ids):
+        if not present[u].any():
+            raise EmptyUtteranceError(f"utterance {utt!r} has no present phonetic traits")
+        # One call per utterance keeps each mean's summation order that of its
+        # own N x D1 rows; see the module docstring.
+        stats[u] = np.concatenate(pool_statistics(traits[u, present[u]]))
     return BatchForward(
         lengths=lengths,
         activations=activations,
@@ -228,8 +208,8 @@ def forward_batch(
         counts=counts,
         traits=traits,
         present=present,
-        utterances=utterances,
-        embeddings=np.stack([u.embedding for u in utterances]),
+        stats=stats,
+        embeddings=(projection.weight @ stats[:, :, None])[:, :, 0] + projection.bias,
     )
 
 
@@ -268,21 +248,21 @@ def trait_layer_backward(
     d_emb = np.asarray(d_embeddings, dtype=np.float64)
     if d_emb.shape != cache.embeddings.shape:
         raise DimensionError(f"d_embeddings shape {d_emb.shape}, want {cache.embeddings.shape}")
-    d_proj_w = np.zeros_like(projection.weight)
-    d_proj_b = np.zeros_like(projection.bias)
-    d_trait_full = np.zeros_like(cache.traits)
-    for u, utt in enumerate(cache.utterances):
-        d_proj_w += np.outer(d_emb[u], utt.stats)
-        d_proj_b += d_emb[u]
-        d_stats = projection.weight.T @ d_emb[u]
-        d1 = utt.mean.shape[0]
-        d_mean = d_stats[:d1]
-        d_std = d_stats[d1:]
-        n = utt.filtered.shape[0]
-        # d var / d row = 2 (row - mean) / N; the mean's dependence on each row
-        # cancels inside the variance, so no extra cross term appears.
-        d_var = d_std / (2.0 * utt.std)
-        d_trait_full[u, utt.kept] = d_mean / n + d_var * 2.0 * (utt.filtered - utt.mean) / n
+    # Bit-identical to a loop over the utterances: the stacked products make
+    # the same per-utterance gemv and outer products, and both sums add the
+    # utterances in batch order (cumsum, because a (B, 1) sum is pairwise).
+    d_proj_w = (d_emb[:, :, None] * cache.stats[:, None, :]).sum(axis=0)
+    d_proj_b = np.cumsum(d_emb, axis=0)[-1]
+    d_stats = (projection.weight.T @ d_emb[:, :, None])[:, :, 0]
+    d1 = cache.traits.shape[2]
+    mean, std = cache.stats[:, None, :d1], cache.stats[:, None, d1:]
+    d_mean, d_std = d_stats[:, None, :d1], d_stats[:, None, d1:]
+    n = cache.present.sum(axis=1)[:, None, None]
+    # d var / d row = 2 (row - mean) / N; the mean's dependence on each row
+    # cancels inside the variance, so no extra cross term appears.
+    d_var = d_std / (2.0 * std)
+    d_trait_full = np.where(cache.present[:, :, None],
+                            d_mean / n + d_var * 2.0 * (cache.traits - mean) / n, 0.0)
     if d_traits is not None:
         extra = np.asarray(d_traits, dtype=np.float64)
         if extra.shape != d_trait_full.shape:

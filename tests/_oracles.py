@@ -96,7 +96,8 @@ def per_utterance_encode_backward(params, activations, d_output):
 
 def per_utterance_forward(features, phones, utterance_id, encoder_params, projection, n_phones):
     """One utterance from features to embedding; a dict of every intermediate."""
-    from phonetrait.trait_layer import PhoneticTraitSet, filter_traits, pool_statistics
+    from phonetrait.errors import EmptyUtteranceError
+    from phonetrait.trait_layer import PhoneticTraitSet, pool_statistics
 
     activations = per_utterance_encode(encoder_params, features)
     emb = activations[-1]
@@ -109,7 +110,10 @@ def per_utterance_forward(features, phones, utterance_id, encoder_params, projec
     present = seen & np.any(traits != 0.0, axis=1)
     traits[~present] = 0.0
     trait_set = PhoneticTraitSet(utterance_id, traits, present)
-    filtered, kept = filter_traits(trait_set)
+    kept = np.nonzero(present)[0]
+    if kept.size == 0:
+        raise EmptyUtteranceError(f"utterance {utterance_id!r} has no present phonetic traits")
+    filtered = traits[kept]
     mean, std = pool_statistics(filtered)
     stats = np.concatenate([mean, std])
     return dict(activations=activations, phones=phones, counts=counts, trait_set=trait_set,
@@ -150,37 +154,28 @@ def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones
                                      index.alignments[utt].frame_phones(), utt,
                                      state.encoder, state.projection, n_phones)
 
-    enroll = [run(u) for u in selection.enroll_utts]
-    test = [run(u) for u in selection.test_utts]
+    caches = [run(u) for u in selection.enroll_utts + selection.test_utts]
     batch = PairBatch(
         speaker_ids=selection.speaker_ids,
         class_labels=selection.class_labels,
-        enroll_traits=np.stack([c["trait_set"].traits for c in enroll]),
-        enroll_present=np.stack([c["trait_set"].present for c in enroll]),
-        test_traits=np.stack([c["trait_set"].traits for c in test]),
-        test_present=np.stack([c["trait_set"].present for c in test]),
-        enroll_embeddings=np.stack([c["embedding"] for c in enroll]),
-        test_embeddings=np.stack([c["embedding"] for c in test]),
+        traits=np.stack([c["trait_set"].traits for c in caches]),
+        present=np.stack([c["trait_set"].present for c in caches]),
+        embeddings=np.stack([c["embedding"] for c in caches]),
     )
     out = total_loss(batch, weights, aam, state.class_weights, with_classification)
     grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
     grads["class_weights"] += out.d_class_weights
-    sides = (
-        (enroll, out.d_enroll_embeddings, out.d_enroll_traits),
-        (test, out.d_test_embeddings, out.d_test_traits),
-    )
-    for caches, d_embeddings, d_traits in sides:
-        for k, cache in enumerate(caches):
-            d_proj_w, d_proj_b, d_frames = per_utterance_backward(
-                cache, state.projection, d_embeddings[k], d_traits[k])
-            grads["projection_weight"] += d_proj_w
-            grads["projection_bias"] += d_proj_b
-            d_enc_w, d_enc_b, _ = per_utterance_encode_backward(
-                state.encoder, cache["activations"], d_frames)
-            for l, g in enumerate(d_enc_w):
-                grads[f"encoder_weight_{l}"] += g
-            for l, g in enumerate(d_enc_b):
-                grads[f"encoder_bias_{l}"] += g
+    for u, cache in enumerate(caches):
+        d_proj_w, d_proj_b, d_frames = per_utterance_backward(
+            cache, state.projection, out.d_embeddings[u], out.d_traits[u])
+        grads["projection_weight"] += d_proj_w
+        grads["projection_bias"] += d_proj_b
+        d_enc_w, d_enc_b, _ = per_utterance_encode_backward(
+            state.encoder, cache["activations"], d_frames)
+        for l, g in enumerate(d_enc_w):
+            grads[f"encoder_weight_{l}"] += g
+        for l, g in enumerate(d_enc_b):
+            grads[f"encoder_bias_{l}"] += g
     return out, grads, batch
 
 

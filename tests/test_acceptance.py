@@ -197,7 +197,7 @@ def test_absent_phones_and_segment_order_leave_embedding_alone(capsys):
                              float(np.abs(reordered.embeddings[0] - base.embeddings[0]).max()))
 
         for fwd in (base, widened, reordered):
-            trait_set = fwd.utterances[0].trait_set
+            trait_set = PhoneticTraitSet("u", fwd.traits[0], fwd.present[0])
             trait_set.validate_mask()
             nonzero_rows = np.any(trait_set.traits != 0.0, axis=1)
             assert np.array_equal(nonzero_rows, trait_set.present)

@@ -303,17 +303,13 @@ class TestAamSoftmax:
 
 
 def make_pair_batch(rng, n_speakers=3, n_phones=4, dim=2, emb_dim=3):
-    enroll, pe = random_masked_traits(rng, n_speakers, n_phones, dim)
-    test, pt = random_masked_traits(rng, n_speakers, n_phones, dim)
+    traits, present = random_masked_traits(rng, 2 * n_speakers, n_phones, dim)
     return PairBatch(
         speaker_ids=[f"s{k}" for k in range(n_speakers)],
         class_labels=np.arange(n_speakers),
-        enroll_traits=enroll,
-        enroll_present=pe,
-        test_traits=test,
-        test_present=pt,
-        enroll_embeddings=rng.normal(size=(n_speakers, emb_dim)),
-        test_embeddings=rng.normal(size=(n_speakers, emb_dim)),
+        traits=traits,
+        present=present,
+        embeddings=rng.normal(size=(2 * n_speakers, emb_dim)),
     )
 
 
@@ -325,13 +321,13 @@ class TestTotalLoss:
         out = total_loss(batch, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights)
 
         veri, _, _ = trait_verification_loss(
-            batch.enroll_traits, batch.enroll_present,
-            batch.test_traits, batch.test_present, 0.5, 0.25,
+            batch.traits[:3], batch.present[:3],
+            batch.traits[3:], batch.present[3:], 0.5, 0.25,
         )
-        center_e, _ = trait_center_loss(batch.enroll_traits, batch.enroll_present, 0.125)
-        center_t, _ = trait_center_loss(batch.test_traits, batch.test_present, 0.125)
+        center_e, _ = trait_center_loss(batch.traits[:3], batch.present[:3], 0.125)
+        center_t, _ = trait_center_loss(batch.traits[3:], batch.present[3:], 0.125)
         aam, _, _ = aam_softmax_loss(
-            np.concatenate([batch.enroll_embeddings, batch.test_embeddings]),
+            batch.embeddings,
             np.concatenate([batch.class_labels, batch.class_labels]),
             class_weights, AamConfig(),
         )
@@ -347,8 +343,8 @@ class TestTotalLoss:
         out = total_loss(batch, LossWeights(1.0, 1.0, 1.0), AamConfig(), class_weights,
                          with_classification=False)
         assert out.classification == 0.0
-        assert not out.d_enroll_embeddings.any()
-        assert not out.d_test_embeddings.any()
+        assert out.d_embeddings.shape == (6, 3)
+        assert not out.d_embeddings.any()
         assert not out.d_class_weights.any()
         assert abs(out.total - (out.verification + out.center)) < 1e-12
 
@@ -357,12 +353,14 @@ class TestTotalLoss:
         batch = make_pair_batch(rng)
         class_weights = rng.normal(size=(3, 3))
         out = total_loss(batch, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights)
-        _, d_veri_e, _ = trait_verification_loss(
-            batch.enroll_traits, batch.enroll_present,
-            batch.test_traits, batch.test_present, 0.5, 0.25,
+        _, d_veri_e, d_veri_t = trait_verification_loss(
+            batch.traits[:3], batch.present[:3],
+            batch.traits[3:], batch.present[3:], 0.5, 0.25,
         )
-        _, d_center_e = trait_center_loss(batch.enroll_traits, batch.enroll_present, 0.125)
-        assert np.allclose(out.d_enroll_traits, d_veri_e + d_center_e, atol=1e-12)
+        _, d_center_e = trait_center_loss(batch.traits[:3], batch.present[:3], 0.125)
+        _, d_center_t = trait_center_loss(batch.traits[3:], batch.present[3:], 0.125)
+        assert np.allclose(out.d_traits[:3], d_veri_e + d_center_e, atol=1e-12)
+        assert np.allclose(out.d_traits[3:], d_veri_t + d_center_t, atol=1e-12)
 
     def test_single_speaker_batch_rejected(self):
         rng = np.random.default_rng(16)
@@ -376,26 +374,28 @@ class TestTotalLoss:
             PairBatch(
                 speaker_ids=["a", "a"],
                 class_labels=np.array([0, 0]),
-                enroll_traits=np.ones((2, 2, 2)),
-                enroll_present=np.ones((2, 2), dtype=bool),
-                test_traits=np.ones((2, 2, 2)),
-                test_present=np.ones((2, 2), dtype=bool),
-                enroll_embeddings=rng.normal(size=(2, 3)),
-                test_embeddings=rng.normal(size=(2, 3)),
+                traits=np.ones((4, 2, 2)),
+                present=np.ones((4, 2), dtype=bool),
+                embeddings=rng.normal(size=(4, 3)),
             )
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(18)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="present"):
             PairBatch(
                 speaker_ids=["a", "b"],
                 class_labels=np.array([0, 1]),
-                enroll_traits=np.ones((2, 2, 2)),
-                enroll_present=np.ones((2, 2), dtype=bool),
-                test_traits=np.ones((2, 3, 2)),
-                test_present=np.ones((2, 3), dtype=bool),
-                enroll_embeddings=rng.normal(size=(2, 3)),
-                test_embeddings=rng.normal(size=(2, 3)),
+                traits=np.ones((4, 2, 2)),
+                present=np.ones((4, 3), dtype=bool),
+                embeddings=rng.normal(size=(4, 3)),
+            )
+        with pytest.raises(DimensionError, match="traits"):
+            PairBatch(
+                speaker_ids=["a", "b"],
+                class_labels=np.array([0, 1]),
+                traits=np.ones((3, 2, 2)),
+                present=np.ones((3, 2), dtype=bool),
+                embeddings=rng.normal(size=(4, 3)),
             )
 
 

@@ -52,3 +52,33 @@ def test_scoring_has_one_cosine_kernel():
         or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg")
     ]
     assert not linalg_norms, linalg_norms
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Names a module reads, leaving out each def's or class's reads of itself."""
+    names: set[str] = set()
+
+    def visit(node: ast.AST, defining: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defining:
+                names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return names
+
+
+def test_every_export_has_a_caller():
+    # An exported name that no module of the package and no script reads has
+    # no production caller; tests alone do not keep it.
+    package = Path(phonetrait.__file__).parent
+    scripts = package.parents[1] / "scripts"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted(scripts.glob("*.py"))
+    read = set().union(*(_loaded_names(ast.parse(p.read_text())) for p in sources))
+    uncalled = sorted(set(phonetrait.__all__) - read)
+    assert not uncalled, f"exported without a caller: {uncalled}"

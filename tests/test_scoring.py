@@ -30,7 +30,6 @@ from phonetrait.scoring import (
     TraitSimilarityVector,
     cosine_similarity,
     evidence_score,
-    final_score,
     load_scores,
     save_scores,
     score_trials,
@@ -146,10 +145,6 @@ class TestCosine:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             cosine_similarity(np.ones(3), np.ones(4))
-
-    def test_final_score_is_embedding_cosine(self):
-        a, b = np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0])
-        assert final_score(a, b) == cosine_similarity(a, b)
 
 
 class TestTraitSimilarity:

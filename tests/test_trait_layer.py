@@ -13,14 +13,20 @@ from phonetrait.trait_layer import (
     PhoneticTraitSet,
     ProjectionParams,
     extract_traits,
-    filter_traits,
+    forward_batch,
     forward_utterance,
     init_projection,
     pool_statistics,
     trait_layer_backward,
 )
 
-from _oracles import central_difference, max_relative_error, naive_traits
+from _oracles import (
+    central_difference,
+    max_relative_error,
+    naive_traits,
+    per_utterance_backward,
+    per_utterance_forward,
+)
 
 
 def identity_encoder(dim):
@@ -123,18 +129,16 @@ class TestValidateMask:
             ts.validate_mask()
 
 
-class TestFilterTraits:
-    def test_keeps_present_rows_in_order(self):
-        traits = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
-        present = np.array([False, True, False, True])
-        filtered, kept = filter_traits(PhoneticTraitSet("u", traits, present))
-        assert kept.tolist() == [1, 3]
-        assert filtered.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-
-    def test_all_absent_raises(self):
-        ts = PhoneticTraitSet("u", np.zeros((3, 2)), np.zeros(3, dtype=bool))
-        with pytest.raises(EmptyUtteranceError, match="'u'"):
-            filter_traits(ts)
+class TestForwardBatch:
+    def test_utterance_without_present_traits_is_named(self):
+        # The second utterance's two frames of phone 0 cancel to a zero trait,
+        # so it has no present phone left to pool.
+        features = np.array([[1.0], [2.0], [1.0], [-1.0], [5.0]])
+        phones = np.array([0, 1, 0, 0, 1])
+        projection = ProjectionParams(np.eye(2), np.zeros(2))
+        with pytest.raises(EmptyUtteranceError, match="'b'"):
+            forward_batch(features, phones, [2, 2, 1], ["a", "b", "c"],
+                          identity_encoder(1), projection, 2)
 
 
 class TestPooling:
@@ -175,14 +179,14 @@ class TestForwardUtterance:
         cache = forward_utterance(features, alignment, identity_encoder(3), projection, 5)
 
         ts = traits_for(features, alignment.frame_phones(), 5)
-        filtered, kept = filter_traits(ts)
-        mean, std = pool_statistics(filtered)
-        expected = projection.weight @ np.concatenate([mean, std]) + projection.bias
+        mean, std = pool_statistics(ts.traits[ts.present])
+        stats = np.concatenate([mean, std])
+        assert np.array_equal(cache.stats[0], stats)
+        expected = projection.weight @ stats + projection.bias
         assert np.allclose(cache.embeddings[0], expected, atol=1e-12)
-        assert cache.utterances[0].kept.tolist() == kept.tolist()
+        assert cache.present[0].tolist() == [True, True, True, False, False]
         assert cache.counts.tolist() == [[3, 2, 3, 0, 0]]
         assert [a.tolist() for a in cache.activations] == [features.tolist()] * 2
-        assert cache.utterances[0].trait_set.utterance_id == "u"
 
     def test_identity_hand_case(self):
         # Two one-frame phones through identity maps: the embedding is the
@@ -254,3 +258,34 @@ class TestTraitLayerBackward:
         _, _, with_garbage = trait_layer_backward(cache, projection, g, d_traits=h)
         _, _, clean = trait_layer_backward(cache, projection, g, d_traits=np.zeros((1, 5, 3)))
         assert np.array_equal(with_garbage, clean)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 24), st.integers(1, 12),
+           st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_batch_matches_per_utterance_oracle(self, seed, n_utts, n_phones, dim,
+                                                        emb_dim):
+        # Bit for bit under any upstream gradient. Training alone cannot show
+        # the bias sum's grouping: at D2 = 1 its embedding gradient is zero.
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 25, size=n_utts)
+        features = rng.normal(size=(int(lengths.sum()), dim))
+        phones = rng.integers(0, n_phones, size=features.shape[0])
+        encoder, projection = identity_encoder(dim), init_projection(dim, emb_dim, rng)
+        utts = [f"u{u}" for u in range(n_utts)]
+        cache = forward_batch(features, phones, lengths, utts, encoder, projection, n_phones)
+        d_emb = rng.normal(size=(n_utts, emb_dim))
+        d_traits = rng.normal(size=cache.traits.shape)
+        d_w, d_b, d_frames = trait_layer_backward(cache, projection, d_emb, d_traits)
+
+        want_w, want_b = np.zeros_like(d_w), np.zeros_like(d_b)
+        ends = np.cumsum(lengths)
+        for u, (start, end) in enumerate(zip(ends - lengths, ends)):
+            oracle = per_utterance_forward(features[start:end], phones[start:end], utts[u],
+                                           encoder, projection, n_phones)
+            assert np.array_equal(cache.embeddings[u], oracle["embedding"])
+            w, b, frames = per_utterance_backward(oracle, projection, d_emb[u], d_traits[u])
+            want_w += w
+            want_b += b
+            assert np.array_equal(d_frames[start:end], frames)
+        assert np.array_equal(d_w, want_w)
+        assert np.array_equal(d_b, want_b)
