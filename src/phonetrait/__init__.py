@@ -34,7 +34,7 @@ from .errors import (
 )
 from .losses import AamConfig, LossWeights, PairBatch, total_loss
 from .scoring import ScoreRecord, evidence_score, score_trials
-from .trait_layer import PhoneticTraitSet, extract_traits
+from .trait_layer import extract_traits
 from .training import ModelConfig, ModelState, TrainConfig, grad_check, train
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "ParseError",
     "PhoneAlignment",
     "PhoneInventory",
-    "PhoneticTraitSet",
     "PhonetraitError",
     "ScoreRecord",
     "TrainConfig",

@@ -211,16 +211,27 @@ def _utterances_by_speaker(features) -> dict[str, list[str]]:
 
 @dataclass
 class CorpusIndex:
-    """Fast lookup over a corpus: features, alignments and frame phones by utterance id."""
+    """Fast lookup over a corpus: features and frame phones by utterance id.
+
+    ``build`` checks what ``pack`` assumes: at least one utterance, and every
+    utterance's features as wide as the first one's.
+    """
 
     features: dict[str, UtteranceFeatures]
-    alignments: dict[str, PhoneAlignment]
     phones: dict[str, np.ndarray]  # every utterance's frame_phones(), expanded once
     speakers: list[str]
     utts_by_speaker: dict[str, list[str]]
 
     @classmethod
     def build(cls, features, alignments) -> "CorpusIndex":
+        if not features:
+            raise ConfigurationError("corpus has no utterances")
+        for f in features:
+            if f.dim != features[0].dim:
+                raise DimensionError(
+                    f"features of {f.utterance_id!r} are {f.dim}-dim "
+                    f"but those of {features[0].utterance_id!r} are {features[0].dim}-dim"
+                )
         feat_map = {f.utterance_id: f for f in features}
         align_map = {a.utterance_id: a for a in alignments}
         if len(feat_map) != len(features):
@@ -236,7 +247,6 @@ class CorpusIndex:
         by_speaker = _utterances_by_speaker(features)
         return cls(
             features=feat_map,
-            alignments=align_map,
             phones={utt: a.frame_phones() for utt, a in align_map.items()},
             speakers=sorted(by_speaker),
             utts_by_speaker=by_speaker,

@@ -24,47 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PhoneAlignment
 from .encoder import EncoderParams, encode_layers
 from .errors import ConfigurationError, DimensionError, EmptyUtteranceError
 
 # Inside the sqrt of the pooled standard deviation; keeps the gradient finite
 # when every present trait is identical (e.g. a single present phone).
 STD_EPS = 1e-9
-
-
-@dataclass
-class PhoneticTraitSet:
-    """I x D1 trait matrix plus the per-phone presence mask for one utterance."""
-
-    utterance_id: str
-    traits: np.ndarray   # (I, D1)
-    present: np.ndarray  # (I,) bool
-
-    def __post_init__(self):
-        self.traits = np.asarray(self.traits, dtype=np.float64)
-        self.present = np.asarray(self.present, dtype=bool)
-        if self.traits.ndim != 2:
-            raise DimensionError(f"traits must be 2-d, got shape {self.traits.shape}")
-        if self.present.shape != (self.traits.shape[0],):
-            raise DimensionError(
-                f"present mask shape {self.present.shape} does not match {self.traits.shape[0]} traits"
-            )
-
-    @property
-    def n_phones(self) -> int:
-        return self.traits.shape[0]
-
-    def validate_mask(self) -> None:
-        """Check present[i] <=> traits[i] is not the zero vector."""
-        nonzero = np.any(self.traits != 0.0, axis=1)
-        bad = np.nonzero(nonzero != self.present)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ConfigurationError(
-                f"trait set of {self.utterance_id!r}: phone {i} is "
-                f"{'nonzero but marked absent' if nonzero[i] else 'zero but marked present'}"
-            )
 
 
 def extract_traits(
@@ -211,19 +176,6 @@ def forward_batch(
         stats=stats,
         embeddings=(projection.weight @ stats[:, :, None])[:, :, 0] + projection.bias,
     )
-
-
-def forward_utterance(
-    features: np.ndarray,
-    alignment: PhoneAlignment,
-    encoder_params: EncoderParams,
-    projection: ProjectionParams,
-    n_phones: int,
-) -> BatchForward:
-    """``forward_batch`` of the one utterance ``alignment`` labels."""
-    phones = alignment.frame_phones()
-    return forward_batch(features, phones, [phones.shape[0]], [alignment.utterance_id],
-                         encoder_params, projection, n_phones)
 
 
 def trait_layer_backward(

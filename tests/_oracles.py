@@ -5,8 +5,9 @@ counting, no vectorised shortcuts. Tests compare the package's optimised
 code against these. The ``per_utterance_*`` functions are the training step
 as it ran before batching, one utterance at a time; the batched step must
 reproduce their sums bit for bit, summation order included. Likewise
-``per_trial_scores`` is trial scoring as it ran before batching, one scalar
-cosine at a time, and batched scoring must match it exactly.
+``per_trial_scores`` is trial scoring as it ran before batching, one
+utterance and one scalar cosine at a time, through ``per_utterance_forward``
+alone, and batched scoring must match it exactly.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def per_utterance_encode_backward(params, activations, d_output):
 def per_utterance_forward(features, phones, utterance_id, encoder_params, projection, n_phones):
     """One utterance from features to embedding; a dict of every intermediate."""
     from phonetrait.errors import EmptyUtteranceError
-    from phonetrait.trait_layer import PhoneticTraitSet, pool_statistics
+    from phonetrait.trait_layer import pool_statistics
 
     activations = per_utterance_encode(encoder_params, features)
     emb = activations[-1]
@@ -109,15 +110,14 @@ def per_utterance_forward(features, phones, utterance_id, encoder_params, projec
     traits[seen] = sums[seen] / counts[seen, None]
     present = seen & np.any(traits != 0.0, axis=1)
     traits[~present] = 0.0
-    trait_set = PhoneticTraitSet(utterance_id, traits, present)
     kept = np.nonzero(present)[0]
     if kept.size == 0:
         raise EmptyUtteranceError(f"utterance {utterance_id!r} has no present phonetic traits")
     filtered = traits[kept]
     mean, std = pool_statistics(filtered)
     stats = np.concatenate([mean, std])
-    return dict(activations=activations, phones=phones, counts=counts, trait_set=trait_set,
-                kept=kept, filtered=filtered, mean=mean, std=std, stats=stats,
+    return dict(activations=activations, phones=phones, counts=counts, traits=traits,
+                present=present, kept=kept, filtered=filtered, mean=mean, std=std, stats=stats,
                 embedding=projection.weight @ stats + projection.bias)
 
 
@@ -131,7 +131,7 @@ def per_utterance_backward(cache, projection, d_emb, d_traits):
     n = cache["filtered"].shape[0]
     d_var = d_std / (2.0 * cache["std"])
     d_filtered = d_mean / n + d_var * 2.0 * (cache["filtered"] - cache["mean"]) / n
-    d_trait_full = np.zeros_like(cache["trait_set"].traits)
+    d_trait_full = np.zeros_like(cache["traits"])
     d_trait_full[cache["kept"]] = d_filtered
     d_trait_full[cache["kept"]] += d_traits[cache["kept"]]
     phones = cache["phones"]
@@ -150,16 +150,15 @@ def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones
     from phonetrait.training import parameter_arrays
 
     def run(utt):
-        return per_utterance_forward(index.features[utt].features,
-                                     index.alignments[utt].frame_phones(), utt,
+        return per_utterance_forward(index.features[utt].features, index.phones[utt], utt,
                                      state.encoder, state.projection, n_phones)
 
     caches = [run(u) for u in selection.enroll_utts + selection.test_utts]
     batch = PairBatch(
         speaker_ids=selection.speaker_ids,
         class_labels=selection.class_labels,
-        traits=np.stack([c["trait_set"].traits for c in caches]),
-        present=np.stack([c["trait_set"].present for c in caches]),
+        traits=np.stack([c["traits"] for c in caches]),
+        present=np.stack([c["present"] for c in caches]),
         embeddings=np.stack([c["embedding"] for c in caches]),
     )
     out = total_loss(batch, weights, aam, state.class_weights, with_classification)
@@ -187,12 +186,10 @@ def per_trial_scores(state, index, trials, n_phones):
     one (final, evidence, values, defined) tuple per trial; evidence is None
     when no phone is shared.
     """
-    from phonetrait.trait_layer import forward_utterance
-
     def forward(utt):
-        fwd = forward_utterance(index.features[utt].features, index.alignments[utt],
-                                state.encoder, state.projection, n_phones)
-        return fwd.traits[0], fwd.present[0], fwd.embeddings[0]
+        fwd = per_utterance_forward(index.features[utt].features, index.phones[utt], utt,
+                                    state.encoder, state.projection, n_phones)
+        return fwd["traits"], fwd["present"], fwd["embedding"]
 
     def cosine(a, b):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))

@@ -30,22 +30,20 @@ from phonetrait.corpus import (
     CorpusIndex,
     PhoneAlignment,
     PhoneInventory,
+    Trial,
+    TrialList,
+    UtteranceFeatures,
     default_inventory,
     generate_corpus,
     make_trials,
 )
-from phonetrait.encoder import EncoderConfig, LayerSpec
-from phonetrait.errors import UndefinedEvidenceError
+from phonetrait.encoder import EncoderConfig, EncoderParams, LayerSpec
 from phonetrait.losses import AamConfig, LossWeights
-from phonetrait.scoring import (
-    cosine_similarity,
-    evidence_score,
-    score_trials,
-    trait_similarity_vector,
-)
-from phonetrait.trait_layer import PhoneticTraitSet, extract_traits, forward_utterance
+from phonetrait.scoring import score_trials
+from phonetrait.trait_layer import ProjectionParams, extract_traits, forward_batch
 from phonetrait.training import (
     ModelConfig,
+    ModelState,
     batch_loss_and_grads,
     batch_loss_value,
     compare_gradient_tables,
@@ -163,6 +161,11 @@ def _permute_same_label_segments(features, segments, rng):
     return permuted, tuple(new_segments)
 
 
+def _forward_one(state, features, alignment, n_phones):
+    return forward_batch(features, alignment.frame_phones(), [alignment.n_frames],
+                         [alignment.utterance_id], state.encoder, state.projection, n_phones)
+
+
 def test_absent_phones_and_segment_order_leave_embedding_alone(capsys):
     rng = np.random.default_rng(21)
     n_phones = 9
@@ -183,24 +186,19 @@ def test_absent_phones_and_segment_order_leave_embedding_alone(capsys):
         features = rng.standard_normal((cursor, 6))
         alignment = PhoneAlignment("u", segments)
 
-        base = forward_utterance(features, alignment, state.encoder,
-                                 state.projection, n_phones)
-        widened = forward_utterance(features, alignment, state.encoder,
-                                    state.projection, n_phones + 3)
+        base = _forward_one(state, features, alignment, n_phones)
+        widened = _forward_one(state, features, alignment, n_phones + 3)
         worst_absent = max(worst_absent,
                            float(np.abs(widened.embeddings[0] - base.embeddings[0]).max()))
 
         permuted, new_segments = _permute_same_label_segments(features, segments, rng)
-        reordered = forward_utterance(permuted, PhoneAlignment("u", new_segments),
-                                      state.encoder, state.projection, n_phones)
+        reordered = _forward_one(state, permuted, PhoneAlignment("u", new_segments), n_phones)
         worst_permuted = max(worst_permuted,
                              float(np.abs(reordered.embeddings[0] - base.embeddings[0]).max()))
 
         for fwd in (base, widened, reordered):
-            trait_set = PhoneticTraitSet("u", fwd.traits[0], fwd.present[0])
-            trait_set.validate_mask()
-            nonzero_rows = np.any(trait_set.traits != 0.0, axis=1)
-            assert np.array_equal(nonzero_rows, trait_set.present)
+            nonzero_rows = np.any(fwd.traits[0] != 0.0, axis=1)
+            assert np.array_equal(nonzero_rows, fwd.present[0])
 
     ok = worst_absent <= 1e-12 and worst_permuted <= 1e-12
     report(capsys, "3 masking and permutation invariants", ok,
@@ -212,34 +210,47 @@ def test_absent_phones_and_segment_order_leave_embedding_alone(capsys):
 # criterion 4: evidence score against a brute-force shared-phone mean
 # ---------------------------------------------------------------------------
 
-def _random_trait_set(rng, utterance_id, n_phones, dim):
+def _random_utterance(rng, utterance_id, n_phones, dim):
+    """Random traits as one utterance of one frame per present phone."""
     present = rng.random(n_phones) < 0.6
     if not present.any():
         present[int(rng.integers(n_phones))] = True
     traits = np.where(present[:, None], rng.standard_normal((n_phones, dim)), 0.0)
-    return PhoneticTraitSet(utterance_id, traits, present)
+    phones = np.nonzero(present)[0]
+    features = UtteranceFeatures(utterance_id, utterance_id, traits[phones])
+    alignment = PhoneAlignment(utterance_id, [(k, k + 1, p) for k, p in enumerate(phones)])
+    return traits, present, features, alignment
 
 
 def test_evidence_equals_brute_force_shared_phone_mean(capsys):
+    # Each pair is scored by score_trials under identity maps, so every
+    # trait reaches scoring exactly as drawn.
     rng = np.random.default_rng(33)
     n_defined_pairs, n_disjoint_pairs, n_exact = 0, 0, 0
     worst_recompute = 0.0
     for _ in range(1000):
         n_phones = int(rng.integers(2, 9))
         dim = int(rng.integers(2, 6))
-        enroll = _random_trait_set(rng, "e", n_phones, dim)
-        test = _random_trait_set(rng, "t", n_phones, dim)
-        shared = enroll.present & test.present
+        enroll, enroll_present, enroll_feats, enroll_align = _random_utterance(
+            rng, "e", n_phones, dim)
+        test, test_present, test_feats, test_align = _random_utterance(rng, "t", n_phones, dim)
+        shared = enroll_present & test_present
+        index = CorpusIndex.build([enroll_feats, test_feats], [enroll_align, test_align])
+        state = ModelState(
+            EncoderParams(EncoderConfig(dim, (LayerSpec((0,), dim, "identity"),)),
+                          [np.eye(dim)], [np.zeros(dim)]),
+            ProjectionParams(np.eye(2 * dim), np.zeros(2 * dim)),
+            class_weights=np.ones((2, 2 * dim)),
+        )
+        got = score_trials(state, index, TrialList([Trial("e", "t", 0)]), n_phones)[0].evidence
 
         if not shared.any():
-            with pytest.raises(UndefinedEvidenceError):
-                evidence_score(trait_similarity_vector(enroll, test))
+            assert got is None
             n_disjoint_pairs += 1
             continue
 
-        got = evidence_score(trait_similarity_vector(enroll, test))
         values = [
-            cosine_similarity(enroll.traits[i], test.traits[i])
+            enroll[i] @ test[i] / (np.linalg.norm(enroll[i]) * np.linalg.norm(test[i]))
             for i in range(n_phones) if shared[i]
         ]
         n_exact += got == float(np.asarray(values).mean())
@@ -248,7 +259,7 @@ def test_evidence_equals_brute_force_shared_phone_mean(capsys):
         for i in range(n_phones):
             if not shared[i]:
                 continue
-            a, b = enroll.traits[i], test.traits[i]
+            a, b = enroll[i], test[i]
             recomputed += float(a @ b) / (math.sqrt(float(a @ a)) * math.sqrt(float(b @ b)))
         recomputed /= len(values)
         worst_recompute = max(worst_recompute, abs(got - recomputed))
@@ -258,7 +269,7 @@ def test_evidence_equals_brute_force_shared_phone_mean(capsys):
           and worst_recompute <= 1e-12)
     report(capsys, "4 evidence score oracle", ok,
            f"{n_defined_pairs} pairs exact, {n_disjoint_pairs} disjoint pairs "
-           f"raised, recompute diff {worst_recompute:.1e}")
+           f"undefined, recompute diff {worst_recompute:.1e}")
 
 
 # ---------------------------------------------------------------------------

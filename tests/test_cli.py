@@ -4,6 +4,7 @@ import dataclasses
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from _entry import run_phonetrait
@@ -21,6 +22,7 @@ from phonetrait.cli import (
     build_parser,
     main,
 )
+from phonetrait.corpus import UtteranceFeatures, load_features, save_features
 from phonetrait.encoder import parse_layer_string
 from phonetrait.losses import AamConfig, LossWeights
 from phonetrait.training import TrainConfig
@@ -149,6 +151,38 @@ class TestTrain:
         code = main(TRAIN_ARGS + ["--corpus-dir", str(corpus), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_PARSE
         assert "error: ParseError:" in capsys.readouterr().err
+
+
+def widen_last_utterance(corpus):
+    """Give the last utterance one feature column more than the others."""
+    features = load_features(corpus / "features.txt")
+    last = features[-1]
+    features[-1] = UtteranceFeatures(last.utterance_id, last.speaker_id,
+                                     np.hstack([last.features, last.features[:, :1]]))
+    save_features(features, corpus / "features.txt")
+    return f"DimensionError: features of {last.utterance_id!r} are 4-dim"
+
+
+def empty_corpus(corpus):
+    for name in ("features.txt", "alignments.txt"):
+        (corpus / name).write_text("")
+    return "ConfigurationError: corpus has no utterances"
+
+
+class TestBadCorpus:
+    @pytest.mark.parametrize("damage", [widen_last_utterance, empty_corpus])
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_rejected_as_configuration_error(self, pipeline, tmp_path, capsys, damage, command):
+        good, run = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(good, corpus)
+        message = damage(corpus)
+        args = TRAIN_ARGS if command == "train" else [
+            "score", "--checkpoint", str(run / "ckpt_epoch1")]
+        code = main(args + ["--corpus-dir", str(corpus), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
 
 
 class TestScore:

@@ -271,6 +271,19 @@ class TestCorpusIndex:
         with pytest.raises(ConfigurationError):
             CorpusIndex.build(features + [features[0]], alignments + [alignments[0]])
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ConfigurationError, match="no utterances"):
+            CorpusIndex.build([], [])
+
+    def test_feature_width_mismatch_names_the_utterance(self):
+        # pack concatenates every utterance's frames, so all must be as wide.
+        features, alignments, _ = small_corpus()
+        last = features[-1]
+        wider = UtteranceFeatures(last.utterance_id, last.speaker_id,
+                                  np.ones((last.n_frames, last.dim + 1)))
+        with pytest.raises(DimensionError, match=f"features of {last.utterance_id!r} are 5-dim"):
+            CorpusIndex.build(features[:-1] + [wider], alignments)
+
 
 @pytest.fixture
 def restore_umask():

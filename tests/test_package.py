@@ -55,7 +55,8 @@ def test_scoring_has_one_cosine_kernel():
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
-    """Names a module reads, leaving out each def's or class's reads of itself."""
+    """Names a module reads, leaving out annotations and each def's or class's
+    reads of itself."""
     names: set[str] = set()
 
     def visit(node: ast.AST, defining: frozenset) -> None:
@@ -65,20 +66,43 @@ def _loaded_names(tree: ast.AST) -> set[str]:
             name = node.id if isinstance(node, ast.Name) else node.attr
             if name not in defining:
                 names.add(name)
-        for child in ast.iter_child_nodes(node):
-            visit(child, defining)
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, defining)
 
     visit(tree, frozenset())
     return names
 
 
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name) of every public module-level function and class,
+    and of every public method of a public class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, defs[:2]) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
+
+
 def test_every_export_has_a_caller():
-    # An exported name that no module of the package and no script reads has
-    # no production caller; tests alone do not keep it.
+    # A public function, class or method that no module of the package and no
+    # script reads has no production caller; tests alone do not keep it, and
+    # neither does a type annotation. The ``load_*`` readers of the package's
+    # own formats are exempt: the loader table test is their caller.
     package = Path(phonetrait.__file__).parent
     scripts = package.parents[1] / "scripts"
-    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    sources += sorted(scripts.glob("*.py"))
-    read = set().union(*(_loaded_names(ast.parse(p.read_text())) for p in sources))
-    uncalled = sorted(set(phonetrait.__all__) - read)
-    assert not uncalled, f"exported without a caller: {uncalled}"
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    trees = {p: ast.parse(p.read_text()) for p in modules + sorted(scripts.glob("*.py"))}
+    read = set().union(*map(_loaded_names, trees.values()))
+    public = {f"{p.stem}.{qualified}": name for p in modules
+              for qualified, name in _public_definitions(trees[p])}
+    public.update((f"__all__.{name}", name) for name in phonetrait.__all__)
+    uncalled = sorted(qualified for qualified, name in public.items()
+                      if name not in read and not name.startswith("load_"))
+    assert not uncalled, f"defined without a caller: {uncalled}"

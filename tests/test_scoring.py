@@ -20,22 +20,20 @@ from phonetrait.corpus import (
 from phonetrait.encoder import EncoderConfig, EncoderParams, LayerSpec
 from phonetrait.errors import (
     ConfigurationError,
-    DimensionError,
     NumericGuardError,
     ParseError,
     UndefinedEvidenceError,
 )
 from phonetrait.scoring import (
+    _UTTERANCE_CHUNK,
     ScoreRecord,
     TraitSimilarityVector,
-    cosine_similarity,
     evidence_score,
     load_scores,
     save_scores,
     score_trials,
-    trait_similarity_vector,
 )
-from phonetrait.trait_layer import PhoneticTraitSet, ProjectionParams
+from phonetrait.trait_layer import ProjectionParams
 from phonetrait.training import ModelConfig, ModelState, init_model
 
 from _oracles import naive_cosine, per_trial_scores
@@ -79,14 +77,15 @@ def two_utterances(features_a, segments_a, features_b, segments_b):
 
 @st.composite
 def scoring_cases(draw):
-    """Random utterances and trials; more than one chunk of trials at times.
+    """Random utterances and trials; more than one chunk of trials, and of
+    utterances, at times.
 
     Utterances "x" (phone 0), "y" (phone 1) and "z" (phones 0 and 1) add a
     disjoint-phone trial (x, y) and a one-shared-phone trial (x, z).
     """
     n_phones = draw(st.integers(2, 40))
     trait_dim = draw(st.integers(1, 16))
-    n_utterances = draw(st.integers(2, 8))
+    n_utterances = draw(st.integers(2, 80))
     n_trials = draw(st.one_of(st.integers(0, 40), st.integers(120, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
     input_dim, embedding_dim = 3, int(rng.integers(1, 9))
@@ -123,62 +122,27 @@ def scoring_cases(draw):
     return state, index, TrialList(trials), n_phones
 
 
-class TestCosine:
-    def test_hand_cases(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 1.0
-        assert abs(cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 3.0]))) < 1e-15
-        assert abs(cosine_similarity(np.array([1.0, 1.0]), np.array([-1.0, -1.0])) + 1.0) < 1e-12
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=30)
-    def test_matches_naive_and_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=4) + 0.1, rng.normal(size=4) + 0.1
-        value = cosine_similarity(a, b)
-        assert abs(value - naive_cosine(a, b)) < 1e-12
-        assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(NumericGuardError):
-            cosine_similarity(np.zeros(3), np.ones(3))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            cosine_similarity(np.ones(3), np.ones(4))
-
-
 class TestTraitSimilarity:
-    def set_of(self, rows, present):
-        traits = np.array(rows, dtype=np.float64)
-        traits[~np.asarray(present)] = 0.0
-        return PhoneticTraitSet("u", traits, present)
-
     def test_defined_only_where_both_present(self):
-        enroll = self.set_of([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [True, True, False])
-        test = self.set_of([[0.0, 1.0], [9.0, 9.0], [1.0, 1.0]], [True, False, True])
-        sim = trait_similarity_vector(enroll, test)
+        # "a" holds phones 0 and 1, "b" phones 0 and 2: only phone 0 is shared.
+        state, index = two_utterances([[1.0, 0.0], [1.0, 1.0]], [(0, 1, 0), (1, 2, 1)],
+                                      [[0.0, 1.0], [9.0, 9.0]], [(0, 1, 0), (1, 2, 2)])
+        sim = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)[0].similarity
         assert sim.defined.tolist() == [True, False, False]
         assert abs(sim.values[0]) < 1e-15
         assert np.isnan(sim.values[1]) and np.isnan(sim.values[2])
         assert sim.n_defined == 1
 
     def test_values_match_per_phone_cosine(self):
+        # One frame per phone under identity maps: each trait is its frame.
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(4, 3))
-        mask = np.array([True, True, True, True])
-        sim = trait_similarity_vector(
-            PhoneticTraitSet("a", a, mask), PhoneticTraitSet("b", b, mask)
-        )
+        segments = [(i, i + 1, i) for i in range(4)]
+        state, index = two_utterances(a, segments, b, segments)
+        sim = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 4)[0].similarity
         for i in range(4):
             assert abs(sim.values[i] - naive_cosine(a[i], b[i])) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            trait_similarity_vector(
-                PhoneticTraitSet("a", np.ones((2, 2)), np.ones(2, dtype=bool)),
-                PhoneticTraitSet("b", np.ones((3, 2)), np.ones(3, dtype=bool)),
-            )
 
     def test_evidence_is_mean_of_defined(self):
         sim = TraitSimilarityVector(
@@ -217,6 +181,24 @@ class TestScoreTrials:
             assert np.array_equal(record.similarity.defined, defined)
         shared = [r.similarity.n_defined for r in records]
         assert 0 in shared and 1 in shared
+
+    def test_several_utterance_chunks_match_per_trial_oracle(self):
+        # 70 utterances: two full packs of _UTTERANCE_CHUNK and a partial one.
+        inventory = tiny_inventory()
+        features, alignments, _ = generate_corpus(10, 7, inventory, 3, (1, 4), (2, 9), 0.3, 4)
+        index = CorpusIndex.build(features, alignments)
+        model_cfg = ModelConfig(EncoderConfig(3, (LayerSpec((-1, 0, 1), 4, "relu"),)), 3)
+        state = init_model(model_cfg, len(index.speakers), seed=5)
+        trials = make_trials(features, 300, 300, seed=6)
+        distinct = {utt for trial in trials for utt in (trial.enroll_id, trial.test_id)}
+        assert len(distinct) > 2 * _UTTERANCE_CHUNK
+        records = score_trials(state, index, trials, inventory.size)
+        expected = per_trial_scores(state, index, trials, inventory.size)
+        for record, (final, evidence, values, defined) in zip(records, expected, strict=True):
+            assert record.final == final
+            assert record.evidence == evidence
+            assert np.array_equal(record.similarity.values, values, equal_nan=True)
+            assert np.array_equal(record.similarity.defined, defined)
 
     def test_unknown_utterance_rejected(self):
         state, index, _, inventory = scored_records()

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonetrait.corpus import PhoneAlignment
 from phonetrait.encoder import EncoderConfig, EncoderParams, LayerSpec
 from phonetrait.errors import ConfigurationError, DimensionError, EmptyUtteranceError
 from phonetrait.trait_layer import (
     STD_EPS,
-    PhoneticTraitSet,
     ProjectionParams,
     extract_traits,
     forward_batch,
-    forward_utterance,
     init_projection,
     pool_statistics,
     trait_layer_backward,
@@ -35,56 +32,49 @@ def identity_encoder(dim):
 
 
 def traits_for(frames, phones_per_frame, n_phones):
-    """One utterance's trait set: a batch of one, whose segment ids are its phones."""
+    """One utterance's (traits, present): a batch of one, whose segment ids are its phones."""
     phones = np.asarray(phones_per_frame)
     traits, present = extract_traits(frames, phones, np.bincount(phones, minlength=n_phones)[None])
-    return PhoneticTraitSet("u", traits[0], present[0])
+    return traits[0], present[0]
 
 
-def alignment_for(phones_per_frame):
-    segments = []
-    start = 0
-    for t, phone in enumerate(phones_per_frame):
-        if segments and segments[-1][2] == phone:
-            prev = segments.pop()
-            segments.append((prev[0], t + 1, phone))
-        else:
-            segments.append((start, t + 1, phone))
-        start = t + 1
-    return PhoneAlignment("u", segments)
+def forward_one(features, phones_per_frame, encoder, projection, n_phones):
+    """``forward_batch`` of the one utterance "u"."""
+    phones = np.asarray(phones_per_frame)
+    return forward_batch(features, phones, [phones.shape[0]], ["u"], encoder, projection, n_phones)
 
 
 class TestExtractTraits:
     def test_hand_case(self):
         frames = np.array([[1.0, 1.0], [3.0, 3.0], [0.0, 2.0], [0.0, 0.0]])
-        ts = traits_for(frames, [0, 0, 1, 1], 3)
-        assert ts.traits[0].tolist() == [2.0, 2.0]
-        assert ts.traits[1].tolist() == [0.0, 1.0]
-        assert ts.traits[2].tolist() == [0.0, 0.0]
-        assert ts.present.tolist() == [True, True, False]
+        traits, present = traits_for(frames, [0, 0, 1, 1], 3)
+        assert traits[0].tolist() == [2.0, 2.0]
+        assert traits[1].tolist() == [0.0, 1.0]
+        assert traits[2].tolist() == [0.0, 0.0]
+        assert present.tolist() == [True, True, False]
 
     def test_split_segments_pool_by_duration(self):
         # Phone 0 appears in two segments; all three of its frames average.
         frames = np.array([[3.0], [9.0], [100.0], [6.0]])
-        ts = traits_for(frames, [0, 0, 1, 0], 2)
-        assert ts.traits[0].tolist() == [6.0]
-        assert ts.traits[1].tolist() == [100.0]
+        traits, _ = traits_for(frames, [0, 0, 1, 0], 2)
+        assert traits[0].tolist() == [6.0]
+        assert traits[1].tolist() == [100.0]
 
     def test_cancelling_frames_mark_phone_absent(self):
         frames = np.array([[1.0], [-1.0]])
-        ts = traits_for(frames, [0, 0], 2)
-        assert not ts.present[0]
-        assert ts.traits[0].tolist() == [0.0]
+        traits, present = traits_for(frames, [0, 0], 2)
+        assert not present[0]
+        assert traits[0].tolist() == [0.0]
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
         frames = rng.normal(size=(12, 3))
         phones = [0, 0, 3, 3, 3, 1, 1, 0, 4, 4, 4, 4]
-        ts = traits_for(frames, phones, 6)
-        traits, present = naive_traits(frames, phones, 6)
-        assert np.allclose(ts.traits, traits, atol=1e-12)
-        assert np.array_equal(ts.present, present)
-        ts.validate_mask()
+        traits, present = traits_for(frames, phones, 6)
+        want_traits, want_present = naive_traits(frames, phones, 6)
+        assert np.allclose(traits, want_traits, atol=1e-12)
+        assert np.array_equal(present, want_present)
+        assert np.array_equal(np.any(traits != 0.0, axis=1), present)
 
     def test_packed_utterances_pool_separately(self):
         # Phone 0 of utterance 0 is segment 0, phone 0 of utterance 1 is
@@ -102,8 +92,8 @@ class TestExtractTraits:
 
     def test_phone_index_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            forward_utterance(np.ones((2, 2)), alignment_for([0, 5]), identity_encoder(2),
-                              ProjectionParams(np.eye(4), np.zeros(4)), 3)
+            forward_one(np.ones((2, 2)), [0, 5], identity_encoder(2),
+                        ProjectionParams(np.eye(4), np.zeros(4)), 3)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 14))
     @settings(max_examples=25, deadline=None)
@@ -111,22 +101,10 @@ class TestExtractTraits:
         rng = np.random.default_rng(seed)
         phones = rng.integers(0, 4, size=n_frames).tolist()
         frames = rng.normal(size=(n_frames, 2))
-        ts = traits_for(frames, phones, 5)
-        traits, present = naive_traits(frames, phones, 5)
-        assert np.allclose(ts.traits, traits, atol=1e-12)
-        assert np.array_equal(ts.present, present)
-
-
-class TestValidateMask:
-    def test_nonzero_marked_absent(self):
-        ts = PhoneticTraitSet("u", np.ones((1, 2)), np.array([False]))
-        with pytest.raises(ConfigurationError, match="marked absent"):
-            ts.validate_mask()
-
-    def test_zero_marked_present(self):
-        ts = PhoneticTraitSet("u", np.zeros((1, 2)), np.array([True]))
-        with pytest.raises(ConfigurationError, match="marked present"):
-            ts.validate_mask()
+        traits, present = traits_for(frames, phones, 5)
+        want_traits, want_present = naive_traits(frames, phones, 5)
+        assert np.allclose(traits, want_traits, atol=1e-12)
+        assert np.array_equal(present, want_present)
 
 
 class TestForwardBatch:
@@ -174,12 +152,12 @@ class TestForwardUtterance:
     def test_composition_matches_manual_steps(self):
         rng = np.random.default_rng(2)
         features = rng.normal(size=(8, 3))
-        alignment = alignment_for([0, 0, 2, 2, 2, 1, 1, 0])
+        phones = [0, 0, 2, 2, 2, 1, 1, 0]
         projection = init_projection(3, 4, rng)
-        cache = forward_utterance(features, alignment, identity_encoder(3), projection, 5)
+        cache = forward_one(features, phones, identity_encoder(3), projection, 5)
 
-        ts = traits_for(features, alignment.frame_phones(), 5)
-        mean, std = pool_statistics(ts.traits[ts.present])
+        traits, present = traits_for(features, phones, 5)
+        mean, std = pool_statistics(traits[present])
         stats = np.concatenate([mean, std])
         assert np.array_equal(cache.stats[0], stats)
         expected = projection.weight @ stats + projection.bias
@@ -193,64 +171,61 @@ class TestForwardUtterance:
         # pooled statistics themselves, [mean, std] = [2, 4, 1, 1].
         features = np.array([[1.0, 3.0], [3.0, 5.0]])
         projection = ProjectionParams(np.eye(4), np.zeros(4))
-        cache = forward_utterance(features, alignment_for([0, 1]), identity_encoder(2),
-                                  projection, 3)
+        cache = forward_one(features, [0, 1], identity_encoder(2), projection, 3)
         assert np.allclose(cache.embeddings[0], [2.0, 4.0, 1.0, 1.0], atol=1e-8)
 
     def test_dim_mismatch(self):
         projection = ProjectionParams(np.eye(4), np.zeros(4))
         with pytest.raises(DimensionError, match="projection trait dim 2"):
-            forward_utterance(np.ones((2, 3)), alignment_for([0, 1]), identity_encoder(3),
-                              projection, 3)
+            forward_one(np.ones((2, 3)), [0, 1], identity_encoder(3), projection, 3)
 
 
 class TestTraitLayerBackward:
     def rig(self, seed=3, n_frames=9, dim=3, n_phones=5):
         rng = np.random.default_rng(seed)
         features = rng.normal(size=(n_frames, dim))
-        phones = rng.integers(0, n_phones - 1, size=n_frames).tolist()
-        alignment = alignment_for(phones)
+        phones = rng.integers(0, n_phones - 1, size=n_frames)
         projection = init_projection(dim, 4, rng)
-        return rng, features, alignment, projection
+        return rng, features, phones, projection
 
     def test_zero_upstream(self):
-        rng, features, alignment, projection = self.rig()
-        cache = forward_utterance(features, alignment, identity_encoder(3), projection, 5)
+        rng, features, phones, projection = self.rig()
+        cache = forward_one(features, phones, identity_encoder(3), projection, 5)
         d_w, d_b, d_frames = trait_layer_backward(cache, projection, np.zeros((1, 4)))
         assert not d_w.any() and not d_b.any() and not d_frames.any()
 
     def test_finite_differences_embedding_path(self):
-        rng, features, alignment, projection = self.rig()
+        rng, features, phones, projection = self.rig()
         g = rng.normal(size=4)
         encoder = identity_encoder(3)
 
         def loss():
-            cache = forward_utterance(features, alignment, encoder, projection, 5)
+            cache = forward_one(features, phones, encoder, projection, 5)
             return float(g @ cache.embeddings[0])
 
-        cache = forward_utterance(features, alignment, encoder, projection, 5)
+        cache = forward_one(features, phones, encoder, projection, 5)
         d_w, d_b, d_frames = trait_layer_backward(cache, projection, g[None])
         assert max_relative_error(d_frames, central_difference(loss, features)) < 1e-6
         assert max_relative_error(d_w, central_difference(loss, projection.weight)) < 1e-6
         assert max_relative_error(d_b, central_difference(loss, projection.bias)) < 1e-6
 
     def test_finite_differences_with_trait_gradient(self):
-        rng, features, alignment, projection = self.rig(seed=8)
+        rng, features, phones, projection = self.rig(seed=8)
         g = rng.normal(size=4)
         h = rng.normal(size=(5, 3))
         encoder = identity_encoder(3)
 
         def loss():
-            cache = forward_utterance(features, alignment, encoder, projection, 5)
+            cache = forward_one(features, phones, encoder, projection, 5)
             return float(g @ cache.embeddings[0]) + float((h * cache.traits[0]).sum())
 
-        cache = forward_utterance(features, alignment, encoder, projection, 5)
+        cache = forward_one(features, phones, encoder, projection, 5)
         _, _, d_frames = trait_layer_backward(cache, projection, g[None], d_traits=h[None])
         assert max_relative_error(d_frames, central_difference(loss, features)) < 1e-6
 
     def test_absent_rows_of_trait_gradient_ignored(self):
-        rng, features, alignment, projection = self.rig(seed=4)
-        cache = forward_utterance(features, alignment, identity_encoder(3), projection, 5)
+        rng, features, phones, projection = self.rig(seed=4)
+        cache = forward_one(features, phones, identity_encoder(3), projection, 5)
         assert not cache.present.all()
         g = rng.normal(size=(1, 4))
         h = np.zeros((1, 5, 3))
