@@ -21,13 +21,11 @@ from phonetrait.scoring import score_trials
 from phonetrait.training import train
 
 
-def summarize(records) -> tuple[float, float, float]:
-    final_scores, final_labels = labelled_scores(records, "final")
-    evidence_scores, evidence_labels = labelled_scores(records, "evidence")
+def summarize(table) -> tuple[float, float, float]:
     return (
-        compute_eer(final_scores, final_labels)[0],
-        compute_eer(evidence_scores, evidence_labels)[0],
-        explainability_correlation(records),
+        compute_eer(*labelled_scores(table.final, table.labels))[0],
+        compute_eer(*labelled_scores(table.evidence, table.labels))[0],
+        explainability_correlation(table),
     )
 
 
@@ -53,8 +51,8 @@ def main() -> None:
         if args.epochs is not None:
             cfg = dataclasses.replace(cfg, epochs=args.epochs)
         state, _ = train(index, inventory, model_cfg, cfg)
-        records = score_trials(state, index, trials, inventory.size)
-        final_eer, evidence_eer, correlation = summarize(records)
+        final_eer, evidence_eer, correlation = summarize(
+            score_trials(state, index, trials, inventory.size))
         print(f"{name:<16} {final_eer:>10.3f} {evidence_eer:>13.3f} {correlation:>12.3f}")
 
 

@@ -30,10 +30,9 @@ from .errors import (
     NumericGuardError,
     ParseError,
     PhonetraitError,
-    UndefinedEvidenceError,
 )
 from .losses import AamConfig, LossWeights, PairBatch, total_loss
-from .scoring import ScoreRecord, evidence_score, score_trials
+from .scoring import ScoreTable, score_trials
 from .trait_layer import extract_traits
 from .training import ModelConfig, ModelState, TrainConfig, grad_check, train
 
@@ -61,15 +60,13 @@ __all__ = [
     "PhoneAlignment",
     "PhoneInventory",
     "PhonetraitError",
-    "ScoreRecord",
+    "ScoreTable",
     "TrainConfig",
     "Trial",
     "TrialList",
-    "UndefinedEvidenceError",
     "UtteranceFeatures",
     "default_inventory",
     "encode_layers",
-    "evidence_score",
     "extract_traits",
     "generate_corpus",
     "grad_check",

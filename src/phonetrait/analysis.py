@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import _NA, PhoneInventory, _LineReader, atomic_write
 from .errors import ConfigurationError, NumericGuardError
-from .scoring import ScoreRecord, TraitSimilarityVector
+from .scoring import _EVIDENCE_MISMATCH, ScoreTable
 
 
 def _split_by_label(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,23 +126,11 @@ def compute_metrics(
     )
 
 
-def labelled_scores(
-    records: list[ScoreRecord], kind: str = "final"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pull (scores, labels) for labelled trials; kind 'evidence' skips
-    trials whose evidence is undefined."""
-    if kind not in ("final", "evidence"):
-        raise ConfigurationError(f"kind must be 'final' or 'evidence', got {kind!r}")
-    scores, labels = [], []
-    for r in records:
-        if r.label is None:
-            continue
-        value = r.final if kind == "final" else r.evidence
-        if value is None:
-            continue
-        scores.append(value)
-        labels.append(r.label)
-    return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.int64)
+def labelled_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, labels) of the labelled trials (label >= 0) whose score is
+    defined (not NaN), in trial order."""
+    keep = (labels >= 0) & ~np.isnan(scores)
+    return scores[keep], labels[keep]
 
 
 def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -160,13 +148,12 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return float((xc * yc).sum() / denom)
 
 
-def explainability_correlation(records: list[ScoreRecord]) -> float:
-    """Pearson correlation between final scores and their evidence scores."""
-    pairs = [(r.final, r.evidence) for r in records if r.evidence is not None]
-    if len(pairs) < 2:
+def explainability_correlation(table: ScoreTable) -> float:
+    """Pearson correlation between final scores and their defined evidence scores."""
+    defined = ~np.isnan(table.evidence)
+    if np.count_nonzero(defined) < 2:
         raise NumericGuardError("need >= 2 trials with defined evidence")
-    finals, evidences = zip(*pairs)
-    return pearson_correlation(np.array(finals), np.array(evidences))
+    return pearson_correlation(table.final[defined], table.evidence[defined])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +173,7 @@ class FRatioRow:
 
 
 def f_ratio(
-    records: list[ScoreRecord],
+    table: ScoreTable,
     inventory: PhoneInventory,
     n_samples: int = 500,
     seed: int = 0,
@@ -202,16 +189,16 @@ def f_ratio(
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
+    _check_width(table, inventory)
     streams = np.random.SeedSequence(seed).spawn(inventory.size)
-    labelled = [r for r in records if r.label is not None]
-    shape = (len(labelled), inventory.size)
-    values = np.array([r.similarity.values for r in labelled], dtype=np.float64).reshape(shape)
-    defined = np.array([r.similarity.defined for r in labelled], dtype=bool).reshape(shape)
-    target = np.array([r.label == 1 for r in labelled], dtype=bool)
+    labelled = table.labels >= 0
+    values = table.similarity[labelled]
+    target = table.labels[labelled] == 1
+    defined = ~np.isnan(values)
     rows = []
     any_pool = False
     for i, phone in enumerate(inventory.labels):
-        # A boolean mask keeps record order, on which the seeded draws depend.
+        # A boolean mask keeps trial order, on which the seeded draws depend.
         within = values[defined[:, i] & target, i]
         between = values[defined[:, i] & ~target, i]
         if within.size or between.size:
@@ -236,16 +223,17 @@ def f_ratio(
 FRATIO_HEADER = "phone,within,between,ratio,included"
 
 
-def save_f_ratio(rows: list[FRatioRow], path) -> None:
-    def cell(x: float) -> str:
-        return _NA if np.isnan(x) else repr(float(x))
+def _cell(x: float) -> str:
+    return _NA if np.isnan(x) else repr(float(x))
 
+
+def save_f_ratio(rows: list[FRatioRow], path) -> None:
     with atomic_write(path) as f:
         f.write(FRATIO_HEADER + "\n")
         for row in rows:
             f.write(
-                f"{row.phone},{cell(row.within_mean)},{cell(row.between_mean)},"
-                f"{cell(row.ratio)},{int(row.included)}\n"
+                f"{row.phone},{_cell(row.within_mean)},{_cell(row.between_mean)},"
+                f"{_cell(row.ratio)},{int(row.included)}\n"
             )
 
 
@@ -271,29 +259,29 @@ def load_f_ratio(path) -> list[FRatioRow]:
 # per-trial explanation files
 # ---------------------------------------------------------------------------
 
-def export_explanation(record: ScoreRecord, inventory: PhoneInventory, path) -> None:
-    """Write one trial's scores and per-phone evidence as a readable file."""
-    if record.similarity.values.shape[0] != inventory.size:
+def _check_width(table: ScoreTable, inventory: PhoneInventory) -> None:
+    if table.similarity.shape[1] != inventory.size:
         raise ConfigurationError(
-            f"record has {record.similarity.values.shape[0]} phones, "
-            f"inventory has {inventory.size}"
+            f"scores have {table.similarity.shape[1]} phones, inventory has {inventory.size}"
         )
+
+
+def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, path) -> None:
+    """Write one trial's scores and per-phone evidence as a readable file."""
+    _check_width(table, inventory)
+    label = int(table.labels[row])
     with atomic_write(path) as f:
-        f.write(f"enroll {record.enroll_id}\n")
-        f.write(f"test {record.test_id}\n")
-        f.write(f"label {_NA if record.label is None else record.label}\n")
-        f.write(f"final {repr(float(record.final))}\n")
-        evidence = _NA if record.evidence is None else repr(float(record.evidence))
-        f.write(f"evidence {evidence}\n")
-        for i, phone in enumerate(inventory.labels):
-            if record.similarity.defined[i]:
-                f.write(f"trait\t{phone}\t{repr(float(record.similarity.values[i]))}\n")
-            else:
-                f.write(f"trait\t{phone}\t{_NA}\n")
+        f.write(f"enroll {table.enroll_ids[row]}\n")
+        f.write(f"test {table.test_ids[row]}\n")
+        f.write(f"label {_NA if label < 0 else label}\n")
+        f.write(f"final {_cell(table.final[row])}\n")
+        f.write(f"evidence {_cell(table.evidence[row])}\n")
+        for phone, value in zip(inventory.labels, table.similarity[row]):
+            f.write(f"trait\t{phone}\t{_cell(value)}\n")
 
 
-def load_explanation(path, inventory: PhoneInventory) -> ScoreRecord:
-    """Parse an exported explanation back into an equivalent ScoreRecord."""
+def load_explanation(path, inventory: PhoneInventory) -> ScoreTable:
+    """Parse an exported explanation back into an equivalent one-row ScoreTable."""
     header: dict[str, object] = {}
     traits: dict[str, float] = {}
     with _LineReader(path) as lines:
@@ -311,23 +299,20 @@ def load_explanation(path, inventory: PhoneInventory) -> ScoreRecord:
             elif key in ("final", "evidence"):
                 if key == "final" and value == _NA:
                     raise lines.error("final score is NA")
+                if key == "evidence":
+                    evidence_line = lines.line_no
                 value = lines.na_floats([value], "score")[0]
             header[lines.unique_key(header, key)] = value
         for key in ("enroll", "test", "label", "final", "evidence"):
             if key not in header:
                 raise lines.error(f"missing header field {key!r}")
-    values = np.full(inventory.size, np.nan)
-    for phone, value in traits.items():
-        values[inventory.index_of(phone)] = value
-    evidence = header["evidence"]
-    return ScoreRecord(
-        enroll_id=header["enroll"],
-        test_id=header["test"],
-        label=header["label"],
-        final=float(header["final"]),
-        evidence=None if np.isnan(evidence) else float(evidence),
-        similarity=TraitSimilarityVector(values, np.isfinite(values)),
-    )
+        values = np.full(inventory.size, np.nan)
+        for phone, value in traits.items():
+            values[inventory.index_of(phone)] = value
+        if np.isnan(header["evidence"]) != np.isnan(values).all():
+            raise lines.error(_EVIDENCE_MISMATCH, evidence_line)
+    return ScoreTable([header["enroll"]], [header["test"]], [header["label"]],
+                      [header["final"]], [header["evidence"]], values[None])
 
 
 # ---------------------------------------------------------------------------

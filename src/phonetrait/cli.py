@@ -61,7 +61,6 @@ from .errors import (
     EmptyUtteranceError,
     NumericGuardError,
     ParseError,
-    UndefinedEvidenceError,
 )
 from .losses import LOSS_LOG_HEADER, AamConfig, LossWeights, format_loss_log_line
 from .scoring import load_scores, save_scores, score_trials
@@ -360,18 +359,17 @@ def cmd_score(args) -> int:
         )
     trial_path = args.trials if args.trials else str(Path(corpus_dir) / TRIALS_FILE)
     trials = load_trials(trial_path)
-    records = score_trials(state, index, trials, inventory.size)
-    save_scores(records, out / SCORES_FILE)
+    save_scores(score_trials(state, index, trials, inventory.size), out / SCORES_FILE)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     scores_path = _require(args.scores, "--scores")
-    records = load_scores(scores_path)
+    table = load_scores(scores_path)
 
     def metrics_for(kind: str):
-        scores, labels = labelled_scores(records, kind)
+        scores, labels = labelled_scores(getattr(table, kind), table.labels)
         try:
             return compute_metrics(scores, labels, args.p_target, args.c_miss, args.c_fa)
         except ConfigurationError as exc:
@@ -380,17 +378,17 @@ def cmd_eval(args) -> int:
     final = metrics_for("final")
     evidence = metrics_for("evidence")
     try:
-        correlation = explainability_correlation(records)
+        correlation = explainability_correlation(table)
     except NumericGuardError as exc:
         raise NumericGuardError(f"{scores_path}: {exc}") from None
 
     entries = [
-        ("n_trials", len(records)),
+        ("n_trials", len(table)),
         ("p_target", args.p_target),
         ("c_miss", args.c_miss),
         ("c_fa", args.c_fa),
     ]
-    table = []
+    rows = []
     for kind, report in (("final", final), ("evidence", evidence)):
         entries.extend([
             (f"{kind}_eer", report.eer),
@@ -399,7 +397,7 @@ def cmd_eval(args) -> int:
             (f"{kind}_n_target", report.n_target),
             (f"{kind}_n_nontarget", report.n_nontarget),
         ])
-        table.extend([
+        rows.extend([
             (kind, "eer", repr(report.eer)),
             (kind, "min_dcf", repr(report.min_dcf)),
             (kind, "threshold_at_eer", repr(report.threshold_at_eer)),
@@ -407,11 +405,11 @@ def cmd_eval(args) -> int:
             (kind, "n_nontarget", str(report.n_nontarget)),
         ])
     entries.append(("explain_correlation", correlation))
-    table.append(("explain", "correlation", repr(correlation)))
+    rows.append(("explain", "correlation", repr(correlation)))
     write_report(entries, out / REPORT_TXT_FILE)
     with atomic_write(out / REPORT_CSV_FILE) as f:
         f.write("kind,metric,value\n")
-        for kind, metric, value in table:
+        for kind, metric, value in rows:
             f.write(f"{kind},{metric},{value}\n")
     return EXIT_OK
 
@@ -419,8 +417,8 @@ def cmd_eval(args) -> int:
 def cmd_fratio(args) -> int:
     out = _out_dir(args)
     inventory = load_inventory(_require(args.inventory, "--inventory"))
-    records = load_scores(_require(args.scores, "--scores"), inventory.size)
-    rows = f_ratio(records, inventory, n_samples=args.n_samples, seed=args.seed)
+    table = load_scores(_require(args.scores, "--scores"), inventory.size)
+    rows = f_ratio(table, inventory, n_samples=args.n_samples, seed=args.seed)
     save_f_ratio(rows, out / FRATIO_FILE)
     return EXIT_OK
 
@@ -428,12 +426,12 @@ def cmd_fratio(args) -> int:
 def cmd_explain(args) -> int:
     out = _out_dir(args)
     inventory = load_inventory(_require(args.inventory, "--inventory"))
-    records = load_scores(_require(args.scores, "--scores"), inventory.size)
-    if not 0 <= args.index < len(records):
+    table = load_scores(_require(args.scores, "--scores"), inventory.size)
+    if not 0 <= args.index < len(table):
         raise ConfigurationError(
-            f"--index {args.index} out of range for {len(records)} scored trials"
+            f"--index {args.index} out of range for {len(table)} scored trials"
         )
-    export_explanation(records[args.index], inventory, out / EXPLANATION_FILE)
+    export_explanation(table, args.index, inventory, out / EXPLANATION_FILE)
     return EXIT_OK
 
 
@@ -526,8 +524,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _print_error(exc)
         return EXIT_PARSE
-    except (ConfigurationError, DimensionError, BatchError,
-            EmptyUtteranceError, UndefinedEvidenceError) as exc:
+    except (ConfigurationError, DimensionError, BatchError, EmptyUtteranceError) as exc:
         _print_error(exc)
         return EXIT_CONFIG
     except (NumericGuardError, DivergenceError) as exc:

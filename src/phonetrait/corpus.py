@@ -520,11 +520,11 @@ class _LineReader:
             raise self.error(f"non-finite {what}")
         return row
 
-    def label(self, text: str) -> int | None:
-        """A trial label of a score or explanation file: 1, 0 or NA (None)."""
+    def label(self, text: str) -> int:
+        """A trial label of a score or explanation file: 1, 0 or NA (-1)."""
         if text not in ("0", "1", _NA):
             raise self.error(f"label must be 1, 0 or NA, got {text!r}")
-        return None if text == _NA else int(text)
+        return -1 if text == _NA else int(text)
 
 
 def _write_row(f, row: np.ndarray) -> None:

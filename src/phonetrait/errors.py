@@ -34,9 +34,5 @@ class NumericGuardError(PhonetraitError):
     """A numeric precondition failed, e.g. a zero-norm vector or degenerate data."""
 
 
-class UndefinedEvidenceError(PhonetraitError):
-    """Evidence score requested for a trial with no co-present phones."""
-
-
 class DivergenceError(PhonetraitError):
     """Non-finite loss, gradient or parameter in training; the message names the group and step."""

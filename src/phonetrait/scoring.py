@@ -3,9 +3,14 @@
 A trial compares an enrollment utterance with a test utterance. The final
 score is the cosine similarity of their speaker embeddings. The evidence
 score averages per-phone trait cosines over the phones present in both
-utterances; phones missing on either side are undefined (kept as NaN in the
-similarity vector) and excluded from the average. A trial with no shared
-phone has no evidence score at all.
+utterances; phones missing on either side are undefined and excluded from
+the average. A trial with no shared phone has no evidence score at all.
+
+Scored trials travel as one ``ScoreTable``: id and label columns, the final
+and evidence columns (n,) and the per-phone similarity matrix (n, I), with
+NaN wherever a value is undefined. ``score_trials`` fills it, ``save_scores``
+and ``load_scores`` write and read it, and ``phonetrait.analysis`` reads its
+columns.
 
 Every cosine here comes from one kernel, ``_row_cosines``, which takes each
 row pair's dot product from a stacked matmul, divides it by the product of
@@ -20,21 +25,19 @@ Score file format, one trial per line, tab separated::
     enroll_id  test_id  label  final  evidence  s0 .. s{I-1}
 
 ``label`` is 1/0 or NA for unlabelled trials; ``evidence`` and undefined
-per-phone entries are NA.
+per-phone entries are NA, and ``evidence`` is NA exactly when every
+per-phone entry is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 
 import numpy as np
 
 from .corpus import _NA, CorpusIndex, TrialList, _LineReader, atomic_write
-from .errors import (
-    DimensionError,
-    NumericGuardError,
-    UndefinedEvidenceError,
-)
+from .errors import DimensionError, NumericGuardError
 from .losses import _NORM_FLOOR
 from .trait_layer import forward_batch
 from .training import ModelState
@@ -78,40 +81,54 @@ def _row_cosines(
 
 
 @dataclass
-class TraitSimilarityVector:
-    """Per-phone trait cosines for one trial; NaN where either side is absent."""
+class ScoreTable:
+    """Scored trials as columns, one row per trial, in trial order.
 
-    values: np.ndarray   # (I,)
-    defined: np.ndarray  # (I,) bool
+    NaN marks what is undefined: an evidence score where no phone is shared,
+    a per-phone cosine where either side lacks the phone. A defined value is
+    always finite, so ``~np.isnan(similarity)`` is the defined mask.
+    """
+
+    enroll_ids: list[str]
+    test_ids: list[str]
+    labels: np.ndarray      # (n,) 1 target, 0 non-target, -1 unlabelled (NA)
+    final: np.ndarray       # (n,)
+    evidence: np.ndarray    # (n,)
+    similarity: np.ndarray  # (n, I)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.defined = np.asarray(self.defined, dtype=bool)
-        if self.values.shape != self.defined.shape or self.values.ndim != 1:
-            raise DimensionError("values and defined must be matching 1-d arrays")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.final = np.asarray(self.final, dtype=np.float64)
+        self.evidence = np.asarray(self.evidence, dtype=np.float64)
+        self.similarity = np.asarray(self.similarity, dtype=np.float64)
+        n = len(self.enroll_ids)
+        if (len(self.test_ids) != n
+                or any(a.shape != (n,) for a in (self.labels, self.final, self.evidence))
+                or self.similarity.ndim != 2 or self.similarity.shape[0] != n):
+            raise DimensionError("score table columns must all have one row per trial")
 
-    @property
-    def n_defined(self) -> int:
-        return int(self.defined.sum())
-
-
-def evidence_score(similarity: TraitSimilarityVector) -> float:
-    """Mean of the defined per-phone cosines; the trial's explanation summary."""
-    if similarity.n_defined == 0:
-        raise UndefinedEvidenceError("no phone is present in both utterances")
-    return float(similarity.values[similarity.defined].mean())
+    def __len__(self) -> int:
+        return len(self.enroll_ids)
 
 
-@dataclass
-class ScoreRecord:
-    """One scored trial; ``evidence`` is None when no phone is shared."""
+def _defined_means(values: np.ndarray) -> np.ndarray:
+    """Mean of each row's non-NaN values; NaN for a row with none.
 
-    enroll_id: str
-    test_id: str
-    label: int | None
-    final: float
-    evidence: float | None
-    similarity: TraitSimilarityVector
+    Each row's defined values are left-packed in order, and the rows that
+    define the same number c of values are averaged together over their first
+    c columns. Every mean is then the same pairwise sum as
+    ``row[defined].mean()``; a zero-filled sum over all I columns is not,
+    because NumPy's unrolled pairwise sum regroups once 8 or more values are
+    summed.
+    """
+    defined = ~np.isnan(values)
+    counts = defined.sum(axis=1)
+    packed = np.take_along_axis(values, np.argsort(~defined, axis=1, kind="stable"), axis=1)
+    means = np.full(len(values), np.nan)
+    for c in np.unique(counts[counts > 0]).tolist():
+        rows = counts == c
+        means[rows] = packed[rows, :c].mean(axis=1)
+    return means
 
 
 def score_trials(
@@ -119,14 +136,15 @@ def score_trials(
     index: CorpusIndex,
     trials: TrialList,
     n_phones: int,
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """Score every trial, encoding each utterance only once.
 
     The distinct utterances are packed ``_UTTERANCE_CHUNK`` at a time through
     ``forward_batch``; their traits, presence masks and embeddings are
     stacked, and their row norms computed once. Trials are then scored
-    ``_TRIAL_CHUNK`` at a time: one kernel call over the chunk's defined
-    (trial, phone) trait rows and one over its embedding pairs.
+    ``_TRIAL_CHUNK`` at a time into the table's columns: one kernel call over
+    the chunk's defined (trial, phone) trait rows and one over its embedding
+    pairs. The evidence column is computed once at the end.
     """
     trials.validate_against(index.features)
     place: dict[str, int] = {}
@@ -145,76 +163,63 @@ def score_trials(
     trait_norms = _row_norms(traits.reshape(-1, traits.shape[2])).reshape(present.shape)
     embedding_norms = _row_norms(embeddings)
 
-    records = []
+    enroll_ids = [trial.enroll_id for trial in trials]
+    test_ids = [trial.test_id for trial in trials]
+    enroll_all = np.array([place[utt] for utt in enroll_ids], dtype=np.intp)
+    test_all = np.array([place[utt] for utt in test_ids], dtype=np.intp)
+    final = np.empty(len(trials))
+    similarity = np.full((len(trials), n_phones), np.nan)
     for start in range(0, len(trials), _TRIAL_CHUNK):
-        chunk = trials.trials[start:start + _TRIAL_CHUNK]
-        enroll = np.array([place[trial.enroll_id] for trial in chunk], dtype=np.intp)
-        test = np.array([place[trial.test_id] for trial in chunk], dtype=np.intp)
-        defined = present[enroll] & present[test]
-        rows, phones = np.nonzero(defined)
+        block = slice(start, start + _TRIAL_CHUNK)
+        enroll, test = enroll_all[block], test_all[block]
+        rows, phones = np.nonzero(present[enroll] & present[test])
         e, t = enroll[rows], test[rows]
-        values = np.full(defined.shape, np.nan)
-        values[rows, phones] = _row_cosines(
+        similarity[start + rows, phones] = _row_cosines(
             traits[e, phones], traits[t, phones], trait_norms[e, phones], trait_norms[t, phones]
         )
-        finals = _row_cosines(
+        final[block] = _row_cosines(
             embeddings[enroll], embeddings[test], embedding_norms[enroll], embedding_norms[test]
-        ).tolist()
-        for k, trial in enumerate(chunk):
-            similarity = TraitSimilarityVector(values[k], defined[k])
-            try:
-                evidence = evidence_score(similarity)
-            except UndefinedEvidenceError:
-                evidence = None
-            records.append(
-                ScoreRecord(
-                    enroll_id=trial.enroll_id,
-                    test_id=trial.test_id,
-                    label=trial.label,
-                    final=finals[k],
-                    evidence=evidence,
-                    similarity=similarity,
-                )
-            )
-    return records
+        )
+    labels = [trial.label for trial in trials]
+    return ScoreTable(enroll_ids, test_ids, labels, final, _defined_means(similarity), similarity)
 
 
 # ---------------------------------------------------------------------------
 # score file I/O
 # ---------------------------------------------------------------------------
 
-def save_scores(records: list[ScoreRecord], path) -> None:
+# A row's evidence is NA exactly when none of its per-phone cells is defined.
+_EVIDENCE_MISMATCH = "evidence must be NA exactly when no phone is defined"
+
+
+def save_scores(table: ScoreTable, path) -> None:
     with atomic_write(path) as f:
-        for r in records:
-            label = _NA if r.label is None else str(r.label)
-            evidence = _NA if r.evidence is None else repr(float(r.evidence))
-            cells = [r.enroll_id, r.test_id, label, repr(float(r.final)), evidence] + [
-                repr(v) if d else _NA
-                for v, d in zip(r.similarity.values.tolist(), r.similarity.defined.tolist())
+        for enroll, test, label, final, evidence, values in zip(
+            table.enroll_ids, table.test_ids, table.labels.tolist(), table.final.tolist(),
+            table.evidence.tolist(), table.similarity,
+        ):
+            cells = [enroll, test, _NA if label < 0 else str(label), repr(final)] + [
+                _NA if isnan(v) else repr(v) for v in [evidence] + values.tolist()
             ]
             f.write("\t".join(cells) + "\n")
 
 
-def load_scores(path, n_phones: int | None = None) -> list[ScoreRecord]:
-    """Read a score file; ``n_phones`` defaults to what the first row implies."""
-    records = []
+def load_scores(path, n_phones: int | None = None) -> ScoreTable:
+    """Read a score file; ``n_phones`` defaults to what the first row implies,
+    and to 0 for a file without rows."""
+    enroll_ids, test_ids, labels, rows = [], [], [], []
     with _LineReader(path) as lines:
         for text in lines.records():
             if n_phones is None:
                 n_phones = max(text.count("\t") - 4, 1)
             cells = lines.fields(text, 5 + n_phones)
-            label = lines.label(cells[2])
+            labels.append(lines.label(cells[2]))
             if cells[3] == _NA:
                 raise lines.error("final score is NA")
-            scores = lines.na_floats(cells[3:], "score")
-            records.append(
-                ScoreRecord(
-                    enroll_id=cells[0],
-                    test_id=cells[1],
-                    label=label,
-                    final=float(scores[0]),
-                    evidence=None if cells[4] == _NA else float(scores[1]),
-                    similarity=TraitSimilarityVector(scores[2:], np.isfinite(scores[2:])),
-                )
-            )
-    return records
+            rows.append(lines.na_floats(cells[3:], "score"))
+            if (cells[4] == _NA) != (cells[5:].count(_NA) == n_phones):
+                raise lines.error(_EVIDENCE_MISMATCH)
+            enroll_ids.append(cells[0])
+            test_ids.append(cells[1])
+    scores = np.array(rows).reshape(len(rows), 2 + (n_phones or 0))
+    return ScoreTable(enroll_ids, test_ids, labels, scores[:, 0], scores[:, 1], scores[:, 2:])

@@ -39,7 +39,7 @@ from phonetrait.corpus import (
 )
 from phonetrait.encoder import EncoderConfig, EncoderParams, LayerSpec
 from phonetrait.losses import AamConfig, LossWeights
-from phonetrait.scoring import score_trials
+from phonetrait.scoring import ScoreTable, score_trials
 from phonetrait.trait_layer import ProjectionParams, extract_traits, forward_batch
 from phonetrait.training import (
     ModelConfig,
@@ -242,10 +242,10 @@ def test_evidence_equals_brute_force_shared_phone_mean(capsys):
             ProjectionParams(np.eye(2 * dim), np.zeros(2 * dim)),
             class_weights=np.ones((2, 2 * dim)),
         )
-        got = score_trials(state, index, TrialList([Trial("e", "t", 0)]), n_phones)[0].evidence
+        got = score_trials(state, index, TrialList([Trial("e", "t", 0)]), n_phones).evidence[0]
 
         if not shared.any():
-            assert got is None
+            assert np.isnan(got)
             n_disjoint_pairs += 1
             continue
 
@@ -305,9 +305,9 @@ class DeskRun:
     inventory: PhoneInventory
     snr: float
     history: np.recarray
-    records: list
-    ablation_records: list
-    ranking_records: list
+    scores: ScoreTable
+    ablation_scores: ScoreTable
+    ranking_scores: ScoreTable
     experiment_seconds: float
 
 
@@ -323,7 +323,7 @@ def desk():
     state, history = train(index, inventory, model_cfg, presets.desk_train_config())
     trials = make_trials(features, presets.EVAL_N_TARGET, presets.EVAL_N_NONTARGET,
                          presets.TRIAL_SEED)
-    records = score_trials(state, index, trials, inventory.size)
+    scores = score_trials(state, index, trials, inventory.size)
     experiment_seconds = time.monotonic() - t0
 
     snr = float(np.mean([
@@ -332,19 +332,18 @@ def desk():
 
     ablation_cfg = presets.desk_train_config(weights=LossWeights(0.0, 0.0, 0.0))
     ablation_state, _ = train(index, inventory, model_cfg, ablation_cfg)
-    ablation_records = score_trials(ablation_state, index, trials, inventory.size)
+    ablation_scores = score_trials(ablation_state, index, trials, inventory.size)
 
     # a larger trial set so per-phone sample pools clear the 500 floor
     ranking_trials = make_trials(features, 2000, 2000, presets.TRIAL_SEED + 1)
-    ranking_records = score_trials(state, index, ranking_trials, inventory.size)
+    ranking_scores = score_trials(state, index, ranking_trials, inventory.size)
 
-    return DeskRun(inventory, snr, history, records, ablation_records,
-                   ranking_records, experiment_seconds)
+    return DeskRun(inventory, snr, history, scores, ablation_scores,
+                   ranking_scores, experiment_seconds)
 
 
-def _eer_of(records, kind):
-    scores, labels = labelled_scores(records, kind)
-    return compute_eer(scores, labels)[0]
+def _eer_of(table, kind):
+    return compute_eer(*labelled_scores(getattr(table, kind), table.labels))[0]
 
 
 def test_desk_experiment_verifies_speakers(desk, capsys):
@@ -352,11 +351,11 @@ def test_desk_experiment_verifies_speakers(desk, capsys):
     assert cfg.epochs <= 50
     assert (cfg.weights.alpha, cfg.weights.beta, cfg.weights.gamma) == (
         0.0007, 0.00001, 0.0001)
-    assert len(desk.records) == 500
+    assert len(desk.scores) == 500
 
-    final_eer = _eer_of(desk.records, "final")
-    evidence_eer = _eer_of(desk.records, "evidence")
-    correlation = explainability_correlation(desk.records)
+    final_eer = _eer_of(desk.scores, "final")
+    evidence_eer = _eer_of(desk.scores, "evidence")
+    correlation = explainability_correlation(desk.scores)
 
     ok = (desk.snr >= 10.0 and final_eer <= 0.05 and evidence_eer <= 0.15
           and correlation >= 0.5 and desk.experiment_seconds < 600.0)
@@ -370,8 +369,8 @@ def test_loss_decreases_and_pairwise_terms_help(desk, capsys):
     history = desk.history
     first_epoch, tenth_epoch = (float(np.mean(history.total[history.epoch == epoch]))
                                 for epoch in (0, 9))
-    full_evidence = _eer_of(desk.records, "evidence")
-    ablated_evidence = _eer_of(desk.ablation_records, "evidence")
+    full_evidence = _eer_of(desk.scores, "evidence")
+    ablated_evidence = _eer_of(desk.ablation_scores, "evidence")
 
     ok = tenth_epoch < first_epoch and full_evidence < ablated_evidence
     report(capsys, "7 loss behavior and ablation", ok,
@@ -391,9 +390,9 @@ def _same_row(a, b):
 
 
 def test_phone_discriminability_ranking(desk, capsys):
-    rows = f_ratio(desk.ranking_records, desk.inventory,
+    rows = f_ratio(desk.ranking_scores, desk.inventory,
                    n_samples=500, seed=presets.TRIAL_SEED)
-    again = f_ratio(desk.ranking_records, desk.inventory,
+    again = f_ratio(desk.ranking_scores, desk.inventory,
                     n_samples=500, seed=presets.TRIAL_SEED)
     deterministic = len(rows) == len(again) and all(
         _same_row(a, b) for a, b in zip(rows, again))

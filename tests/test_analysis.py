@@ -24,7 +24,7 @@ from phonetrait.analysis import (
 )
 from phonetrait.corpus import CMU_PHONES, NON_VERBAL, PhoneInventory
 from phonetrait.errors import ConfigurationError, NumericGuardError, ParseError
-from phonetrait.scoring import ScoreRecord, TraitSimilarityVector
+from phonetrait.scoring import ScoreTable
 
 from _oracles import sweep_eer, sweep_min_dcf
 
@@ -39,15 +39,18 @@ def random_scores(rng, n=40, separation=1.0):
     return scores, labels
 
 
-def record(enroll="a", test="b", label=1, final=0.5, evidence=0.4, sims=None, n_phones=4):
-    if sims is None:
-        values = np.full(n_phones, np.nan)
-        defined = np.zeros(n_phones, dtype=bool)
-    else:
-        values = np.array([np.nan if v is None else v for v in sims], dtype=np.float64)
-        defined = np.array([v is not None for v in sims])
-    return ScoreRecord(enroll, test, label, final, evidence,
-                       TraitSimilarityVector(values, defined))
+def row(enroll="a", test="b", label=1, final=0.5, evidence=0.4, sims=None, n_phones=4):
+    """One trial's ScoreTable cells; None marks an NA label, evidence or phone,
+    and ``sims=None`` leaves every phone undefined."""
+    sims = [None] * n_phones if sims is None else sims
+    return (enroll, test, -1 if label is None else label, final,
+            np.nan if evidence is None else evidence,
+            [np.nan if v is None else v for v in sims])
+
+
+def table(rows):
+    enroll, test, labels, finals, evidences, sims = zip(*rows)
+    return ScoreTable(list(enroll), list(test), labels, finals, evidences, np.array(sims))
 
 
 class TestEer:
@@ -141,19 +144,17 @@ class TestMetricsReport:
         assert report.min_dcf <= 1.0
 
     def test_labelled_scores_filters(self):
-        records = [
-            record(label=1, final=0.9, evidence=0.8),
-            record(label=None, final=0.7, evidence=0.6),
-            record(label=0, final=0.2, evidence=None),
-        ]
-        finals, labels = labelled_scores(records, "final")
+        scores = table([
+            row(label=1, final=0.9, evidence=0.8),
+            row(label=None, final=0.7, evidence=0.6),
+            row(label=0, final=0.2, evidence=None),
+        ])
+        finals, labels = labelled_scores(scores.final, scores.labels)
         assert finals.tolist() == [0.9, 0.2]
         assert labels.tolist() == [1, 0]
-        evidences, labels = labelled_scores(records, "evidence")
+        evidences, labels = labelled_scores(scores.evidence, scores.labels)
         assert evidences.tolist() == [0.8]
         assert labels.tolist() == [1]
-        with pytest.raises(ConfigurationError):
-            labelled_scores(records, "both")
 
 
 class TestPearson:
@@ -176,13 +177,13 @@ class TestPearson:
             pearson_correlation(np.array([1.0]), np.array([2.0]))
 
     def test_explainability_correlation_skips_undefined(self):
-        records = [
-            record(final=0.1, evidence=0.2),
-            record(final=0.5, evidence=0.6),
-            record(final=0.9, evidence=None),
-            record(final=0.8, evidence=0.9),
-        ]
-        value = explainability_correlation(records)
+        scores = table([
+            row(final=0.1, evidence=0.2),
+            row(final=0.5, evidence=0.6),
+            row(final=0.9, evidence=None),
+            row(final=0.8, evidence=0.9),
+        ])
+        value = explainability_correlation(scores)
         expected = pearson_correlation(
             np.array([0.1, 0.5, 0.8]), np.array([0.2, 0.6, 0.9])
         )
@@ -190,52 +191,53 @@ class TestPearson:
 
     def test_explainability_needs_two_defined(self):
         with pytest.raises(NumericGuardError):
-            explainability_correlation([record(evidence=None), record(evidence=None)])
+            explainability_correlation(table([row(evidence=None), row(evidence=None)]))
 
 
-def fratio_records(n_target=30, n_nontarget=30, target_sim=0.8, nontarget_sim=0.2,
-                   phones=(0, 1, 2), n_phones=4):
-    records = []
+def fratio_rows(n_target=30, n_nontarget=30, target_sim=0.8, nontarget_sim=0.2,
+                phones=(0, 1, 2), n_phones=4):
+    rows = []
     for i in range(n_target):
         sims = [target_sim if p in phones else None for p in range(n_phones)]
-        records.append(record(f"e{i}", f"t{i}", 1, 0.9, target_sim, sims, n_phones))
+        rows.append(row(f"e{i}", f"t{i}", 1, 0.9, target_sim, sims, n_phones))
     for i in range(n_nontarget):
         sims = [nontarget_sim if p in phones else None for p in range(n_phones)]
-        records.append(record(f"e{i}", f"x{i}", 0, 0.1, nontarget_sim, sims, n_phones))
-    return records
+        rows.append(row(f"e{i}", f"x{i}", 0, 0.1, nontarget_sim, sims, n_phones))
+    return rows
 
 
 class TestFRatio:
     def test_constant_pools_give_exact_ratio(self):
-        rows = f_ratio(fratio_records(), tiny_inventory(), n_samples=10, seed=0)
-        for row in rows[:3]:
-            assert row.included
-            assert row.within_mean == 0.8
-            assert row.between_mean == 0.2
-            assert abs(row.ratio - 4.0) < 1e-12
+        rows = f_ratio(table(fratio_rows()), tiny_inventory(), n_samples=10, seed=0)
+        for r in rows[:3]:
+            assert r.included
+            assert r.within_mean == 0.8
+            assert r.between_mean == 0.2
+            assert abs(r.ratio - 4.0) < 1e-12
         assert not rows[3].included
         assert np.isnan(rows[3].ratio)
         assert rows[3].n_available == 0
 
     def test_small_pool_excluded_and_flagged(self):
-        rows = f_ratio(fratio_records(n_target=5), tiny_inventory(), n_samples=10, seed=0)
-        for row in rows[:3]:
-            assert not row.included
-            assert row.n_available == 5
-            assert np.isnan(row.within_mean)
+        rows = f_ratio(table(fratio_rows(n_target=5)), tiny_inventory(), n_samples=10, seed=0)
+        for r in rows[:3]:
+            assert not r.included
+            assert r.n_available == 5
+            assert np.isnan(r.within_mean)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(8)
-        records = []
+        rows = []
         for i in range(40):
             sims = [float(rng.uniform(0.5, 1.0)), float(rng.uniform(0, 0.5)), None, None]
-            records.append(record(f"e{i}", f"t{i}", 1, 0.9, 0.7, sims))
+            rows.append(row(f"e{i}", f"t{i}", 1, 0.9, 0.7, sims))
         for i in range(40):
             sims = [float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.5)), None, None]
-            records.append(record(f"e{i}", f"x{i}", 0, 0.1, 0.2, sims))
-        a = f_ratio(records, tiny_inventory(), n_samples=20, seed=3)
-        b = f_ratio(records, tiny_inventory(), n_samples=20, seed=3)
-        c = f_ratio(records, tiny_inventory(), n_samples=20, seed=4)
+            rows.append(row(f"e{i}", f"x{i}", 0, 0.1, 0.2, sims))
+        scores = table(rows)
+        a = f_ratio(scores, tiny_inventory(), n_samples=20, seed=3)
+        b = f_ratio(scores, tiny_inventory(), n_samples=20, seed=3)
+        c = f_ratio(scores, tiny_inventory(), n_samples=20, seed=4)
         for ra, rb in zip(a, b):
             assert (ra.within_mean, ra.between_mean, ra.ratio) == \
                    (rb.within_mean, rb.between_mean, rb.ratio)
@@ -244,11 +246,9 @@ class TestFRatio:
     def test_phone_streams_are_independent(self):
         # Shrinking phone 2's pool below the draw count must not change the
         # other phones' resampled statistics.
-        full = f_ratio(fratio_records(), tiny_inventory(), n_samples=10, seed=0)
-        fewer = fratio_records()
-        for r in fewer[:25]:
-            r.similarity.defined[2] = False
-            r.similarity.values[2] = np.nan
+        full = f_ratio(table(fratio_rows()), tiny_inventory(), n_samples=10, seed=0)
+        fewer = table(fratio_rows())
+        fewer.similarity[:25, 2] = np.nan
         partial = f_ratio(fewer, tiny_inventory(), n_samples=10, seed=0)
         assert not partial[2].included
         for i in (0, 1):
@@ -256,18 +256,16 @@ class TestFRatio:
             assert partial[i].between_mean == full[i].between_mean
 
     def test_unlabelled_records_ignored(self):
-        records = fratio_records()
-        records.append(record("u", "v", None, 0.5, 0.5, [0.9, 0.9, 0.9, 0.9]))
-        rows = f_ratio(records, tiny_inventory(), n_samples=10, seed=0)
+        rows = fratio_rows() + [row("u", "v", None, 0.5, 0.5, [0.9, 0.9, 0.9, 0.9])]
+        rows = f_ratio(table(rows), tiny_inventory(), n_samples=10, seed=0)
         assert rows[0].within_mean == 0.8
 
     def test_no_pools_anywhere_rejected(self):
-        records = [record(sims=None, n_phones=4)]
         with pytest.raises(ConfigurationError, match="no phone"):
-            f_ratio(records, tiny_inventory(), n_samples=5, seed=0)
+            f_ratio(table([row(sims=None, n_phones=4)]), tiny_inventory(), n_samples=5, seed=0)
 
     def test_round_trip(self, tmp_path):
-        rows = f_ratio(fratio_records(), tiny_inventory(), n_samples=10, seed=0)
+        rows = f_ratio(table(fratio_rows()), tiny_inventory(), n_samples=10, seed=0)
         path = tmp_path / "fratio.csv"
         save_f_ratio(rows, path)
         text = path.read_text()
@@ -301,20 +299,20 @@ class TestFRatio:
 
 class TestExplanationFile:
     def test_round_trip(self, tmp_path):
-        rec = record(sims=[0.5, None, -0.25, 1.0])
+        scores = table([row("x", "y", 0, 0.1, 0.2, [0.1, None, None, None]),
+                        row(sims=[0.5, None, -0.25, 1.0])])
         path = tmp_path / "explanation.txt"
-        export_explanation(rec, tiny_inventory(), path)
+        export_explanation(scores, 1, tiny_inventory(), path)
         back = load_explanation(path, tiny_inventory())
-        assert (back.enroll_id, back.test_id, back.label) == ("a", "b", 1)
-        assert back.final == rec.final
-        assert back.evidence == rec.evidence
-        assert np.array_equal(back.similarity.defined, rec.similarity.defined)
-        assert back.similarity.values[0] == 0.5
+        assert (back.enroll_ids, back.test_ids, back.labels.tolist()) == (["a"], ["b"], [1])
+        assert back.final.tolist() == [0.5]
+        assert back.evidence.tolist() == [0.4]
+        assert np.array_equal(back.similarity, scores.similarity[1:], equal_nan=True)
 
     def test_file_shape(self, tmp_path):
-        rec = record(label=None, evidence=None, sims=[0.5, None, None, None])
+        scores = table([row(label=None, evidence=None, sims=[0.5, None, None, None])])
         path = tmp_path / "explanation.txt"
-        export_explanation(rec, tiny_inventory(), path)
+        export_explanation(scores, 0, tiny_inventory(), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "enroll a"
         assert lines[2] == "label NA"
@@ -325,7 +323,7 @@ class TestExplanationFile:
 
     def test_inventory_size_checked(self):
         with pytest.raises(ConfigurationError):
-            export_explanation(record(n_phones=3), tiny_inventory(), "unused.txt")
+            export_explanation(table([row(n_phones=3)]), 0, tiny_inventory(), "unused.txt")
 
     def test_load_rejects_unknown_phone(self, tmp_path):
         path = tmp_path / "explanation.txt"

@@ -344,6 +344,22 @@ class TestExplain:
         assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "fratio", "explain"])
+def test_empty_score_file_is_a_configuration_error(pipeline, tmp_path, capsys, command):
+    # A file without rows gives no phone count; each reader still fails with
+    # one configuration error line, not a shape error from the empty table.
+    corpus, _ = pipeline
+    scores = tmp_path / "scores.txt"
+    scores.write_text("")
+    args = [command, "--scores", str(scores), "--out-dir", str(tmp_path / "o")]
+    if command != "eval":
+        args += ["--inventory", str(corpus / "inventory.txt")]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigurationError: ")
+    assert len(err.splitlines()) == 1
+
+
 class TestGradcheck:
     ARGS = [
         "gradcheck", "--feature-dim", "3", "--trait-dim", "4",

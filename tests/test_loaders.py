@@ -59,6 +59,9 @@ CASES = {
     "scores-field-count": ("scores", SCORE_ROW + "a\tc\t0\t0.5\t0.5\n", 2),
     "scores-non-numeric": ("scores", SCORE_ROW + "a\tc\t0\t0.5\tx\t0.5\n", 2),
     "scores-final-na": ("scores", SCORE_ROW + "a\tc\t0\tNA\t0.5\t0.5\n", 2),
+    # Evidence is NA exactly when no phone is defined.
+    "scores-evidence-without-phones": ("scores", SCORE_ROW + "a\tc\t0\t0.5\t0.5\tNA\n", 2),
+    "scores-phones-without-evidence": ("scores", SCORE_ROW + "a\tc\t0\t0.5\tNA\t0.5\n", 2),
     "fratio-field-count": ("fratio", f"{FRATIO_HEADER}\nAA,1.0,1.0,1.0\n", 2),
     "fratio-non-numeric": ("fratio", f"{FRATIO_HEADER}\nAA,x,1.0,1.0,1\n", 2),
     "explanation-no-separator": ("explanation", "enroll a\ntest\n", 2),
@@ -68,6 +71,10 @@ CASES = {
     "explanation-repeated-trait": (
         "explanation", EXPLANATION + "trait\tAA\t0.5\ntrait\tAA\t0.25\n", 7),
     "explanation-bad-label": ("explanation", EXPLANATION.replace("label 1", "label 7"), 3),
+    # An evidence line that disagrees with the trait lines is reported where it stands.
+    "explanation-evidence-without-phones": ("explanation", EXPLANATION + "trait\tAA\tNA\n", 5),
+    "explanation-phones-without-evidence": (
+        "explanation", EXPLANATION.replace("evidence 0.5", "evidence NA") + "trait\tAA\t0.5\n", 5),
     "report-no-separator": ("report", "eer 0.1\nbroken\n", 2),
     "report-repeated-key": ("report", "final_eer 0.1\nfinal_eer 0.9\n", 2),
     "config-no-separator": ("config", "n_speakers=3\nbroken\n", 2),

@@ -106,3 +106,24 @@ def test_every_export_has_a_caller():
     uncalled = sorted(qualified for qualified, name in public.items()
                       if name not in read and not name.startswith("load_"))
     assert not uncalled, f"defined without a caller: {uncalled}"
+
+
+def test_every_error_is_constructed():
+    # An error type that no other module of the package constructs is never
+    # raised, so an ``except`` clause or exit code naming it is dead. A
+    # ``raise lines.error(...)`` counts through the ``ParseError(`` call in
+    # ``corpus._LineReader.error``.
+    package = Path(phonetrait.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text())
+    subclasses = {
+        node.name for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name != "PhonetraitError"
+    }
+    constructed = {
+        node.func.id
+        for path in package.glob("*.py") if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert subclasses, "no error types found in errors.py"
+    assert not subclasses - constructed, f"never constructed: {sorted(subclasses - constructed)}"

@@ -18,17 +18,10 @@ from phonetrait.corpus import (
     make_trials,
 )
 from phonetrait.encoder import EncoderConfig, EncoderParams, LayerSpec
-from phonetrait.errors import (
-    ConfigurationError,
-    NumericGuardError,
-    ParseError,
-    UndefinedEvidenceError,
-)
+from phonetrait.errors import ConfigurationError, DimensionError, NumericGuardError, ParseError
 from phonetrait.scoring import (
     _UTTERANCE_CHUNK,
-    ScoreRecord,
-    TraitSimilarityVector,
-    evidence_score,
+    ScoreTable,
     load_scores,
     save_scores,
     score_trials,
@@ -43,7 +36,7 @@ def tiny_inventory():
     return PhoneInventory(CMU_PHONES[:5] + (NON_VERBAL,))
 
 
-def scored_records(seed=0):
+def scored_table(seed=0):
     inventory = tiny_inventory()
     features, alignments, _ = generate_corpus(
         3, 3, inventory, 3, (2, 4), (4, 8), 0.3, seed
@@ -73,6 +66,17 @@ def two_utterances(features_a, segments_a, features_b, segments_b):
         class_weights=np.ones((2, 2 * dim)),
     )
     return state, index
+
+
+def assert_matches_oracle(table, expected):
+    """Exact agreement with ``per_trial_scores``: ``==`` on final and evidence
+    (NaN for no shared phone), NaN-equal on the per-phone similarities."""
+    finals, evidences, values, defined = zip(*expected, strict=True)
+    evidences = [np.nan if e is None else e for e in evidences]
+    assert table.final.tolist() == list(finals)
+    assert np.array_equal(table.evidence, evidences, equal_nan=True)
+    assert np.array_equal(table.similarity, np.array(values), equal_nan=True)
+    assert np.array_equal(~np.isnan(table.similarity), np.array(defined))
 
 
 @st.composite
@@ -127,11 +131,11 @@ class TestTraitSimilarity:
         # "a" holds phones 0 and 1, "b" phones 0 and 2: only phone 0 is shared.
         state, index = two_utterances([[1.0, 0.0], [1.0, 1.0]], [(0, 1, 0), (1, 2, 1)],
                                       [[0.0, 1.0], [9.0, 9.0]], [(0, 1, 0), (1, 2, 2)])
-        sim = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)[0].similarity
-        assert sim.defined.tolist() == [True, False, False]
-        assert abs(sim.values[0]) < 1e-15
-        assert np.isnan(sim.values[1]) and np.isnan(sim.values[2])
-        assert sim.n_defined == 1
+        table = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
+        assert table.similarity.shape == (1, 3)
+        assert abs(table.similarity[0, 0]) < 1e-15
+        assert np.isnan(table.similarity[0, 1:]).all()
+        assert table.evidence[0] == table.similarity[0, 0]
 
     def test_values_match_per_phone_cosine(self):
         # One frame per phone under identity maps: each trait is its frame.
@@ -140,46 +144,75 @@ class TestTraitSimilarity:
         b = rng.normal(size=(4, 3))
         segments = [(i, i + 1, i) for i in range(4)]
         state, index = two_utterances(a, segments, b, segments)
-        sim = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 4)[0].similarity
+        sim = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 4).similarity[0]
         for i in range(4):
-            assert abs(sim.values[i] - naive_cosine(a[i], b[i])) < 1e-12
+            assert abs(sim[i] - naive_cosine(a[i], b[i])) < 1e-12
 
-    def test_evidence_is_mean_of_defined(self):
-        sim = TraitSimilarityVector(
-            np.array([0.5, np.nan, 0.1]), np.array([True, False, True])
+    @given(st.integers(9, 48), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_evidence_is_compacted_mean_at_every_defined_count(self, n_shared, seed):
+        # Enrollment "e" holds phones 0 .. n_shared-1, one frame each. Test
+        # utterance "t{c}_{j}" shares c of them (c = 0 .. n_shared, three
+        # random subsets each); "t0_j" holds only phone n_shared. Rows with 8
+        # or more defined phones are where a zero-filled row sum regroups.
+        rng = np.random.default_rng(seed)
+        dim, n_phones = int(rng.integers(2, 6)), n_shared + 1
+
+        def utterance(utt, phones):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            return (UtteranceFeatures(utt, utt, scale * rng.normal(size=(len(phones), dim))),
+                    PhoneAlignment(utt, [(k, k + 1, int(p)) for k, p in enumerate(phones)]))
+
+        pairs = [utterance("e", range(n_shared))]
+        trials = []
+        for c in range(n_shared + 1):
+            for j in range(3):
+                phones = rng.permutation(n_shared)[:c] if c else [n_shared]
+                pairs.append(utterance(f"t{c}_{j}", phones))
+                trials.append(Trial("e", f"t{c}_{j}", j % 2))
+        index = CorpusIndex.build(*map(list, zip(*pairs)))
+        state = ModelState(
+            EncoderParams(EncoderConfig(dim, (LayerSpec((0,), dim, "identity"),)),
+                          [np.eye(dim)], [np.zeros(dim)]),
+            ProjectionParams(np.eye(2 * dim), np.zeros(2 * dim)),
+            class_weights=np.ones((2, 2 * dim)),
         )
-        assert abs(evidence_score(sim) - 0.3) < 1e-12
+        table = score_trials(state, index, TrialList(trials), n_phones)
 
-    def test_evidence_undefined(self):
-        sim = TraitSimilarityVector(np.full(3, np.nan), np.zeros(3, dtype=bool))
-        with pytest.raises(UndefinedEvidenceError):
-            evidence_score(sim)
+        counts = (~np.isnan(table.similarity)).sum(axis=1)
+        assert sorted(set(counts.tolist())) == list(range(n_shared + 1))
+        for row, evidence in zip(table.similarity, table.evidence, strict=True):
+            defined = ~np.isnan(row)
+            if defined.any():
+                assert evidence == row[defined].mean()
+            else:
+                assert np.isnan(evidence)
+
+    def test_table_columns_must_match(self):
+        with pytest.raises(DimensionError):
+            ScoreTable(["a"], ["b"], [1], [0.5], [0.5, 0.5], np.full((1, 3), 0.5))
+        with pytest.raises(DimensionError):
+            ScoreTable(["a"], ["b"], [1], [0.5], [0.5], np.full(3, 0.5))
 
 
 class TestScoreTrials:
     def test_labels_and_shapes_propagate(self):
-        state, index, trials, inventory = scored_records()
-        records = score_trials(state, index, trials, inventory.size)
-        assert len(records) == len(trials)
-        for record, trial in zip(records, trials):
-            assert (record.enroll_id, record.test_id) == (trial.enroll_id, trial.test_id)
-            assert record.label == trial.label
-            assert record.similarity.values.shape == (inventory.size,)
-            assert np.isfinite(record.final)
+        state, index, trials, inventory = scored_table()
+        table = score_trials(state, index, trials, inventory.size)
+        assert len(table) == len(trials)
+        assert table.enroll_ids == [trial.enroll_id for trial in trials]
+        assert table.test_ids == [trial.test_id for trial in trials]
+        assert table.labels.tolist() == [trial.label for trial in trials]
+        assert table.similarity.shape == (len(trials), inventory.size)
+        assert np.isfinite(table.final).all()
 
     @given(scoring_cases())
     @settings(max_examples=25, deadline=None)
     def test_batched_scores_match_per_trial_oracle(self, case):
         state, index, trials, n_phones = case
-        records = score_trials(state, index, trials, n_phones)
-        expected = per_trial_scores(state, index, trials, n_phones)
-        assert len(records) == len(expected)
-        for record, (final, evidence, values, defined) in zip(records, expected):
-            assert record.final == final
-            assert record.evidence == evidence
-            assert np.array_equal(record.similarity.values, values, equal_nan=True)
-            assert np.array_equal(record.similarity.defined, defined)
-        shared = [r.similarity.n_defined for r in records]
+        table = score_trials(state, index, trials, n_phones)
+        assert_matches_oracle(table, per_trial_scores(state, index, trials, n_phones))
+        shared = (~np.isnan(table.similarity)).sum(axis=1)
         assert 0 in shared and 1 in shared
 
     def test_several_utterance_chunks_match_per_trial_oracle(self):
@@ -192,16 +225,11 @@ class TestScoreTrials:
         trials = make_trials(features, 300, 300, seed=6)
         distinct = {utt for trial in trials for utt in (trial.enroll_id, trial.test_id)}
         assert len(distinct) > 2 * _UTTERANCE_CHUNK
-        records = score_trials(state, index, trials, inventory.size)
-        expected = per_trial_scores(state, index, trials, inventory.size)
-        for record, (final, evidence, values, defined) in zip(records, expected, strict=True):
-            assert record.final == final
-            assert record.evidence == evidence
-            assert np.array_equal(record.similarity.values, values, equal_nan=True)
-            assert np.array_equal(record.similarity.defined, defined)
+        table = score_trials(state, index, trials, inventory.size)
+        assert_matches_oracle(table, per_trial_scores(state, index, trials, inventory.size))
 
     def test_unknown_utterance_rejected(self):
-        state, index, _, inventory = scored_records()
+        state, index, _, inventory = scored_table()
         trials = TrialList([Trial("nope", list(index.features)[0], 0)])
         with pytest.raises(ConfigurationError):
             score_trials(state, index, trials, inventory.size)
@@ -211,10 +239,10 @@ class TestScoreTrials:
         # evidence is not.
         state, index = two_utterances(np.full((2, 2), 2.0), [(0, 2, 0)],
                                       np.full((2, 2), 3.0), [(0, 2, 1)])
-        records = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
-        assert records[0].evidence is None
-        assert records[0].similarity.n_defined == 0
-        assert np.isfinite(records[0].final)
+        table = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
+        assert np.isnan(table.evidence[0])
+        assert np.isnan(table.similarity[0]).all()
+        assert np.isfinite(table.final[0])
 
     def test_near_zero_shared_trait_is_a_numeric_error(self):
         # Phone 0 of "a" has a nonzero trait, so it is present, but its norm
@@ -235,37 +263,32 @@ class TestScoreTrials:
 
 class TestScoreFileIO:
     def test_round_trip_exact(self, tmp_path):
-        state, index, trials, inventory = scored_records()
-        records = score_trials(state, index, trials, inventory.size)
+        state, index, trials, inventory = scored_table()
+        table = score_trials(state, index, trials, inventory.size)
         path = tmp_path / "scores.txt"
-        save_scores(records, path)
+        save_scores(table, path)
         loaded = load_scores(path, inventory.size)
-        assert len(loaded) == len(records)
-        for a, b in zip(records, loaded):
-            assert (a.enroll_id, a.test_id, a.label) == (b.enroll_id, b.test_id, b.label)
-            assert a.final == b.final
-            assert a.evidence == b.evidence
-            assert np.array_equal(a.similarity.defined, b.similarity.defined)
-            assert np.array_equal(
-                a.similarity.values[a.similarity.defined],
-                b.similarity.values[b.similarity.defined],
-            )
+        assert (loaded.enroll_ids, loaded.test_ids) == (table.enroll_ids, table.test_ids)
+        assert np.array_equal(loaded.labels, table.labels)
+        assert np.array_equal(loaded.final, table.final)
+        for column in ("evidence", "similarity"):
+            assert np.array_equal(getattr(loaded, column), getattr(table, column), equal_nan=True)
         save_scores(loaded, tmp_path / "again.txt")
         assert path.read_bytes() == (tmp_path / "again.txt").read_bytes()
 
     def test_n_phones_inferred_from_first_row(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("a\tb\t1\t0.5\t0.25\t0.25\tNA\t0.5\n")
-        records = load_scores(path)
-        assert records[0].similarity.values.shape == (3,)
-        assert records[0].similarity.defined.tolist() == [True, False, True]
+        table = load_scores(path)
+        assert table.similarity.shape == (1, 3)
+        assert np.isnan(table.similarity[0]).tolist() == [False, True, False]
 
     def test_na_label_and_evidence(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("a\tb\tNA\t0.5\tNA\tNA\tNA\n")
-        record = load_scores(path)[0]
-        assert record.label is None
-        assert record.evidence is None
+        table = load_scores(path)
+        assert table.labels.tolist() == [-1]
+        assert np.isnan(table.evidence[0])
 
     def test_too_few_fields(self, tmp_path):
         path = tmp_path / "scores.txt"
