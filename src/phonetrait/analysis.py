@@ -267,8 +267,17 @@ def _check_width(table: ScoreTable, inventory: PhoneInventory) -> None:
 
 
 def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, path) -> None:
-    """Write one trial's scores and per-phone evidence as a readable file."""
+    """Write one trial's scores and per-phone evidence as a readable file.
+
+    A row that ``load_explanation`` would reject (an NA final score, or an
+    evidence score NA where some phone is defined or the reverse) raises
+    ConfigurationError before anything is written.
+    """
     _check_width(table, inventory)
+    if np.isnan(table.final[row]):
+        raise ConfigurationError(f"trial {row} has no final score")
+    if np.isnan(table.evidence[row]) != np.isnan(table.similarity[row]).all():
+        raise ConfigurationError(f"trial {row}: {_EVIDENCE_MISMATCH}")
     label = int(table.labels[row])
     with atomic_write(path) as f:
         f.write(f"enroll {table.enroll_ids[row]}\n")

@@ -263,6 +263,12 @@ class CorpusIndex:
     def class_label(self, speaker_id: str) -> int:
         return self.speakers.index(speaker_id)
 
+    @cached_property
+    def pair_speakers(self) -> tuple[list[str], np.ndarray]:
+        """Speakers with at least two utterances, in speaker order, and their class labels."""
+        eligible = [s for s in self.speakers if len(self.utts_by_speaker[s]) >= 2]
+        return eligible, np.array([self.class_label(s) for s in eligible], dtype=np.int64)
+
 
 def generate_corpus(
     n_speakers: int,

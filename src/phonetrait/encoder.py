@@ -150,9 +150,22 @@ def _context_index(bounds: list[list[int]], offsets: tuple[int, ...]) -> np.ndar
     return np.clip(np.arange(first.shape[0])[:, None] + np.asarray(offsets), first, last)
 
 
+@dataclass(frozen=True)
+class Packing:
+    """How a forward pass laid out its frames; ``encode_backward`` reuses it.
+
+    ``bounds`` holds the [start, end) rows of every packed utterance, and
+    ``indices`` every layer's ``_context_index`` (None for a ``(0,)`` layer).
+    """
+
+    bounds: list[list[int]]
+    indices: list[np.ndarray | None]
+
+
 def _context(x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
     """N x (n_offsets * width) context rows of ``x``."""
-    return x if idx is None else x[idx].reshape(x.shape[0], -1)
+    # ``take`` copies the same rows as ``x[idx]``, in a fraction of the time.
+    return x if idx is None else np.take(x, idx.ravel(), axis=0).reshape(x.shape[0], -1)
 
 
 def _matmul_by_utterance(a: np.ndarray, b: np.ndarray, bounds: list[list[int]]) -> np.ndarray:
@@ -170,13 +183,17 @@ def _matmul_by_utterance(a: np.ndarray, b: np.ndarray, bounds: list[list[int]]) 
     return out
 
 
-def encode_layers(params: EncoderParams, features: np.ndarray, lengths=None) -> list[np.ndarray]:
+def encode_layers(
+    params: EncoderParams, features: np.ndarray, lengths=None
+) -> tuple[list[np.ndarray], Packing]:
     """Every layer's activation for N x F frames of utterances packed back to back.
 
     ``lengths`` gives each utterance's frame count in packing order (default:
     one utterance of all N frames); no context window crosses from one
-    utterance into the next. The list starts with the input (as float64) and
-    ends with the N x D1 frame embeddings; ``encode_backward`` reads it.
+    utterance into the next. Returns (activations, packing): the activations
+    start with the input (as float64) and end with the N x D1 frame
+    embeddings, and the packing holds the utterance bounds and context
+    indices the pass built. ``encode_backward`` reads both.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
@@ -184,22 +201,28 @@ def encode_layers(params: EncoderParams, features: np.ndarray, lengths=None) -> 
             f"features must be T x {params.config.input_dim}, got shape {x.shape}"
         )
     bounds = _bounds(lengths, x.shape[0])
+    packing = Packing(bounds, [_context_index(bounds, layer.context_offsets)
+                               for layer in params.config.layers])
     activations = [x]
-    for layer, w, b in zip(params.config.layers, params.weights, params.biases):
-        ctx = _context(x, _context_index(bounds, layer.context_offsets))
-        pre = _matmul_by_utterance(ctx, w.T, bounds) + b
-        x = np.maximum(pre, 0.0) if layer.nonlinearity == "relu" else pre
+    for layer, w, b, idx in zip(params.config.layers, params.weights, params.biases,
+                                packing.indices):
+        # The product is a fresh array, so the bias and the ReLU go in place.
+        x = _matmul_by_utterance(_context(x, idx), w.T, bounds)
+        x += b
+        if layer.nonlinearity == "relu":
+            np.maximum(x, 0.0, out=x)
         activations.append(x)
-    return activations
+    return activations, packing
 
 
 def encode_backward(
-    params: EncoderParams, activations: list[np.ndarray], d_output: np.ndarray, lengths=None
+    params: EncoderParams, activations: list[np.ndarray], packing: Packing, d_output: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of a scalar loss w.r.t. every weight and bias.
 
-    ``activations`` is ``encode_layers``' result for the same ``lengths`` and
-    ``d_output`` the loss gradient w.r.t. its last entry (N x D1).
+    ``activations`` and ``packing`` are ``encode_layers``' result for the same
+    frames, and ``d_output`` the loss gradient w.r.t. the last activation
+    (N x D1); it is only read.
 
     Each weight and bias gradient is the sum, in packing order, of every
     utterance's own gradient, so a batch accumulates exactly as its
@@ -210,7 +233,7 @@ def encode_backward(
     if grad.shape != activations[-1].shape:
         raise DimensionError(f"d_output shape {grad.shape}, want {activations[-1].shape}")
     n_frames = grad.shape[0]
-    bounds = _bounds(lengths, n_frames)
+    bounds = packing.bounds
     d_weights = [np.zeros_like(w) for w in params.weights]
     d_biases = [np.zeros_like(b) for b in params.biases]
     for l in range(len(params.config.layers) - 1, -1, -1):
@@ -218,7 +241,7 @@ def encode_backward(
         x = activations[l]
         # A ReLU output is positive exactly where its pre-activation is.
         d_pre = grad * (activations[l + 1] > 0.0) if layer.nonlinearity == "relu" else grad
-        idx = _context_index(bounds, layer.context_offsets)
+        idx = packing.indices[l]
         ctx = _context(x, idx)
         for start, end in bounds:
             d_weights[l] += d_pre[start:end].T @ ctx[start:end]

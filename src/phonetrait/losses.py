@@ -30,6 +30,11 @@ from .errors import (
 # Norms below this are treated as degenerate rather than normalised.
 _NORM_FLOOR = 1e-12
 
+# Most float64 elements in one block of ``trait_verification_loss``'s
+# difference tensor (512 KB): K=10 at D1=16 takes all 40 phones in one block,
+# K=64 one phone per block.
+_DIFF_BLOCK_ELEMENTS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -123,12 +128,15 @@ def trait_verification_loss(
     if n_speakers < 2:
         raise BatchError("trait verification needs >= 2 speakers in the batch")
 
-    # (K, K, I) squared distances, one phone at a time: a (K, K, I, D1)
-    # difference tensor would grow with K^2 * I * D1.
-    sq = np.empty((n_speakers, n_speakers, enroll.shape[1]))
-    for i in range(enroll.shape[1]):
-        diff = enroll[:, None, i, :] - test[None, :, i, :]
-        sq[:, :, i] = np.einsum("khd,khd->kh", diff, diff)
+    # (K, K, I) squared distances, a block of phones at a time: a whole
+    # (K, K, I, D1) difference tensor would grow with K^2 * I * D1. Each
+    # distance sums its own D1 products, whatever the block's size.
+    n_phones = enroll.shape[1]
+    sq = np.empty((n_speakers, n_speakers, n_phones))
+    block = max(1, _DIFF_BLOCK_ELEMENTS // (n_speakers * n_speakers * enroll.shape[2]))
+    for i in range(0, n_phones, block):
+        diff = enroll[:, None, i:i + block] - test[None, :, i:i + block]
+        np.einsum("khid,khid->khi", diff, diff, out=sq[:, :, i:i + block])
     valid = pe[:, None, :] & pt[None, :, :]
 
     loss = 0.0

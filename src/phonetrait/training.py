@@ -137,7 +137,7 @@ class PairSelection:
 
 def sample_pair_batch(index: CorpusIndex, k: int, rng: np.random.Generator) -> PairSelection:
     """Draw K distinct speakers and two distinct utterances for each."""
-    eligible = [s for s in index.speakers if len(index.utts_by_speaker[s]) >= 2]
+    eligible, labels = index.pair_speakers
     if len(eligible) < k:
         raise BatchError(
             f"need {k} speakers with >= 2 utterances, corpus has {len(eligible)}"
@@ -151,8 +151,7 @@ def sample_pair_batch(index: CorpusIndex, k: int, rng: np.random.Generator) -> P
         speaker_ids.append(speaker)
         enroll_utts.append(utts[int(a)])
         test_utts.append(utts[int(b)])
-    labels = np.array([index.class_label(s) for s in speaker_ids], dtype=np.int64)
-    return PairSelection(speaker_ids, labels, enroll_utts, test_utts)
+    return PairSelection(speaker_ids, labels[chosen], enroll_utts, test_utts)
 
 
 def forward_pair_batch(
@@ -195,7 +194,7 @@ def batch_loss_and_grads(
     )
     grads["projection_weight"] += d_proj_w
     grads["projection_bias"] += d_proj_b
-    d_enc_w, d_enc_b = encode_backward(state.encoder, cache.activations, d_frames, cache.lengths)
+    d_enc_w, d_enc_b = encode_backward(state.encoder, cache.activations, cache.packing, d_frames)
     for l, g in enumerate(d_enc_w):
         grads[f"encoder_weight_{l}"] += g
     for l, g in enumerate(d_enc_b):
@@ -251,7 +250,8 @@ def train(
                     raise DivergenceError(
                         f"non-finite {name} gradient at step {state.step}; lower the learning rate"
                     )
-                velocity[name] = train_cfg.momentum * velocity[name] + grads[name]
+                velocity[name] *= train_cfg.momentum
+                velocity[name] += grads[name]
                 arr -= train_cfg.learning_rate * velocity[name]
                 if not np.isfinite(arr).all():
                     raise DivergenceError(

@@ -8,10 +8,14 @@ over traits) and a linear projection to the final speaker embedding.
 
 A batch of B utterances is held as stacked arrays in packing order: B x I x D1
 traits, a B x I presence mask, B x 2*D1 pooled statistics and B x D2
-embeddings. Statistics pooling is the one step taken an utterance at a time:
-a mean over a stacked, masked B x I x D1 array groups its sums differently
-(NumPy sums a width-1 column in pairwise blocks), and training's results are
-pinned to the per-utterance sums bit for bit.
+embeddings. Training's results are pinned bit for bit to the sums of
+``pool_statistics`` over each utterance's own N x D1 present rows. At a trait
+width D1 >= 2 NumPy sums those rows one after another, and it sums a
+stacked B x I x D1 array over its I axis the same way, row by row. So
+statistics pooling runs over the stacked traits with absent rows zero: adding
++0.0 leaves a sum unchanged, and each sum sees the present rows in order. At
+width 1 NumPy sums the reduced axis pairwise, in blocks, and zero-filling
+regroups those sums; there pooling runs one utterance at a time.
 
 A phone whose frames average to the exact zero vector is indistinguishable
 from an absent phone on purpose: presence is defined by the trait value
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, encode_layers
+from .encoder import EncoderParams, Packing, encode_layers
 from .errors import ConfigurationError, DimensionError, EmptyUtteranceError
 
 # Inside the sqrt of the pooled standard deviation; keeps the gradient finite
@@ -54,16 +58,17 @@ def extract_traits(
         raise DimensionError(
             f"{segments.shape[0]} aligned frames but {emb.shape[0]} embedding rows"
         )
-    # One segment sum per embedding column; bincount adds frames in order.
-    sums = np.stack(
-        [np.bincount(segments, weights=column, minlength=counts.size) for column in emb.T], axis=-1
-    ).reshape(*counts.shape, emb.shape[1])
-    traits = np.zeros_like(sums)
-    seen = counts > 0
-    traits[seen] = sums[seen] / counts[seen][:, None]
+    # One segment sum over every (segment, column) bin of the raveled rows:
+    # each bin still adds its frames in frame order.
+    d1 = emb.shape[1]
+    bins = (segments[:, None] * d1 + np.arange(d1)).ravel()
+    sums = np.bincount(bins, weights=emb.ravel(), minlength=counts.size * d1)
+    sums = sums.reshape(*counts.shape, d1)
+    # An unseen pair's sum is 0.0, and 0.0 / 1 keeps its row zero.
+    traits = sums / np.maximum(counts, 1)[..., None]
     # A phone can be present only if some value survives the mean; an exact
     # zero mean collapses onto the absent convention.
-    present = seen & np.any(traits != 0.0, axis=-1)
+    present = np.any(traits != 0.0, axis=-1)
     traits[~present] = 0.0
     return traits, present
 
@@ -115,12 +120,28 @@ def pool_statistics(filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var + STD_EPS)
 
 
+def _batch_statistics(traits: np.ndarray, present: np.ndarray, n_present: np.ndarray) -> np.ndarray:
+    """B x 2*D1 ``pool_statistics`` of every utterance's present traits.
+
+    Absent rows are zero in ``traits`` and zeroed in the deviations; see the
+    module docstring for why that is exact above width 1.
+    """
+    if traits.shape[2] == 1:
+        return np.stack([np.concatenate(pool_statistics(t[p])) for t, p in zip(traits, present)])
+    n = n_present[:, None]
+    mean = traits.sum(axis=1) / n
+    dev = traits - mean[:, None, :]
+    dev[~present] = 0.0
+    np.square(dev, out=dev)
+    return np.concatenate([mean, np.sqrt(dev.sum(axis=1) / n + STD_EPS)], axis=1)
+
+
 @dataclass
 class BatchForward:
     """Cached intermediates of a packed batch's forward pass, for backprop."""
 
-    lengths: np.ndarray            # (B,) frames of each utterance, in packing order
     activations: list[np.ndarray]  # packed encoder input (N, F) ... frame embeddings (N, D1)
+    packing: Packing               # utterance bounds and context indices of the encoder pass
     segments: np.ndarray           # (N,) u * I + phone of every frame
     counts: np.ndarray             # (B, I) frames per (utterance, phone)
     traits: np.ndarray             # (B, I, D1)
@@ -142,11 +163,12 @@ def forward_batch(
 
     ``features`` (N x F) and ``phones`` (N,) hold the frames of the
     utterances named by ``utterance_ids`` back to back, ``lengths`` frames
-    each. Everything runs once over the whole batch except statistics
-    pooling, which runs per utterance over its present traits. An utterance
-    with no present trait raises EmptyUtteranceError naming it.
+    each. Everything runs once over the whole batch (statistics pooling
+    only above trait width 1; see the module docstring). An utterance with
+    no present trait raises EmptyUtteranceError naming the first such
+    utterance in packing order.
     """
-    activations = encode_layers(encoder_params, features, lengths)
+    activations, packing = encode_layers(encoder_params, features, lengths)
     if phones.max() >= n_phones:
         raise ConfigurationError(
             f"alignment phone index {int(phones.max())} >= inventory size {n_phones}"
@@ -159,16 +181,15 @@ def forward_batch(
         raise DimensionError(
             f"trait dim {traits.shape[2]} does not match projection trait dim {projection.trait_dim}"
         )
-    stats = np.empty((traits.shape[0], 2 * traits.shape[2]))
-    for u, utt in enumerate(utterance_ids):
-        if not present[u].any():
-            raise EmptyUtteranceError(f"utterance {utt!r} has no present phonetic traits")
-        # One call per utterance keeps each mean's summation order that of its
-        # own N x D1 rows; see the module docstring.
-        stats[u] = np.concatenate(pool_statistics(traits[u, present[u]]))
+    n_present = present.sum(axis=1)
+    empty = np.flatnonzero(n_present == 0)
+    if empty.size:
+        raise EmptyUtteranceError(
+            f"utterance {utterance_ids[empty[0]]!r} has no present phonetic traits")
+    stats = _batch_statistics(traits, present, n_present)
     return BatchForward(
-        lengths=lengths,
         activations=activations,
+        packing=packing,
         segments=segments,
         counts=counts,
         traits=traits,
@@ -213,16 +234,20 @@ def trait_layer_backward(
     # d var / d row = 2 (row - mean) / N; the mean's dependence on each row
     # cancels inside the variance, so no extra cross term appears.
     d_var = d_std / (2.0 * std)
-    d_trait_full = np.where(cache.present[:, :, None],
-                            d_mean / n + d_var * 2.0 * (cache.traits - mean) / n, 0.0)
+    # d_mean / n + d_var * 2 (row - mean) / n, in place and in that order.
+    d_trait_full = cache.traits - mean
+    d_trait_full *= d_var * 2.0
+    d_trait_full /= n
+    d_trait_full += d_mean / n
     if d_traits is not None:
         extra = np.asarray(d_traits, dtype=np.float64)
         if extra.shape != d_trait_full.shape:
             raise DimensionError(f"d_traits shape {extra.shape}, want {d_trait_full.shape}")
-        d_trait_full[cache.present] += extra[cache.present]
+        d_trait_full += extra
+    d_trait_full[~cache.present] = 0.0
 
-    # Each frame contributed 1/count to its phone's mean.
-    segments = cache.segments
-    d_frames = (d_trait_full.reshape(-1, d_trait_full.shape[2])[segments]
-                / cache.counts.reshape(-1)[segments, None])
+    # Each frame contributed 1/count to its phone's mean; a phone no frame
+    # reads is divided by 1 instead of 0.
+    d_trait_full /= np.maximum(cache.counts, 1)[:, :, None]
+    d_frames = np.take(d_trait_full.reshape(-1, d_trait_full.shape[2]), cache.segments, axis=0)
     return d_proj_w, d_proj_b, d_frames

@@ -178,6 +178,51 @@ def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones
     return out, grads, batch
 
 
+def per_phone_trait_verification_loss(enroll, pe, test, pt, alpha, beta):
+    """``trait_verification_loss`` with its distances taken one phone at a time.
+
+    Each phone's (K, K) squared distances come from their own
+    ``einsum("khd,khd->kh")`` call, as before the distances were blocked; the
+    rest is the loss as it stands. Returns (loss, d_enroll, d_test).
+    """
+    n_speakers = enroll.shape[0]
+    sq = np.empty((n_speakers, n_speakers, enroll.shape[1]))
+    for i in range(enroll.shape[1]):
+        diff = enroll[:, None, i, :] - test[None, :, i, :]
+        sq[:, :, i] = np.einsum("khd,khd->kh", diff, diff)
+    valid = pe[:, None, :] & pt[None, :, :]
+
+    loss = 0.0
+    d_enroll = np.zeros_like(enroll)
+    d_test = np.zeros_like(test)
+    diag = np.arange(n_speakers)
+
+    matched_mask = valid[diag, diag, :]
+    n_matched = int(matched_mask.sum())
+    if n_matched:
+        loss += alpha * float(sq[diag, diag, :][matched_mask].sum()) / n_matched
+        coef = 2.0 * alpha / n_matched
+        matched_diff = (enroll - test) * matched_mask[:, :, None]
+        d_enroll += coef * matched_diff
+        d_test -= coef * matched_diff
+
+    candidates = np.where(valid, sq, np.inf)
+    candidates[diag, diag, :] = np.inf
+    nearest = np.argmin(candidates, axis=1)
+    nearest_sq = np.min(candidates, axis=1)
+    retained = np.isfinite(nearest_sq)
+    n_retained = int(retained.sum())
+    if n_retained:
+        loss -= beta * float(nearest_sq[retained].sum()) / n_retained
+        coef = 2.0 * beta / n_retained
+        ks, phones = np.nonzero(retained)
+        hs = nearest[ks, phones]
+        pulled = coef * (enroll[ks, phones] - test[hs, phones])
+        np.subtract.at(d_enroll, (ks, phones), pulled)
+        np.add.at(d_test, (hs, phones), pulled)
+    return loss, d_enroll, d_test
+
+
 def per_trial_scores(state, index, trials, n_phones):
     """Score trials one at a time with scalar cosines, as before batching.
 

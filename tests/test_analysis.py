@@ -310,16 +310,28 @@ class TestExplanationFile:
         assert np.array_equal(back.similarity, scores.similarity[1:], equal_nan=True)
 
     def test_file_shape(self, tmp_path):
-        scores = table([row(label=None, evidence=None, sims=[0.5, None, None, None])])
+        scores = table([row(label=None, evidence=0.5, sims=[0.5, None, None, None])])
         path = tmp_path / "explanation.txt"
         export_explanation(scores, 0, tiny_inventory(), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "enroll a"
         assert lines[2] == "label NA"
-        assert lines[4] == "evidence NA"
+        assert lines[4] == "evidence 0.5"
         assert lines[5] == "trait\tAA\t0.5"
         assert lines[6] == f"trait\t{CMU_PHONES[1]}\tNA"
         assert len(lines) == 5 + 4
+        assert load_explanation(path, tiny_inventory()).labels.tolist() == [-1]
+
+    @pytest.mark.parametrize("cells", [
+        dict(evidence=None, sims=[0.5, None, None, None]),
+        dict(evidence=0.5, sims=None),
+        dict(final=np.nan, evidence=0.5, sims=[0.5, None, None, None]),
+    ], ids=["na_evidence_with_phone", "evidence_without_phone", "na_final"])
+    def test_refuses_a_row_load_would_reject(self, tmp_path, cells):
+        path = tmp_path / "explanation.txt"
+        with pytest.raises(ConfigurationError):
+            export_explanation(table([row(**cells)]), 0, tiny_inventory(), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_inventory_size_checked(self):
         with pytest.raises(ConfigurationError):

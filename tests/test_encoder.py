@@ -79,20 +79,20 @@ class TestInit:
 class TestForward:
     def test_identity_network_reproduces_input(self):
         feats = np.random.default_rng(1).normal(size=(6, 3))
-        out = encode_layers(identity_params(3), feats)[-1]
+        out = encode_layers(identity_params(3), feats)[0][-1]
         assert np.array_equal(out, feats)
 
     def test_edge_clamp_hand_case(self):
         # One layer averaging x[t-1] and x[t+1]; frame 0 uses x[0] twice.
         config = EncoderConfig(1, (LayerSpec((-1, 1), 1, "identity"),))
         params = EncoderParams(config, [np.array([[0.5, 0.5]])], [np.zeros(1)])
-        out = encode_layers(params, np.array([[1.0], [2.0], [4.0]]))[-1]
+        out = encode_layers(params, np.array([[1.0], [2.0], [4.0]]))[0][-1]
         assert out.tolist() == [[1.5], [2.5], [3.0]]
 
     def test_relu_clips_negatives(self):
         config = EncoderConfig(1, (LayerSpec((0,), 1, "relu"),))
         params = EncoderParams(config, [np.array([[1.0]])], [np.array([-2.0])])
-        out = encode_layers(params, np.array([[1.0], [3.0]]))[-1]
+        out = encode_layers(params, np.array([[1.0], [3.0]]))[0][-1]
         assert out.tolist() == [[0.0], [1.0]]
 
     def test_matches_naive_oracle(self):
@@ -107,7 +107,7 @@ class TestForward:
         )
         params = init_encoder(config, rng)
         feats = rng.normal(size=(9, 4))
-        fast = encode_layers(params, feats)[-1]
+        fast = encode_layers(params, feats)[0][-1]
         slow = naive_encode(config, params.weights, params.biases, feats)
         assert np.allclose(fast, slow, atol=1e-12, rtol=0.0)
 
@@ -117,8 +117,8 @@ class TestForward:
         params = init_encoder(two_layer_config(), rng)
         feats = rng.normal(size=(10, 3))
         shifted = np.roll(feats, 2, axis=0)
-        out = encode_layers(params, feats)[-1]
-        out_shifted = encode_layers(params, shifted)[-1]
+        out = encode_layers(params, feats)[0][-1]
+        out_shifted = encode_layers(params, shifted)[0][-1]
         assert np.allclose(out[3:6], out_shifted[5:8], atol=1e-12)
 
     def test_wrong_input_dim_rejected(self):
@@ -142,7 +142,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
         feats = np.random.default_rng(1).normal(size=(5, 3))
-        d_w, d_b = encode_backward(params, encode_layers(params, feats), np.zeros((5, 4)))
+        d_w, d_b = encode_backward(params, *encode_layers(params, feats), np.zeros((5, 4)))
         assert all(not w.any() for w in d_w)
         assert all(not b.any() for b in d_b)
 
@@ -154,7 +154,7 @@ class TestBackward:
             EncoderConfig(3, (LayerSpec((0,), 3, "identity"), LayerSpec((0,), 3, "identity"))),
             [np.eye(3), np.eye(3)], [np.zeros(3), np.zeros(3)],
         )
-        d_w, d_b = encode_backward(params, encode_layers(params, feats), upstream)
+        d_w, d_b = encode_backward(params, *encode_layers(params, feats), upstream)
         assert np.allclose(d_w[0], upstream.T @ feats, atol=1e-12)
         assert np.allclose(d_b[0], upstream.sum(axis=0), atol=1e-12)
 
@@ -168,7 +168,7 @@ class TestBackward:
         params = EncoderParams(config, [np.array([[1.0]]), np.array([[1.0, 1.0]])],
                                [np.zeros(1), np.zeros(1)])
         feats = np.array([[1.0], [10.0], [100.0]])
-        d_w, d_b = encode_backward(params, encode_layers(params, feats), np.ones((3, 1)))
+        d_w, d_b = encode_backward(params, *encode_layers(params, feats), np.ones((3, 1)))
         assert d_w[0].tolist() == [[123.0]]
         assert d_b[0].tolist() == [6.0]
 
@@ -183,9 +183,9 @@ class TestBackward:
         upstream = rng.normal(size=(7, 4))
 
         def loss():
-            return float((encode_layers(params, feats)[-1] * upstream).sum())
+            return float((encode_layers(params, feats)[0][-1] * upstream).sum())
 
-        d_w, d_b = encode_backward(params, encode_layers(params, feats), upstream)
+        d_w, d_b = encode_backward(params, *encode_layers(params, feats), upstream)
         for l in range(2):
             assert max_relative_error(d_w[l], central_difference(loss, params.weights[l])) < 1e-6
             assert max_relative_error(d_b[l], central_difference(loss, params.biases[l])) < 1e-6
@@ -193,7 +193,7 @@ class TestBackward:
     def test_upstream_shape_checked(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            encode_backward(params, encode_layers(params, np.zeros((5, 3))), np.zeros((5, 3)))
+            encode_backward(params, *encode_layers(params, np.zeros((5, 3))), np.zeros((5, 3)))
 
     @given(st.integers(1, 9), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -203,7 +203,7 @@ class TestBackward:
         config = EncoderConfig(2, (LayerSpec((-2, 0, 3), 3, "relu"),))
         params = init_encoder(config, rng)
         feats = rng.normal(size=(n_frames, 2))
-        fast = encode_layers(params, feats)[-1]
+        fast = encode_layers(params, feats)[0][-1]
         slow = naive_encode(config, params.weights, params.biases, feats)
         assert np.allclose(fast, slow, atol=1e-12, rtol=0.0)
 
@@ -213,9 +213,9 @@ class TestBackward:
         upstream = rng.normal(size=(n_frames, 3))
 
         def loss():
-            return float((encode_layers(linear, feats)[-1] * upstream).sum())
+            return float((encode_layers(linear, feats)[0][-1] * upstream).sum())
 
-        d_w, d_b = encode_backward(linear, encode_layers(linear, feats), upstream)
+        d_w, d_b = encode_backward(linear, *encode_layers(linear, feats), upstream)
         for l in range(2):
             assert max_relative_error(d_w[l], central_difference(loss, linear.weights[l])) < 1e-6
             assert max_relative_error(d_b[l], central_difference(loss, linear.biases[l])) < 1e-6
@@ -236,18 +236,18 @@ class TestPackedUtterances:
         params = init_encoder(config, rng)
         utterances = [rng.normal(size=(n, width)) for n in lengths]
         upstreams = [rng.normal(size=(n, 2)) for n in lengths]
-        packed = encode_layers(params, np.concatenate(utterances), lengths)
-        d_w, d_b = encode_backward(params, packed, np.concatenate(upstreams), lengths)
+        packed, packing = encode_layers(params, np.concatenate(utterances), lengths)
+        d_w, d_b = encode_backward(params, packed, packing, np.concatenate(upstreams))
 
         want_w = [np.zeros_like(w) for w in params.weights]
         want_b = [np.zeros_like(b) for b in params.biases]
         start = 0
         for feats, upstream in zip(utterances, upstreams):
-            alone = encode_layers(params, feats)
+            alone, alone_packing = encode_layers(params, feats)
             for got, want in zip(packed, alone):
                 assert np.array_equal(got[start:start + len(feats)], want)
             start += len(feats)
-            one_w, one_b = encode_backward(params, alone, upstream)
+            one_w, one_b = encode_backward(params, alone, alone_packing, upstream)
             for l in range(3):
                 want_w[l] += one_w[l]
                 want_b[l] += one_b[l]

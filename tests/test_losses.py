@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonetrait import losses
 from phonetrait.errors import (
     BatchError,
     ConfigurationError,
@@ -26,7 +27,7 @@ from phonetrait.losses import (
     trait_verification_loss,
 )
 
-from _oracles import central_difference, max_relative_error
+from _oracles import central_difference, max_relative_error, per_phone_trait_verification_loss
 
 
 def naive_verification(enroll, pe, test, pt, alpha, beta):
@@ -111,6 +112,21 @@ class TestTraitVerification:
         test, pt = random_masked_traits(rng, n_speakers, p_present=0.5)
         loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 1.0, 1.0)
         assert abs(loss - naive_verification(enroll, pe, test, pt, 1.0, 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("n_speakers, phones_per_block", [(64, 1), (20, 10), (10, 40)])
+    def test_blocked_distances_equal_the_per_phone_loop(self, n_speakers, phones_per_block):
+        # At I=40 and D1=16 the block constant gives one phone per block at
+        # K=64, several at K=20, and every phone in one block at K=10.
+        n_phones, width = 40, 16
+        assert losses._DIFF_BLOCK_ELEMENTS // (n_speakers ** 2 * width) == phones_per_block
+        rng = np.random.default_rng(n_speakers)
+        enroll, pe = random_masked_traits(rng, n_speakers, n_phones, width, p_present=0.7)
+        test, pt = random_masked_traits(rng, n_speakers, n_phones, width, p_present=0.7)
+        got = trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
+        want = per_phone_trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert g.tobytes() == w.tobytes()
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonetrait import encoder, trait_layer, training
+from phonetrait import encoder, presets, trait_layer, training
 from phonetrait.corpus import (
     CMU_PHONES,
     NON_VERBAL,
@@ -15,6 +15,7 @@ from phonetrait.corpus import (
     PhoneAlignment,
     PhoneInventory,
     UtteranceFeatures,
+    default_inventory,
     generate_corpus,
 )
 from phonetrait.encoder import EncoderConfig, LayerSpec
@@ -154,6 +155,15 @@ class TestSampling:
                (b.speaker_ids, b.enroll_utts, b.test_utts)
 
 
+@pytest.fixture(scope="module")
+def desk_setup():
+    """The desk corpus index, inventory, model config and train config."""
+    inventory = default_inventory()
+    features, alignments, _ = generate_corpus(**presets.desk_corpus_kwargs(inventory))
+    return (inventory, CorpusIndex.build(features, alignments), presets.desk_model_config(),
+            presets.desk_train_config())
+
+
 _OFFSETS = ((0,), (-2, 0, 3), (-1, 0, 1), (0, 2))
 
 
@@ -269,6 +279,27 @@ class TestBatchGradients:
             assert np.array_equal(got_grads[name], grad), name
         for name in ("traits", "present", "embeddings"):
             assert np.array_equal(getattr(got_batch, name), getattr(want_batch, name)), name
+
+    @pytest.mark.parametrize("selection_seed", [0, 1, 2])
+    def test_desk_step_matches_per_utterance_oracle(self, desk_setup, selection_seed):
+        # The desk shape (K=10, I=40, D1=16, ~2.2k frames) is out of the
+        # property test's reach: it stacks 40 phones of width 16.
+        inventory, index, model_cfg, train_cfg = desk_setup
+        state = init_model(model_cfg, len(index.speakers), seed=train_cfg.seed)
+        sel = sample_pair_batch(index, train_cfg.speakers_per_batch,
+                                np.random.default_rng(selection_seed))
+        args = (state, index, sel, train_cfg.weights, train_cfg.aam, inventory.size)
+        want, want_grads, want_batch = per_utterance_loss_and_grads(*args)
+        got, got_grads = batch_loss_and_grads(*args)
+        got_batch, _ = forward_pair_batch(state, index, sel, inventory.size)
+        assert got_batch.traits.shape == (20, 40, 16)
+        for term in ("total", "classification", "verification", "center"):
+            assert getattr(got, term) == getattr(want, term), term
+        assert sorted(got_grads) == sorted(want_grads)
+        for name, grad in want_grads.items():
+            assert got_grads[name].tobytes() == grad.tobytes(), name
+        for name in ("traits", "present", "embeddings"):
+            assert getattr(got_batch, name).tobytes() == getattr(want_batch, name).tobytes(), name
 
     def test_grad_check_wrapper(self):
         inventory, index, model_cfg = tiny_setup()

@@ -118,6 +118,16 @@ class TestForwardBatch:
             forward_batch(features, phones, [2, 2, 1], ["a", "b", "c"],
                           identity_encoder(1), projection, 2)
 
+    def test_first_empty_utterance_in_packing_order_is_named(self):
+        # Width 2 pools the stacked traits; 'b' cancels to zero and 'c' reads
+        # only zero frames, and the error names 'b'.
+        features = np.array([[1.0, 2.0], [1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
+        phones = np.array([0, 0, 0, 1])
+        projection = ProjectionParams(np.eye(4), np.zeros(4))
+        with pytest.raises(EmptyUtteranceError, match="'b'"):
+            forward_batch(features, phones, [1, 2, 1], ["a", "b", "c"],
+                          identity_encoder(2), projection, 2)
+
 
 class TestPooling:
     def test_stats_hand_case(self):
