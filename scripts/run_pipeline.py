@@ -4,11 +4,13 @@ Generates the seeded corpus, trains with the full objective, scores the
 trials, and writes the metric report, the per-phone discriminability table
 and one example explanation under --out-dir. Trial counts are raised above
 the evaluation default so every common phone clears the 500-sample floor of
-the discriminability table.
+the discriminability table. Each stage's wall time is printed to stdout as it
+finishes; the artifacts do not depend on it.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from phonetrait import presets
@@ -17,9 +19,11 @@ from phonetrait.cli import main as cli
 
 
 def step(argv: list[str]) -> None:
+    start = time.perf_counter()
     code = cli(argv)
     if code != 0:
         sys.exit(code)
+    print(f"  {argv[0]:<10} {time.perf_counter() - start:6.2f} s", flush=True)
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import _NA, PhoneInventory, _LineReader, atomic_write
 from .errors import ConfigurationError, NumericGuardError
-from .scoring import _EVIDENCE_MISMATCH, ScoreTable
+from .scoring import _EVIDENCE_MISMATCH, ScoreTable, _check_writable
 
 
 def _split_by_label(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +246,9 @@ def load_f_ratio(path) -> list[FRatioRow]:
             phone, within_s, between_s, ratio_s, included_s = lines.fields(text, 5, ",")
             if included_s not in ("0", "1"):
                 raise lines.error(f"included must be 1 or 0, got {included_s!r}")
-            within, between = lines.na_floats([within_s, between_s], "F-ratio value")
+            within, between = lines.na_cells([within_s, between_s], "F-ratio value")
             # f_ratio writes inf when the between-speaker mean is exactly 0.
-            ratio = np.inf if ratio_s == "inf" else lines.na_floats([ratio_s], "F-ratio value")[0]
+            ratio = np.inf if ratio_s == "inf" else lines.na_cells([ratio_s], "F-ratio value")[0]
             rows.append(FRatioRow(
                 phone, float(within), float(between), float(ratio), 0, included_s == "1"
             ))
@@ -269,15 +269,11 @@ def _check_width(table: ScoreTable, inventory: PhoneInventory) -> None:
 def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, path) -> None:
     """Write one trial's scores and per-phone evidence as a readable file.
 
-    A row that ``load_explanation`` would reject (an NA final score, or an
-    evidence score NA where some phone is defined or the reverse) raises
-    ConfigurationError before anything is written.
+    A row that ``load_explanation`` would reject raises ConfigurationError
+    (``scoring._check_writable``) before anything is written.
     """
     _check_width(table, inventory)
-    if np.isnan(table.final[row]):
-        raise ConfigurationError(f"trial {row} has no final score")
-    if np.isnan(table.evidence[row]) != np.isnan(table.similarity[row]).all():
-        raise ConfigurationError(f"trial {row}: {_EVIDENCE_MISMATCH}")
+    _check_writable(table, np.array([row]))
     label = int(table.labels[row])
     with atomic_write(path) as f:
         f.write(f"enroll {table.enroll_ids[row]}\n")
@@ -299,7 +295,7 @@ def load_explanation(path, inventory: PhoneInventory) -> ScoreTable:
                 _, phone, cell = lines.fields(text, 3)
                 if phone not in inventory:
                     raise lines.error(f"phone label {phone!r} not in inventory")
-                value = lines.na_floats([cell], "similarity")[0]
+                value = lines.na_cells([cell], "similarity")[0]
                 traits[lines.unique_key(traits, phone, "trait")] = value
                 continue
             key, value = lines.key_value(text)
@@ -310,7 +306,7 @@ def load_explanation(path, inventory: PhoneInventory) -> ScoreTable:
                     raise lines.error("final score is NA")
                 if key == "evidence":
                     evidence_line = lines.line_no
-                value = lines.na_floats([value], "score")[0]
+                value = lines.na_cells([value], "score")[0]
             header[lines.unique_key(header, key)] = value
         for key in ("enroll", "test", "label", "final", "evidence"):
             if key not in header:

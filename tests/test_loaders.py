@@ -4,19 +4,26 @@ One table drives all ten loaders, so a change to the shared line reader that
 moves a reported line, accepts a bad cell or loses a rule shows up here.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phonetrait.analysis import FRATIO_HEADER, load_explanation, load_f_ratio, read_report
 from phonetrait.cli import _load_config_file, build_parser
+from phonetrait import corpus
 from phonetrait.corpus import (
+    _ALIGNMENT_CHUNK,
+    PhoneAlignment,
     PhoneInventory,
     load_alignments,
     load_features,
     load_inventory,
     load_trials,
+    save_alignments,
 )
 from phonetrait.errors import ParseError
-from phonetrait.scoring import load_scores
+from phonetrait.scoring import _SCORE_CHUNK, ScoreTable, load_scores, save_scores
 from phonetrait.training import CHECKPOINT_MAGIC, load_checkpoint
 
 PHONES = PhoneInventory(("AA", "AE", "AH"))
@@ -101,6 +108,23 @@ for bad in ("nan", "inf", "-inf"):
         f"explanation-final-{bad}": ("explanation", EXPLANATION.replace("final 0.5", f"final {bad}"), 4),
         f"explanation-trait-{bad}": ("explanation", EXPLANATION + f"trait\tAA\t{bad}\n", 6),
     })
+# float() reads these, the bulk parse behind the loaders does not.
+for bad in ("1_0", "\uff11"):
+    CASES.update({
+        f"features-{bad}": ("features", f"u s 2 2\n1.0 2.0\n{bad} 2.0\n", 3),
+        f"checkpoint-{bad}": ("checkpoint", CHECKPOINT + f"tensor w 1 2\n1.0 {bad}\n", 8),
+        f"scores-{bad}": ("scores", SCORE_ROW + f"a\tc\t0\t0.5\t0.5\t{bad}\n", 2),
+        f"alignments-{bad}": ("alignments", f"u\t0\t2\tAA\nu\t2\t{bad}\tAE\n", 2),
+    })
+# Only a cell that is exactly NA is missing: a signed or padded NA is no number,
+# and the parser must not strip an ASCII separator from a number.
+CASES.update({
+    "scores-signed-na": ("scores", SCORE_ROW + "a\tc\t0\t0.5\t0.5\t-NA\n", 2),
+    "scores-padded-na": ("scores", SCORE_ROW + "a\tc\t0\t0.5\t0.5\tNA \n", 2),
+    "scores-separator-char": ("scores", SCORE_ROW + "a\tc\t0\t0.5\t0.5\t0.5\x1c\n", 2),
+    "fratio-padded-na": ("fratio", f"{FRATIO_HEADER}\nAA,NA\t,1.0,1.0,1\n", 2),
+    "explanation-signed-na": ("explanation", EXPLANATION.replace("evidence 0.5", "evidence -NA"), 5),
+})
 # f_ratio writes inf in the ratio column on purpose; nothing else is accepted there.
 for bad in ("nan", "-inf"):
     CASES[f"fratio-ratio-{bad}"] = ("fratio", f"{FRATIO_HEADER}\nAA,1.0,1.0,{bad},1\n", 2)
@@ -114,3 +138,95 @@ def test_malformed_file_names_its_line(tmp_path, case):
     with pytest.raises(ParseError) as info:
         LOADERS[loader](path)
     assert str(info.value).startswith(f"{path}:{line}: ")
+
+
+BAD_SCORE_ROWS = {
+    "non-numeric": "a\tc\t0\t0.5\tx\t0.5\n",
+    "non-finite": "a\tc\t0\t0.5\t0.5\tinf\n",
+    "evidence": "a\tc\t0\t0.5\tNA\t0.5\n",
+    "label": "a\tc\t7\t0.5\t0.5\t0.5\n",
+    "field-count": "a\tc\t0\t0.5\t0.5\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_SCORE_ROWS))
+@pytest.mark.parametrize("bad_row", [_SCORE_CHUNK - 1, _SCORE_CHUNK, _SCORE_CHUNK + 1])
+def test_bad_score_row_near_a_chunk_boundary(tmp_path, kind, bad_row):
+    # Score rows are converted a chunk at a time; a bad row just before, at
+    # or after the boundary is still named at its own line.
+    rows = [SCORE_ROW] * (2 * _SCORE_CHUNK + 1)
+    rows[bad_row] = BAD_SCORE_ROWS[kind]
+    path = tmp_path / "scores.txt"
+    path.write_text("".join(rows))
+    with pytest.raises(ParseError) as info:
+        load_scores(path)
+    assert str(info.value).startswith(f"{path}:{bad_row + 1}: ")
+
+
+def test_bad_cell_is_named_before_a_later_bad_label(tmp_path):
+    # The label is checked as the row is read, the cells a chunk later: the
+    # earlier row must still be the one reported.
+    rows = [SCORE_ROW] * 5
+    rows[1] = BAD_SCORE_ROWS["non-numeric"]
+    rows[3] = BAD_SCORE_ROWS["label"]
+    path = tmp_path / "scores.txt"
+    path.write_text("".join(rows))
+    with pytest.raises(ParseError) as info:
+        load_scores(path)
+    assert str(info.value).startswith(f"{path}:2: non-numeric")
+
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+values = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"))
+
+
+@st.composite
+def score_tables(draw):
+    n, width = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    similarity = np.array([[draw(st.none() | values) for _ in range(width)] for _ in range(n)],
+                          dtype=np.float64).reshape(n, width)  # None -> NaN (NA)
+    if n:  # an all-NA row among them
+        similarity[draw(st.integers(0, n - 1))] = np.nan
+    evidence = [np.nan if np.isnan(row).all() else draw(values) for row in similarity]
+    return ScoreTable([draw(ids) for _ in range(n)], [draw(ids) for _ in range(n)],
+                      [draw(st.sampled_from([-1, 0, 1])) for _ in range(n)],
+                      [draw(values) for _ in range(n)], evidence, similarity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(score_tables())
+def test_score_file_round_trip_is_byte_identical(tmp_path_factory, table):
+    root = tmp_path_factory.mktemp("scores")
+    save_scores(table, root / "first.txt")
+    loaded = load_scores(root / "first.txt", table.similarity.shape[1])
+    assert (loaded.enroll_ids, loaded.test_ids) == (table.enroll_ids, table.test_ids)
+    assert loaded.labels.tobytes() == table.labels.tobytes()
+    for column in ("final", "evidence", "similarity"):  # bitwise: -0.0 and NaN alike
+        assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
+    save_scores(loaded, root / "second.txt")
+    assert (root / "second.txt").read_bytes() == (root / "first.txt").read_bytes()
+
+
+def test_alignment_rows_across_a_chunk_boundary(tmp_path, monkeypatch):
+    # One utterance runs across the boundary between two converted chunks: it
+    # loads without the row-by-row scan, and a gap at the boundary's first
+    # row is named at its own line.
+    n = _ALIGNMENT_CHUNK + 2
+    alignments = [PhoneAlignment("u", [(k, k + 1, k % 3) for k in range(n)]),
+                  PhoneAlignment("v", [(0, 2, 1)])]
+    path = tmp_path / "alignments.txt"
+    save_alignments(alignments, PHONES, path)
+
+    def no_scan(*args):
+        raise AssertionError("a valid file fell back to the row-by-row scan")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(corpus, "_scan_alignments", no_scan)
+        assert load_alignments(path, PHONES) == alignments
+    rows = path.read_text().splitlines(keepends=True)
+    rows[_ALIGNMENT_CHUNK] = f"u\t{_ALIGNMENT_CHUNK + 1}\t{_ALIGNMENT_CHUNK + 2}\tAA\n"
+    path.write_text("".join(rows))
+    with pytest.raises(ParseError) as info:
+        load_alignments(path, PHONES)
+    assert str(info.value).startswith(f"{path}:{_ALIGNMENT_CHUNK + 1}: gap at frame")

@@ -313,3 +313,17 @@ class TestScoreFileIO:
         path.write_text("a\tb\t1\t0.5\t0.5\tx\n")
         with pytest.raises(ParseError, match="non-numeric"):
             load_scores(path)
+
+    @pytest.mark.parametrize("table", [
+        # Evidence NA with a defined phone: load_scores rejects such a row.
+        ScoreTable(["a"], ["b"], [1], [0.5], [np.nan], [[0.5, np.nan]]),
+        ScoreTable(["a"], ["b"], [1], [0.5], [0.5], [[np.nan, np.nan]]),
+        ScoreTable(["a", "c"], ["b", "d"], [1, 0], [0.5, np.nan], [0.5, 0.5], [[0.5], [0.5]]),
+        ScoreTable(["a"], ["b"], [2], [0.5], [0.5], [[0.5]]),
+        ScoreTable(["a"], ["b"], [1], [0.5], [0.5], [[np.inf]]),
+    ], ids=["na_evidence_with_phone", "evidence_without_phone", "na_final", "bad_label",
+            "infinite_phone"])
+    def test_refuses_a_table_load_would_reject(self, tmp_path, table):
+        with pytest.raises(ConfigurationError):
+            save_scores(table, tmp_path / "scores.txt")
+        assert list(tmp_path.iterdir()) == []
