@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _NA, PhoneInventory, _LineReader, atomic_write
+from .corpus import _NA, PhoneInventory, _labels, _LineReader, atomic_write
 from .errors import ConfigurationError, NumericGuardError
 from .scoring import _EVIDENCE_MISMATCH, ScoreTable, _check_writable
 
@@ -285,6 +285,9 @@ def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, p
             f.write(f"trait\t{phone}\t{_cell(value)}\n")
 
 
+_EXPLANATION_FIELDS = ("enroll", "test", "label", "final", "evidence")
+
+
 def load_explanation(path, inventory: PhoneInventory) -> ScoreTable:
     """Parse an exported explanation back into an equivalent one-row ScoreTable."""
     header: dict[str, object] = {}
@@ -299,8 +302,11 @@ def load_explanation(path, inventory: PhoneInventory) -> ScoreTable:
                 traits[lines.unique_key(traits, phone, "trait")] = value
                 continue
             key, value = lines.key_value(text)
+            if key not in _EXPLANATION_FIELDS:
+                raise lines.error(f"unknown header field {key!r}")
             if key == "label":
-                value = lines.label(value)
+                (value,), label_rule = _labels([value])
+                lines.reject([lines.line_no], label_rule)
             elif key in ("final", "evidence"):
                 if key == "final" and value == _NA:
                     raise lines.error("final score is NA")
@@ -308,7 +314,7 @@ def load_explanation(path, inventory: PhoneInventory) -> ScoreTable:
                     evidence_line = lines.line_no
                 value = lines.na_cells([value], "score")[0]
             header[lines.unique_key(header, key)] = value
-        for key in ("enroll", "test", "label", "final", "evidence"):
+        for key in _EXPLANATION_FIELDS:
             if key not in header:
                 raise lines.error(f"missing header field {key!r}")
         values = np.full(inventory.size, np.nan)

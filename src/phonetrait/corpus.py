@@ -21,17 +21,20 @@ a ParseError names ``path:line``; blank lines between records are skipped (a
 blank inventory line, or one inside a feature or tensor block, is an error);
 every float cell must be finite (``NA`` marks a missing value where a format
 allows one); a repeated key is rejected at its second line. Numeric cells are
-converted in bulk by ``np.loadtxt`` and must be ASCII.
+converted in bulk by ``np.loadtxt`` and must be ASCII. A loader that reads
+rows in chunks checks each rule once per chunk, as a mask over its rows, and
+``_LineReader.reject`` names the first row that any rule marks.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +456,59 @@ def _loadtxt(text: str, sep: str | None, dtype=np.float64) -> np.ndarray:
     return np.loadtxt(text.split("\n"), dtype=dtype, delimiter=sep, comments=None, ndmin=2)
 
 
+def _numbers(rows, width: int, sep: str | None = None, dtype=np.float64, na: bool = False):
+    """``rows`` of ``width`` ``sep``-separated numbers (None: whitespace) as one
+    (n, width) array, with ``NA`` cells as NaN if ``na``, and the marks of three
+    ``_LineReader.reject`` rules: per row, the error of a row of another width,
+    why a row is no numbers, and whether it holds a non-finite value (not NA).
+    The marks are None when one ``_loadtxt`` call converts the rows, all finite.
+    Only otherwise are the rows converted one at a time, up to the first that
+    breaks a rule, to record why; the array then holds the rows before it."""
+    text, n_na = "\n".join(rows), 0
+    if na and not any(blank in text for blank in _BLANKS if blank != sep):
+        # An NA cell starts a row or follows ``sep``. With no blank that
+        # np.loadtxt would skip after it, any other cell that starts with NA
+        # is no number, with ``nan`` in place of NA or not.
+        marked = ("\n" + text).replace("\nNA", "\nnan").replace(sep + _NA, sep + "nan")
+        text, n_na = marked[1:], len(marked) - len(text) - 1
+    try:
+        values = _loadtxt(text, sep, dtype)
+        if (values.shape == (len(rows), width)
+                and np.count_nonzero(np.isfinite(values)) == values.size - n_na):
+            return values, (None, None, None)
+    except ValueError:
+        pass
+    good = []
+    wrong_width, not_number, non_finite = [None] * len(rows), [None] * len(rows), [False] * len(rows)
+    for k, row in enumerate(rows):
+        cells = row.split(sep)
+        if len(cells) != width:
+            wrong_width[k] = f"expected {width} values, got {len(cells)}"
+            break
+        try:
+            if na:
+                row = sep.join("nan" if cell == _NA else cell for cell in cells)
+            converted = _loadtxt(row, sep, dtype)[0] if cells else np.empty(0, dtype)
+        except ValueError as exc:
+            not_number[k] = str(exc)
+            break
+        non_finite[k] = np.count_nonzero(np.isfinite(converted)) != width - cells.count(_NA) * na
+        if non_finite[k]:
+            break
+        good.append(converted)
+    # NumPy refuses even an empty array wider than an index reaches; no row is.
+    shape = (len(good), width if good or width <= sys.maxsize // 8 else 0)
+    return np.array(good, dtype).reshape(shape), (wrong_width, not_number, non_finite)
+
+
+def _labels(texts):
+    """Trial labels of a score or explanation file as 1, 0 or -1 (NA), with
+    None for any other text, and the ``_LineReader.reject`` rule marking those."""
+    codes = list(map({"1": 1, "0": 0, _NA: -1}.get, texts))
+    return codes, ([code is None for code in codes],
+                   lambda k: f"label must be 1, 0 or NA, got {texts[k]!r}")
+
+
 class _LineReader:
     """One phonetrait text file, streamed under the rules above; ``line_no`` is
     the 1-based number of the last line read, which ``error`` names."""
@@ -480,12 +536,35 @@ class _LineReader:
             if line.strip():
                 yield line.rstrip("\n")
 
+    def chunks(self, size: int):
+        """The remaining lines ``size`` at a time, blank ones skipped as by ``records``,
+        each chunk as a list of lines and a sequence of their line numbers."""
+        while lines := list(islice(self, size)):
+            first = self.line_no - len(lines) + 1
+            rows = [text for text in lines if text.strip()]
+            if len(rows) == len(lines):
+                yield rows, range(first, self.line_no + 1)
+            elif rows:
+                yield rows, [first + k for k, text in enumerate(lines) if text.strip()]
+
     def next_line(self) -> str | None:
         """The next line, blank or not, or None at the end of the file."""
         return next(iter(self), None)
 
     def error(self, message: str, line_no: int | None = None) -> ParseError:
         return ParseError(self.path, self.line_no if line_no is None else line_no, message)
+
+    def reject(self, line_nos, *rules) -> None:
+        """Raise a ParseError at the first row that any rule marks, citing the
+        first rule that marks that row, at line ``line_nos[k]`` for row ``k``.
+        A rule is ``(marks, message)``: ``marks`` is true (or an error string)
+        for each row that breaks it, or None; ``message(k)`` is row k's error."""
+        marked = [(np.asarray(marks, dtype=bool), i)
+                  for i, (marks, _) in enumerate(rules) if marks is not None]
+        firsts = [(int(marks.argmax()), i) for marks, i in marked if marks.any()]
+        if firsts:
+            k, i = min(firsts)
+            raise self.error(rules[i][1](k), line_nos[k])
 
     def fields(self, text: str, n: int, sep: str | None = "\t") -> list[str]:
         """``text`` split on ``sep`` (None: on whitespace) into exactly ``n`` fields."""
@@ -518,88 +597,34 @@ class _LineReader:
 
         A block cut short by the end of the file is reported at its last line,
         before any bad row in it; otherwise the first bad row is reported.
-        Nothing is allocated from the header's counts. One ``np.loadtxt`` call
-        converts the block; only if it fails, or finds a non-finite value, are
-        the rows converted one by one to find the first bad row.
+        Nothing is allocated from the header's counts.
         """
-        first_line = self.line_no + 1
-        rows = list(islice(self, n_rows))
+        rows = list(islice(self, min(n_rows, sys.maxsize)))  # no file has more lines
         if len(rows) < n_rows:
             raise self.error(f"truncated {what}")
-        try:
-            data = _loadtxt("\n".join(rows), None)
-            if data.shape == (n_rows, row_len) and np.isfinite(data).all():
-                return data
-        except ValueError:
-            pass
-        out = [np.empty((0, row_len))]
-        for line_no, text in enumerate(rows, first_line):
-            cells = text.split()
-            if len(cells) != row_len:
-                raise self.error(f"expected {row_len} values, got {len(cells)}", line_no)
-            try:
-                row = _loadtxt(text, None) if cells else np.empty((1, 0))
-            except ValueError as exc:
-                raise self.error(f"non-numeric value in {what} ({exc})", line_no) from None
-            if not np.isfinite(row).all():
-                raise self.error(f"non-finite value in {what}", line_no)
-            out.append(row)
-        return np.concatenate(out)
+        values, (wrong_width, not_number, non_finite) = _numbers(rows, row_len)
+        self.reject(range(self.line_no + 1 - n_rows, self.line_no + 1),
+                    (wrong_width, lambda k: wrong_width[k]),
+                    (not_number, lambda k: f"non-numeric value in {what} ({not_number[k]})"),
+                    (non_finite, lambda k: f"non-finite value in {what}"))
+        return values
 
-    def na_rows(self, rows: list[str], line_nos: list[int], width: int, what: str,
-                sep: str = "\t", rule=None) -> np.ndarray:
-        """``rows`` of ``width`` ``sep``-separated cells, each at its line in
-        ``line_nos``, as one (n, width) float array with NaN where a cell is
-        ``NA``; every other cell must be finite. ``rule``, if given, is a
-        ``(message, broken)`` pair: ``broken(values)`` marks the rows of a
-        converted array that break it.
-
-        One ``np.loadtxt`` call converts the rows, each ``NA`` cell read as
-        ``nan``. The rows are converted one by one instead, and the first bad
-        one reported, when that call fails, finds a non-finite value that no
-        ``NA`` explains or a row that breaks ``rule``; also when a row holds a
-        blank other than ``sep``, since the call would read an ``NA`` padded
-        with it as missing.
-        """
-        text = "\n".join(rows)
-        if not any(blank in text for blank in _BLANKS if blank != sep):
-            # An NA cell starts a row or follows ``sep``; any other cell that
-            # starts with NA is no number, with ``nan`` in place of NA or not.
-            marked = ("\n" + text).replace("\nNA", "\nnan").replace(sep + _NA, sep + "nan")
-            n_na = len(marked) - len(text) - 1
-            try:
-                data = _loadtxt(marked[1:], sep)
-                if (data.shape == (len(rows), width)
-                        and data.size - np.count_nonzero(np.isfinite(data)) == n_na
-                        and (rule is None or not rule[1](data).any())):
-                    return data
-            except ValueError:
-                pass
-        out = [np.empty((0, width))]
-        for line_no, row_text in zip(line_nos, rows):
-            cells = row_text.split(sep)
-            try:
-                if len(cells) != width:
-                    raise ValueError(f"expected {width} values, got {len(cells)}")
-                row = _loadtxt(sep.join("nan" if cell == _NA else cell for cell in cells), sep)
-            except ValueError as exc:
-                raise self.error(f"non-numeric {what} ({exc})", line_no) from None
-            if np.count_nonzero(np.isfinite(row)) != width - cells.count(_NA):
-                raise self.error(f"non-finite {what}", line_no)
-            if rule is not None and rule[1](row)[0]:
-                raise self.error(rule[0], line_no)
-            out.append(row)
-        return np.concatenate(out)
+    def na_rows(self, rows, width: int, what: str, sep: str = "\t"):
+        """``rows`` of ``width`` ``sep``-separated cells as one float array, NaN
+        where a cell is exactly ``NA`` (``-NA`` or a padded ``NA`` is no number),
+        and the ``reject`` rules for a row of other cells or a non-finite value."""
+        values, (wrong_width, not_number, non_finite) = _numbers(rows, width, sep, na=True)
+        return values, [
+            (wrong_width, lambda k: f"non-numeric {what} ({wrong_width[k]})"),
+            (not_number, lambda k: f"non-numeric {what} ({not_number[k]})"),
+            (non_finite, lambda k: f"non-finite {what}"),
+        ]
 
     def na_cells(self, cells: list[str], what: str) -> np.ndarray:
         """One row of cells, read as ``na_rows`` reads them, at the current line."""
-        return self.na_rows([",".join(cells)], [self.line_no], len(cells), what, ",")[0]
-
-    def label(self, text: str) -> int:
-        """A trial label of a score or explanation file: 1, 0 or NA (-1)."""
-        if text not in ("0", "1", _NA):
-            raise self.error(f"label must be 1, 0 or NA, got {text!r}")
-        return -1 if text == _NA else int(text)
+        values, rules = self.na_rows([",".join(cells)], len(cells), what, ",")
+        self.reject([self.line_no], *rules)
+        return values[0]
 
 
 def _write_row(f, row: np.ndarray) -> None:
@@ -643,78 +668,49 @@ _ALIGNMENT_CHUNK = 1000
 def load_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
     """Parse an alignment file; an utterance's rows must be consecutive and in order.
 
-    The rows are converted and checked ``_ALIGNMENT_CHUNK`` at a time, each
-    chunk's frame bounds by one ``np.loadtxt`` call; only if a row breaks a
-    rule is the file read again row by row, to report the first bad row.
+    The rows are read ``_ALIGNMENT_CHUNK`` at a time, each chunk's frame
+    bounds converted by ``_numbers``; every rule is a mask over the chunk's
+    rows, and ``_LineReader.reject`` names the first row that breaks one.
     """
     order: list[str] = []
     segments: dict[str, list[tuple[int, int, int]]] = {}
     with _LineReader(path) as lines:
-        records = lines.records()
-        while rows := list(islice(records, _ALIGNMENT_CHUNK)):
-            if not _add_alignment_rows(rows, inventory, order, segments):
-                return _scan_alignments(path, inventory)
-    return [PhoneAlignment(utt, segments[utt]) for utt in order]
-
-
-def _add_alignment_rows(rows: list[str], inventory: PhoneInventory,
-                        order: list[str], segments: dict) -> bool:
-    """Append the rows' segments to ``segments`` (new utterances to
-    ``order``), or return False if a row breaks a rule."""
-    fields = [row.split("\t") for row in rows]
-    if any(len(f) != 4 for f in fields):
-        return False
-    utts, starts, ends, labels = zip(*fields)
-    try:
-        bounds = _loadtxt("\n".join(map("\t".join, zip(starts, ends))), "\t", np.int64)
-    except ValueError:
-        return False
-    phones = [inventory._index.get(label, -1) for label in labels]
-    last = order[-1] if order else None
-    # Where each utterance's run of rows starts; none may start twice.
-    firsts = [k for k, (utt, prev) in enumerate(zip(utts, (last,) + utts)) if utt != prev]
-    opened = [utts[k] for k in firsts]
-    if min(phones) < 0 or len(set(opened)) != len(opened) or not segments.keys().isdisjoint(opened):
-        return False
-    start, end = bounds.T
-    expected = np.r_[segments[last][-1][1] if last is not None else 0, end[:-1]]
-    expected[firsts] = 0
-    if not ((end > start).all() and (start == expected).all()):
-        return False
-    order.extend(opened)
-    rows_segments = list(zip(start.tolist(), end.tolist(), phones))
-    runs = sorted({0, *firsts}) + [len(rows)]
-    for a, b in zip(runs, runs[1:]):
-        segments.setdefault(utts[a], []).extend(rows_segments[a:b])
-    return True
-
-
-def _scan_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
-    """``load_alignments`` one row at a time: the first bad row raises."""
-    order: list[str] = []
-    segments: dict[str, list[tuple[int, int, int]]] = {}
-    with _LineReader(path) as lines:
-        for text in lines.records():
-            utt_id, start_s, end_s, label = lines.fields(text, 4)
-            try:
-                start, end = _loadtxt(f"{start_s}\t{end_s}", "\t", np.int64)[0].tolist()
-            except ValueError as exc:
-                raise lines.error(f"non-numeric frame bounds ({exc})") from None
-            if label not in inventory:
-                raise lines.error(f"phone label {label!r} not in inventory")
-            if utt_id not in segments:
-                order.append(utt_id)
-                segments[utt_id] = []
-            elif order[-1] != utt_id:
-                raise lines.error(f"rows of utterance {utt_id!r} are not consecutive")
-            if end <= start:
-                raise lines.error(f"empty segment ({start}, {end})")
-            prev = segments[utt_id]
-            expected = prev[-1][1] if prev else 0
-            if start != expected:
-                kind = "overlap" if start < expected else "gap"
-                raise lines.error(f"{kind} at frame {expected} of utterance {utt_id!r}")
-            prev.append((start, end, inventory.index_of(label)))
+        for rows, line_nos in lines.chunks(_ALIGNMENT_CHUNK):
+            fields = [row.split("\t") for row in rows]
+            n_fields = np.fromiter(map(len, fields), np.intp, len(fields))
+            if not (n_fields == 4).all():  # the rules after the first read four fields
+                fields = [f if len(f) == 4 else [""] * 4 for f in fields]
+            utts, starts, ends, labels = zip(*fields)
+            bounds, (_, not_number, _) = _numbers(
+                list(map("\t".join, zip(starts, ends))), 2, "\t", np.int64)
+            phones = np.fromiter(map(inventory._index.get, labels, repeat(-1)), np.intp, len(labels))
+            last = order[-1] if order else None
+            # Where each utterance's run of rows starts; none may start twice.
+            firsts = [k for k, (utt, prev) in enumerate(zip(utts, (last,) + utts)) if utt != prev]
+            reopened, opened = np.zeros(len(rows), bool), set()
+            for k in firsts:
+                reopened[k] = utts[k] in segments or utts[k] in opened
+                opened.add(utts[k])
+            # ``bounds`` may stop short of the chunk, before a row that is no bounds.
+            start, end = bounds.T
+            expected = np.r_[segments[last][-1][1] if last is not None else 0, end[:-1]]
+            expected[[k for k in firsts if k < len(bounds)]] = 0
+            lines.reject(
+                line_nos,
+                (n_fields != 4, lambda k: f"expected 4 fields, got {n_fields[k]}"),
+                (not_number, lambda k: f"non-numeric frame bounds ({not_number[k]})"),
+                (phones < 0, lambda k: f"phone label {labels[k]!r} not in inventory"),
+                (reopened, lambda k: f"rows of utterance {utts[k]!r} are not consecutive"),
+                (end <= start, lambda k: f"empty segment ({start[k]}, {end[k]})"),
+                (start != expected, lambda k: (
+                    f"{'overlap' if start[k] < expected[k] else 'gap'} at frame {expected[k]} "
+                    f"of utterance {utts[k]!r}")),
+            )
+            order.extend(utts[k] for k in firsts)
+            rows_segments = list(zip(start.tolist(), end.tolist(), phones.tolist()))
+            runs = sorted({0, *firsts}) + [len(rows)]
+            for a, b in zip(runs, runs[1:]):
+                segments.setdefault(utts[a], []).extend(rows_segments[a:b])
     return [PhoneAlignment(utt, segments[utt]) for utt in order]
 
 

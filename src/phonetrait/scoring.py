@@ -36,8 +36,8 @@ from math import isnan
 
 import numpy as np
 
-from .corpus import _NA, CorpusIndex, TrialList, _LineReader, atomic_write
-from .errors import ConfigurationError, DimensionError, NumericGuardError, ParseError
+from .corpus import _NA, CorpusIndex, TrialList, _labels, _LineReader, atomic_write
+from .errors import ConfigurationError, DimensionError, NumericGuardError
 from .losses import _NORM_FLOOR
 from .trait_layer import forward_batch
 from .training import ModelState
@@ -205,11 +205,15 @@ def _evidence_mismatch(evidence: np.ndarray, similarity: np.ndarray) -> np.ndarr
 
 def _check_writable(table: ScoreTable, rows: np.ndarray) -> None:
     """ConfigurationError naming the first of ``rows`` that a score or
-    explanation file would hold but its loader reject: a label other than 1,
-    0 or -1 (NA), an NA final score, an infinite value, or an evidence score
-    NA where some phone is defined or the reverse."""
+    explanation file would hold but its loader reject: an id that holds a tab
+    or a line break, a label other than 1, 0 or -1 (NA), an NA final score,
+    an infinite value, or an evidence score NA where some phone is defined or
+    the reverse."""
     evidence, similarity = table.evidence[rows], table.similarity[rows]
+    ids = (table.enroll_ids[k] + table.test_ids[k] for k in rows.tolist())
     for broken, problem in (
+        (np.array(["\t" in utt or "\n" in utt or "\r" in utt for utt in ids], dtype=bool),
+         "ids must not hold a tab or a line break"),
         (~np.isin(table.labels[rows], (-1, 0, 1)), "label must be 1, 0 or -1 (NA)"),
         (np.isnan(table.final[rows]), "final score is NA"),
         (np.isinf(table.final[rows]) | np.isinf(evidence) | np.isinf(similarity).any(axis=1),
@@ -240,41 +244,34 @@ def load_scores(path, n_phones: int | None = None) -> ScoreTable:
     """Read a score file; ``n_phones`` defaults to what the first row implies,
     and to 0 for a file without rows.
 
-    The numeric cells are converted ``_SCORE_CHUNK`` rows at a time by
-    ``_LineReader.na_rows``. A row whose ids or label are bad is reported
-    after the rows before it are converted, so the first bad row is named.
+    The rows are read ``_SCORE_CHUNK`` at a time, each chunk's numeric cells
+    converted by one ``_LineReader.na_rows`` call; every rule is a mask over
+    the chunk's rows, and ``_LineReader.reject`` names the first row that
+    breaks one.
     """
     enroll_ids, test_ids, labels, blocks = [], [], [], []
-    numbers, line_nos = [], []
     with _LineReader(path) as lines:
-
-        def convert() -> None:
-            if numbers:
-                rule = (_EVIDENCE_MISMATCH, lambda v: _evidence_mismatch(v[:, 1], v[:, 2:]))
-                blocks.append(lines.na_rows(numbers, line_nos, 2 + n_phones, "score", rule=rule))
-                numbers.clear()
-                line_nos.clear()
-
-        for text in lines.records():
+        for rows, line_nos in lines.chunks(_SCORE_CHUNK):
             if n_phones is None:
-                n_phones = max(text.count("\t") - 4, 1)
-            try:
-                n_fields = text.count("\t") + 1
-                if n_fields != 5 + n_phones:
-                    raise lines.error(f"expected {5 + n_phones} fields, got {n_fields}")
-                enroll, test, label, cells = text.split("\t", 3)
-                labels.append(lines.label(label))
-                if cells.startswith(_NA + "\t"):
-                    raise lines.error("final score is NA")
-            except ParseError:
-                convert()  # a bad row before this one is reported first
-                raise
-            enroll_ids.append(enroll)
-            test_ids.append(test)
-            numbers.append(cells)
-            line_nos.append(lines.line_no)
-            if len(numbers) == _SCORE_CHUNK:
-                convert()
-        convert()
+                n_phones = max(rows[0].count("\t") - 4, 1)
+            n_fields = [row.count("\t") + 1 for row in rows]
+            enroll, test, label, cells = zip(*(row.split("\t", 3) if n == 5 + n_phones else [""] * 4
+                                               for row, n in zip(rows, n_fields)))
+            codes, label_rule = _labels(label)
+            values, number_rules = lines.na_rows(cells, 2 + n_phones, "score")
+            lines.reject(
+                line_nos,
+                (np.not_equal(n_fields, 5 + n_phones),
+                 lambda k: f"expected {5 + n_phones} fields, got {n_fields[k]}"),
+                label_rule,
+                ([text.startswith(_NA + "\t") for text in cells], lambda k: "final score is NA"),
+                *number_rules,
+                (_evidence_mismatch(values[:, 1], values[:, 2:]), lambda k: _EVIDENCE_MISMATCH),
+            )
+            enroll_ids += enroll
+            test_ids += test
+            labels += codes
+            blocks.append(values)
+            del rows, cells  # the last chunk's text is not held while the blocks are joined
     scores = np.concatenate(blocks or [np.empty((0, 2 + (n_phones or 0)))])
     return ScoreTable(enroll_ids, test_ids, labels, scores[:, 0], scores[:, 1], scores[:, 2:])

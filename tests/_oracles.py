@@ -9,7 +9,10 @@ reproduce their sums bit for bit, summation order included. Likewise
 utterance and one scalar cosine at a time, through ``per_utterance_forward``
 alone, and batched scoring must match it exactly. ``choice_generate_corpus``
 is corpus generation as it ran before the phone CDF was hoisted: one
-``Generator.choice`` call and one frame block per segment.
+``Generator.choice`` call and one frame block per segment. The ``scan_*``
+readers are the alignment, score and feature loaders one row at a time, each
+cell converted alone; the bulk loaders must raise their errors or return
+their values.
 """
 
 from __future__ import annotations
@@ -359,3 +362,141 @@ def sweep_min_dcf(scores, labels, p_target=0.01, c_miss=1.0, c_fa=1.0) -> tuple[
         if best is None or cost < best:
             best, best_threshold = cost, t
     return best, best_threshold
+
+
+# ---------------------------------------------------------------------------
+# row-by-row file readers
+# ---------------------------------------------------------------------------
+# The loaders as they read before their rules became masks over bulk-converted
+# chunks: one row at a time, each cell converted alone, the first bad row
+# raising. The loaders must name the same ``path:line`` with the same message,
+# or return the same values bit for bit.
+
+def _records(path):
+    """(line number, text) of every non-blank line."""
+    with open(path) as f:
+        for line_no, line in enumerate(f, start=1):
+            if line.strip():
+                yield line_no, line.rstrip("\n")
+
+
+def _na_row(path, line_no, text, width, what, sep):
+    """One row of ``width`` cells, NaN where a cell is exactly NA."""
+    from phonetrait.corpus import _loadtxt
+    from phonetrait.errors import ParseError
+
+    cells = text.split(sep)
+    try:
+        if len(cells) != width:
+            raise ValueError(f"expected {width} values, got {len(cells)}")
+        row = _loadtxt(sep.join("nan" if cell == "NA" else cell for cell in cells), sep)[0]
+    except ValueError as exc:
+        raise ParseError(path, line_no, f"non-numeric {what} ({exc})") from None
+    if np.count_nonzero(np.isfinite(row)) != width - cells.count("NA"):
+        raise ParseError(path, line_no, f"non-finite {what}")
+    return row
+
+
+def scan_alignments(path, inventory):
+    """``load_alignments`` one row at a time; returns [(utt, segments)]."""
+    from phonetrait.corpus import _loadtxt
+    from phonetrait.errors import ParseError
+
+    order, segments = [], {}
+    for line_no, text in _records(path):
+        def fail(message):
+            return ParseError(path, line_no, message)
+        parts = text.split("\t")
+        if len(parts) != 4:
+            raise fail(f"expected 4 fields, got {len(parts)}")
+        utt_id, start_s, end_s, label = parts
+        try:
+            start, end = _loadtxt(f"{start_s}\t{end_s}", "\t", np.int64)[0].tolist()
+        except ValueError as exc:
+            raise fail(f"non-numeric frame bounds ({exc})") from None
+        if label not in inventory:
+            raise fail(f"phone label {label!r} not in inventory")
+        if utt_id not in segments:
+            order.append(utt_id)
+            segments[utt_id] = []
+        elif order[-1] != utt_id:
+            raise fail(f"rows of utterance {utt_id!r} are not consecutive")
+        if end <= start:
+            raise fail(f"empty segment ({start}, {end})")
+        prev = segments[utt_id]
+        expected = prev[-1][1] if prev else 0
+        if start != expected:
+            kind = "overlap" if start < expected else "gap"
+            raise fail(f"{kind} at frame {expected} of utterance {utt_id!r}")
+        prev.append((start, end, inventory.index_of(label)))
+    return [(utt, segments[utt]) for utt in order]
+
+
+def scan_scores(path, n_phones=None):
+    """``load_scores`` one row at a time; returns (enroll_ids, test_ids,
+    labels, values), ``values`` the (n, 2 + I) final, evidence and per-phone
+    columns."""
+    from phonetrait.errors import ParseError
+
+    enroll_ids, test_ids, labels, rows = [], [], [], []
+    for line_no, text in _records(path):
+        if n_phones is None:
+            n_phones = max(text.count("\t") - 4, 1)
+        n_fields = text.count("\t") + 1
+        if n_fields != 5 + n_phones:
+            raise ParseError(path, line_no, f"expected {5 + n_phones} fields, got {n_fields}")
+        enroll, test, label, cells = text.split("\t", 3)
+        if label not in ("0", "1", "NA"):
+            raise ParseError(path, line_no, f"label must be 1, 0 or NA, got {label!r}")
+        if cells.startswith("NA\t"):
+            raise ParseError(path, line_no, "final score is NA")
+        row = _na_row(path, line_no, cells, 2 + n_phones, "score", "\t")
+        if np.isnan(row[1]) != np.isnan(row[2:]).all():
+            raise ParseError(path, line_no, "evidence must be NA exactly when no phone is defined")
+        enroll_ids.append(enroll)
+        test_ids.append(test)
+        labels.append(-1 if label == "NA" else int(label))
+        rows.append(row)
+    values = np.array(rows).reshape(len(rows), 2 + (n_phones or 0))
+    return enroll_ids, test_ids, labels, values
+
+
+def scan_features(path):
+    """``load_features`` one row at a time; returns [(utt, speaker, features)]."""
+    from phonetrait.corpus import _loadtxt
+    from phonetrait.errors import ParseError
+
+    out = []
+    with open(path) as f:
+        lines = enumerate(f, start=1)
+        for line_no, header in lines:
+            if not header.strip():
+                continue
+            parts = header.split()
+            if len(parts) != 4:
+                raise ParseError(path, line_no, f"expected 4 fields, got {len(parts)}")
+            utt_id, speaker_id, t_s, f_s = parts
+            try:
+                n_frames, dim = int(t_s), int(f_s)
+            except ValueError as exc:
+                raise ParseError(path, line_no, f"non-numeric T or F ({exc})") from None
+            if n_frames < 1 or dim < 1:
+                raise ParseError(path, line_no, f"T and F must be >= 1, got {n_frames}, {dim}")
+            what = f"feature block for {utt_id!r}"
+            block = [(n, text.rstrip("\n")) for _, (n, text) in zip(range(n_frames), lines)]
+            if len(block) < n_frames:  # reported before any bad row in the block
+                raise ParseError(path, block[-1][0] if block else line_no, f"truncated {what}")
+            rows = []
+            for line_no, text in block:
+                cells = text.split()
+                if len(cells) != dim:
+                    raise ParseError(path, line_no, f"expected {dim} values, got {len(cells)}")
+                try:
+                    row = _loadtxt(text, None)[0]
+                except ValueError as exc:
+                    raise ParseError(path, line_no, f"non-numeric value in {what} ({exc})") from None
+                if not np.isfinite(row).all():
+                    raise ParseError(path, line_no, f"non-finite value in {what}")
+                rows.append(row)
+            out.append((utt_id, speaker_id, np.array(rows)))
+    return out

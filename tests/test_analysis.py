@@ -326,7 +326,8 @@ class TestExplanationFile:
         dict(evidence=None, sims=[0.5, None, None, None]),
         dict(evidence=0.5, sims=None),
         dict(final=np.nan, evidence=0.5, sims=[0.5, None, None, None]),
-    ], ids=["na_evidence_with_phone", "evidence_without_phone", "na_final"])
+        dict(test="b\rx", evidence=0.5, sims=[0.5, None, None, None]),
+    ], ids=["na_evidence_with_phone", "evidence_without_phone", "na_final", "line_break_in_id"])
     def test_refuses_a_row_load_would_reject(self, tmp_path, cells):
         path = tmp_path / "explanation.txt"
         with pytest.raises(ConfigurationError):

@@ -1,17 +1,22 @@
 """Every text loader rejects a malformed file with a ParseError at ``path:line``.
 
 One table drives all ten loaders, so a change to the shared line reader that
-moves a reported line, accepts a bad cell or loses a rule shows up here.
+moves a reported line, accepts a bad cell or loses a rule shows up here. The
+chunked loaders are also held to the row-by-row readers of ``_oracles`` on
+fuzzed files: the same error at the same line, or the same values.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import scan_alignments, scan_features, scan_scores
 from phonetrait.analysis import FRATIO_HEADER, load_explanation, load_f_ratio, read_report
 from phonetrait.cli import _load_config_file, build_parser
-from phonetrait import corpus
+from phonetrait import corpus, scoring
 from phonetrait.corpus import (
     _ALIGNMENT_CHUNK,
     PhoneAlignment,
@@ -22,7 +27,7 @@ from phonetrait.corpus import (
     load_trials,
     save_alignments,
 )
-from phonetrait.errors import ParseError
+from phonetrait.errors import ConfigurationError, ParseError
 from phonetrait.scoring import _SCORE_CHUNK, ScoreTable, load_scores, save_scores
 from phonetrait.training import CHECKPOINT_MAGIC, load_checkpoint
 
@@ -78,6 +83,7 @@ CASES = {
     "explanation-repeated-trait": (
         "explanation", EXPLANATION + "trait\tAA\t0.5\ntrait\tAA\t0.25\n", 7),
     "explanation-bad-label": ("explanation", EXPLANATION.replace("label 1", "label 7"), 3),
+    "explanation-unknown-key": ("explanation", EXPLANATION + "finall 0.9\n", 6),
     # An evidence line that disagrees with the trait lines is reported where it stands.
     "explanation-evidence-without-phones": ("explanation", EXPLANATION + "trait\tAA\tNA\n", 5),
     "explanation-phones-without-evidence": (
@@ -176,6 +182,16 @@ def test_bad_cell_is_named_before_a_later_bad_label(tmp_path):
     assert str(info.value).startswith(f"{path}:2: non-numeric")
 
 
+def test_bad_label_is_named_before_a_bad_cell_in_its_row(tmp_path):
+    # Within one row the rules keep the order a row is read in: the field
+    # count, the label, then the cells.
+    path = tmp_path / "scores.txt"
+    path.write_text(SCORE_ROW + "a\tc\t7\t0.5\tx\t0.5\n")
+    with pytest.raises(ParseError) as info:
+        load_scores(path)
+    assert str(info.value).startswith(f"{path}:2: label must be 1, 0 or NA")
+
+
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
 values = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
 ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"))
@@ -208,25 +224,174 @@ def test_score_file_round_trip_is_byte_identical(tmp_path_factory, table):
     assert (root / "second.txt").read_bytes() == (root / "first.txt").read_bytes()
 
 
-def test_alignment_rows_across_a_chunk_boundary(tmp_path, monkeypatch):
+def _counting_opens(calls):
+    """``open`` that appends each path it opens to ``calls``."""
+    def counting(path, *args, **kwargs):
+        calls.append(path)
+        return open(path, *args, **kwargs)
+    return counting
+
+
+def test_alignment_rows_across_a_chunk_boundary(tmp_path):
     # One utterance runs across the boundary between two converted chunks: it
-    # loads without the row-by-row scan, and a gap at the boundary's first
-    # row is named at its own line.
+    # loads with the file opened once, and a gap at the boundary's first row
+    # is named at its own line.
     n = _ALIGNMENT_CHUNK + 2
     alignments = [PhoneAlignment("u", [(k, k + 1, k % 3) for k in range(n)]),
                   PhoneAlignment("v", [(0, 2, 1)])]
     path = tmp_path / "alignments.txt"
     save_alignments(alignments, PHONES, path)
-
-    def no_scan(*args):
-        raise AssertionError("a valid file fell back to the row-by-row scan")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(corpus, "_scan_alignments", no_scan)
+    opened = []
+    with mock.patch.object(corpus, "open", _counting_opens(opened), create=True):
         assert load_alignments(path, PHONES) == alignments
+    assert opened == [path]
     rows = path.read_text().splitlines(keepends=True)
     rows[_ALIGNMENT_CHUNK] = f"u\t{_ALIGNMENT_CHUNK + 1}\t{_ALIGNMENT_CHUNK + 2}\tAA\n"
     path.write_text("".join(rows))
     with pytest.raises(ParseError) as info:
         load_alignments(path, PHONES)
     assert str(info.value).startswith(f"{path}:{_ALIGNMENT_CHUNK + 1}: gap at frame")
+
+
+# Cells a defect writes into a valid file: numbers, NA in its good and bad
+# forms, non-finite and out-of-range values, labels and ids.
+DEFECT_CELLS = ("x", "", "0", "1", "2", "-1", "7", "0.5", "1.5", "NA", "-NA", "NA ", " NA", "NAN",
+                "nan", "inf", "-inf", "1e999", "1_0", "\uff11", "0x1", " 1", "1 ", "\x0b1", "1\x1c",
+                "99999999999999999999", "AA", "ZZ", "u0")
+
+
+@st.composite
+def defects(draw, text, sep):
+    """``text`` with 0-2 defects: a cell replaced, dropped or repeated, a line
+    dropped, repeated, moved, swapped with the next or preceded by a blank
+    line, or the file cut after a line."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        cells = lines[k].split(sep)
+        j = draw(st.integers(0, len(cells) - 1))
+        kind = draw(st.sampled_from(("cell", "cell", "cell", "drop-cell", "repeat-cell",
+                                     "drop", "repeat", "move", "swap", "blank", "cut")))
+        if kind == "cell":
+            cells[j] = draw(st.sampled_from(DEFECT_CELLS))
+        elif kind == "drop-cell":
+            del cells[j]
+        elif kind == "repeat-cell":
+            cells.insert(j, cells[j])
+        lines[k] = sep.join(cells)
+        if kind == "drop":
+            del lines[k]
+        elif kind == "repeat":
+            lines.insert(k, lines[k])
+        elif kind == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(k))
+        elif kind == "swap" and k + 1 < len(lines):
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        elif kind == "blank":
+            lines.insert(k, draw(st.sampled_from(("", " ", "\t"))))
+        elif kind == "cut":
+            del lines[k + 1:]
+    return "".join(line + "\n" for line in lines)
+
+
+cells = st.sampled_from((0.5, -0.25, 1.0, 0.0, -0.0, 5e-324, 1e300))
+
+
+@st.composite
+def alignment_files(draw):
+    alignments = []
+    for u in range(draw(st.integers(1, 4))):
+        lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        ends = np.cumsum(lengths).tolist()
+        phones = draw(st.lists(st.integers(0, 2), min_size=len(ends), max_size=len(ends)))
+        alignments.append(PhoneAlignment(f"u{u}", list(zip([0] + ends[:-1], ends, phones))))
+    return "".join(f"{a.utterance_id}\t{s}\t{e}\t{PHONES.labels[p]}\n"
+                   for a in alignments for s, e, p in a.segments)
+
+
+@st.composite
+def score_files(draw):
+    n, width = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    similarity = np.array([[draw(st.none() | cells) for _ in range(width)] for _ in range(n)],
+                          dtype=np.float64).reshape(n, width)
+    evidence = [np.nan if np.isnan(row).all() else draw(cells) for row in similarity]
+    return ScoreTable([f"e{k}" for k in range(n)], [f"t{k}" for k in range(n)],
+                      [draw(st.sampled_from([-1, 0, 1])) for _ in range(n)],
+                      [draw(cells) for _ in range(n)], evidence, similarity)
+
+
+@st.composite
+def feature_files(draw):
+    blocks = []
+    for u in range(draw(st.integers(1, 3))):
+        n_frames, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        rows = [" ".join(repr(draw(cells)) for _ in range(dim)) for _ in range(n_frames)]
+        blocks.append(f"u{u} s {n_frames} {dim}\n" + "".join(row + "\n" for row in rows))
+    return "".join(blocks)
+
+
+def _outcome(read, path):
+    try:
+        return "ok", read(path)
+    except (ParseError, ConfigurationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _check_against_oracle(tmp_path_factory, text, load, scan, as_oracle, chunk):
+    path = tmp_path_factory.mktemp("differential") / "input.txt"
+    path.write_text(text)
+    opened = []
+    with mock.patch.object(corpus, "open", _counting_opens(opened), create=True), \
+            mock.patch.object(corpus, "_ALIGNMENT_CHUNK", chunk), \
+            mock.patch.object(scoring, "_SCORE_CHUNK", chunk):
+        kind, loaded = _outcome(load, path)
+    assert opened == [path]
+    expected_kind, expected = _outcome(scan, path)
+    assert kind == expected_kind, (loaded, expected)
+    if kind == "ok":
+        assert as_oracle(loaded) == expected
+    else:
+        assert loaded == expected
+
+
+chunks = st.sampled_from((1, 2, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), chunks)
+def test_alignment_loader_matches_row_by_row_oracle(tmp_path_factory, data, chunk):
+    text = data.draw(defects(data.draw(alignment_files()), "\t"))
+    _check_against_oracle(
+        tmp_path_factory, text, lambda path: load_alignments(path, PHONES),
+        lambda path: scan_alignments(path, PHONES),
+        lambda loaded: [(a.utterance_id, a.segments) for a in loaded], chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), chunks)
+def test_score_loader_matches_row_by_row_oracle(tmp_path_factory, data, chunk):
+    root = tmp_path_factory.mktemp("table")
+    save_scores(data.draw(score_files()), root / "scores.txt")
+    text = data.draw(defects((root / "scores.txt").read_text(), "\t"))
+
+    def as_oracle(table):  # values compared bitwise: -0.0 and NaN alike
+        values = np.column_stack([table.final, table.evidence, table.similarity])
+        return table.enroll_ids, table.test_ids, table.labels.tolist(), values.tobytes()
+
+    _check_against_oracle(
+        tmp_path_factory, text, load_scores,
+        lambda path: (lambda e, t, l, v: (e, t, l, v.tobytes()))(*scan_scores(path)),
+        as_oracle, chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_feature_loader_matches_row_by_row_oracle(tmp_path_factory, data):
+    text = data.draw(defects(data.draw(feature_files()), " "))
+    _check_against_oracle(
+        tmp_path_factory, text, load_features,
+        lambda path: [(u, s, f.shape, f.tobytes()) for u, s, f in scan_features(path)],
+        lambda loaded: [(f.utterance_id, f.speaker_id, f.features.shape, f.features.tobytes())
+                        for f in loaded], 1)

@@ -77,34 +77,41 @@ def _loaded_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def _public_definitions(tree: ast.Module):
-    """(qualified name, name) of every public module-level function and class,
-    and of every public method of a public class."""
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of every module-level function, class and
+    assigned name, and of every method of a module-level class, leaving out
+    dunder names, which Python itself reads."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if isinstance(node, defs) and not node.name.startswith("_"):
+        if isinstance(node, defs):
             yield node.name, node.name
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, defs[:2]) and not item.name.startswith("_"):
+                    if isinstance(item, defs[:2]):
                         yield f"{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id
 
 
 def test_every_export_has_a_caller():
-    # A public function, class or method that no module of the package and no
-    # script reads has no production caller; tests alone do not keep it, and
-    # neither does a type annotation. The ``load_*`` readers of the package's
-    # own formats are exempt: the loader table test is their caller.
+    # A function, class, method or module-level name that no module of the
+    # package and no script reads has no production caller; tests alone do
+    # not keep it, and neither does a type annotation. This holds for private
+    # names too, so a helper that a refactor leaves behind fails here. The
+    # ``load_*`` readers of the package's own formats are exempt: the loader
+    # table test is their caller.
     package = Path(phonetrait.__file__).parent
     scripts = package.parents[1] / "scripts"
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
     trees = {p: ast.parse(p.read_text()) for p in modules + sorted(scripts.glob("*.py"))}
     read = set().union(*map(_loaded_names, trees.values()))
-    public = {f"{p.stem}.{qualified}": name for p in modules
-              for qualified, name in _public_definitions(trees[p])}
-    public.update((f"__all__.{name}", name) for name in phonetrait.__all__)
-    uncalled = sorted(qualified for qualified, name in public.items()
-                      if name not in read and not name.startswith("load_"))
+    defined = {f"{p.stem}.{qualified}": name for p in modules
+               for qualified, name in _definitions(trees[p])}
+    defined.update((f"__all__.{name}", name) for name in phonetrait.__all__)
+    uncalled = sorted(qualified for qualified, name in defined.items()
+                      if name not in read and not name.startswith(("load_", "__")))
     assert not uncalled, f"defined without a caller: {uncalled}"
 
 

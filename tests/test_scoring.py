@@ -321,8 +321,12 @@ class TestScoreFileIO:
         ScoreTable(["a", "c"], ["b", "d"], [1, 0], [0.5, np.nan], [0.5, 0.5], [[0.5], [0.5]]),
         ScoreTable(["a"], ["b"], [2], [0.5], [0.5], [[0.5]]),
         ScoreTable(["a"], ["b"], [1], [0.5], [0.5], [[np.inf]]),
+        # An id that holds a tab or a line break splits the row it is written to.
+        ScoreTable(["a\tx"], ["b"], [1], [0.5], [0.5], [[0.5]]),
+        ScoreTable(["a"], ["b\nx"], [1], [0.5], [0.5], [[0.5]]),
+        ScoreTable(["a", "c"], ["b", "d\rx"], [1, 0], [0.5, 0.5], [0.5, 0.5], [[0.5], [0.5]]),
     ], ids=["na_evidence_with_phone", "evidence_without_phone", "na_final", "bad_label",
-            "infinite_phone"])
+            "infinite_phone", "tab_in_id", "newline_in_id", "carriage_return_in_id"])
     def test_refuses_a_table_load_would_reject(self, tmp_path, table):
         with pytest.raises(ConfigurationError):
             save_scores(table, tmp_path / "scores.txt")
