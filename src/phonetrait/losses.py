@@ -31,8 +31,8 @@ from .errors import (
 _NORM_FLOOR = 1e-12
 
 # Most float64 elements in one block of ``trait_verification_loss``'s
-# difference tensor (512 KB): K=10 at D1=16 takes all 40 phones in one block,
-# K=64 one phone per block.
+# difference tensor (512 KB): at I=40 and D1=16 a block holds all 10
+# enrollment speakers at K=10, one at K=64.
 _DIFF_BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -124,39 +124,44 @@ def trait_verification_loss(
     pt = np.asarray(test_present, dtype=bool)
     if enroll.shape != test.shape or enroll.ndim != 3:
         raise DimensionError("trait tensors must both be (K, I, D1)")
-    n_speakers = enroll.shape[0]
+    n_speakers, n_phones, width = enroll.shape
     if n_speakers < 2:
         raise BatchError("trait verification needs >= 2 speakers in the batch")
 
-    # (K, K, I) squared distances, a block of phones at a time: a whole
-    # (K, K, I, D1) difference tensor would grow with K^2 * I * D1. Each
-    # distance sums its own D1 products, whatever the block's size.
-    n_phones = enroll.shape[1]
-    sq = np.empty((n_speakers, n_speakers, n_phones))
-    block = max(1, _DIFF_BLOCK_ELEMENTS // (n_speakers * n_speakers * enroll.shape[2]))
-    for i in range(0, n_phones, block):
-        diff = enroll[:, None, i:i + block] - test[None, :, i:i + block]
-        np.einsum("khid,khid->khi", diff, diff, out=sq[:, :, i:i + block])
-    valid = pe[:, None, :] & pt[None, :, :]
+    # (K, I, K) squared distances (enrollment speaker, phone, test speaker),
+    # a block of enrollment speakers at a time: a whole (K, K, I, D1)
+    # difference tensor would grow with K^2 * I * D1. Each enrollment's
+    # (K, I, D1) differences are one contiguous sweep, and each distance sums
+    # its own D1 products, whatever the block's size.
+    sq = np.empty((n_speakers, n_phones, n_speakers))
+    block = max(1, _DIFF_BLOCK_ELEMENTS // max(1, n_speakers * n_phones * width))
+    buffer = np.empty((min(block, n_speakers),) + test.shape)
+    for k in range(0, n_speakers, block):
+        diff = buffer[:n_speakers - k]
+        np.subtract(enroll[k:k + block, None], test[None], out=diff)
+        np.einsum("khid,khid->khi", diff, diff, out=sq[k:k + block].transpose(0, 2, 1))
+    valid = pe[:, :, None] & pt.T
 
     loss = 0.0
     d_enroll = np.zeros_like(enroll)
     d_test = np.zeros_like(test)
     diag = np.arange(n_speakers)
 
-    matched_mask = valid[diag, diag, :]                      # (K, I)
+    matched_mask = valid[diag, :, diag]                      # (K, I)
     n_matched = int(matched_mask.sum())
     if n_matched:
-        loss += alpha * float(sq[diag, diag, :][matched_mask].sum()) / n_matched
+        loss += alpha * float(sq[diag, :, diag][matched_mask].sum()) / n_matched
         coef = 2.0 * alpha / n_matched
         matched_diff = (enroll - test) * matched_mask[:, :, None]
         d_enroll += coef * matched_diff
         d_test -= coef * matched_diff
 
-    candidates = np.where(valid, sq, np.inf)
-    candidates[diag, diag, :] = np.inf
-    nearest = np.argmin(candidates, axis=1)                  # (K, I)
-    nearest_sq = np.min(candidates, axis=1)
+    # The distances become the candidates in place, once the matched term
+    # has read the diagonal.
+    np.copyto(sq, np.inf, where=~valid)
+    sq[diag, :, diag] = np.inf
+    nearest = np.argmin(sq, axis=2)                          # (K, I)
+    nearest_sq = np.take_along_axis(sq, nearest[:, :, None], axis=2)[:, :, 0]
     retained = np.isfinite(nearest_sq)
     n_retained = int(retained.sum())
     if n_retained:
@@ -165,8 +170,9 @@ def trait_verification_loss(
         ks, phones = np.nonzero(retained)
         hs = nearest[ks, phones]
         pulled = coef * (enroll[ks, phones] - test[hs, phones])
-        # A test trait can be the nearest neighbour of several enrollments.
-        np.subtract.at(d_enroll, (ks, phones), pulled)
+        # Each (k, phone) is retained once, but a test trait can be the
+        # nearest neighbour of several enrollments.
+        d_enroll[ks, phones] -= pulled
         np.add.at(d_test, (hs, phones), pulled)
     return loss, d_enroll, d_test
 

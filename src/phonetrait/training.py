@@ -11,6 +11,8 @@ timestamps or environment details ever enter the file.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,7 @@ from .trait_layer import (
 )
 
 CHECKPOINT_MAGIC = "phonetrait-checkpoint v1"
+_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,19 @@ def parameter_arrays(state: ModelState) -> dict[str, np.ndarray]:
     out["projection_bias"] = state.projection.bias
     out["class_weights"] = state.class_weights
     return out
+
+
+def _parameter_shapes(model_cfg: ModelConfig, n_classes: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every array ``parameter_arrays`` names, in its order."""
+    layers = model_cfg.encoder.layers
+    in_dims = model_cfg.encoder.layer_input_dims()
+    shapes = {f"encoder_weight_{l}": (layer.output_dim, len(layer.context_offsets) * in_dims[l])
+              for l, layer in enumerate(layers)}
+    shapes.update({f"encoder_bias_{l}": (layer.output_dim,) for l, layer in enumerate(layers)})
+    shapes["projection_weight"] = (model_cfg.embedding_dim, 2 * model_cfg.trait_dim)
+    shapes["projection_bias"] = (model_cfg.embedding_dim,)
+    shapes["class_weights"] = (n_classes, model_cfg.embedding_dim)
+    return shapes
 
 
 @dataclass
@@ -406,14 +422,16 @@ def save_checkpoint(state: ModelState, model_cfg: ModelConfig, path) -> None:
 def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ModelState, ModelConfig]:
     """Read a checkpoint; reject version or configuration mismatches.
 
-    A repeated tensor block or a non-finite value is a ParseError.
+    A repeated tensor block, a non-finite value or a dimension past int64 is
+    a ParseError. The model is built from the tensors read; no array is
+    allocated from a count in the file.
 
     When ``expected`` is given the stored architecture must match it exactly.
     """
     with _LineReader(path) as lines:
         if lines.next_line() != CHECKPOINT_MAGIC:
             raise lines.error(f"not a {CHECKPOINT_MAGIC!r} file", 1)
-        header: dict[str, str] = {}
+        header: dict = {}
         for key in ("input_dim", "layers", "embedding_dim", "n_classes", "step"):
             text = lines.next_line()
             if text is None:
@@ -421,21 +439,21 @@ def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ModelSta
             name, value = lines.key_value(text)
             if name != key or not value:
                 raise lines.error(f"expected header field {key!r}, got {text!r}")
-            header[key] = value
-        try:
-            input_dim = int(header["input_dim"])
-            embedding_dim = int(header["embedding_dim"])
-            n_classes = int(header["n_classes"])
-            step = int(header["step"])
-            layers = parse_layer_string(header["layers"])
-        except (ValueError, ConfigurationError) as exc:
-            raise lines.error(f"bad checkpoint header: {exc}", 2) from None
-        model_cfg = ModelConfig(EncoderConfig(input_dim, layers), embedding_dim)
+            try:
+                header[key] = parse_layer_string(value) if key == "layers" else int(value)
+            except (ValueError, ConfigurationError) as exc:
+                raise lines.error(f"bad checkpoint header: {exc}") from None
+            dims = [layer.output_dim for layer in header[key]] if key == "layers" else [header[key]]
+            if key != "step" and max(dims) > _INT64_MAX:
+                raise lines.error(f"bad checkpoint header: {key} is past int64")
+        model_cfg = ModelConfig(EncoderConfig(header["input_dim"], header["layers"]),
+                                header["embedding_dim"])
         if expected is not None and model_cfg != expected:
             raise ConfigurationError(
                 "checkpoint architecture does not match the requested configuration: "
-                f"stored input_dim={input_dim} layers={header['layers']!r} "
-                f"embedding_dim={embedding_dim}"
+                f"stored input_dim={model_cfg.encoder.input_dim} "
+                f"layers={format_layer_string(model_cfg.encoder.layers)!r} "
+                f"embedding_dim={model_cfg.embedding_dim}"
             )
 
         tensors: dict[str, np.ndarray] = {}
@@ -447,25 +465,34 @@ def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ModelSta
             shape = tuple(lines.parse(parts[2:], int, "tensor shape"))
             if min(shape) < 0:
                 raise lines.error(f"negative dimension in tensor {name!r}")
+            # NumPy holds no float64 array, not even an empty one, whose
+            # nonzero dimensions multiply past this.
+            if math.prod(max(d, 1) for d in shape) > sys.maxsize // 8:
+                raise lines.error(f"tensor {name!r} shape {shape} is too large for an array")
             n_rows = 1 if len(shape) == 1 else shape[0]
-            row_len = shape[0] if len(shape) == 1 else int(np.prod(shape[1:]))
+            row_len = shape[0] if len(shape) == 1 else math.prod(shape[1:])
             tensors[name] = lines.block(n_rows, row_len, f"tensor {name!r}").reshape(shape)
 
-    state = init_model(model_cfg, n_classes, seed=0)
-    expected_names = set(parameter_arrays(state))
-    if set(tensors) != expected_names:
-        missing = expected_names - set(tensors)
-        extra = set(tensors) - expected_names
+    n_classes = header["n_classes"]
+    if n_classes < 1:
+        raise ConfigurationError("n_classes must be >= 1")
+    shapes = _parameter_shapes(model_cfg, n_classes)
+    if set(tensors) != set(shapes):
+        missing = set(shapes) - set(tensors)
+        extra = set(tensors) - set(shapes)
         raise lines.error(
             f"checkpoint tensors do not match the architecture "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
         )
-    for name, arr in parameter_arrays(state).items():
-        if tensors[name].shape != arr.shape:
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
             raise ConfigurationError(
                 f"tensor {name!r} has shape {tensors[name].shape}, "
-                f"architecture requires {arr.shape}"
+                f"architecture requires {shape}"
             )
-        arr[...] = tensors[name]
-    state.step = step
-    return state, model_cfg
+    n_layers = len(model_cfg.encoder.layers)
+    encoder = EncoderParams(model_cfg.encoder,
+                            [tensors[f"encoder_weight_{l}"] for l in range(n_layers)],
+                            [tensors[f"encoder_bias_{l}"] for l in range(n_layers)])
+    projection = ProjectionParams(tensors["projection_weight"], tensors["projection_bias"])
+    return ModelState(encoder, projection, tensors["class_weights"], header["step"]), model_cfg

@@ -103,6 +103,22 @@ CASES = {
     # A non-finite row is reported before a later row of the wrong width.
     "checkpoint-non-finite-first": (
         "checkpoint", CHECKPOINT + "tensor w 3 2\nnan 1.0\n1.0\n1.0 2.0\n", 8),
+    # A dimension past int64 is refused at its line, and a header count
+    # allocates nothing: a huge n_classes is only a missing tensor.
+    "checkpoint-input-dim-past-int64": (
+        "checkpoint", CHECKPOINT.replace("input_dim 2", "input_dim 99999999999999999999"), 2),
+    "checkpoint-layer-dim-past-int64": (
+        "checkpoint", CHECKPOINT.replace("0:2:relu", "0:99999999999999999999:relu"), 3),
+    "checkpoint-n-classes-past-int64": (
+        "checkpoint", CHECKPOINT.replace("n_classes 2", "n_classes 99999999999999999999"), 5),
+    "checkpoint-n-classes-huge": (
+        "checkpoint", CHECKPOINT.replace("n_classes 2", "n_classes 100000000000"), 6),
+    "checkpoint-tensor-dim-past-int64": (
+        "checkpoint", CHECKPOINT + "tensor class_weights 0 99999999999999999999\n", 7),
+    # The row length would wrap to 0 in int64 arithmetic.
+    "checkpoint-tensor-row-past-int64": (
+        "checkpoint", CHECKPOINT + "tensor class_weights 1 4294967296 4294967296\n"
+        + " ".join(["1.0"] * 8) + "\n", 7),
 }
 for bad in ("nan", "inf", "-inf"):
     CASES.update({

@@ -1,13 +1,13 @@
 """Hand-checked values and certified gradients for all three loss terms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonetrait import losses
 from phonetrait.errors import (
     BatchError,
     ConfigurationError,
@@ -113,20 +113,44 @@ class TestTraitVerification:
         loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 1.0, 1.0)
         assert abs(loss - naive_verification(enroll, pe, test, pt, 1.0, 1.0)) < 1e-10
 
-    @pytest.mark.parametrize("n_speakers, phones_per_block", [(64, 1), (20, 10), (10, 40)])
-    def test_blocked_distances_equal_the_per_phone_loop(self, n_speakers, phones_per_block):
-        # At I=40 and D1=16 the block constant gives one phone per block at
-        # K=64, several at K=20, and every phone in one block at K=10.
-        n_phones, width = 40, 16
-        assert losses._DIFF_BLOCK_ELEMENTS // (n_speakers ** 2 * width) == phones_per_block
-        rng = np.random.default_rng(n_speakers)
+    @pytest.mark.parametrize("n_speakers, n_phones, width, integer", [
+        # One enrollment speaker per block at K=64, four at K=23 (the last
+        # block holds three), every speaker in one block at K=10.
+        pytest.param(64, 40, 16, False, id="k64-one-speaker-per-block"),
+        pytest.param(23, 40, 16, False, id="k23-partial-last-block"),
+        pytest.param(10, 40, 16, False, id="k10-one-block"),
+        # 0/1 traits tie for the nearest test speaker: argmin keeps the lowest.
+        pytest.param(23, 40, 4, True, id="tied-nearest"),
+        pytest.param(30, 1, 1, False, id="one-phone-width-one"),
+    ])
+    def test_blocked_distances_equal_the_per_phone_loop(self, n_speakers, n_phones, width,
+                                                        integer):
+        rng = np.random.default_rng(n_speakers * width)
         enroll, pe = random_masked_traits(rng, n_speakers, n_phones, width, p_present=0.7)
         test, pt = random_masked_traits(rng, n_speakers, n_phones, width, p_present=0.7)
+        if integer:
+            enroll = np.round(enroll).clip(0, 1) * pe[:, :, None]
+            test = np.round(test).clip(0, 1) * pt[:, :, None]
         got = trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
         want = per_phone_trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
         assert got[0] == want[0]
         for g, w in zip(got[1:], want[1:]):
             assert g.tobytes() == w.tobytes()
+
+    def test_peak_memory_stays_below_a_candidates_copy(self):
+        # At K=64, I=40, D1=16 the (K, I, K) distances take 1.3 MB; a second
+        # (K, K, I) candidates table or a whole (K, K, I, D1) difference
+        # tensor would push the call's peak past 4 MB.
+        rng = np.random.default_rng(64)
+        enroll, pe = random_masked_traits(rng, 64, 40, 16)
+        test, pt = random_masked_traits(rng, 64, 40, 16)
+        tracemalloc.start()
+        try:
+            trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
