@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, ParseError
+from .workspace import Workspace
 
 # 39-phone English inventory; the trailing non-verbal label makes 40 units.
 CMU_PHONES = (
@@ -257,12 +258,20 @@ class CorpusIndex:
             utts_by_speaker=by_speaker,
         )
 
-    def pack(self, utterance_ids: list[str]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """The utterances' features (N x F) and frame phones (N,) back to back, and their lengths."""
+    def pack(self, utterance_ids: list[str], workspace: Workspace | None = None
+             ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The utterances' features (N x F) and frame phones (N,) back to back, and their lengths.
+
+        The features go to the ``workspace`` role ``features``.
+        """
+        workspace = Workspace() if workspace is None else workspace
+        lengths = [self.features[u].n_frames for u in utterance_ids]
+        shape = (sum(lengths), self.features[utterance_ids[0]].dim)
         return (
-            np.concatenate([self.features[u].features for u in utterance_ids]),
+            np.concatenate([self.features[u].features for u in utterance_ids],
+                           out=workspace.take("features", shape)),
             np.concatenate([self.phones[u] for u in utterance_ids]),
-            [self.features[u].n_frames for u in utterance_ids],
+            lengths,
         )
 
     def class_label(self, speaker_id: str) -> int:

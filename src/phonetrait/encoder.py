@@ -5,6 +5,13 @@ Each layer sees, for every frame t, the concatenation of its input at frames
 boundary, so edges repeat the first/last frame). This is a time-delay
 architecture expressed directly in numpy; forward and backward passes are
 hand-written so gradients can be certified against finite differences.
+
+Both passes write their frame-sized arrays into a ``Workspace``: the
+forward pass each layer's context index, context rows and output, which the
+backward pass reads instead of gathering the context again, and the
+backward pass its context gradients and ReLU masks. Inside a training run
+the workspace lives for the whole run, so these arrays are valid until the
+next step.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
+from .workspace import Workspace
 
 _NONLINEARITIES = ("relu", "identity")
 
@@ -124,30 +132,32 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderPara
     return EncoderParams(config, weights, biases)
 
 
-def _bounds(lengths, n_frames: int) -> list[list[int]]:
-    """[start, end) rows of every packed utterance; ``None`` is one utterance of all rows."""
+def _bounds(lengths, n_frames: int) -> tuple[list[list[int]], list[list[int]]]:
+    """[start, end) rows of every packed utterance, and of the 1-frame ones.
+
+    ``None`` is one utterance of all rows.
+    """
     lengths = np.array([n_frames] if lengths is None else lengths, dtype=np.int64)
     if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != n_frames:
         raise DimensionError(
             f"utterance lengths {lengths.tolist()} do not pack {n_frames} frames"
         )
     ends = np.cumsum(lengths)
-    return np.stack([ends - lengths, ends], axis=1).tolist()
+    bounds = np.stack([ends - lengths, ends], axis=1)
+    return bounds.tolist(), bounds[lengths == 1].tolist()
 
 
-def _context_index(bounds: list[list[int]], offsets: tuple[int, ...]) -> np.ndarray | None:
-    """N x n_offsets source row of every context slot; None for ``(0,)``.
+def _context_index(bounds: list[list[int]], offsets: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the source row of every context slot, N x n_offsets.
 
     Frame t's slot for an offset reads row t + offset, clamped to t's own
-    utterance, so edges repeat that utterance's first/last frame. A ``(0,)``
-    layer's gather and scatter are identities and need no index.
+    utterance, so edges repeat that utterance's first/last frame.
     """
-    if offsets == (0,):
-        return None
     starts, ends = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
     first = np.repeat(starts, ends - starts)[:, None]
     last = np.repeat(ends - 1, ends - starts)[:, None]
-    return np.clip(np.arange(first.shape[0])[:, None] + np.asarray(offsets), first, last)
+    np.add(np.arange(out.shape[0])[:, None], offsets, out=out)
+    return np.clip(out, first, last, out=out)
 
 
 @dataclass(frozen=True)
@@ -155,36 +165,38 @@ class Packing:
     """How a forward pass laid out its frames; ``encode_backward`` reuses it.
 
     ``bounds`` holds the [start, end) rows of every packed utterance, and
-    ``indices`` every layer's ``_context_index`` (None for a ``(0,)`` layer).
+    ``lone`` those of the 1-frame ones, whose products
+    ``_matmul_by_utterance`` takes alone.
+    ``indices`` holds every layer's context index (None for a ``(0,)``
+    layer, whose gather is the identity) and ``contexts`` the N x (n_offsets
+    * width) context rows each layer multiplied, which backward reads
+    instead of gathering them again.
     """
 
     bounds: list[list[int]]
+    lone: list[list[int]]
     indices: list[np.ndarray | None]
+    contexts: list[np.ndarray]
 
 
-def _context(x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    """N x (n_offsets * width) context rows of ``x``."""
-    # ``take`` copies the same rows as ``x[idx]``, in a fraction of the time.
-    return x if idx is None else np.take(x, idx.ravel(), axis=0).reshape(x.shape[0], -1)
-
-
-def _matmul_by_utterance(a: np.ndarray, b: np.ndarray, bounds: list[list[int]]) -> np.ndarray:
-    """``a @ b`` with every utterance's rows bit-equal to that utterance's own product.
+def _matmul_by_utterance(a: np.ndarray, b: np.ndarray, packing: Packing,
+                         out: np.ndarray) -> np.ndarray:
+    """``a @ b`` into ``out``, every utterance's rows bit-equal to that utterance's own product.
 
     GEMM computes each output row the same whatever rows surround it, but
     NumPy hands a one-row or one-column product to gemv, whose sums depend
-    on the operand's shape. Those utterances are multiplied alone.
+    on the operand's shape. Those utterances are multiplied alone: the
+    1-frame ones, or every one when ``b`` has one column.
     """
-    out = a @ b
-    if len(bounds) > 1:
-        for start, end in bounds:
-            if end - start == 1 or b.shape[1] == 1:
-                out[start:end] = a[start:end] @ b
+    np.matmul(a, b, out=out)
+    if len(packing.bounds) > 1:
+        for start, end in packing.bounds if b.shape[1] == 1 else packing.lone:
+            out[start:end] = a[start:end] @ b
     return out
 
 
 def encode_layers(
-    params: EncoderParams, features: np.ndarray, lengths=None
+    params: EncoderParams, features: np.ndarray, lengths=None, workspace: Workspace | None = None
 ) -> tuple[list[np.ndarray], Packing]:
     """Every layer's activation for N x F frames of utterances packed back to back.
 
@@ -192,22 +204,40 @@ def encode_layers(
     one utterance of all N frames); no context window crosses from one
     utterance into the next. Returns (activations, packing): the activations
     start with the input (as float64) and end with the N x D1 frame
-    embeddings, and the packing holds the utterance bounds and context
-    indices the pass built. ``encode_backward`` reads both.
+    embeddings, and the packing holds the utterance bounds, context indices
+    and context rows the pass built. ``encode_backward`` reads both.
+
+    Layer l's context index, context rows and output go to the ``workspace``
+    roles ``index<l>``, ``context<l>`` and ``layer<l>``, so they are valid
+    until the next pass through the same workspace.
     """
+    workspace = Workspace() if workspace is None else workspace
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise DimensionError(
             f"features must be T x {params.config.input_dim}, got shape {x.shape}"
         )
-    bounds = _bounds(lengths, x.shape[0])
-    packing = Packing(bounds, [_context_index(bounds, layer.context_offsets)
-                               for layer in params.config.layers])
+    n_frames = x.shape[0]
+    bounds, lone = _bounds(lengths, n_frames)
+    packing = Packing(bounds, lone, [], [])
     activations = [x]
-    for layer, w, b, idx in zip(params.config.layers, params.weights, params.biases,
-                                packing.indices):
-        # The product is a fresh array, so the bias and the ReLU go in place.
-        x = _matmul_by_utterance(_context(x, idx), w.T, bounds)
+    for l, (layer, w, b) in enumerate(zip(params.config.layers, params.weights, params.biases)):
+        offsets = layer.context_offsets
+        # A (0,) layer's gather and scatter are identities and need no index.
+        idx, ctx = None, x
+        if offsets != (0,):
+            idx = _context_index(bounds, offsets,
+                                 workspace.take(f"index{l}", (n_frames, len(offsets)), np.int64))
+            # ``take`` copies the same rows as ``x[idx]``, in a fraction of the
+            # time. Every index is in range; mode "clip" writes ``out``
+            # directly, where "raise" would write a temporary and copy it.
+            ctx = np.take(x, idx.ravel(), axis=0, mode="clip",
+                          out=workspace.take(f"context{l}", (idx.size, x.shape[1])))
+            ctx = ctx.reshape(n_frames, -1)
+        packing.indices.append(idx)
+        packing.contexts.append(ctx)
+        x = _matmul_by_utterance(ctx, w.T, packing,
+                                 workspace.take(f"layer{l}", (n_frames, layer.output_dim)))
         x += b
         if layer.nonlinearity == "relu":
             np.maximum(x, 0.0, out=x)
@@ -216,45 +246,62 @@ def encode_layers(
 
 
 def encode_backward(
-    params: EncoderParams, activations: list[np.ndarray], packing: Packing, d_output: np.ndarray
+    params: EncoderParams,
+    activations: list[np.ndarray],
+    packing: Packing,
+    d_output: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of a scalar loss w.r.t. every weight and bias.
 
     ``activations`` and ``packing`` are ``encode_layers``' result for the same
     frames, and ``d_output`` the loss gradient w.r.t. the last activation
-    (N x D1); it is only read.
+    (N x D1, float64). ``d_output`` is overwritten: on return it holds the
+    gradient w.r.t. the last layer's pre-activation, which a ReLU layer
+    masks in place.
 
     Each weight and bias gradient is the sum, in packing order, of every
     utterance's own gradient, so a batch accumulates exactly as its
     utterances would one by one. Returns (d_weights, d_biases), aligned to
     ``params.weights`` / ``params.biases``.
+
+    The frame gradients of the lower layers take turns in the ``workspace``
+    roles ``grad_a`` and ``grad_b``, and each ReLU mask goes to ``relu_mask``.
     """
+    workspace = Workspace() if workspace is None else workspace
     grad = np.asarray(d_output, dtype=np.float64)
     if grad.shape != activations[-1].shape:
         raise DimensionError(f"d_output shape {grad.shape}, want {activations[-1].shape}")
     n_frames = grad.shape[0]
-    bounds = packing.bounds
     d_weights = [np.zeros_like(w) for w in params.weights]
     d_biases = [np.zeros_like(b) for b in params.biases]
+    # ``spare`` names the role that holds nothing still to be read.
+    spare, held = "grad_a", "grad_b"
     for l in range(len(params.config.layers) - 1, -1, -1):
         layer = params.config.layers[l]
-        x = activations[l]
-        # A ReLU output is positive exactly where its pre-activation is.
-        d_pre = grad * (activations[l + 1] > 0.0) if layer.nonlinearity == "relu" else grad
-        idx = packing.indices[l]
-        ctx = _context(x, idx)
-        for start, end in bounds:
-            d_weights[l] += d_pre[start:end].T @ ctx[start:end]
-            d_biases[l] += d_pre[start:end].sum(axis=0)
+        if layer.nonlinearity == "relu":
+            # A ReLU output is positive exactly where its pre-activation is.
+            act = activations[l + 1]
+            mask = np.greater(act, 0.0, out=workspace.take("relu_mask", act.shape, np.bool_))
+            np.multiply(grad, mask, out=grad)
+        ctx = packing.contexts[l]
+        for start, end in packing.bounds:
+            d_weights[l] += grad[start:end].T @ ctx[start:end]
+            d_biases[l] += grad[start:end].sum(axis=0)
         if l == 0:
             break
-        d_ctx = _matmul_by_utterance(d_pre, params.weights[l], bounds)
+        grad = _matmul_by_utterance(grad, params.weights[l], packing,
+                                    workspace.take(spare, ctx.shape))
+        spare, held = held, spare
+        idx = packing.indices[l]
         if idx is None:
-            grad = d_ctx
             continue
-        grad = np.zeros_like(x)
+        d_ctx = grad
+        grad = workspace.take(spare, activations[l].shape)
+        spare, held = held, spare
+        grad.fill(0.0)
         # Clamped gathering means edge frames receive several contributions,
         # summed offset by offset and frame by frame within an offset.
         np.add.at(grad, idx.T.ravel(),
-                  d_ctx.reshape(n_frames, idx.shape[1], -1).transpose(1, 0, 2).reshape(-1, x.shape[1]))
+                  d_ctx.reshape(n_frames, idx.shape[1], -1).transpose(1, 0, 2).reshape(-1, grad.shape[1]))
     return d_weights, d_biases

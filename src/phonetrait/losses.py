@@ -26,14 +26,17 @@ from .errors import (
     EmptyUtteranceError,
     NumericGuardError,
 )
+from .workspace import Workspace
 
 # Norms below this are treated as degenerate rather than normalised.
 _NORM_FLOOR = 1e-12
 
 # Most float64 elements in one block of ``trait_verification_loss``'s
-# difference tensor (512 KB): at I=40 and D1=16 a block holds all 10
-# enrollment speakers at K=10, one at K=64.
-_DIFF_BLOCK_ELEMENTS = 2 ** 16
+# difference tensor (256 KB): at I=40 and D1=16 a block holds 5 enrollment
+# speakers at K=10, one at K=64. In training the block shares a workspace
+# buffer with the encoder's N x D1 context gradient, which a desk step's ~2.1k
+# frames make 269 KB, so at the desk shape the block adds no memory.
+_DIFF_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,7 @@ def trait_verification_loss(
     test_present: np.ndarray,
     alpha: float,
     beta: float,
+    workspace: Workspace | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Pull same-speaker traits together, push nearest other-speaker traits apart.
 
@@ -116,8 +120,11 @@ def trait_verification_loss(
     those minima; each term's average ignores entries with an empty candidate
     set.
 
-    Returns (loss, d_enroll_traits, d_test_traits).
+    Returns (loss, d_enroll_traits, d_test_traits). The distance table and
+    the difference block go to the ``workspace`` roles ``distances`` and
+    ``differences``.
     """
+    workspace = Workspace() if workspace is None else workspace
     enroll = np.asarray(enroll_traits, dtype=np.float64)
     test = np.asarray(test_traits, dtype=np.float64)
     pe = np.asarray(enroll_present, dtype=bool)
@@ -133,9 +140,9 @@ def trait_verification_loss(
     # difference tensor would grow with K^2 * I * D1. Each enrollment's
     # (K, I, D1) differences are one contiguous sweep, and each distance sums
     # its own D1 products, whatever the block's size.
-    sq = np.empty((n_speakers, n_phones, n_speakers))
+    sq = workspace.take("distances", (n_speakers, n_phones, n_speakers))
     block = max(1, _DIFF_BLOCK_ELEMENTS // max(1, n_speakers * n_phones * width))
-    buffer = np.empty((min(block, n_speakers),) + test.shape)
+    buffer = workspace.take("differences", (min(block, n_speakers),) + test.shape)
     for k in range(0, n_speakers, block):
         diff = buffer[:n_speakers - k]
         np.subtract(enroll[k:k + block, None], test[None], out=diff)
@@ -151,14 +158,17 @@ def trait_verification_loss(
     n_matched = int(matched_mask.sum())
     if n_matched:
         loss += alpha * float(sq[diag, :, diag][matched_mask].sum()) / n_matched
-        coef = 2.0 * alpha / n_matched
-        matched_diff = (enroll - test) * matched_mask[:, :, None]
-        d_enroll += coef * matched_diff
-        d_test -= coef * matched_diff
+        # (enroll - test) * mask * coef, each product in place.
+        matched_diff = np.subtract(enroll, test)
+        matched_diff *= matched_mask[:, :, None]
+        matched_diff *= 2.0 * alpha / n_matched
+        d_enroll += matched_diff
+        d_test -= matched_diff
+        del matched_diff  # before the nearest-neighbour term's temporaries
 
     # The distances become the candidates in place, once the matched term
     # has read the diagonal.
-    np.copyto(sq, np.inf, where=~valid)
+    np.copyto(sq, np.inf, where=np.logical_not(valid, out=valid))
     sq[diag, :, diag] = np.inf
     nearest = np.argmin(sq, axis=2)                          # (K, I)
     nearest_sq = np.take_along_axis(sq, nearest[:, :, None], axis=2)[:, :, 0]
@@ -169,7 +179,9 @@ def trait_verification_loss(
         coef = 2.0 * beta / n_retained
         ks, phones = np.nonzero(retained)
         hs = nearest[ks, phones]
-        pulled = coef * (enroll[ks, phones] - test[hs, phones])
+        pulled = enroll[ks, phones]
+        pulled -= test[hs, phones]
+        pulled *= coef
         # Each (k, phone) is retained once, but a test trait can be the
         # nearest neighbour of several enrollments.
         d_enroll[ks, phones] -= pulled
@@ -203,10 +215,13 @@ def trait_center_loss(
     total = int(counts.sum())
     masked = x * mask[:, :, None]
     centers = masked.sum(axis=1) / counts[:, None]           # (K, D1)
-    deviation = (x - centers[:, None, :]) * mask[:, :, None]
-    loss = gamma * float((deviation ** 2).sum()) / total
-    d_traits = (2.0 * gamma / total) * deviation
-    return loss, d_traits
+    deviation = np.subtract(x, centers[:, None, :])
+    deviation *= mask[:, :, None]
+    # ``masked`` is spent: it takes the squares, and the deviations become
+    # the gradient in place.
+    loss = gamma * float(np.square(deviation, out=masked).sum()) / total
+    deviation *= 2.0 * gamma / total
+    return loss, deviation
 
 
 def aam_softmax_loss(
@@ -298,27 +313,21 @@ def total_loss(
     aam_config: AamConfig,
     class_weights: np.ndarray,
     with_classification: bool = True,
+    workspace: Workspace | None = None,
 ) -> LossOutput:
     """Sum of the classification, verification and center losses on one batch.
 
     The classification term runs over all 2K embeddings with each speaker's
     label repeated. The verification term pairs the enrollment side with the
     test side, and the center term averages over each side on its own.
+    ``workspace`` holds the verification term's scratch arrays; every
+    returned array is fresh.
     """
     if batch.n_speakers < 2:
         raise BatchError("pair batch training needs >= 2 speakers")
     k = batch.n_speakers
     enroll_traits, test_traits = batch.traits[:k], batch.traits[k:]
     enroll_present, test_present = batch.present[:k], batch.present[k:]
-    l_veri, d_veri_e, d_veri_t = trait_verification_loss(
-        enroll_traits, enroll_present, test_traits, test_present,
-        weights.alpha, weights.beta,
-    )
-    l_center_e, d_center_e = trait_center_loss(enroll_traits, enroll_present, weights.gamma)
-    l_center_t, d_center_t = trait_center_loss(test_traits, test_present, weights.gamma)
-    l_center = l_center_e + l_center_t
-    d_traits = np.concatenate([d_veri_e + d_center_e, d_veri_t + d_center_t])
-
     if with_classification:
         l_aam, d_embeddings, d_class_weights = aam_softmax_loss(
             batch.embeddings, np.tile(batch.class_labels, 2), class_weights, aam_config
@@ -327,6 +336,20 @@ def total_loss(
         l_aam = 0.0
         d_embeddings = np.zeros_like(batch.embeddings)
         d_class_weights = np.zeros_like(np.asarray(class_weights, dtype=np.float64))
+
+    l_veri, d_veri_e, d_veri_t = trait_verification_loss(
+        enroll_traits, enroll_present, test_traits, test_present,
+        weights.alpha, weights.beta, workspace,
+    )
+    # Each side's center gradient is added to its verification gradient in
+    # place as soon as it exists, then the two sides are stacked.
+    l_center_e, d_center = trait_center_loss(enroll_traits, enroll_present, weights.gamma)
+    np.add(d_veri_e, d_center, out=d_veri_e)
+    l_center_t, d_center = trait_center_loss(test_traits, test_present, weights.gamma)
+    np.add(d_veri_t, d_center, out=d_veri_t)
+    del d_center
+    l_center = l_center_e + l_center_t
+    d_traits = np.concatenate([d_veri_e, d_veri_t])
 
     return LossOutput(
         total=l_aam + l_veri + l_center,

@@ -41,6 +41,7 @@ from .errors import ConfigurationError, DimensionError, NumericGuardError
 from .losses import _NORM_FLOOR
 from .trait_layer import forward_batch
 from .training import ModelState
+from .workspace import Workspace
 
 
 # Trials scored per kernel call in ``score_trials``; bounds its temporaries.
@@ -131,6 +132,27 @@ def _defined_means(values: np.ndarray) -> np.ndarray:
     return means
 
 
+def _forward_utterances(
+    utterances: list[str], index: CorpusIndex, state: ModelState, n_phones: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked traits, presence masks and embeddings of the utterances.
+
+    They go through ``forward_batch`` ``_UTTERANCE_CHUNK`` at a time, every
+    pack in one workspace, which is freed on return.
+    """
+    traits = np.empty((len(utterances), n_phones, state.encoder.config.output_dim))
+    present = np.empty((len(utterances), n_phones), dtype=bool)
+    embeddings = np.empty((len(utterances), state.projection.embedding_dim))
+    workspace = Workspace()
+    for start in range(0, len(utterances), _UTTERANCE_CHUNK):
+        chunk = utterances[start:start + _UTTERANCE_CHUNK]
+        fwd = forward_batch(*index.pack(chunk, workspace), chunk, state.encoder, state.projection,
+                            n_phones, workspace)
+        rows = slice(start, start + len(chunk))
+        traits[rows], present[rows], embeddings[rows] = fwd.traits, fwd.present, fwd.embeddings
+    return traits, present, embeddings
+
+
 def score_trials(
     state: ModelState,
     index: CorpusIndex,
@@ -151,15 +173,7 @@ def score_trials(
     for trial in trials:
         place.setdefault(trial.enroll_id, len(place))
         place.setdefault(trial.test_id, len(place))
-    utterances = list(place)
-    traits = np.empty((len(place), n_phones, state.encoder.config.output_dim))
-    present = np.empty((len(place), n_phones), dtype=bool)
-    embeddings = np.empty((len(place), state.projection.embedding_dim))
-    for start in range(0, len(utterances), _UTTERANCE_CHUNK):
-        chunk = utterances[start:start + _UTTERANCE_CHUNK]
-        fwd = forward_batch(*index.pack(chunk), chunk, state.encoder, state.projection, n_phones)
-        rows = slice(start, start + len(chunk))
-        traits[rows], present[rows], embeddings[rows] = fwd.traits, fwd.present, fwd.embeddings
+    traits, present, embeddings = _forward_utterances(list(place), index, state, n_phones)
     trait_norms = _row_norms(traits.reshape(-1, traits.shape[2])).reshape(present.shape)
     embedding_norms = _row_norms(embeddings)
 

@@ -4,6 +4,15 @@ The trainable parameters are the frame encoder, the statistics projection and
 the classification class weights. Updates are plain SGD with momentum on
 minibatches of K speakers, two utterances (enrollment, test) per speaker.
 
+A ``train`` run keeps one ``Workspace`` for all its steps. Each step writes
+its frame-sized arrays into the workspace's buffers: the packed features,
+every encoder layer's context index, context rows and output, the pooling's
+segment bins, the verification loss's distance table and difference block,
+the frame gradient, the encoder's context gradients and ReLU masks. The
+buffers grow to the largest step seen and are freed when the run ends. So a
+``BatchForward`` made inside training is valid only until the next step;
+the loss output and the gradients are fresh arrays.
+
 Checkpoints are a versioned plain-text format written atomically; floats are
 serialised with ``repr`` so a save/load/save cycle is byte identical and no
 timestamps or environment details ever enter the file.
@@ -39,6 +48,7 @@ from .trait_layer import (
     init_projection,
     trait_layer_backward,
 )
+from .workspace import Workspace
 
 CHECKPOINT_MAGIC = "phonetrait-checkpoint v1"
 _INT64_MAX = 2 ** 63 - 1
@@ -175,11 +185,16 @@ def forward_pair_batch(
     index: CorpusIndex,
     selection: PairSelection,
     n_phones: int,
+    workspace: Workspace | None = None,
 ) -> tuple[PairBatch, BatchForward]:
-    """Run the selection's enrollments, then its tests, through the model as one batch."""
+    """Run the selection's enrollments, then its tests, through the model as one batch.
+
+    The frame-sized arrays go into ``workspace``; see ``forward_batch``.
+    """
     utts = selection.enroll_utts + selection.test_utts
-    features, phones, lengths = index.pack(utts)
-    cache = forward_batch(features, phones, lengths, utts, state.encoder, state.projection, n_phones)
+    features, phones, lengths = index.pack(utts, workspace)
+    cache = forward_batch(features, phones, lengths, utts, state.encoder, state.projection,
+                          n_phones, workspace)
     batch = PairBatch(selection.speaker_ids, selection.class_labels,
                       cache.traits, cache.present, cache.embeddings)
     return batch, cache
@@ -193,24 +208,29 @@ def batch_loss_and_grads(
     aam: AamConfig,
     n_phones: int,
     with_classification: bool = True,
+    workspace: Workspace | None = None,
 ) -> tuple[LossOutput, dict[str, np.ndarray]]:
     """Loss components and gradients for every trainable array on one batch.
 
     Every gradient sums its per-utterance terms enrollments first, then
     tests, in selection order. The desk experiment's trajectory depends on
     that summation order, down to its EERs.
+
+    The step's frame-sized arrays live in ``workspace``; the returned loss
+    and gradients are fresh arrays.
     """
-    batch, cache = forward_pair_batch(state, index, selection, n_phones)
-    out = total_loss(batch, weights, aam, state.class_weights, with_classification)
+    batch, cache = forward_pair_batch(state, index, selection, n_phones, workspace)
+    out = total_loss(batch, weights, aam, state.class_weights, with_classification, workspace)
 
     grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
     grads["class_weights"] += out.d_class_weights
     d_proj_w, d_proj_b, d_frames = trait_layer_backward(
-        cache, state.projection, out.d_embeddings, out.d_traits
+        cache, state.projection, out.d_embeddings, out.d_traits, workspace
     )
     grads["projection_weight"] += d_proj_w
     grads["projection_bias"] += d_proj_b
-    d_enc_w, d_enc_b = encode_backward(state.encoder, cache.activations, cache.packing, d_frames)
+    d_enc_w, d_enc_b = encode_backward(state.encoder, cache.activations, cache.packing, d_frames,
+                                       workspace)
     for l, g in enumerate(d_enc_w):
         grads[f"encoder_weight_{l}"] += g
     for l, g in enumerate(d_enc_b):
@@ -246,6 +266,9 @@ def train_epochs(
     init_stream, sample_stream = np.random.SeedSequence(train_cfg.seed).spawn(2)
     state = init_model(model_cfg, len(index.speakers), init_stream)
     rng = np.random.default_rng(sample_stream)
+    # One workspace for the run: every step writes its frame-sized arrays
+    # into the same buffers, and they are freed with the generator.
+    workspace = Workspace()
     params = parameter_arrays(state)
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
     history = np.recarray(train_cfg.epochs * train_cfg.steps_per_epoch, dtype=LOSS_HISTORY_DTYPE)
@@ -253,7 +276,8 @@ def train_epochs(
         for _ in range(train_cfg.steps_per_epoch):
             selection = sample_pair_batch(index, train_cfg.speakers_per_batch, rng)
             out, grads = batch_loss_and_grads(
-                state, index, selection, train_cfg.weights, train_cfg.aam, inventory.size
+                state, index, selection, train_cfg.weights, train_cfg.aam, inventory.size,
+                workspace=workspace,
             )
             if not np.isfinite(out.total):
                 raise DivergenceError(

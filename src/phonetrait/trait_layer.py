@@ -17,6 +17,11 @@ statistics pooling runs over the stacked traits with absent rows zero: adding
 width 1 NumPy sums the reduced axis pairwise, in blocks, and zero-filling
 regroups those sums; there pooling runs one utterance at a time.
 
+``forward_batch`` and ``trait_layer_backward`` write their frame-sized
+arrays (the encoder's, the segment bins and the N x D1 frame gradient) into
+a ``Workspace``; inside a training run it lives for the whole run, so a
+``BatchForward``'s activations and packing are valid until the next step.
+
 A phone whose frames average to the exact zero vector is indistinguishable
 from an absent phone on purpose: presence is defined by the trait value
 alone.
@@ -30,6 +35,7 @@ import numpy as np
 
 from .encoder import EncoderParams, Packing, encode_layers
 from .errors import ConfigurationError, DimensionError, EmptyUtteranceError
+from .workspace import Workspace
 
 # Inside the sqrt of the pooled standard deviation; keeps the gradient finite
 # when every present trait is identical (e.g. a single present phone).
@@ -40,6 +46,7 @@ def extract_traits(
     frame_embeddings: np.ndarray,
     segments: np.ndarray,
     counts: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average packed frame embeddings per (utterance, phone) into B x I x D1 traits.
 
@@ -49,8 +56,10 @@ def extract_traits(
     frame of a phone counts equally, so a phone aligned to several segments
     pools all their frames together, weighted by duration.
 
-    Returns (traits, present) with a (B, I) presence mask.
+    Returns (traits, present) with a (B, I) presence mask. The segment sum's
+    bins go to the ``workspace`` role ``bins``.
     """
+    workspace = Workspace() if workspace is None else workspace
     emb = np.asarray(frame_embeddings, dtype=np.float64)
     if emb.ndim != 2:
         raise DimensionError(f"frame embeddings must be T x D1, got shape {emb.shape}")
@@ -61,8 +70,9 @@ def extract_traits(
     # One segment sum over every (segment, column) bin of the raveled rows:
     # each bin still adds its frames in frame order.
     d1 = emb.shape[1]
-    bins = (segments[:, None] * d1 + np.arange(d1)).ravel()
-    sums = np.bincount(bins, weights=emb.ravel(), minlength=counts.size * d1)
+    bins = np.multiply(segments[:, None], d1, out=workspace.take("bins", emb.shape, np.int64))
+    bins += np.arange(d1)
+    sums = np.bincount(bins.ravel(), weights=emb.ravel(), minlength=counts.size * d1)
     sums = sums.reshape(*counts.shape, d1)
     # An unseen pair's sum is 0.0, and 0.0 / 1 keeps its row zero.
     traits = sums / np.maximum(counts, 1)[..., None]
@@ -141,7 +151,7 @@ class BatchForward:
     """Cached intermediates of a packed batch's forward pass, for backprop."""
 
     activations: list[np.ndarray]  # packed encoder input (N, F) ... frame embeddings (N, D1)
-    packing: Packing               # utterance bounds and context indices of the encoder pass
+    packing: Packing               # utterance bounds, context indices and rows of the encoder pass
     segments: np.ndarray           # (N,) u * I + phone of every frame
     counts: np.ndarray             # (B, I) frames per (utterance, phone)
     traits: np.ndarray             # (B, I, D1)
@@ -158,6 +168,7 @@ def forward_batch(
     encoder_params: EncoderParams,
     projection: ProjectionParams,
     n_phones: int,
+    workspace: Workspace | None = None,
 ) -> BatchForward:
     """Full path features -> frames -> traits -> stats -> embedding.
 
@@ -167,8 +178,12 @@ def forward_batch(
     only above trait width 1; see the module docstring). An utterance with
     no present trait raises EmptyUtteranceError naming the first such
     utterance in packing order.
+
+    The encoder's arrays and the pooling's bins go into ``workspace``, so
+    the result's ``activations`` and ``packing`` are valid until the next
+    pass through it; the other fields are fresh arrays.
     """
-    activations, packing = encode_layers(encoder_params, features, lengths)
+    activations, packing = encode_layers(encoder_params, features, lengths, workspace)
     if phones.max() >= n_phones:
         raise ConfigurationError(
             f"alignment phone index {int(phones.max())} >= inventory size {n_phones}"
@@ -176,7 +191,7 @@ def forward_batch(
     lengths = np.asarray(lengths)
     segments = np.repeat(np.arange(lengths.shape[0]) * n_phones, lengths) + phones
     counts = np.bincount(segments, minlength=lengths.shape[0] * n_phones).reshape(-1, n_phones)
-    traits, present = extract_traits(activations[-1], segments, counts)
+    traits, present = extract_traits(activations[-1], segments, counts, workspace)
     if traits.shape[2] != projection.trait_dim:
         raise DimensionError(
             f"trait dim {traits.shape[2]} does not match projection trait dim {projection.trait_dim}"
@@ -204,6 +219,7 @@ def trait_layer_backward(
     projection: ProjectionParams,
     d_embeddings: np.ndarray,
     d_traits: np.ndarray | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backprop from the embeddings (and optionally the traits) to frames.
 
@@ -213,6 +229,7 @@ def trait_layer_backward(
         d_traits: optional loss gradient w.r.t. the B x I x D1 traits (e.g.
             from losses that act on traits directly). Rows of absent phones
             are ignored; their traits are constant zero.
+        workspace: where the N x D1 frame gradient goes (role ``d_frames``).
 
     Returns:
         (d_proj_weight, d_proj_bias, d_frame_embeddings). The projection
@@ -249,5 +266,9 @@ def trait_layer_backward(
     # Each frame contributed 1/count to its phone's mean; a phone no frame
     # reads is divided by 1 instead of 0.
     d_trait_full /= np.maximum(cache.counts, 1)[:, :, None]
-    d_frames = np.take(d_trait_full.reshape(-1, d_trait_full.shape[2]), cache.segments, axis=0)
+    workspace = Workspace() if workspace is None else workspace
+    rows = d_trait_full.reshape(-1, d_trait_full.shape[2])
+    # Every segment id is a row of ``rows``; see ``encode_layers`` on "clip".
+    d_frames = np.take(rows, cache.segments, axis=0, mode="clip",
+                       out=workspace.take("d_frames", (cache.segments.shape[0], rows.shape[1])))
     return d_proj_w, d_proj_b, d_frames

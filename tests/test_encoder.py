@@ -190,6 +190,22 @@ class TestBackward:
             assert max_relative_error(d_w[l], central_difference(loss, params.weights[l])) < 1e-6
             assert max_relative_error(d_b[l], central_difference(loss, params.biases[l])) < 1e-6
 
+    @pytest.mark.parametrize("top", ["relu", "identity"])
+    def test_d_output_becomes_the_top_pre_activation_gradient(self, top):
+        # encode_backward overwrites d_output in place: a ReLU top layer
+        # zeroes it where its output is not positive, an identity layer
+        # leaves it as it was.
+        rng = np.random.default_rng(5)
+        config = EncoderConfig(3, (LayerSpec((-1, 0, 1), 5, "relu"), LayerSpec((0,), 4, top)))
+        params = init_encoder(config, rng)
+        activations, packing = encode_layers(params, rng.normal(size=(9, 3)), [4, 5])
+        upstream = rng.normal(size=(9, 4))
+        want = upstream * (activations[-1] > 0.0) if top == "relu" else upstream.copy()
+        # Some outputs are clipped, so the ReLU case has rows to zero.
+        assert (activations[-1] <= 0.0).any() and (activations[-1] > 0.0).any()
+        encode_backward(params, activations, packing, upstream)
+        assert upstream.tobytes() == want.tobytes()
+
     def test_upstream_shape_checked(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
         with pytest.raises(DimensionError):
@@ -254,6 +270,28 @@ class TestPackedUtterances:
         for l in range(3):
             assert np.array_equal(d_w[l], want_w[l])
             assert np.array_equal(d_b[l], want_b[l])
+
+    def test_one_column_products_are_taken_per_utterance(self):
+        # NumPy multiplies by a one-column matrix with gemv, whose sums over
+        # a 48-wide context (layer 0 forward) or a 32-wide gradient (layer 1
+        # backward) depend on how many rows it sees at once.
+        rng = np.random.default_rng(8)
+        config = EncoderConfig(16, (LayerSpec((-1, 0, 1), 1, "identity"),
+                                    LayerSpec((0,), 32, "identity")))
+        params = init_encoder(config, rng)
+        lengths = [5, 9, 3, 12, 7]
+        utterances = [rng.normal(size=(n, 16)) for n in lengths]
+        upstreams = [rng.normal(size=(n, 32)) for n in lengths]
+        packed, packing = encode_layers(params, np.concatenate(utterances), lengths)
+        d_w = encode_backward(params, packed, packing, np.concatenate(upstreams))[0]
+        want_w = [np.zeros_like(w) for w in params.weights]
+        for feats, upstream in zip(utterances, upstreams):
+            alone, alone_packing = encode_layers(params, feats)
+            for l, g in enumerate(encode_backward(params, alone, alone_packing, upstream)[0]):
+                want_w[l] += g
+        alone_out = np.concatenate([encode_layers(params, u)[0][1] for u in utterances])
+        assert packed[1].tobytes() == alone_out.tobytes()
+        assert d_w[0].tobytes() == want_w[0].tobytes()
 
     def test_lengths_must_pack_the_frames(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))

@@ -114,11 +114,11 @@ class TestTraitVerification:
         assert abs(loss - naive_verification(enroll, pe, test, pt, 1.0, 1.0)) < 1e-10
 
     @pytest.mark.parametrize("n_speakers, n_phones, width, integer", [
-        # One enrollment speaker per block at K=64, four at K=23 (the last
-        # block holds three), every speaker in one block at K=10.
+        # One enrollment speaker per block at K=64, two at K=23 (the last
+        # block holds one), every speaker in one block at K=10 over 20 phones.
         pytest.param(64, 40, 16, False, id="k64-one-speaker-per-block"),
         pytest.param(23, 40, 16, False, id="k23-partial-last-block"),
-        pytest.param(10, 40, 16, False, id="k10-one-block"),
+        pytest.param(10, 20, 16, False, id="k10-one-block"),
         # 0/1 traits tie for the nearest test speaker: argmin keeps the lowest.
         pytest.param(23, 40, 4, True, id="tied-nearest"),
         pytest.param(30, 1, 1, False, id="one-phone-width-one"),

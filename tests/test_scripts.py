@@ -24,3 +24,16 @@ def test_trajectory_digest_repeats():
     assert run_script("trajectory_digest.py", "--steps", "2") == first
     # One step fewer is another trajectory, so the digest must see it.
     assert run_script("trajectory_digest.py", "--steps", "1") != first
+
+
+def test_trajectory_digest_speakers_per_batch():
+    desk = run_script("trajectory_digest.py", "--steps", "2")
+    assert run_script("trajectory_digest.py", "--steps", "2", "--speakers-per-batch", "10") == desk
+    # Above the desk corpus's 20 speakers the corpus grows to K+16 speakers.
+    k64 = run_script("trajectory_digest.py", "--steps", "2", "--speakers-per-batch", "64")
+    assert re.fullmatch(r"[0-9a-f]{64}\n", k64) and k64 != desk
+    assert run_script("trajectory_digest.py", "--steps", "2", "--speakers-per-batch", "64") == k64
+    done = subprocess.run([sys.executable, str(SCRIPTS / "trajectory_digest.py"),
+                           "--speakers-per-batch", "1"],
+                          env=package_env(), capture_output=True, text=True)
+    assert done.returncode == 2 and "--speakers-per-batch must be >= 2" in done.stderr

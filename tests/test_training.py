@@ -1,5 +1,7 @@
 """Pair-batch SGD training loop, gradient certification, checkpoints."""
 
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonetrait import encoder, presets, trait_layer, training
+from phonetrait import encoder, losses, presets, trait_layer, training
 from phonetrait.corpus import (
     CMU_PHONES,
     NON_VERBAL,
@@ -45,7 +47,9 @@ from phonetrait.training import (
     save_checkpoint,
     train,
 )
+from phonetrait.workspace import Workspace
 
+from _entry import package_env
 from _oracles import per_utterance_loss_and_grads
 
 
@@ -160,6 +164,18 @@ def desk_setup():
     """The desk corpus index, inventory, model config and train config."""
     inventory = default_inventory()
     features, alignments, _ = generate_corpus(**presets.desk_corpus_kwargs(inventory))
+    return (inventory, CorpusIndex.build(features, alignments), presets.desk_model_config(),
+            presets.desk_train_config())
+
+
+@pytest.fixture(scope="module")
+def k64_setup():
+    """The desk corpus at 80 speakers x 4 utterances (train-k64's shape), and
+    the desk inventory, model config and train config."""
+    inventory = default_inventory()
+    kwargs = presets.desk_corpus_kwargs(inventory)
+    kwargs.update(n_speakers=80, utts_per_speaker=4)
+    features, alignments, _ = generate_corpus(**kwargs)
     return (inventory, CorpusIndex.build(features, alignments), presets.desk_model_config(),
             presets.desk_train_config())
 
@@ -280,19 +296,18 @@ class TestBatchGradients:
         for name in ("traits", "present", "embeddings"):
             assert np.array_equal(getattr(got_batch, name), getattr(want_batch, name)), name
 
-    @pytest.mark.parametrize("selection_seed", [0, 1, 2])
-    def test_desk_step_matches_per_utterance_oracle(self, desk_setup, selection_seed):
-        # The desk shape (K=10, I=40, D1=16, ~2.2k frames) is out of the
-        # property test's reach: it stacks 40 phones of width 16.
-        inventory, index, model_cfg, train_cfg = desk_setup
+    @staticmethod
+    def assert_step_matches_oracle(setup, k, selection_seed, traits_shape):
+        """One K-speaker step on ``setup``'s corpus, with traits of
+        ``traits_shape``, equals the per-utterance oracle byte for byte."""
+        inventory, index, model_cfg, train_cfg = setup
         state = init_model(model_cfg, len(index.speakers), seed=train_cfg.seed)
-        sel = sample_pair_batch(index, train_cfg.speakers_per_batch,
-                                np.random.default_rng(selection_seed))
+        sel = sample_pair_batch(index, k, np.random.default_rng(selection_seed))
         args = (state, index, sel, train_cfg.weights, train_cfg.aam, inventory.size)
         want, want_grads, want_batch = per_utterance_loss_and_grads(*args)
         got, got_grads = batch_loss_and_grads(*args)
         got_batch, _ = forward_pair_batch(state, index, sel, inventory.size)
-        assert got_batch.traits.shape == (20, 40, 16)
+        assert got_batch.traits.shape == traits_shape
         for term in ("total", "classification", "verification", "center"):
             assert getattr(got, term) == getattr(want, term), term
         assert sorted(got_grads) == sorted(want_grads)
@@ -300,6 +315,18 @@ class TestBatchGradients:
             assert got_grads[name].tobytes() == grad.tobytes(), name
         for name in ("traits", "present", "embeddings"):
             assert getattr(got_batch, name).tobytes() == getattr(want_batch, name).tobytes(), name
+
+    @pytest.mark.parametrize("selection_seed", [0, 1, 2])
+    def test_desk_step_matches_per_utterance_oracle(self, desk_setup, selection_seed):
+        # The desk shape (K=10, I=40, D1=16, ~2.2k frames) is out of the
+        # property test's reach: it stacks 40 phones of width 16.
+        self.assert_step_matches_oracle(desk_setup, 10, selection_seed, (20, 40, 16))
+
+    def test_k64_step_matches_per_utterance_oracle(self, k64_setup):
+        # K=64 puts one enrollment speaker in each verification-loss block,
+        # and its ~13.5k frames fill the step workspace's largest buffers.
+        assert losses._DIFF_BLOCK_ELEMENTS < 64 * 40 * 16
+        self.assert_step_matches_oracle(k64_setup, 64, 0, (128, 40, 16))
 
     def test_grad_check_wrapper(self):
         inventory, index, model_cfg = tiny_setup()
@@ -312,6 +339,70 @@ class TestBatchGradients:
         assert report.passed
         assert report.worst < 1e-4
         assert report.lines()[-1].endswith("PASS")
+
+
+# Trains K speakers a step on the desk corpus (K+16 speakers of 4 utterances
+# above its 20) and prints the minor page faults per step after 5 warm-up steps.
+_FAULTS_PER_STEP = """
+import dataclasses, resource, sys
+from phonetrait import presets, training
+from phonetrait.corpus import CorpusIndex, default_inventory, generate_corpus
+k, steps = int(sys.argv[1]), int(sys.argv[2])
+inventory = default_inventory()
+corpus = presets.desk_corpus_kwargs(inventory)
+if k > presets.N_SPEAKERS:
+    corpus.update(n_speakers=k + 16, utts_per_speaker=4)
+features, alignments, _ = generate_corpus(**corpus)
+cfg = dataclasses.replace(presets.desk_train_config(), epochs=5 + steps, steps_per_epoch=1,
+                          speakers_per_batch=k)
+for epoch, _, _ in training.train_epochs(CorpusIndex.build(features, alignments), inventory,
+                                         presets.desk_model_config(), cfg):
+    if epoch == 5:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+"""
+
+
+class TestStepWorkspace:
+    def test_reused_workspace_matches_fresh_arrays_and_the_oracle(self, desk_setup):
+        # The frame count goes down, then up past the first step's, then down:
+        # buffers are read short of their tails, then grown. Every step must
+        # equal a call on fresh arrays and the per-utterance oracle byte for
+        # byte; the oracle, which shares no storage, also catches two roles
+        # that share a buffer while both are live.
+        inventory, index, model_cfg, train_cfg = desk_setup
+        state = init_model(model_cfg, len(index.speakers), seed=train_cfg.seed)
+        rng = np.random.default_rng(6)
+        selections = [sample_pair_batch(index, k, rng) for k in (6, 2, 10, 3)]
+        frames = [sum(index.features[u].n_frames for u in sel.enroll_utts + sel.test_utts)
+                  for sel in selections]
+        assert frames[1] < frames[0] < frames[2] and frames[3] < frames[2]
+        workspace = Workspace()
+        for sel in selections:
+            args = (state, index, sel, train_cfg.weights, train_cfg.aam, inventory.size)
+            got, got_grads = batch_loss_and_grads(*args, workspace=workspace)
+            fresh, fresh_grads = batch_loss_and_grads(*args)
+            want, want_grads, _ = per_utterance_loss_and_grads(*args)
+            for term in ("total", "classification", "verification", "center"):
+                assert getattr(got, term) == getattr(fresh, term) == getattr(want, term), term
+            for name, grad in want_grads.items():
+                assert got_grads[name].tobytes() == grad.tobytes(), name
+                assert fresh_grads[name].tobytes() == grad.tobytes(), name
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="counts minor page faults, whose accounting is Linux's")
+    @pytest.mark.parametrize("k, steps, bound", [(10, 100, 10), (64, 20, 50)])
+    def test_warm_steps_fault_in_no_frame_arrays(self, k, steps, bound):
+        # Without the run's workspace a desk step faults in ~280 pages and a
+        # K=64 step ~2,070, as glibc returns each step's freed arrays to the
+        # kernel and the next step touches them again.
+        env = package_env()
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 "1"))
+        done = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP, str(k), str(steps)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < bound
 
 
 class TestTrain:
