@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _NA, PhoneInventory, _labels, _LineReader, atomic_write
+from .corpus import _NA, PhoneInventory, _LineReader, atomic_write
 from .errors import ConfigurationError, NumericGuardError
-from .scoring import _EVIDENCE_MISMATCH, ScoreTable, _check_writable
+from .scoring import ScoreTable, _check_writable
 
 
 def _split_by_label(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,9 +74,9 @@ def compute_eer(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
 def compute_min_dcf(
     scores: np.ndarray,
     labels: np.ndarray,
-    p_target: float = 0.01,
-    c_miss: float = 1.0,
-    c_fa: float = 1.0,
+    p_target: float,
+    c_miss: float,
+    c_fa: float,
 ) -> tuple[float, float]:
     """Minimum normalised detection cost over all candidate thresholds.
 
@@ -110,9 +110,9 @@ class MetricReport:
 def compute_metrics(
     scores: np.ndarray,
     labels: np.ndarray,
-    p_target: float = 0.01,
-    c_miss: float = 1.0,
-    c_fa: float = 1.0,
+    p_target: float,
+    c_miss: float,
+    c_fa: float,
 ) -> MetricReport:
     labels = np.asarray(labels)
     eer, threshold = compute_eer(scores, labels)
@@ -175,8 +175,8 @@ class FRatioRow:
 def f_ratio(
     table: ScoreTable,
     inventory: PhoneInventory,
-    n_samples: int = 500,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> list[FRatioRow]:
     """Per-phone ratio of resampled same-speaker to different-speaker evidence.
 
@@ -237,24 +237,6 @@ def save_f_ratio(rows: list[FRatioRow], path) -> None:
             )
 
 
-def load_f_ratio(path) -> list[FRatioRow]:
-    rows = []
-    with _LineReader(path) as lines:
-        if lines.next_line() != FRATIO_HEADER:
-            raise lines.error(f"expected header {FRATIO_HEADER!r}", 1)
-        for text in lines.records():
-            phone, within_s, between_s, ratio_s, included_s = lines.fields(text, 5, ",")
-            if included_s not in ("0", "1"):
-                raise lines.error(f"included must be 1 or 0, got {included_s!r}")
-            within, between = lines.na_cells([within_s, between_s], "F-ratio value")
-            # f_ratio writes inf when the between-speaker mean is exactly 0.
-            ratio = np.inf if ratio_s == "inf" else lines.na_cells([ratio_s], "F-ratio value")[0]
-            rows.append(FRatioRow(
-                phone, float(within), float(between), float(ratio), 0, included_s == "1"
-            ))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # per-trial explanation files
 # ---------------------------------------------------------------------------
@@ -269,8 +251,10 @@ def _check_width(table: ScoreTable, inventory: PhoneInventory) -> None:
 def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, path) -> None:
     """Write one trial's scores and per-phone evidence as a readable file.
 
-    A row that ``load_explanation`` would reject raises ConfigurationError
-    (``scoring._check_writable``) before anything is written.
+    A row that would make the file ambiguous to a reader (a tab in an id, an
+    NA final score, evidence that disagrees with its phones) raises
+    ConfigurationError (``scoring._check_writable``) before anything is
+    written.
     """
     _check_width(table, inventory)
     _check_writable(table, np.array([row]))
@@ -283,47 +267,6 @@ def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, p
         f.write(f"evidence {_cell(table.evidence[row])}\n")
         for phone, value in zip(inventory.labels, table.similarity[row]):
             f.write(f"trait\t{phone}\t{_cell(value)}\n")
-
-
-_EXPLANATION_FIELDS = ("enroll", "test", "label", "final", "evidence")
-
-
-def load_explanation(path, inventory: PhoneInventory) -> ScoreTable:
-    """Parse an exported explanation back into an equivalent one-row ScoreTable."""
-    header: dict[str, object] = {}
-    traits: dict[str, float] = {}
-    with _LineReader(path) as lines:
-        for text in lines.records():
-            if text.startswith("trait\t"):
-                _, phone, cell = lines.fields(text, 3)
-                if phone not in inventory:
-                    raise lines.error(f"phone label {phone!r} not in inventory")
-                value = lines.na_cells([cell], "similarity")[0]
-                traits[lines.unique_key(traits, phone, "trait")] = value
-                continue
-            key, value = lines.key_value(text)
-            if key not in _EXPLANATION_FIELDS:
-                raise lines.error(f"unknown header field {key!r}")
-            if key == "label":
-                (value,), label_rule = _labels([value])
-                lines.reject([lines.line_no], label_rule)
-            elif key in ("final", "evidence"):
-                if key == "final" and value == _NA:
-                    raise lines.error("final score is NA")
-                if key == "evidence":
-                    evidence_line = lines.line_no
-                value = lines.na_cells([value], "score")[0]
-            header[lines.unique_key(header, key)] = value
-        for key in _EXPLANATION_FIELDS:
-            if key not in header:
-                raise lines.error(f"missing header field {key!r}")
-        values = np.full(inventory.size, np.nan)
-        for phone, value in traits.items():
-            values[inventory.index_of(phone)] = value
-        if np.isnan(header["evidence"]) != np.isnan(values).all():
-            raise lines.error(_EVIDENCE_MISMATCH, evidence_line)
-    return ScoreTable([header["enroll"]], [header["test"]], [header["label"]],
-                      [header["final"]], [header["evidence"]], values[None])
 
 
 # ---------------------------------------------------------------------------

@@ -382,35 +382,18 @@ def cmd_eval(args) -> int:
     except NumericGuardError as exc:
         raise NumericGuardError(f"{scores_path}: {exc}") from None
 
-    entries = [
-        ("n_trials", len(table)),
-        ("p_target", args.p_target),
-        ("c_miss", args.c_miss),
-        ("c_fa", args.c_fa),
-    ]
-    rows = []
-    for kind, report in (("final", final), ("evidence", evidence)):
-        entries.extend([
-            (f"{kind}_eer", report.eer),
-            (f"{kind}_min_dcf", report.min_dcf),
-            (f"{kind}_threshold_at_eer", report.threshold_at_eer),
-            (f"{kind}_n_target", report.n_target),
-            (f"{kind}_n_nontarget", report.n_nontarget),
-        ])
-        rows.extend([
-            (kind, "eer", repr(report.eer)),
-            (kind, "min_dcf", repr(report.min_dcf)),
-            (kind, "threshold_at_eer", repr(report.threshold_at_eer)),
-            (kind, "n_target", str(report.n_target)),
-            (kind, "n_nontarget", str(report.n_nontarget)),
-        ])
-    entries.append(("explain_correlation", correlation))
-    rows.append(("explain", "correlation", repr(correlation)))
-    write_report(entries, out / REPORT_TXT_FILE)
+    # Every MetricReport field, in field order, then the correlation.
+    metrics = [(kind, metric, value) for kind, report in (("final", final), ("evidence", evidence))
+               for metric, value in vars(report).items()]
+    metrics.append(("explain", "correlation", correlation))
+    header = [("n_trials", len(table)), ("p_target", args.p_target),
+              ("c_miss", args.c_miss), ("c_fa", args.c_fa)]
+    write_report(header + [(f"{kind}_{metric}", value) for kind, metric, value in metrics],
+                 out / REPORT_TXT_FILE)
     with atomic_write(out / REPORT_CSV_FILE) as f:
         f.write("kind,metric,value\n")
-        for kind, metric, value in rows:
-            f.write(f"{kind},{metric},{value}\n")
+        for kind, metric, value in metrics:
+            f.write(f"{kind},{metric},{_render_value(value)}\n")
     return EXIT_OK
 
 

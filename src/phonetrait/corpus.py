@@ -14,16 +14,17 @@ File formats (one record per line, tab or space separated, floats written with
 * trials:    ``label(1|0)<TAB>enroll_utt_id<TAB>test_utt_id``
 * features:  header ``utt_id speaker_id T F`` followed by T rows of F floats
 
-Every phonetrait text file (these, checkpoints, score files, reports, F-ratio
-tables, explanations and ``--config`` files) is read by the one private
-``_LineReader`` below, under one set of rules: lines are numbered from 1 and
-a ParseError names ``path:line``; blank lines between records are skipped (a
-blank inventory line, or one inside a feature or tensor block, is an error);
-every float cell must be finite (``NA`` marks a missing value where a format
-allows one); a repeated key is rejected at its second line. Numeric cells are
-converted in bulk by ``np.loadtxt`` and must be ASCII. A loader that reads
-rows in chunks checks each rule once per chunk, as a mask over its rows, and
-``_LineReader.reject`` names the first row that any rule marks.
+Every text file phonetrait reads (these, checkpoints, score files, reports and
+``--config`` files; F-ratio tables and explanations are only written) is read
+by the one private ``_LineReader`` below, under one set of rules: lines are
+numbered from 1 and a ParseError names ``path:line``; blank lines between
+records are skipped (a blank inventory line, or one inside a feature or tensor
+block, is an error); every float cell must be finite (``NA`` marks a missing
+value where a format allows one); a repeated key is rejected at its second
+line. Numeric cells are converted in bulk by ``np.loadtxt`` and must be ASCII.
+A loader that reads rows in chunks checks each rule once per chunk, as a mask
+over its rows, and ``_LineReader.reject`` names the first row that any rule
+marks.
 """
 
 from __future__ import annotations
@@ -511,8 +512,8 @@ def _numbers(rows, width: int, sep: str | None = None, dtype=np.float64, na: boo
 
 
 def _labels(texts):
-    """Trial labels of a score or explanation file as 1, 0 or -1 (NA), with
-    None for any other text, and the ``_LineReader.reject`` rule marking those."""
+    """Trial labels of a score file as 1, 0 or -1 (NA), with None for any
+    other text, and the ``_LineReader.reject`` rule marking those."""
     codes = list(map({"1": 1, "0": 0, _NA: -1}.get, texts))
     return codes, ([code is None for code in codes],
                    lambda k: f"label must be 1, 0 or NA, got {texts[k]!r}")
@@ -618,22 +619,16 @@ class _LineReader:
                     (non_finite, lambda k: f"non-finite value in {what}"))
         return values
 
-    def na_rows(self, rows, width: int, what: str, sep: str = "\t"):
-        """``rows`` of ``width`` ``sep``-separated cells as one float array, NaN
+    def na_rows(self, rows, width: int, what: str):
+        """``rows`` of ``width`` tab-separated cells as one float array, NaN
         where a cell is exactly ``NA`` (``-NA`` or a padded ``NA`` is no number),
         and the ``reject`` rules for a row of other cells or a non-finite value."""
-        values, (wrong_width, not_number, non_finite) = _numbers(rows, width, sep, na=True)
+        values, (wrong_width, not_number, non_finite) = _numbers(rows, width, "\t", na=True)
         return values, [
             (wrong_width, lambda k: f"non-numeric {what} ({wrong_width[k]})"),
             (not_number, lambda k: f"non-numeric {what} ({not_number[k]})"),
             (non_finite, lambda k: f"non-finite {what}"),
         ]
-
-    def na_cells(self, cells: list[str], what: str) -> np.ndarray:
-        """One row of cells, read as ``na_rows`` reads them, at the current line."""
-        values, rules = self.na_rows([",".join(cells)], len(cells), what, ",")
-        self.reject([self.line_no], *rules)
-        return values[0]
 
 
 def _write_row(f, row: np.ndarray) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import PhoneInventory, default_inventory
+from .corpus import PhoneInventory
 from .encoder import EncoderConfig, LayerSpec
 from .losses import AamConfig, LossWeights
 from .training import ModelConfig, TrainConfig
@@ -55,8 +55,7 @@ def desk_phone_weights(
     return weights
 
 
-def desk_corpus_kwargs(inventory: PhoneInventory | None = None) -> dict:
-    inventory = inventory if inventory is not None else default_inventory()
+def desk_corpus_kwargs(inventory: PhoneInventory) -> dict:
     return dict(
         n_speakers=N_SPEAKERS,
         utts_per_speaker=UTTS_PER_SPEAKER,
@@ -71,10 +70,10 @@ def desk_corpus_kwargs(inventory: PhoneInventory | None = None) -> dict:
     )
 
 
-def desk_model_config(feature_dim: int = FEATURE_DIM) -> ModelConfig:
+def desk_model_config() -> ModelConfig:
     return ModelConfig(
         encoder=EncoderConfig(
-            input_dim=feature_dim,
+            input_dim=FEATURE_DIM,
             layers=(
                 LayerSpec((-1, 0, 1), 16, "relu"),
                 LayerSpec((0,), 16, "relu"),

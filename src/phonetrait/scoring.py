@@ -218,11 +218,11 @@ def _evidence_mismatch(evidence: np.ndarray, similarity: np.ndarray) -> np.ndarr
 
 
 def _check_writable(table: ScoreTable, rows: np.ndarray) -> None:
-    """ConfigurationError naming the first of ``rows`` that a score or
-    explanation file would hold but its loader reject: an id that holds a tab
-    or a line break, a label other than 1, 0 or -1 (NA), an NA final score,
-    an infinite value, or an evidence score NA where some phone is defined or
-    the reverse."""
+    """ConfigurationError naming the first of ``rows`` that ``load_scores``
+    would reject, and that would make an explanation file ambiguous to its
+    reader: an id that holds a tab or a line break, a label other than 1, 0 or
+    -1 (NA), an NA final score, an infinite value, or an evidence score NA
+    where some phone is defined or the reverse."""
     evidence, similarity = table.evidence[rows], table.similarity[rows]
     ids = (table.enroll_ids[k] + table.test_ids[k] for k in rows.tolist())
     for broken, problem in (

@@ -70,14 +70,14 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimisation settings; the loss weights ride along."""
+    """Optimisation settings; the loss weights ride along. Desk run: ``presets``."""
 
-    epochs: int = 20
-    steps_per_epoch: int = 25
-    speakers_per_batch: int = 8
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    seed: int = 0
+    epochs: int
+    steps_per_epoch: int
+    speakers_per_batch: int
+    learning_rate: float
+    momentum: float
+    seed: int
     weights: LossWeights = field(default_factory=LossWeights)
     aam: AamConfig = field(default_factory=AamConfig)
 
@@ -340,7 +340,7 @@ def batch_loss_value(
 def numeric_gradients(
     loss_fn,
     params: dict[str, np.ndarray],
-    step_size: float = 1e-5,
+    step_size: float,
 ) -> dict[str, np.ndarray]:
     """Central finite differences of ``loss_fn()`` over the given arrays.
 
@@ -387,7 +387,7 @@ class GradCheckReport:
 def compare_gradient_tables(
     analytic: dict[str, np.ndarray],
     numeric: dict[str, np.ndarray],
-    tolerance: float = 1e-4,
+    tolerance: float,
 ) -> GradCheckReport:
     """Elementwise relative error |a - n| / max(|a|, |n|, 1e-6), max per array."""
     if set(analytic) != set(numeric):
@@ -407,8 +407,8 @@ def grad_check(
     weights: LossWeights,
     aam: AamConfig,
     n_phones: int,
-    step_size: float = 1e-5,
-    tolerance: float = 1e-4,
+    step_size: float,
+    tolerance: float,
 ) -> GradCheckReport:
     """Certify the analytic gradients of one batch against finite differences."""
     _, analytic = batch_loss_and_grads(state, index, selection, weights, aam, n_phones)
@@ -443,14 +443,12 @@ def save_checkpoint(state: ModelState, model_cfg: ModelConfig, path) -> None:
             _write_tensor(f, name, arr)
 
 
-def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ModelState, ModelConfig]:
-    """Read a checkpoint; reject version or configuration mismatches.
+def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
+    """Read a checkpoint and the architecture it stores; reject a version mismatch.
 
     A repeated tensor block, a non-finite value or a dimension past int64 is
     a ParseError. The model is built from the tensors read; no array is
     allocated from a count in the file.
-
-    When ``expected`` is given the stored architecture must match it exactly.
     """
     with _LineReader(path) as lines:
         if lines.next_line() != CHECKPOINT_MAGIC:
@@ -472,13 +470,6 @@ def load_checkpoint(path, expected: ModelConfig | None = None) -> tuple[ModelSta
                 raise lines.error(f"bad checkpoint header: {key} is past int64")
         model_cfg = ModelConfig(EncoderConfig(header["input_dim"], header["layers"]),
                                 header["embedding_dim"])
-        if expected is not None and model_cfg != expected:
-            raise ConfigurationError(
-                "checkpoint architecture does not match the requested configuration: "
-                f"stored input_dim={model_cfg.encoder.input_dim} "
-                f"layers={format_layer_string(model_cfg.encoder.layers)!r} "
-                f"embedding_dim={model_cfg.embedding_dim}"
-            )
 
         tensors: dict[str, np.ndarray] = {}
         for text in lines.records():

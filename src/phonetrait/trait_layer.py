@@ -218,17 +218,17 @@ def trait_layer_backward(
     cache: BatchForward,
     projection: ProjectionParams,
     d_embeddings: np.ndarray,
-    d_traits: np.ndarray | None = None,
+    d_traits: np.ndarray,
     workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop from the embeddings (and optionally the traits) to frames.
+    """Backprop from the embeddings and the traits to frames.
 
     Args:
         cache: forward intermediates from ``forward_batch``.
         d_embeddings: loss gradient w.r.t. every utterance's embedding, (B, D2).
-        d_traits: optional loss gradient w.r.t. the B x I x D1 traits (e.g.
-            from losses that act on traits directly). Rows of absent phones
-            are ignored; their traits are constant zero.
+        d_traits: loss gradient w.r.t. the B x I x D1 traits, from the
+            losses that act on traits directly. Rows of absent phones are
+            ignored; their traits are constant zero.
         workspace: where the N x D1 frame gradient goes (role ``d_frames``).
 
     Returns:
@@ -256,11 +256,10 @@ def trait_layer_backward(
     d_trait_full *= d_var * 2.0
     d_trait_full /= n
     d_trait_full += d_mean / n
-    if d_traits is not None:
-        extra = np.asarray(d_traits, dtype=np.float64)
-        if extra.shape != d_trait_full.shape:
-            raise DimensionError(f"d_traits shape {extra.shape}, want {d_trait_full.shape}")
-        d_trait_full += extra
+    extra = np.asarray(d_traits, dtype=np.float64)
+    if extra.shape != d_trait_full.shape:
+        raise DimensionError(f"d_traits shape {extra.shape}, want {d_trait_full.shape}")
+    d_trait_full += extra
     d_trait_full[~cache.present] = 0.0
 
     # Each frame contributed 1/count to its phone's mean; a phone no frame

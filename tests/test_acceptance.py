@@ -286,7 +286,7 @@ def test_error_rate_metrics_match_sweep_oracles(capsys):
     labels = rng.integers(0, 2, size=200)
     labels[:2] = (0, 1)  # keep both trial kinds present
     eer_pair = compute_eer(scores, labels)
-    dcf_pair = compute_min_dcf(scores, labels)
+    dcf_pair = compute_min_dcf(scores, labels, 0.01, 1.0, 1.0)
 
     ok = (hand_eer == 1.0 / 3.0
           and eer_pair == sweep_eer(scores, labels)

@@ -292,7 +292,7 @@ class TestGeneratorMatchesChoiceOracle:
         )
 
     def test_desk_preset(self):
-        assert_matches_choice_oracle(**presets.desk_corpus_kwargs())
+        assert_matches_choice_oracle(**presets.desk_corpus_kwargs(default_inventory()))
 
 
 class TestUtteranceFeatures:

@@ -1,6 +1,6 @@
 """Every text loader rejects a malformed file with a ParseError at ``path:line``.
 
-One table drives all ten loaders, so a change to the shared line reader that
+One table drives all eight loaders, so a change to the shared line reader that
 moves a reported line, accepts a bad cell or loses a rule shows up here. The
 chunked loaders are also held to the row-by-row readers of ``_oracles`` on
 fuzzed files: the same error at the same line, or the same values.
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import scan_alignments, scan_features, scan_scores
-from phonetrait.analysis import FRATIO_HEADER, load_explanation, load_f_ratio, read_report
+from phonetrait.analysis import read_report
 from phonetrait.cli import _load_config_file, build_parser
 from phonetrait import corpus, scoring
 from phonetrait.corpus import (
@@ -39,15 +39,12 @@ LOADERS = {
     "trials": load_trials,
     "features": load_features,
     "scores": load_scores,
-    "fratio": load_f_ratio,
-    "explanation": lambda path: load_explanation(path, PHONES),
     "report": read_report,
     "config": lambda path: _load_config_file(str(path), build_parser()[2]["gen-corpus"]),
     "checkpoint": load_checkpoint,
 }
 
 SCORE_ROW = "a\tb\t1\t0.5\t0.5\t0.5\n"
-EXPLANATION = "enroll a\ntest b\nlabel 1\nfinal 0.5\nevidence 0.5\n"
 # Six header lines; a tensor header that follows is line 7.
 CHECKPOINT = (f"{CHECKPOINT_MAGIC}\ninput_dim 2\nlayers 0:2:relu\nembedding_dim 2\n"
               "n_classes 2\nstep 0\n")
@@ -74,20 +71,6 @@ CASES = {
     # Evidence is NA exactly when no phone is defined.
     "scores-evidence-without-phones": ("scores", SCORE_ROW + "a\tc\t0\t0.5\t0.5\tNA\n", 2),
     "scores-phones-without-evidence": ("scores", SCORE_ROW + "a\tc\t0\t0.5\tNA\t0.5\n", 2),
-    "fratio-field-count": ("fratio", f"{FRATIO_HEADER}\nAA,1.0,1.0,1.0\n", 2),
-    "fratio-non-numeric": ("fratio", f"{FRATIO_HEADER}\nAA,x,1.0,1.0,1\n", 2),
-    "explanation-no-separator": ("explanation", "enroll a\ntest\n", 2),
-    "explanation-trait-field-count": ("explanation", EXPLANATION + "trait\tAA\n", 6),
-    "explanation-trait-non-numeric": ("explanation", EXPLANATION + "trait\tAA\tx\n", 6),
-    "explanation-repeated-label": ("explanation", EXPLANATION + "label 0\n", 6),
-    "explanation-repeated-trait": (
-        "explanation", EXPLANATION + "trait\tAA\t0.5\ntrait\tAA\t0.25\n", 7),
-    "explanation-bad-label": ("explanation", EXPLANATION.replace("label 1", "label 7"), 3),
-    "explanation-unknown-key": ("explanation", EXPLANATION + "finall 0.9\n", 6),
-    # An evidence line that disagrees with the trait lines is reported where it stands.
-    "explanation-evidence-without-phones": ("explanation", EXPLANATION + "trait\tAA\tNA\n", 5),
-    "explanation-phones-without-evidence": (
-        "explanation", EXPLANATION.replace("evidence 0.5", "evidence NA") + "trait\tAA\t0.5\n", 5),
     "report-no-separator": ("report", "eer 0.1\nbroken\n", 2),
     "report-repeated-key": ("report", "final_eer 0.1\nfinal_eer 0.9\n", 2),
     "config-no-separator": ("config", "n_speakers=3\nbroken\n", 2),
@@ -126,9 +109,6 @@ for bad in ("nan", "inf", "-inf"):
         f"scores-final-{bad}": ("scores", SCORE_ROW + f"a\tc\t0\t{bad}\t0.5\t0.5\n", 2),
         f"scores-evidence-{bad}": ("scores", SCORE_ROW + f"a\tc\t0\t0.5\t{bad}\t0.5\n", 2),
         f"scores-similarity-{bad}": ("scores", SCORE_ROW + f"a\tc\t0\t0.5\t0.5\t{bad}\n", 2),
-        f"fratio-within-{bad}": ("fratio", f"{FRATIO_HEADER}\nAA,{bad},1.0,1.0,1\n", 2),
-        f"explanation-final-{bad}": ("explanation", EXPLANATION.replace("final 0.5", f"final {bad}"), 4),
-        f"explanation-trait-{bad}": ("explanation", EXPLANATION + f"trait\tAA\t{bad}\n", 6),
     })
 # float() reads these, the bulk parse behind the loaders does not.
 for bad in ("1_0", "\uff11"):
@@ -144,12 +124,7 @@ CASES.update({
     "scores-signed-na": ("scores", SCORE_ROW + "a\tc\t0\t0.5\t0.5\t-NA\n", 2),
     "scores-padded-na": ("scores", SCORE_ROW + "a\tc\t0\t0.5\t0.5\tNA \n", 2),
     "scores-separator-char": ("scores", SCORE_ROW + "a\tc\t0\t0.5\t0.5\t0.5\x1c\n", 2),
-    "fratio-padded-na": ("fratio", f"{FRATIO_HEADER}\nAA,NA\t,1.0,1.0,1\n", 2),
-    "explanation-signed-na": ("explanation", EXPLANATION.replace("evidence 0.5", "evidence -NA"), 5),
 })
-# f_ratio writes inf in the ratio column on purpose; nothing else is accepted there.
-for bad in ("nan", "-inf"):
-    CASES[f"fratio-ratio-{bad}"] = ("fratio", f"{FRATIO_HEADER}\nAA,1.0,1.0,{bad},1\n", 2)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -99,9 +99,7 @@ def test_every_export_has_a_caller():
     # A function, class, method or module-level name that no module of the
     # package and no script reads has no production caller; tests alone do
     # not keep it, and neither does a type annotation. This holds for private
-    # names too, so a helper that a refactor leaves behind fails here. The
-    # ``load_*`` readers of the package's own formats are exempt: the loader
-    # table test is their caller.
+    # names too, so a helper that a refactor leaves behind fails here.
     package = Path(phonetrait.__file__).parent
     scripts = package.parents[1] / "scripts"
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
@@ -111,8 +109,62 @@ def test_every_export_has_a_caller():
                for qualified, name in _definitions(trees[p])}
     defined.update((f"__all__.{name}", name) for name in phonetrait.__all__)
     uncalled = sorted(qualified for qualified, name in defined.items()
-                      if name not in read and not name.startswith(("load_", "__")))
+                      if name not in read and not name.startswith("__"))
     assert not uncalled, f"defined without a caller: {uncalled}"
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, called name, parameter, position) of every defaulted
+    parameter of a module-level function and of a method of a module-level
+    class. A method's position leaves out ``self`` or ``cls``, an ``__init__``
+    is called by its class's name, and a keyword-only parameter has no
+    position."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    functions = [(node.name, node.name, node, 0) for node in tree.body if isinstance(node, defs)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for item in (item for item in cls.body if isinstance(item, defs)):
+            called = cls.name if item.name == "__init__" else item.name
+            bound = "staticmethod" not in map(ast.unparse, item.decorator_list)
+            functions.append((f"{cls.name}.{item.name}", called, item, int(bound)))
+    for qualified, called, fn, bound in functions:
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first - bound):
+            yield qualified, called, arg.arg, i
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield qualified, called, arg.arg, None
+
+
+def _passes(call: ast.Call, parameter: str, position) -> bool:
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, parameter) for k in call.keywords)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_parameter_is_passed():
+    # A defaulted parameter that no call passes holds one value, and the
+    # branch behind its default is the only one production runs. Calls count
+    # from the package, the scripts, the benchmark and the acceptance suite,
+    # which is the reproduction's spec; a call matches by the name it calls.
+    package = Path(phonetrait.__file__).parent
+    root = package.parents[1]
+    callers = [*package.glob("*.py"), *(root / "scripts").glob("*.py"),
+               *(root / "perfbench").glob("*.py"), Path(__file__).with_name("test_acceptance.py")]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    unpassed = sorted(
+        f"{path.stem}.{qualified}({parameter})"
+        for path in sorted(package.glob("*.py"))
+        for qualified, called, parameter, position in _defaulted_parameters(
+            ast.parse(path.read_text()))
+        if not any(_passes(call, parameter, position) for call in calls.get(called, []))
+    )
+    assert not unpassed, f"defaulted but never passed: {unpassed}"
 
 
 def test_every_error_is_constructed():

@@ -75,14 +75,14 @@ def quick_train_cfg(**overrides):
 class TestConfigs:
     def test_train_config_validation(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(epochs=0)
+            quick_train_cfg(epochs=0)
         with pytest.raises(ConfigurationError):
-            TrainConfig(speakers_per_batch=1)
+            quick_train_cfg(speakers_per_batch=1)
         with pytest.raises(ConfigurationError):
-            TrainConfig(learning_rate=-0.1)
+            quick_train_cfg(learning_rate=-0.1)
         with pytest.raises(ConfigurationError):
-            TrainConfig(momentum=1.0)
-        TrainConfig(learning_rate=0.0)  # frozen model is allowed
+            quick_train_cfg(momentum=1.0)
+        quick_train_cfg(learning_rate=0.0)  # frozen model is allowed
 
     def test_model_config(self):
         enc = EncoderConfig(3, (LayerSpec((0,), 7, "relu"),))
@@ -232,6 +232,7 @@ class TestBatchGradients:
                 state, index, sel, weights, aam, inventory.size, with_classification
             ),
             parameter_arrays(state),
+            1e-5,
         )
         return compare_gradient_tables(analytic, numeric, tolerance=1e-4)
 
@@ -334,7 +335,7 @@ class TestBatchGradients:
         sel = sample_pair_batch(index, 2, np.random.default_rng(3))
         report = grad_check(
             state, index, sel, LossWeights(0.05, 0.02, 0.03), AamConfig(),
-            inventory.size,
+            inventory.size, step_size=1e-5, tolerance=1e-4,
         )
         assert report.passed
         assert report.worst < 1e-4
@@ -474,7 +475,7 @@ class TestTrain:
 class TestGradCheckHelpers:
     def test_mismatched_tables_rejected(self):
         with pytest.raises(ConfigurationError):
-            compare_gradient_tables({"a": np.ones(2)}, {"b": np.ones(2)})
+            compare_gradient_tables({"a": np.ones(2)}, {"b": np.ones(2)}, 1e-4)
 
     def test_report_fail_line(self):
         report = GradCheckReport(tolerance=1e-4, max_errors={"w": 0.5, "b": 1e-9})
@@ -486,7 +487,7 @@ class TestGradCheckHelpers:
         # Both gradients tiny: the 1e-6 floor keeps the ratio tame.
         a = {"w": np.array([1e-9])}
         n = {"w": np.array([2e-9])}
-        report = compare_gradient_tables(a, n)
+        report = compare_gradient_tables(a, n, 1e-4)
         assert report.max_errors["w"] == pytest.approx(1e-3, rel=1e-6)
 
 
@@ -507,15 +508,6 @@ class TestCheckpoint:
             assert np.array_equal(arr, parameter_arrays(loaded)[name])
         save_checkpoint(loaded, loaded_cfg, tmp_path / "again")
         assert path.read_bytes() == (tmp_path / "again").read_bytes()
-
-    def test_expected_config_enforced(self, tmp_path):
-        state, model_cfg = self.trained_state()
-        path = tmp_path / "ckpt"
-        save_checkpoint(state, model_cfg, path)
-        load_checkpoint(path, expected=model_cfg)
-        other = ModelConfig(model_cfg.encoder, model_cfg.embedding_dim + 1)
-        with pytest.raises(ConfigurationError, match="does not match"):
-            load_checkpoint(path, expected=other)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "ckpt"

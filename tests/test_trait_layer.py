@@ -201,7 +201,8 @@ class TestTraitLayerBackward:
     def test_zero_upstream(self):
         rng, features, phones, projection = self.rig()
         cache = forward_one(features, phones, identity_encoder(3), projection, 5)
-        d_w, d_b, d_frames = trait_layer_backward(cache, projection, np.zeros((1, 4)))
+        d_w, d_b, d_frames = trait_layer_backward(cache, projection, np.zeros((1, 4)),
+                                                  np.zeros((1, 5, 3)))
         assert not d_w.any() and not d_b.any() and not d_frames.any()
 
     def test_finite_differences_embedding_path(self):
@@ -214,7 +215,7 @@ class TestTraitLayerBackward:
             return float(g @ cache.embeddings[0])
 
         cache = forward_one(features, phones, encoder, projection, 5)
-        d_w, d_b, d_frames = trait_layer_backward(cache, projection, g[None])
+        d_w, d_b, d_frames = trait_layer_backward(cache, projection, g[None], np.zeros((1, 5, 3)))
         assert max_relative_error(d_frames, central_difference(loss, features)) < 1e-6
         assert max_relative_error(d_w, central_difference(loss, projection.weight)) < 1e-6
         assert max_relative_error(d_b, central_difference(loss, projection.bias)) < 1e-6
