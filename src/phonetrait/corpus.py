@@ -21,7 +21,9 @@ numbered from 1 and a ParseError names ``path:line``; blank lines between
 records are skipped (a blank inventory line, or one inside a feature or tensor
 block, is an error); every float cell must be finite (``NA`` marks a missing
 value where a format allows one); a repeated key is rejected at its second
-line. Numeric cells are converted in bulk by ``np.loadtxt`` and must be ASCII.
+line; a byte that is not UTF-8 is rejected at its line (files are written as
+UTF-8 too). Numeric cells are converted in bulk by ``np.loadtxt`` and must be
+ASCII.
 A loader that reads rows in chunks checks each rule once per chunk, as a mask
 over its rows, and ``_LineReader.reject`` names the first row that any rule
 marks.
@@ -427,7 +429,7 @@ def atomic_write(path):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle
         umask = os.umask(0)
         os.umask(umask)
@@ -525,7 +527,9 @@ class _LineReader:
 
     def __init__(self, path):
         self.path = path
-        self._file = open(path)
+        # A byte that is not UTF-8 decodes to a lone surrogate, which
+        # ``_check_utf8`` rejects at the line that holds it.
+        self._file = open(path, encoding="utf-8", errors="surrogateescape")
         self._numbered = enumerate(self._file, start=1)
         self.line_no = 0
 
@@ -535,16 +539,24 @@ class _LineReader:
     def __exit__(self, *exc) -> None:
         self._file.close()
 
+    def _check_utf8(self, line: str) -> None:
+        """A ParseError if ``line``, the last line read, holds a byte that is not UTF-8."""
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise self.error(f"byte 0x{byte:02x} is not UTF-8") from None
+
     def __iter__(self):
         """Every remaining line, blank or not, without its newline."""
         for self.line_no, line in self._numbered:
+            if not line.isascii():
+                self._check_utf8(line)
             yield line.rstrip("\n")
 
     def records(self):
         """The remaining non-blank lines: blank lines between records are skipped."""
-        for self.line_no, line in self._numbered:
-            if line.strip():
-                yield line.rstrip("\n")
+        return (text for text in self if text.strip())
 
     def chunks(self, size: int):
         """The remaining lines ``size`` at a time, blank ones skipped as by ``records``,

@@ -132,19 +132,15 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderPara
     return EncoderParams(config, weights, biases)
 
 
-def _bounds(lengths, n_frames: int) -> tuple[list[list[int]], list[list[int]]]:
-    """[start, end) rows of every packed utterance, and of the 1-frame ones.
-
-    ``None`` is one utterance of all rows.
-    """
+def _bounds(lengths, n_frames: int) -> list[list[int]]:
+    """[start, end) rows of every packed utterance; ``None`` is one utterance of all rows."""
     lengths = np.array([n_frames] if lengths is None else lengths, dtype=np.int64)
     if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != n_frames:
         raise DimensionError(
             f"utterance lengths {lengths.tolist()} do not pack {n_frames} frames"
         )
     ends = np.cumsum(lengths)
-    bounds = np.stack([ends - lengths, ends], axis=1)
-    return bounds.tolist(), bounds[lengths == 1].tolist()
+    return np.stack([ends - lengths, ends], axis=1).tolist()
 
 
 def _context_index(bounds: list[list[int]], offsets: tuple[int, ...], out: np.ndarray) -> np.ndarray:
@@ -164,35 +160,16 @@ def _context_index(bounds: list[list[int]], offsets: tuple[int, ...], out: np.nd
 class Packing:
     """How a forward pass laid out its frames; ``encode_backward`` reuses it.
 
-    ``bounds`` holds the [start, end) rows of every packed utterance, and
-    ``lone`` those of the 1-frame ones, whose products
-    ``_matmul_by_utterance`` takes alone.
-    ``indices`` holds every layer's context index (None for a ``(0,)``
-    layer, whose gather is the identity) and ``contexts`` the N x (n_offsets
-    * width) context rows each layer multiplied, which backward reads
-    instead of gathering them again.
+    ``bounds`` holds the [start, end) rows of every packed utterance,
+    ``indices`` every layer's context index (None for a ``(0,)`` layer, whose
+    gather is the identity) and ``contexts`` the N x (n_offsets * width)
+    context rows each layer multiplied, which backward reads instead of
+    gathering them again.
     """
 
     bounds: list[list[int]]
-    lone: list[list[int]]
     indices: list[np.ndarray | None]
     contexts: list[np.ndarray]
-
-
-def _matmul_by_utterance(a: np.ndarray, b: np.ndarray, packing: Packing,
-                         out: np.ndarray) -> np.ndarray:
-    """``a @ b`` into ``out``, every utterance's rows bit-equal to that utterance's own product.
-
-    GEMM computes each output row the same whatever rows surround it, but
-    NumPy hands a one-row or one-column product to gemv, whose sums depend
-    on the operand's shape. Those utterances are multiplied alone: the
-    1-frame ones, or every one when ``b`` has one column.
-    """
-    np.matmul(a, b, out=out)
-    if len(packing.bounds) > 1:
-        for start, end in packing.bounds if b.shape[1] == 1 else packing.lone:
-            out[start:end] = a[start:end] @ b
-    return out
 
 
 def encode_layers(
@@ -218,8 +195,8 @@ def encode_layers(
             f"features must be T x {params.config.input_dim}, got shape {x.shape}"
         )
     n_frames = x.shape[0]
-    bounds, lone = _bounds(lengths, n_frames)
-    packing = Packing(bounds, lone, [], [])
+    bounds = _bounds(lengths, n_frames)
+    packing = Packing(bounds, [], [])
     activations = [x]
     for l, (layer, w, b) in enumerate(zip(params.config.layers, params.weights, params.biases)):
         offsets = layer.context_offsets
@@ -236,8 +213,7 @@ def encode_layers(
             ctx = ctx.reshape(n_frames, -1)
         packing.indices.append(idx)
         packing.contexts.append(ctx)
-        x = _matmul_by_utterance(ctx, w.T, packing,
-                                 workspace.take(f"layer{l}", (n_frames, layer.output_dim)))
+        x = np.matmul(ctx, w.T, out=workspace.take(f"layer{l}", (n_frames, layer.output_dim)))
         x += b
         if layer.nonlinearity == "relu":
             np.maximum(x, 0.0, out=x)
@@ -290,8 +266,7 @@ def encode_backward(
             d_biases[l] += grad[start:end].sum(axis=0)
         if l == 0:
             break
-        grad = _matmul_by_utterance(grad, params.weights[l], packing,
-                                    workspace.take(spare, ctx.shape))
+        grad = np.matmul(grad, params.weights[l], out=workspace.take(spare, ctx.shape))
         spare, held = held, spare
         idx = packing.indices[l]
         if idx is None:

@@ -51,7 +51,9 @@ _TRIAL_CHUNK = 128
 # corpus (200 utterances, 4000 trials, one BLAS thread) the peak RSS of
 # ``score`` was 44.9 MB one utterance at a time, 45.0 MB at 32, 48.9 MB at 64
 # and 52.4 MB with all 200 in one pack. The scores are the same bits at any
-# chunk size.
+# chunk size, unless an utterance has one frame or a layer is one wide: NumPy
+# multiplies those with gemv and sums a one-wide trait axis pairwise, so
+# their last bits depend on which utterances share the pack.
 _UTTERANCE_CHUNK = 32
 
 

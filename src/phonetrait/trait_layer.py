@@ -8,14 +8,12 @@ over traits) and a linear projection to the final speaker embedding.
 
 A batch of B utterances is held as stacked arrays in packing order: B x I x D1
 traits, a B x I presence mask, B x 2*D1 pooled statistics and B x D2
-embeddings. Training's results are pinned bit for bit to the sums of
-``pool_statistics`` over each utterance's own N x D1 present rows. At a trait
-width D1 >= 2 NumPy sums those rows one after another, and it sums a
-stacked B x I x D1 array over its I axis the same way, row by row. So
-statistics pooling runs over the stacked traits with absent rows zero: adding
-+0.0 leaves a sum unchanged, and each sum sees the present rows in order. At
-width 1 NumPy sums the reduced axis pairwise, in blocks, and zero-filling
-regroups those sums; there pooling runs one utterance at a time.
+embeddings. Statistics pooling runs over the stacked traits with absent rows
+zero: adding +0.0 leaves a sum unchanged. At a trait width D1 >= 2 NumPy sums
+the I axis row by row, so each sum sees the utterance's present rows in
+order, bit-equal to pooling those rows alone. At width 1 NumPy sums the
+reduced axis pairwise, in blocks, and the absent zero rows regroup those
+sums, so the last bits may differ from a per-utterance pool.
 
 ``forward_batch`` and ``trait_layer_backward`` write their frame-sized
 arrays (the encoder's, the segment bins and the N x D1 frame gradient) into
@@ -120,24 +118,12 @@ def init_projection(trait_dim: int, embedding_dim: int, rng: np.random.Generator
     )
 
 
-def pool_statistics(filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and (eps-stabilised population) std over the N filtered traits."""
-    filtered = np.asarray(filtered, dtype=np.float64)
-    if filtered.ndim != 2 or filtered.shape[0] < 1:
-        raise DimensionError(f"filtered traits must be N x D1 with N >= 1, got {filtered.shape}")
-    mean = filtered.mean(axis=0)
-    var = np.mean((filtered - mean) ** 2, axis=0)
-    return mean, np.sqrt(var + STD_EPS)
-
-
 def _batch_statistics(traits: np.ndarray, present: np.ndarray, n_present: np.ndarray) -> np.ndarray:
-    """B x 2*D1 ``pool_statistics`` of every utterance's present traits.
+    """B x 2*D1 mean and (eps-stabilised population) std of every utterance's present traits.
 
     Absent rows are zero in ``traits`` and zeroed in the deviations; see the
-    module docstring for why that is exact above width 1.
+    module docstring for the summation order.
     """
-    if traits.shape[2] == 1:
-        return np.stack([np.concatenate(pool_statistics(t[p])) for t, p in zip(traits, present)])
     n = n_present[:, None]
     mean = traits.sum(axis=1) / n
     dev = traits - mean[:, None, :]
@@ -174,9 +160,8 @@ def forward_batch(
 
     ``features`` (N x F) and ``phones`` (N,) hold the frames of the
     utterances named by ``utterance_ids`` back to back, ``lengths`` frames
-    each. Everything runs once over the whole batch (statistics pooling
-    only above trait width 1; see the module docstring). An utterance with
-    no present trait raises EmptyUtteranceError naming the first such
+    each. Everything runs once over the whole batch. An utterance with no
+    present trait raises EmptyUtteranceError naming the first such
     utterance in packing order.
 
     The encoder's arrays and the pooling's bins go into ``workspace``, so
@@ -238,11 +223,12 @@ def trait_layer_backward(
     d_emb = np.asarray(d_embeddings, dtype=np.float64)
     if d_emb.shape != cache.embeddings.shape:
         raise DimensionError(f"d_embeddings shape {d_emb.shape}, want {cache.embeddings.shape}")
-    # Bit-identical to a loop over the utterances: the stacked products make
-    # the same per-utterance gemv and outer products, and both sums add the
-    # utterances in batch order (cumsum, because a (B, 1) sum is pairwise).
+    # At D2 >= 2, bit-identical to a loop over the utterances: the stacked
+    # products make the same per-utterance gemv and outer products, and both
+    # sums add the utterances in batch order. At D2 = 1 NumPy sums the bias
+    # gradient's B values pairwise instead.
     d_proj_w = (d_emb[:, :, None] * cache.stats[:, None, :]).sum(axis=0)
-    d_proj_b = np.cumsum(d_emb, axis=0)[-1]
+    d_proj_b = d_emb.sum(axis=0)
     d_stats = (projection.weight.T @ d_emb[:, :, None])[:, :, 0]
     d1 = cache.traits.shape[2]
     mean, std = cache.stats[:, None, :d1], cache.stats[:, None, d1:]

@@ -7,7 +7,9 @@ as it ran before batching, one utterance at a time; the batched step must
 reproduce their sums bit for bit, summation order included. Likewise
 ``per_trial_scores`` is trial scoring as it ran before batching, one
 utterance and one scalar cosine at a time, through ``per_utterance_forward``
-alone, and batched scoring must match it exactly. ``choice_generate_corpus``
+alone, and batched scoring must match it exactly. The one exception is a
+batch with an edge shape, which ``assert_matches`` holds to the oracles
+within ``EDGE_TOLERANCE`` instead. ``choice_generate_corpus``
 is corpus generation as it ran before the phone CDF was hoisted: one
 ``Generator.choice`` call and one frame block per segment. The ``scan_*``
 readers are the alignment, score and feature loaders one row at a time, each
@@ -43,6 +45,38 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
         np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6
     )
     return float(rel.max())
+
+
+# A batch has an edge shape if an utterance has one frame or a layer is one
+# wide. NumPy multiplies a one-row or one-column product with gemv rather
+# than GEMM, and sums a one-wide axis pairwise rather than row by row, so
+# there a batch and its utterances one by one round differently. Such a batch
+# must match the oracles to within this absolute tolerance, scaled up by the
+# largest magnitude compared where that exceeds 1. It is absolute because a
+# sum that cancels to about zero (a gradient at a ReLU's edge, say) carries
+# rounding noise of the size of its terms, not of its result.
+EDGE_TOLERANCE = 1e-9
+
+
+def edge_shape(lengths, widths) -> bool:
+    """Whether utterances of ``lengths`` frames through layers of ``widths`` form an edge shape."""
+    return min(lengths) == 1 or min(widths) == 1
+
+
+def assert_matches(got, want, exact: bool, name: str = "") -> None:
+    """``got`` has NaN where ``want`` has, and equals it elsewhere bit for bit if
+    ``exact``, else to within ``EDGE_TOLERANCE`` times the larger of 1 and
+    ``want``'s largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan), name
+    got, want = got[~nan], want[~nan]
+    if exact:
+        assert got.tobytes() == want.tobytes(), name
+    else:
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=EDGE_TOLERANCE * np.abs(want).max(initial=1.0),
+                                   err_msg=name)
 
 
 def naive_encode(config, weights, biases, features: np.ndarray) -> np.ndarray:
@@ -100,10 +134,18 @@ def per_utterance_encode_backward(params, activations, d_output):
     return d_weights, d_biases, grad
 
 
+def pool_statistics(filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and (eps-stabilised population) std over one utterance's N x D1 present traits."""
+    from phonetrait.trait_layer import STD_EPS
+
+    mean = filtered.mean(axis=0)
+    var = np.mean((filtered - mean) ** 2, axis=0)
+    return mean, np.sqrt(var + STD_EPS)
+
+
 def per_utterance_forward(features, phones, utterance_id, encoder_params, projection, n_phones):
     """One utterance from features to embedding; a dict of every intermediate."""
     from phonetrait.errors import EmptyUtteranceError
-    from phonetrait.trait_layer import pool_statistics
 
     activations = per_utterance_encode(encoder_params, features)
     emb = activations[-1]

@@ -8,13 +8,18 @@ produce, all built once per session by the ``desk`` fixture.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from _entry import run_phonetrait
+from _entry import package_env, run_phonetrait
 from _oracles import naive_traits, sweep_eer, sweep_min_dcf
 from phonetrait import presets
 from phonetrait.analysis import (
@@ -311,6 +316,34 @@ class DeskRun:
     experiment_seconds: float
 
 
+# Reads pickled ``train`` arguments from stdin and writes the pickled
+# (state, history) to stdout.
+_TRAIN = ("import pickle, sys; from phonetrait.training import train; "
+          "pickle.dump(train(*pickle.load(sys.stdin.buffer)), sys.stdout.buffer)")
+
+
+def train_each(index, inventory, model_cfg, train_cfgs):
+    """``train``'s (state, history) for every config, in parallel worker
+    processes of one BLAS thread each while there are CPUs for them, or in
+    this process one after another on a single CPU. Either way the states
+    and histories are the same bits."""
+    workers = min(len(train_cfgs), os.cpu_count() or 1)
+    if workers == 1:
+        return [train(index, inventory, model_cfg, cfg) for cfg in train_cfgs]
+    env = package_env()
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                             "1"))
+
+    def run(cfg):
+        done = subprocess.run([sys.executable, "-c", _TRAIN], env=env, capture_output=True,
+                              input=pickle.dumps((index, inventory, model_cfg, cfg)), timeout=600)
+        assert done.returncode == 0, done.stderr.decode()
+        return pickle.loads(done.stdout)
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, train_cfgs))
+
+
 @pytest.fixture(scope="module")
 def desk():
     inventory = default_inventory()
@@ -320,7 +353,9 @@ def desk():
     )
     index = CorpusIndex.build(features, alignments)
     model_cfg = presets.desk_model_config()
-    state, history = train(index, inventory, model_cfg, presets.desk_train_config())
+    ablation_cfg = presets.desk_train_config(weights=LossWeights(0.0, 0.0, 0.0))
+    (state, history), (ablation_state, _) = train_each(
+        index, inventory, model_cfg, [presets.desk_train_config(), ablation_cfg])
     trials = make_trials(features, presets.EVAL_N_TARGET, presets.EVAL_N_NONTARGET,
                          presets.TRIAL_SEED)
     scores = score_trials(state, index, trials, inventory.size)
@@ -330,8 +365,6 @@ def desk():
         np.linalg.norm(p.signatures, axis=1).mean() for p in profiles
     ]) / presets.NOISE_STD)
 
-    ablation_cfg = presets.desk_train_config(weights=LossWeights(0.0, 0.0, 0.0))
-    ablation_state, _ = train(index, inventory, model_cfg, ablation_cfg)
     ablation_scores = score_trials(ablation_state, index, trials, inventory.size)
 
     # a larger trial set so per-phone sample pools clear the 500 floor

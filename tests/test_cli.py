@@ -192,6 +192,26 @@ def empty_corpus(corpus):
 
 
 class TestBadCorpus:
+    @pytest.mark.parametrize("name, offset", [("inventory.txt", 1), ("features.txt", 8192)])
+    def test_byte_that_is_not_utf8_is_a_parse_error_at_its_line(self, pipeline, tmp_path,
+                                                                capsys, name, offset):
+        # The first line that starts past ``offset`` bytes gets a 0xFF byte;
+        # past 8 KB it lies beyond the first block a text file decodes.
+        good, _ = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(good, corpus)
+        lines = (corpus / name).read_bytes().splitlines(keepends=True)
+        sizes = [len(line) for line in lines]
+        starts = np.cumsum([0] + sizes[:-1])
+        k = int(np.argmax(starts > offset))
+        assert starts[k] > offset
+        lines[k] = lines[k][:1] + b"\xff" + lines[k][1:]
+        (corpus / name).write_bytes(b"".join(lines))
+        code = main(TRAIN_ARGS + ["--corpus-dir", str(corpus), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: ParseError: {corpus / name}:{k + 1}: byte 0xff is not UTF-8\n")
+
     @pytest.mark.parametrize("damage", [widen_last_utterance, empty_corpus])
     @pytest.mark.parametrize("command", ["train", "score"])
     def test_rejected_as_configuration_error(self, pipeline, tmp_path, capsys, damage, command):

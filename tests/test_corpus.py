@@ -2,6 +2,8 @@
 
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from phonetrait.corpus import (
 )
 from phonetrait.errors import ConfigurationError, DimensionError, ParseError
 
+from _entry import package_env
 from _oracles import choice_generate_corpus
 
 
@@ -394,6 +397,22 @@ class TestFileRoundTrips:
             assert np.array_equal(a.features, b.features)
         save_features(loaded, tmp_path / "again.txt")
         assert path.read_bytes() == (tmp_path / "again.txt").read_bytes()
+
+    def test_features_round_trip_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # Written here, read and written again by a child whose locale
+        # encoding is ASCII: files are UTF-8 whatever the locale.
+        path = tmp_path / "features.txt"
+        save_features([UtteranceFeatures("spk\u00e9_u0", "spk\u00e9", np.eye(2))], path)
+        assert b"spk\xc3\xa9_u0" in path.read_bytes()
+        env = package_env()
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from phonetrait.corpus import load_features, "
+             "save_features; save_features(load_features(sys.argv[1]), sys.argv[2])",
+             str(path), str(tmp_path / "again.txt")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     def test_features_truncated(self, tmp_path):
         path = tmp_path / "features.txt"
