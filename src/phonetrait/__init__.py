@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     PhonetraitError,
 )
-from .losses import AamConfig, LossWeights, PairBatch, total_loss
+from .losses import AamConfig, LossWeights, total_loss
 from .scoring import ScoreTable, score_trials
 from .trait_layer import extract_traits
 from .training import ModelConfig, ModelState, TrainConfig, grad_check, train
@@ -55,7 +55,6 @@ __all__ = [
     "ModelConfig",
     "ModelState",
     "NumericGuardError",
-    "PairBatch",
     "ParseError",
     "PhoneAlignment",
     "PhoneInventory",

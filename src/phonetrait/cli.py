@@ -6,7 +6,8 @@ key=value file whose keys are the flag names with dashes as underscores)
 and ``--out-dir``; explicit flags override config-file values, which
 override the built-in defaults from ``phonetrait.presets``. The effective
 settings are echoed to ``config_used.txt`` in the output directory, in the
-same key=value format.
+same key=value format; a config file whose ``command`` names another
+subcommand is refused.
 
 Exit codes: 0 success, 2 bad command line, 3 missing input file, 4 unparsable
 input, 5 invalid configuration or insufficient data, 6 numeric failure or
@@ -256,7 +257,7 @@ def _find_config_value(argv: list[str]) -> str | None:
     return None
 
 
-def _load_config_file(path: str, registry: dict) -> dict:
+def _load_config_file(path: str, command: str, registry: dict) -> dict:
     overrides = {}
     seen = set()
     with _LineReader(path) as lines:
@@ -267,6 +268,8 @@ def _load_config_file(path: str, registry: dict) -> dict:
             key, value = (part.strip() for part in lines.key_value(stripped, "="))
             seen.add(lines.unique_key(seen, key))
             if key == "command":
+                if value != command:
+                    raise ConfigurationError(f"{path} is a {value!r} config, not {command!r}")
                 continue
             if key not in registry:
                 raise ConfigurationError(f"unknown config key {key!r} in {path}")
@@ -485,7 +488,7 @@ def main(argv=None) -> int:
             command = next((a for a in argv if not a.startswith("-")), None)
             if command not in registries:
                 raise ConfigurationError("--config needs a recognised subcommand before it")
-            overrides = _load_config_file(config_path, registries[command])
+            overrides = _load_config_file(config_path, command, registries[command])
             subparsers.choices[command].set_defaults(**overrides)
         try:
             args = parser.parse_args(argv)

@@ -648,6 +648,16 @@ def _write_row(f, row: np.ndarray) -> None:
     f.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
+def _check_ids(ids, sep: str | None) -> None:
+    """ConfigurationError, raised before a writer writes, for the first of ``ids``
+    that holds a line break or that ``sep`` splits (None: any whitespace, which
+    an empty id fails too), so its loader would not read it back whole."""
+    for text in ids:
+        if text.split(sep) != [text] or "\n" in text or "\r" in text:
+            rule = "no whitespace and not be empty" if sep is None else "no tab or line break"
+            raise ConfigurationError(f"id {text!r} must hold {rule}")
+
+
 def save_inventory(inventory: PhoneInventory, path) -> None:
     with atomic_write(path) as f:
         for label in inventory.labels:
@@ -670,6 +680,7 @@ def load_inventory(path) -> PhoneInventory:
 
 
 def save_alignments(alignments: list[PhoneAlignment], inventory: PhoneInventory, path) -> None:
+    _check_ids((align.utterance_id for align in alignments), "\t")
     with atomic_write(path) as f:
         for align in alignments:
             for start, end, phone in align.segments:
@@ -731,6 +742,7 @@ def load_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
 
 
 def save_trials(trials: TrialList, path) -> None:
+    _check_ids((utt for t in trials for utt in (t.enroll_id, t.test_id)), "\t")
     with atomic_write(path) as f:
         for t in trials:
             f.write(f"{t.label}\t{t.enroll_id}\t{t.test_id}\n")
@@ -751,6 +763,7 @@ def load_trials(path) -> TrialList:
 
 
 def save_features(features: list[UtteranceFeatures], path) -> None:
+    _check_ids((name for feat in features for name in (feat.utterance_id, feat.speaker_id)), None)
     with atomic_write(path) as f:
         for feat in features:
             t, dim = feat.features.shape

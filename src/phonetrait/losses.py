@@ -6,11 +6,11 @@ the loss values so the whole model can be trained without autodiff; every
 formula here is certified against central finite differences in the tests.
 
 Conventions shared by the trait losses: each term function takes one side's
-(K, I, D1) trait tensor with one row per inventory phone and its (K, I) bool
-presence mask, and a loss term is dropped (not zero-divided) when its
-averaging set is empty. A ``PairBatch`` stacks the 2K utterances, enrollments
-first, then tests; ``total_loss`` hands each term the side it needs and
-returns the gradients stacked in the same order.
+(K, I, D1) arrays with one row per inventory phone, and a loss term is
+dropped (not zero-divided) when its averaging set is empty. ``total_loss``
+reads a pair batch's ``BatchForward``, its 2K utterances stacked enrollments
+first, then tests; it hands each term the side it needs and returns the
+gradients stacked in the same order.
 """
 
 from __future__ import annotations
@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BatchError,
-    ConfigurationError,
-    DimensionError,
-    EmptyUtteranceError,
-    NumericGuardError,
-)
+from .errors import BatchError, ConfigurationError, DimensionError, NumericGuardError
+from .trait_layer import BatchForward
 from .workspace import Workspace
 
 # Norms below this are treated as degenerate rather than normalised.
@@ -65,41 +60,6 @@ class AamConfig:
             raise ConfigurationError("margin must be in [0, pi/2)")
         if self.scale <= 0:
             raise ConfigurationError("scale must be > 0")
-
-
-@dataclass
-class PairBatch:
-    """K speakers, one (enrollment, test) utterance pair each.
-
-    The 2K utterances are stacked enrollments first, then tests, each side in
-    speaker order.
-    """
-
-    speaker_ids: list[str]
-    class_labels: np.ndarray  # (K,) int
-    traits: np.ndarray        # (2K, I, D1)
-    present: np.ndarray       # (2K, I) bool
-    embeddings: np.ndarray    # (2K, D2)
-
-    def __post_init__(self):
-        self.class_labels = np.asarray(self.class_labels, dtype=np.int64)
-        k = len(self.speaker_ids)
-        if k < 1:
-            raise BatchError("batch needs at least one speaker")
-        if len(set(self.speaker_ids)) != k:
-            raise BatchError("batch speakers must be distinct")
-        if self.class_labels.shape != (k,):
-            raise DimensionError(f"class_labels must have shape {(k,)}")
-        if self.traits.ndim != 3 or self.traits.shape[0] != 2 * k:
-            raise DimensionError(f"traits must have 3 dims with leading size {2 * k}")
-        if self.present.shape != self.traits.shape[:2]:
-            raise DimensionError(f"present must have shape {self.traits.shape[:2]}")
-        if self.embeddings.ndim != 2 or self.embeddings.shape[0] != 2 * k:
-            raise DimensionError(f"embeddings must have 2 dims with leading size {2 * k}")
-
-    @property
-    def n_speakers(self) -> int:
-        return len(self.speaker_ids)
 
 
 def trait_verification_loss(
@@ -190,38 +150,21 @@ def trait_verification_loss(
 
 
 def trait_center_loss(
-    traits: np.ndarray,
-    present: np.ndarray,
+    deviations: np.ndarray,
+    n_present: np.ndarray,
     gamma: float,
 ) -> tuple[float, np.ndarray]:
     """Compactness of each utterance's present traits around their own mean.
 
-    Loss is the sum over utterances of squared distances to the utterance
-    center, divided by the total present-trait count of the whole side, times
-    gamma. Because each center is its utterance's own mean, the center's
-    dependence on the traits cancels in the gradient and d/dx is simply
-    2*gamma*(x - center)/total_count.
-
+    Loss is gamma times the sum of one side's squared ``deviations`` from its
+    utterances' means, as pooling kept them (``BatchForward``), over the
+    side's total present count. Each center's dependence on the traits
+    cancels in the gradient, so d/dx is simply 2*gamma*(x - center)/total.
     Returns (loss, d_traits).
     """
-    x = np.asarray(traits, dtype=np.float64)
-    mask = np.asarray(present, dtype=bool)
-    if x.ndim != 3 or mask.shape != x.shape[:2]:
-        raise DimensionError("traits must be (K, I, D1) with a (K, I) presence mask")
-    counts = mask.sum(axis=1)
-    empty = np.nonzero(counts == 0)[0]
-    if empty.size:
-        raise EmptyUtteranceError(f"utterance {int(empty[0])} in batch has no present traits")
-    total = int(counts.sum())
-    masked = x * mask[:, :, None]
-    centers = masked.sum(axis=1) / counts[:, None]           # (K, D1)
-    deviation = np.subtract(x, centers[:, None, :])
-    deviation *= mask[:, :, None]
-    # ``masked`` is spent: it takes the squares, and the deviations become
-    # the gradient in place.
-    loss = gamma * float(np.square(deviation, out=masked).sum()) / total
-    deviation *= 2.0 * gamma / total
-    return loss, deviation
+    total = int(n_present.sum())
+    loss = gamma * float(np.square(deviations).sum()) / total
+    return loss, deviations * (2.0 * gamma / total)
 
 
 def aam_softmax_loss(
@@ -308,44 +251,47 @@ class LossOutput:
 
 
 def total_loss(
-    batch: PairBatch,
+    forward: BatchForward,
+    class_labels: np.ndarray,
     weights: LossWeights,
     aam_config: AamConfig,
     class_weights: np.ndarray,
     with_classification: bool = True,
     workspace: Workspace | None = None,
 ) -> LossOutput:
-    """Sum of the classification, verification and center losses on one batch.
+    """Sum of the classification, verification and center losses on one pair batch.
 
-    The classification term runs over all 2K embeddings with each speaker's
+    ``forward`` holds K speakers' 2K utterances, enrollments first, then
+    tests, each side in the order of the K distinct ``class_labels``. The
+    classification term runs over all 2K embeddings with each speaker's
     label repeated. The verification term pairs the enrollment side with the
     test side, and the center term averages over each side on its own.
     ``workspace`` holds the verification term's scratch arrays; every
     returned array is fresh.
     """
-    if batch.n_speakers < 2:
-        raise BatchError("pair batch training needs >= 2 speakers")
-    k = batch.n_speakers
-    enroll_traits, test_traits = batch.traits[:k], batch.traits[k:]
-    enroll_present, test_present = batch.present[:k], batch.present[k:]
+    labels = np.asarray(class_labels, dtype=np.int64)
+    k = labels.shape[0]
+    if np.unique(labels).size != k:
+        raise BatchError("batch speakers must be distinct")
+    traits, present = forward.traits, forward.present
+    dev, n = forward.deviations, forward.n_present
     if with_classification:
         l_aam, d_embeddings, d_class_weights = aam_softmax_loss(
-            batch.embeddings, np.tile(batch.class_labels, 2), class_weights, aam_config
+            forward.embeddings, np.tile(labels, 2), class_weights, aam_config
         )
     else:
         l_aam = 0.0
-        d_embeddings = np.zeros_like(batch.embeddings)
+        d_embeddings = np.zeros_like(forward.embeddings)
         d_class_weights = np.zeros_like(np.asarray(class_weights, dtype=np.float64))
 
     l_veri, d_veri_e, d_veri_t = trait_verification_loss(
-        enroll_traits, enroll_present, test_traits, test_present,
-        weights.alpha, weights.beta, workspace,
+        traits[:k], present[:k], traits[k:], present[k:], weights.alpha, weights.beta, workspace,
     )
     # Each side's center gradient is added to its verification gradient in
     # place as soon as it exists, then the two sides are stacked.
-    l_center_e, d_center = trait_center_loss(enroll_traits, enroll_present, weights.gamma)
+    l_center_e, d_center = trait_center_loss(dev[:k], n[:k], weights.gamma)
     np.add(d_veri_e, d_center, out=d_veri_e)
-    l_center_t, d_center = trait_center_loss(test_traits, test_present, weights.gamma)
+    l_center_t, d_center = trait_center_loss(dev[k:], n[k:], weights.gamma)
     np.add(d_veri_t, d_center, out=d_veri_t)
     del d_center
     l_center = l_center_e + l_center_t

@@ -10,8 +10,9 @@ every encoder layer's context index, context rows and output, the pooling's
 segment bins, the verification loss's distance table and difference block,
 the frame gradient, the encoder's context gradients and ReLU masks. The
 buffers grow to the largest step seen and are freed when the run ends. So a
-``BatchForward`` made inside training is valid only until the next step;
-the loss output and the gradients are fresh arrays.
+``BatchForward`` made inside training is valid only until the next step,
+its deviations only until the step's backward pass; the loss output and the
+gradients are fresh arrays.
 
 Checkpoints are a versioned plain-text format written atomically; floats are
 serialised with ``repr`` so a save/load/save cycle is byte identical and no
@@ -40,7 +41,7 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
 )
-from .losses import AamConfig, LossOutput, LossWeights, PairBatch, total_loss
+from .losses import AamConfig, LossOutput, LossWeights, total_loss
 from .trait_layer import (
     BatchForward,
     ProjectionParams,
@@ -186,18 +187,15 @@ def forward_pair_batch(
     selection: PairSelection,
     n_phones: int,
     workspace: Workspace | None = None,
-) -> tuple[PairBatch, BatchForward]:
+) -> BatchForward:
     """Run the selection's enrollments, then its tests, through the model as one batch.
 
     The frame-sized arrays go into ``workspace``; see ``forward_batch``.
     """
     utts = selection.enroll_utts + selection.test_utts
     features, phones, lengths = index.pack(utts, workspace)
-    cache = forward_batch(features, phones, lengths, utts, state.encoder, state.projection,
-                          n_phones, workspace)
-    batch = PairBatch(selection.speaker_ids, selection.class_labels,
-                      cache.traits, cache.present, cache.embeddings)
-    return batch, cache
+    return forward_batch(features, phones, lengths, utts, state.encoder, state.projection,
+                         n_phones, workspace)
 
 
 def batch_loss_and_grads(
@@ -219,8 +217,9 @@ def batch_loss_and_grads(
     The step's frame-sized arrays live in ``workspace``; the returned loss
     and gradients are fresh arrays.
     """
-    batch, cache = forward_pair_batch(state, index, selection, n_phones, workspace)
-    out = total_loss(batch, weights, aam, state.class_weights, with_classification, workspace)
+    cache = forward_pair_batch(state, index, selection, n_phones, workspace)
+    out = total_loss(cache, selection.class_labels, weights, aam, state.class_weights,
+                     with_classification, workspace)
 
     grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
     grads["class_weights"] += out.d_class_weights
@@ -333,8 +332,9 @@ def batch_loss_value(
     with_classification: bool = True,
 ) -> float:
     """Scalar total loss of one batch (forward only), for finite differences."""
-    batch, _ = forward_pair_batch(state, index, selection, n_phones)
-    return total_loss(batch, weights, aam, state.class_weights, with_classification).total
+    cache = forward_pair_batch(state, index, selection, n_phones)
+    return total_loss(cache, selection.class_labels, weights, aam, state.class_weights,
+                      with_classification).total
 
 
 def numeric_gradients(

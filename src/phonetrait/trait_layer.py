@@ -13,7 +13,10 @@ zero: adding +0.0 leaves a sum unchanged. At a trait width D1 >= 2 NumPy sums
 the I axis row by row, so each sum sees the utterance's present rows in
 order, bit-equal to pooling those rows alone. At width 1 NumPy sums the
 reduced axis pairwise, in blocks, and the absent zero rows regroup those
-sums, so the last bits may differ from a per-utterance pool.
+sums, so the last bits may differ from a per-utterance pool. Pooling's
+present counts and deviations from the mean are kept for the trait-center
+loss and the backward pass, which turns the deviations into the trait
+gradient in place.
 
 ``forward_batch`` and ``trait_layer_backward`` write their frame-sized
 arrays (the encoder's, the segment bins and the N x D1 frame gradient) into
@@ -118,23 +121,23 @@ def init_projection(trait_dim: int, embedding_dim: int, rng: np.random.Generator
     )
 
 
-def _batch_statistics(traits: np.ndarray, present: np.ndarray, n_present: np.ndarray) -> np.ndarray:
-    """B x 2*D1 mean and (eps-stabilised population) std of every utterance's present traits.
+def _batch_statistics(traits: np.ndarray, present: np.ndarray, n_present: np.ndarray):
+    """(B x 2*D1 mean and eps-stabilised population std, B x I x D1 deviations
+    from the mean) of every utterance's present traits.
 
-    Absent rows are zero in ``traits`` and zeroed in the deviations; see the
-    module docstring for the summation order.
+    Absent rows are zero in ``traits`` and in the deviations; see the module
+    docstring for the summation order.
     """
     n = n_present[:, None]
     mean = traits.sum(axis=1) / n
     dev = traits - mean[:, None, :]
     dev[~present] = 0.0
-    np.square(dev, out=dev)
-    return np.concatenate([mean, np.sqrt(dev.sum(axis=1) / n + STD_EPS)], axis=1)
+    return np.concatenate([mean, np.sqrt(np.square(dev).sum(axis=1) / n + STD_EPS)], axis=1), dev
 
 
 @dataclass
 class BatchForward:
-    """Cached intermediates of a packed batch's forward pass, for backprop."""
+    """Cached intermediates of a packed batch's forward pass, for the losses and backprop."""
 
     activations: list[np.ndarray]  # packed encoder input (N, F) ... frame embeddings (N, D1)
     packing: Packing               # utterance bounds, context indices and rows of the encoder pass
@@ -142,6 +145,8 @@ class BatchForward:
     counts: np.ndarray             # (B, I) frames per (utterance, phone)
     traits: np.ndarray             # (B, I, D1)
     present: np.ndarray            # (B, I)
+    n_present: np.ndarray          # (B,) present traits per utterance
+    deviations: np.ndarray         # (B, I, D1) present traits minus their mean; backward reuses
     stats: np.ndarray              # (B, 2*D1) pooled mean, then std, of the present traits
     embeddings: np.ndarray         # (B, D2)
 
@@ -166,7 +171,8 @@ def forward_batch(
 
     The encoder's arrays and the pooling's bins go into ``workspace``, so
     the result's ``activations`` and ``packing`` are valid until the next
-    pass through it; the other fields are fresh arrays.
+    pass through it; the other fields are fresh arrays, and
+    ``trait_layer_backward`` overwrites ``deviations``.
     """
     activations, packing = encode_layers(encoder_params, features, lengths, workspace)
     if phones.max() >= n_phones:
@@ -186,7 +192,7 @@ def forward_batch(
     if empty.size:
         raise EmptyUtteranceError(
             f"utterance {utterance_ids[empty[0]]!r} has no present phonetic traits")
-    stats = _batch_statistics(traits, present, n_present)
+    stats, deviations = _batch_statistics(traits, present, n_present)
     return BatchForward(
         activations=activations,
         packing=packing,
@@ -194,6 +200,8 @@ def forward_batch(
         counts=counts,
         traits=traits,
         present=present,
+        n_present=n_present,
+        deviations=deviations,
         stats=stats,
         embeddings=(projection.weight @ stats[:, :, None])[:, :, 0] + projection.bias,
     )
@@ -209,7 +217,8 @@ def trait_layer_backward(
     """Backprop from the embeddings and the traits to frames.
 
     Args:
-        cache: forward intermediates from ``forward_batch``.
+        cache: forward intermediates from ``forward_batch``. Its
+            ``deviations`` become the trait gradient in place.
         d_embeddings: loss gradient w.r.t. every utterance's embedding, (B, D2).
         d_traits: loss gradient w.r.t. the B x I x D1 traits, from the
             losses that act on traits directly. Rows of absent phones are
@@ -223,6 +232,9 @@ def trait_layer_backward(
     d_emb = np.asarray(d_embeddings, dtype=np.float64)
     if d_emb.shape != cache.embeddings.shape:
         raise DimensionError(f"d_embeddings shape {d_emb.shape}, want {cache.embeddings.shape}")
+    extra = np.asarray(d_traits, dtype=np.float64)
+    if extra.shape != cache.deviations.shape:
+        raise DimensionError(f"d_traits shape {extra.shape}, want {cache.deviations.shape}")
     # At D2 >= 2, bit-identical to a loop over the utterances: the stacked
     # products make the same per-utterance gemv and outer products, and both
     # sums add the utterances in batch order. At D2 = 1 NumPy sums the bias
@@ -231,20 +243,17 @@ def trait_layer_backward(
     d_proj_b = d_emb.sum(axis=0)
     d_stats = (projection.weight.T @ d_emb[:, :, None])[:, :, 0]
     d1 = cache.traits.shape[2]
-    mean, std = cache.stats[:, None, :d1], cache.stats[:, None, d1:]
     d_mean, d_std = d_stats[:, None, :d1], d_stats[:, None, d1:]
-    n = cache.present.sum(axis=1)[:, None, None]
+    n = cache.n_present[:, None, None]
     # d var / d row = 2 (row - mean) / N; the mean's dependence on each row
     # cancels inside the variance, so no extra cross term appears.
-    d_var = d_std / (2.0 * std)
-    # d_mean / n + d_var * 2 (row - mean) / n, in place and in that order.
-    d_trait_full = cache.traits - mean
+    d_var = d_std / (2.0 * cache.stats[:, None, d1:])
+    # d_mean / n + d_var * 2 (row - mean) / n, in that order, in place in the
+    # deviations, as ``encode_backward`` overwrites its upstream gradient.
+    d_trait_full = cache.deviations
     d_trait_full *= d_var * 2.0
     d_trait_full /= n
     d_trait_full += d_mean / n
-    extra = np.asarray(d_traits, dtype=np.float64)
-    if extra.shape != d_trait_full.shape:
-        raise DimensionError(f"d_traits shape {extra.shape}, want {d_trait_full.shape}")
     d_trait_full += extra
     d_trait_full[~cache.present] = 0.0
 

@@ -9,7 +9,9 @@ reproduce their sums bit for bit, summation order included. Likewise
 utterance and one scalar cosine at a time, through ``per_utterance_forward``
 alone, and batched scoring must match it exactly. The one exception is a
 batch with an edge shape, which ``assert_matches`` holds to the oracles
-within ``EDGE_TOLERANCE`` instead. ``choice_generate_corpus``
+within ``EDGE_TOLERANCE`` instead. ``traits_center_loss`` is the
+trait-center loss as it ran before it read pooling's deviations, its
+centers taken afresh from the traits. ``choice_generate_corpus``
 is corpus generation as it ran before the phone CDF was hoisted: one
 ``Generator.choice`` call and one frame block per segment. The ``scan_*``
 readers are the alignment, score and feature loaders one row at a time, each
@@ -20,6 +22,7 @@ their values.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -163,9 +166,11 @@ def per_utterance_forward(features, phones, utterance_id, encoder_params, projec
     filtered = traits[kept]
     mean, std = pool_statistics(filtered)
     stats = np.concatenate([mean, std])
+    deviations = np.zeros_like(traits)
+    deviations[kept] = filtered - mean
     return dict(activations=activations, phones=phones, counts=counts, traits=traits,
                 present=present, kept=kept, filtered=filtered, mean=mean, std=std, stats=stats,
-                embedding=projection.weight @ stats + projection.bias)
+                deviations=deviations, embedding=projection.weight @ stats + projection.bias)
 
 
 def per_utterance_backward(cache, projection, d_emb, d_traits):
@@ -191,9 +196,11 @@ def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones
 
     Every utterance runs through the model alone, enrollments then tests, and
     each gradient adds its utterances' terms in that order. Returns
-    (LossOutput, gradients, PairBatch).
+    (LossOutput, gradients, forward): ``forward`` stacks the utterances'
+    traits, presence masks, present counts, deviations from their mean and
+    embeddings, the fields of a ``BatchForward`` that ``total_loss`` reads.
     """
-    from phonetrait.losses import PairBatch, total_loss
+    from phonetrait.losses import total_loss
     from phonetrait.training import parameter_arrays
 
     def run(utt):
@@ -201,14 +208,15 @@ def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones
                                      state.encoder, state.projection, n_phones)
 
     caches = [run(u) for u in selection.enroll_utts + selection.test_utts]
-    batch = PairBatch(
-        speaker_ids=selection.speaker_ids,
-        class_labels=selection.class_labels,
+    forward = SimpleNamespace(
         traits=np.stack([c["traits"] for c in caches]),
         present=np.stack([c["present"] for c in caches]),
+        n_present=np.array([c["kept"].size for c in caches]),
+        deviations=np.stack([c["deviations"] for c in caches]),
         embeddings=np.stack([c["embedding"] for c in caches]),
     )
-    out = total_loss(batch, weights, aam, state.class_weights, with_classification)
+    out = total_loss(forward, selection.class_labels, weights, aam, state.class_weights,
+                     with_classification)
     grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
     grads["class_weights"] += out.d_class_weights
     for u, cache in enumerate(caches):
@@ -222,7 +230,20 @@ def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones
             grads[f"encoder_weight_{l}"] += g
         for l, g in enumerate(d_enc_b):
             grads[f"encoder_bias_{l}"] += g
-    return out, grads, batch
+    return out, grads, forward
+
+
+def traits_center_loss(traits, present, gamma):
+    """``trait_center_loss`` of one side's (K, I, D1) traits and (K, I) presence
+    mask, its centers and deviations taken afresh from the traits, as before
+    the loss read them from pooling. Returns (loss, d_traits)."""
+    mask = present[:, :, None]
+    counts = present.sum(axis=1)
+    total = int(counts.sum())
+    centers = (traits * mask).sum(axis=1) / counts[:, None]
+    deviation = (traits - centers[:, None, :]) * mask
+    loss = gamma * float(np.square(deviation).sum()) / total
+    return loss, deviation * (2.0 * gamma / total)
 
 
 def per_phone_trait_verification_loss(enroll, pe, test, pt, alpha, beta):

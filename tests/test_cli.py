@@ -468,6 +468,15 @@ class TestConfigFile:
         cfg.write_text("n_speakers=many\n")
         assert main(["gen-corpus", "--config", str(cfg), "--out-dir", "x"]) == EXIT_PARSE
 
+    def test_config_of_another_subcommand_refused(self, tmp_path, capsys):
+        # A gen-corpus config must not set gradcheck's --seed.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("command=gen-corpus\nseed=99\n")
+        out = tmp_path / "g"
+        assert main(["gradcheck", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "'gen-corpus' config, not 'gradcheck'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_without_subcommand(self, capsys):
         assert main(["--config", "whatever.txt"]) == EXIT_CONFIG
 

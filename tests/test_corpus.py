@@ -457,10 +457,32 @@ class TestFileRoundTrips:
 
     def test_trials_round_trip(self, tmp_path):
         features, _, _ = small_corpus()
-        trials = make_trials(features, 4, 4, seed=0)
+        # Only a tab separates trial fields, so a space is part of an id.
+        trials = TrialList(make_trials(features, 4, 4, seed=0).trials + [Trial("a b", "c", 1)])
         path = tmp_path / "trials.txt"
         save_trials(trials, path)
         assert load_trials(path).trials == trials.trials
+
+    @pytest.mark.parametrize("utt, speaker", [
+        ("utt a", "spk"), ("utt", "spk\tb"), ("", "spk"), ("u\nv", "spk"), ("u\u00a0v", "spk"),
+    ], ids=["space", "tab_in_speaker", "empty", "newline", "no_break_space"])
+    def test_features_writer_refuses_ids_the_loader_splits(self, tmp_path, utt, speaker):
+        # load_features splits its header on any whitespace.
+        with pytest.raises(ConfigurationError, match="whitespace"):
+            save_features([UtteranceFeatures(utt, speaker, np.eye(2))], tmp_path / "f.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("trial", [Trial("a\tx", "b", 1), Trial("a", "b\nx", 0),
+                                       Trial("a", "b\rx", 1)],
+                             ids=["tab", "newline", "carriage_return"])
+    def test_trials_writer_refuses_ids_the_loader_splits(self, tmp_path, trial):
+        with pytest.raises(ConfigurationError, match="tab or line break"):
+            save_trials(TrialList([Trial("c", "d", 0), trial]), tmp_path / "t.txt")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ConfigurationError, match="tab or line break"):
+            save_alignments([PhoneAlignment(trial.enroll_id + trial.test_id, [(0, 2, 0)])],
+                            small_inventory(), tmp_path / "a.txt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_trials_bad_label(self, tmp_path):
         path = tmp_path / "trials.txt"

@@ -40,7 +40,8 @@ LOADERS = {
     "features": load_features,
     "scores": load_scores,
     "report": read_report,
-    "config": lambda path: _load_config_file(str(path), build_parser()[2]["gen-corpus"]),
+    "config": lambda path: _load_config_file(str(path), "gen-corpus",
+                                             build_parser()[2]["gen-corpus"]),
     "checkpoint": load_checkpoint,
 }
 

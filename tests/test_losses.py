@@ -8,26 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonetrait.encoder import EncoderConfig, EncoderParams, LayerSpec
 from phonetrait.errors import (
     BatchError,
     ConfigurationError,
     DimensionError,
-    EmptyUtteranceError,
     NumericGuardError,
 )
 from phonetrait.losses import (
     LOSS_LOG_HEADER,
     AamConfig,
     LossWeights,
-    PairBatch,
     aam_softmax_loss,
     format_loss_log_line,
     total_loss,
     trait_center_loss,
     trait_verification_loss,
 )
+from phonetrait.trait_layer import forward_batch, init_projection
 
-from _oracles import central_difference, max_relative_error, per_phone_trait_verification_loss
+from _oracles import (
+    central_difference,
+    max_relative_error,
+    per_phone_trait_verification_loss,
+    traits_center_loss,
+)
 
 
 def naive_verification(enroll, pe, test, pt, alpha, beta):
@@ -65,6 +70,24 @@ def random_masked_traits(rng, n_speakers=3, n_phones=4, dim=2, p_present=0.7):
     present[:, 0] = True  # keep every utterance non-empty
     traits[~present] = 0.0
     return traits, present
+
+
+def forward_of(traits, present, emb_dim=3, seed=0):
+    """``forward_batch`` of utterances whose present phones hold ``traits``:
+    one frame per present phone, through an identity encoder."""
+    n_utts, n_phones, dim = traits.shape
+    utts, phones = np.nonzero(present)
+    config = EncoderConfig(dim, (LayerSpec((0,), dim, "identity"),))
+    encoder = EncoderParams(config, [np.eye(dim)], [np.zeros(dim)])
+    projection = init_projection(dim, emb_dim, np.random.default_rng(seed))
+    return forward_batch(traits[utts, phones], phones, present.sum(axis=1),
+                         [f"u{u}" for u in range(n_utts)], encoder, projection, n_phones)
+
+
+def center_loss_of(traits, present, gamma):
+    """``trait_center_loss`` of the deviations and counts that pooling makes of ``traits``."""
+    forward = forward_of(traits, present)
+    return trait_center_loss(forward.deviations, forward.n_present, gamma)
 
 
 class TestConfigs:
@@ -210,7 +233,7 @@ class TestTraitCenter:
         # divided by 2 present traits -> 1 per side.
         traits = np.array([[[1.0], [3.0]]])
         present = np.ones((1, 2), dtype=bool)
-        loss, _ = trait_center_loss(traits, present, 1.0)
+        loss, _ = center_loss_of(traits, present, 1.0)
         assert abs(loss - 1.0) < 1e-12
 
     def test_shared_denominator_across_utterances(self):
@@ -220,7 +243,7 @@ class TestTraitCenter:
         traits[0] = [[1.0], [3.0]]
         traits[1, 0] = [5.0]
         present = np.array([[True, True], [True, False]])
-        loss, _ = trait_center_loss(traits, present, 1.0)
+        loss, _ = center_loss_of(traits, present, 1.0)
         assert abs(loss - 2.0 / 3.0) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -228,24 +251,18 @@ class TestTraitCenter:
         traits, present = random_masked_traits(rng)
 
         def loss():
-            value, _ = trait_center_loss(traits, present, 0.8)
+            value, _ = center_loss_of(traits, present, 0.8)
             return value
 
-        _, d_traits = trait_center_loss(traits, present, 0.8)
+        _, d_traits = center_loss_of(traits, present, 0.8)
         assert max_relative_error(d_traits, central_difference(loss, traits)) < 1e-6
 
     def test_gamma_zero(self):
         rng = np.random.default_rng(2)
         traits, present = random_masked_traits(rng)
-        loss, d_traits = trait_center_loss(traits, present, 0.0)
+        loss, d_traits = center_loss_of(traits, present, 0.0)
         assert loss == 0.0
         assert not d_traits.any()
-
-    def test_empty_utterance_rejected(self):
-        traits = np.zeros((1, 2, 1))
-        present = np.zeros((1, 2), dtype=bool)
-        with pytest.raises(EmptyUtteranceError):
-            trait_center_loss(traits, present, 1.0)
 
 
 class TestAamSoftmax:
@@ -343,33 +360,26 @@ class TestAamSoftmax:
 
 
 def make_pair_batch(rng, n_speakers=3, n_phones=4, dim=2, emb_dim=3):
+    """A pair batch's forward pass over random masked traits, and its class labels."""
     traits, present = random_masked_traits(rng, 2 * n_speakers, n_phones, dim)
-    return PairBatch(
-        speaker_ids=[f"s{k}" for k in range(n_speakers)],
-        class_labels=np.arange(n_speakers),
-        traits=traits,
-        present=present,
-        embeddings=rng.normal(size=(2 * n_speakers, emb_dim)),
-    )
+    return forward_of(traits, present, emb_dim), np.arange(n_speakers)
 
 
 class TestTotalLoss:
     def test_components_sum(self):
         rng = np.random.default_rng(13)
-        batch = make_pair_batch(rng)
+        batch, labels = make_pair_batch(rng)
         class_weights = rng.normal(size=(3, 3))
-        out = total_loss(batch, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights)
+        out = total_loss(batch, labels, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights)
 
         veri, _, _ = trait_verification_loss(
             batch.traits[:3], batch.present[:3],
             batch.traits[3:], batch.present[3:], 0.5, 0.25,
         )
-        center_e, _ = trait_center_loss(batch.traits[:3], batch.present[:3], 0.125)
-        center_t, _ = trait_center_loss(batch.traits[3:], batch.present[3:], 0.125)
+        center_e, _ = trait_center_loss(batch.deviations[:3], batch.n_present[:3], 0.125)
+        center_t, _ = trait_center_loss(batch.deviations[3:], batch.n_present[3:], 0.125)
         aam, _, _ = aam_softmax_loss(
-            batch.embeddings,
-            np.concatenate([batch.class_labels, batch.class_labels]),
-            class_weights, AamConfig(),
+            batch.embeddings, np.concatenate([labels, labels]), class_weights, AamConfig(),
         )
         assert abs(out.verification - veri) < 1e-12
         assert abs(out.center - (center_e + center_t)) < 1e-12
@@ -378,9 +388,9 @@ class TestTotalLoss:
 
     def test_without_classification(self):
         rng = np.random.default_rng(14)
-        batch = make_pair_batch(rng)
+        batch, labels = make_pair_batch(rng)
         class_weights = rng.normal(size=(3, 3))
-        out = total_loss(batch, LossWeights(1.0, 1.0, 1.0), AamConfig(), class_weights,
+        out = total_loss(batch, labels, LossWeights(1.0, 1.0, 1.0), AamConfig(), class_weights,
                          with_classification=False)
         assert out.classification == 0.0
         assert out.d_embeddings.shape == (6, 3)
@@ -390,53 +400,62 @@ class TestTotalLoss:
 
     def test_trait_gradient_combines_both_terms(self):
         rng = np.random.default_rng(15)
-        batch = make_pair_batch(rng)
+        batch, labels = make_pair_batch(rng)
         class_weights = rng.normal(size=(3, 3))
-        out = total_loss(batch, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights)
+        out = total_loss(batch, labels, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights)
         _, d_veri_e, d_veri_t = trait_verification_loss(
             batch.traits[:3], batch.present[:3],
             batch.traits[3:], batch.present[3:], 0.5, 0.25,
         )
-        _, d_center_e = trait_center_loss(batch.traits[:3], batch.present[:3], 0.125)
-        _, d_center_t = trait_center_loss(batch.traits[3:], batch.present[3:], 0.125)
+        _, d_center_e = trait_center_loss(batch.deviations[:3], batch.n_present[:3], 0.125)
+        _, d_center_t = trait_center_loss(batch.deviations[3:], batch.n_present[3:], 0.125)
         assert np.allclose(out.d_traits[:3], d_veri_e + d_center_e, atol=1e-12)
         assert np.allclose(out.d_traits[3:], d_veri_t + d_center_t, atol=1e-12)
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.integers(1, 10),
+           st.integers(1, 5), st.floats(0.05, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_center_term_equals_the_traits_oracle_bit_for_bit(self, seed, n_speakers, n_phones,
+                                                             dim, p_present):
+        # The center term reads pooling's deviations and counts; it must equal
+        # the loss that takes its centers afresh from the traits, byte for byte.
+        rng = np.random.default_rng(seed)
+        traits, present = random_masked_traits(rng, 2 * n_speakers, n_phones, dim, p_present)
+        batch = forward_of(traits, present)
+        weights = LossWeights(0.5, 0.25, 0.125)
+        out = total_loss(batch, np.arange(n_speakers), weights, AamConfig(),
+                         rng.normal(size=(n_speakers, 3)))
+        k = n_speakers
+        want_e, d_center_e = traits_center_loss(traits[:k], present[:k], weights.gamma)
+        want_t, d_center_t = traits_center_loss(traits[k:], present[k:], weights.gamma)
+        _, d_veri_e, d_veri_t = trait_verification_loss(
+            traits[:k], present[:k], traits[k:], present[k:], weights.alpha, weights.beta)
+        assert out.center == want_e + want_t
+        assert out.d_traits.tobytes() == np.concatenate(
+            [d_veri_e + d_center_e, d_veri_t + d_center_t]).tobytes()
+
     def test_single_speaker_batch_rejected(self):
         rng = np.random.default_rng(16)
-        batch = make_pair_batch(rng, n_speakers=1)
+        batch, labels = make_pair_batch(rng, n_speakers=1)
         with pytest.raises(BatchError):
-            total_loss(batch, LossWeights(), AamConfig(), rng.normal(size=(3, 3)))
+            total_loss(batch, labels, LossWeights(), AamConfig(), rng.normal(size=(3, 3)))
 
     def test_duplicate_speakers_rejected(self):
         rng = np.random.default_rng(17)
-        with pytest.raises(BatchError):
-            PairBatch(
-                speaker_ids=["a", "a"],
-                class_labels=np.array([0, 0]),
-                traits=np.ones((4, 2, 2)),
-                present=np.ones((4, 2), dtype=bool),
-                embeddings=rng.normal(size=(4, 3)),
-            )
+        batch, _ = make_pair_batch(rng, n_speakers=2)
+        with pytest.raises(BatchError, match="distinct"):
+            total_loss(batch, np.array([0, 0]), LossWeights(), AamConfig(),
+                       rng.normal(size=(3, 3)))
 
     def test_shape_mismatch_rejected(self):
+        # Two labels for a batch of three speakers' six utterances: the
+        # classification term or else the verification term rejects them.
         rng = np.random.default_rng(18)
-        with pytest.raises(DimensionError, match="present"):
-            PairBatch(
-                speaker_ids=["a", "b"],
-                class_labels=np.array([0, 1]),
-                traits=np.ones((4, 2, 2)),
-                present=np.ones((4, 3), dtype=bool),
-                embeddings=rng.normal(size=(4, 3)),
-            )
-        with pytest.raises(DimensionError, match="traits"):
-            PairBatch(
-                speaker_ids=["a", "b"],
-                class_labels=np.array([0, 1]),
-                traits=np.ones((3, 2, 2)),
-                present=np.ones((3, 2), dtype=bool),
-                embeddings=rng.normal(size=(4, 3)),
-            )
+        batch, _ = make_pair_batch(rng, n_speakers=3)
+        for with_classification in (True, False):
+            with pytest.raises(DimensionError):
+                total_loss(batch, np.array([0, 1]), LossWeights(), AamConfig(),
+                           rng.normal(size=(3, 3)), with_classification)
 
 
 class TestLossLog:

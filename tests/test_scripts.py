@@ -37,3 +37,13 @@ def test_trajectory_digest_speakers_per_batch():
                            "--speakers-per-batch", "1"],
                           env=package_env(), capture_output=True, text=True)
     assert done.returncode == 2 and "--speakers-per-batch must be >= 2" in done.stderr
+
+
+def test_loss_ablation_runs_one_epoch():
+    lines = run_script("loss_ablation.py", "--epochs", "1").splitlines()
+    assert lines[0].split() == ["run", "final", "EER", "evidence", "EER", "correlation"]
+    assert [line[:16].strip() for line in lines[1:]] == ["full loss", "class. only"]
+    for line in lines[1:]:
+        final_eer, evidence_eer, correlation = map(float, line[16:].split())
+        assert 0.0 <= final_eer <= 1.0 and 0.0 <= evidence_eer <= 1.0
+        assert -1.0 <= correlation <= 1.0

@@ -305,14 +305,15 @@ class TestBatchGradients:
             return
         got, got_grads = batch_loss_and_grads(state, index, sel, weights, aam, n_phones,
                                               with_classification)
-        got_batch, _ = forward_pair_batch(state, index, sel, n_phones)
+        got_batch = forward_pair_batch(state, index, sel, n_phones)
         for term in ("total", "classification", "verification", "center"):
             assert_matches(getattr(got, term), getattr(want, term), exact, term)
         assert sorted(got_grads) == sorted(want_grads)
         for name, grad in want_grads.items():
             assert_matches(got_grads[name], grad, exact, name)
         assert np.array_equal(got_batch.present, want_batch.present)
-        for name in ("traits", "embeddings"):
+        assert np.array_equal(got_batch.n_present, want_batch.n_present)
+        for name in ("traits", "deviations", "embeddings"):
             assert_matches(getattr(got_batch, name), getattr(want_batch, name), exact, name)
 
     @staticmethod
@@ -325,14 +326,14 @@ class TestBatchGradients:
         args = (state, index, sel, train_cfg.weights, train_cfg.aam, inventory.size)
         want, want_grads, want_batch = per_utterance_loss_and_grads(*args)
         got, got_grads = batch_loss_and_grads(*args)
-        got_batch, _ = forward_pair_batch(state, index, sel, inventory.size)
+        got_batch = forward_pair_batch(state, index, sel, inventory.size)
         assert got_batch.traits.shape == traits_shape
         for term in ("total", "classification", "verification", "center"):
             assert getattr(got, term) == getattr(want, term), term
         assert sorted(got_grads) == sorted(want_grads)
         for name, grad in want_grads.items():
             assert got_grads[name].tobytes() == grad.tobytes(), name
-        for name in ("traits", "present", "embeddings"):
+        for name in ("traits", "present", "n_present", "deviations", "embeddings"):
             assert getattr(got_batch, name).tobytes() == getattr(want_batch, name).tobytes(), name
 
     @pytest.mark.parametrize("selection_seed", [0, 1, 2])
