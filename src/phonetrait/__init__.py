@@ -13,7 +13,6 @@ from .corpus import (
     CorpusIndex,
     PhoneAlignment,
     PhoneInventory,
-    Trial,
     TrialList,
     UtteranceFeatures,
     default_inventory,
@@ -61,7 +60,6 @@ __all__ = [
     "PhonetraitError",
     "ScoreTable",
     "TrainConfig",
-    "Trial",
     "TrialList",
     "UtteranceFeatures",
     "default_inventory",

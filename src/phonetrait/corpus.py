@@ -1,10 +1,11 @@
 """Synthetic speaker corpus with frame-level phone alignments.
 
-Every utterance is a concatenation of phone segments. Each speaker owns one
-characteristic vector per phone, built as a shared per-phone prototype plus a
-speaker-specific deviation; frames are that vector plus i.i.d. Gaussian noise.
-All generation is a pure function of the seed, so identical seeds reproduce
-byte-identical corpora.
+Every utterance is a concatenation of phone segments, one (S, 3) array of
+``(start, end, phone)`` rows. Each speaker owns one characteristic vector per
+phone, built as a shared per-phone prototype plus a speaker-specific
+deviation; frames are that vector plus i.i.d. Gaussian noise. Trials travel as
+the three columns of a ``TrialList``. All generation is a pure function of the
+seed, so identical seeds reproduce byte-identical corpora.
 
 File formats (one record per line, tab or space separated, floats written with
 ``repr`` so that save/load round-trips are exact):
@@ -37,7 +38,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -118,96 +119,92 @@ class UtteranceFeatures:
         return self.features.shape[1]
 
 
+def _first_broken(*rules) -> tuple[int, str] | None:
+    """The first row that any rule marks and the message of the first rule that
+    marks it, or None. A rule is ``(marks, message)``: ``marks`` is true (or an
+    error string) for each row that breaks it, or None; ``message(k)`` row k's."""
+    marked = [np.asarray([] if marks is None else marks, dtype=bool) for marks, _ in rules]
+    firsts = [(int(marks.argmax()), i) for i, marks in enumerate(marked) if marks.any()]
+    if not firsts:
+        return None
+    k, i = min(firsts)
+    return k, rules[i][1](k)
+
+
 @dataclass
 class PhoneAlignment:
     """Exhaustive segmentation of an utterance into phone-labelled frame spans.
 
-    Segments are (start_frame, end_frame, phone_index) with ``end`` exclusive.
-    They must be non-empty, sorted, and contiguous from frame 0, so the union
-    covers [0, T) exactly.
+    ``segments`` is one (S, 3) int64 array of ``(start_frame, end_frame,
+    phone_index)`` rows with ``end`` exclusive. Segments must be non-empty,
+    sorted, and contiguous from frame 0, so the union covers [0, T) exactly.
     """
 
     utterance_id: str
-    segments: list[tuple[int, int, int]]
+    segments: np.ndarray  # (S, 3)
 
     def __post_init__(self):
-        self.segments = [(int(s), int(e), int(p)) for s, e, p in self.segments]
-        if not self.segments:
+        self.segments = np.asarray(self.segments, dtype=np.int64).reshape(-1, 3)
+        if not len(self.segments):
             raise ConfigurationError(f"alignment of {self.utterance_id!r} has no segments")
-        prev_end = 0
-        for k, (start, end, phone) in enumerate(self.segments):
-            if end <= start:
-                raise ConfigurationError(
-                    f"alignment of {self.utterance_id!r}: segment {k} is empty ({start}, {end})"
-                )
-            if start != prev_end:
-                kind = "overlaps" if start < prev_end else "leaves a gap after"
-                raise ConfigurationError(
-                    f"alignment of {self.utterance_id!r}: segment {k} {kind} frame {prev_end}"
-                )
-            if phone < 0:
-                raise ConfigurationError(
-                    f"alignment of {self.utterance_id!r}: negative phone index {phone}"
-                )
-            prev_end = end
+        start, end, phone = self.segments.T
+        prev_end = np.r_[0, end[:-1]]
+        broken = _first_broken(
+            (end <= start, lambda k: f"segment {k} is empty ({start[k]}, {end[k]})"),
+            (start != prev_end, lambda k: (
+                f"segment {k} {'overlaps' if start[k] < prev_end[k] else 'leaves a gap after'} "
+                f"frame {prev_end[k]}")),
+            (phone < 0, lambda k: f"negative phone index {phone[k]}"),
+        )
+        if broken:
+            raise ConfigurationError(f"alignment of {self.utterance_id!r}: {broken[1]}")
 
     @property
     def n_frames(self) -> int:
-        return self.segments[-1][1]
+        return int(self.segments[-1, 1])
 
     def frame_phones(self) -> np.ndarray:
         """Phone index of every frame, shape (T,)."""
-        out = np.empty(self.n_frames, dtype=np.int64)
-        for start, end, phone in self.segments:
-            out[start:end] = phone
-        return out
+        return np.repeat(self.segments[:, 2], self.segments[:, 1] - self.segments[:, 0])
 
 
-@dataclass
-class SyntheticSpeakerProfile:
-    """Per-phone characteristic vectors for one synthetic speaker."""
-
-    speaker_id: str
-    signatures: np.ndarray  # (I, F)
-    noise_std: float
-
-    def __post_init__(self):
-        self.signatures = np.asarray(self.signatures, dtype=np.float64)
-        if not np.isfinite(self.signatures).all():
-            raise ConfigurationError(f"signatures of {self.speaker_id!r} contain non-finite values")
-        if self.noise_std < 0:
-            raise ConfigurationError("noise_std must be >= 0")
-
-
-@dataclass(frozen=True)
-class Trial:
-    enroll_id: str
-    test_id: str
-    label: int  # 1 = target (same speaker), 0 = non-target
-
-    def __post_init__(self):
-        if self.enroll_id == self.test_id:
-            raise ConfigurationError(f"trial pairs utterance {self.enroll_id!r} with itself")
-        if self.label not in (0, 1):
-            raise ConfigurationError(f"trial label must be 0 or 1, got {self.label!r}")
+def _trial_rules(enroll_ids, test_ids, labels):
+    """The ``_first_broken`` rules of every trial row: its label is 1 or 0, and
+    it does not pair an utterance with itself."""
+    return (
+        ([label not in (0, 1) for label in labels],
+         lambda k: f"trial label must be 1 or 0, got {labels[k]!r}"),
+        ([e == t for e, t in zip(enroll_ids, test_ids)],
+         lambda k: f"trial pairs utterance {enroll_ids[k]!r} with itself"),
+    )
 
 
 @dataclass
 class TrialList:
-    trials: list[Trial]
+    """Verification trials as columns, one row per trial: enrollment and test
+    utterance ids, and labels (n,), 1 for a target (same-speaker) trial and 0
+    for a non-target one. No trial pairs an utterance with itself."""
+
+    enroll_ids: list[str]
+    test_ids: list[str]
+    labels: np.ndarray  # (n,)
+
+    def __post_init__(self):
+        labels = np.asarray(self.labels).tolist()
+        if not len(self.enroll_ids) == len(self.test_ids) == len(labels):
+            raise DimensionError("trial columns must all have one row per trial")
+        if broken := _first_broken(*_trial_rules(self.enroll_ids, self.test_ids, labels)):
+            raise ConfigurationError(broken[1])
+        self.labels = np.array(labels, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.trials)
-
-    def __iter__(self):
-        return iter(self.trials)
+        return len(self.labels)
 
     def validate_against(self, utterance_ids) -> None:
         known = set(utterance_ids)
-        for t in self.trials:
-            for utt in (t.enroll_id, t.test_id):
-                if utt not in known:
-                    raise ConfigurationError(f"trial references unknown utterance id {utt!r}")
+        for utt in chain.from_iterable(zip(self.enroll_ids, self.test_ids)):
+            if utt not in known:
+                raise ConfigurationError(f"trial references unknown utterance id {utt!r}")
 
 
 def _utterances_by_speaker(features) -> dict[str, list[str]]:
@@ -299,7 +296,7 @@ def generate_corpus(
     *,
     speaker_spread: float = 0.25,
     phone_weights: np.ndarray | None = None,
-) -> tuple[list[UtteranceFeatures], list[PhoneAlignment], list[SyntheticSpeakerProfile]]:
+) -> tuple[list[UtteranceFeatures], list[PhoneAlignment], np.ndarray]:
     """Generate a deterministic synthetic corpus.
 
     Each speaker's signature for phone i is ``prototype[i] + speaker_spread *
@@ -308,7 +305,8 @@ def generate_corpus(
     problem. ``phone_weights`` optionally biases which phones the generator
     emits (unnormalised, one weight per inventory entry).
 
-    Returns (features, alignments, profiles), one alignment per utterance.
+    Returns (features, alignments, signatures): one alignment per utterance,
+    and every speaker's signatures as one (S, I, F) array.
     """
     if n_speakers < 1 or utts_per_speaker < 1 or feature_dim < 1:
         raise ConfigurationError("n_speakers, utts_per_speaker and feature_dim must be >= 1")
@@ -318,10 +316,10 @@ def generate_corpus(
         raise ConfigurationError(f"invalid segment_length_range {segment_length_range}")
     if ppu_lo < 1 or ppu_hi < ppu_lo:
         raise ConfigurationError(f"invalid phones_per_utt_range {phones_per_utt_range}")
-    if noise_std < 0:
-        raise ConfigurationError("noise_std must be >= 0")
-    if speaker_spread < 0:
-        raise ConfigurationError("speaker_spread must be >= 0")
+    if not 0.0 <= noise_std < np.inf:
+        raise ConfigurationError("noise_std must be finite and >= 0")
+    if not 0.0 <= speaker_spread < np.inf:
+        raise ConfigurationError("speaker_spread must be finite and >= 0")
     n_phones = inventory.size
     if phone_weights is None:
         probs = np.full(n_phones, 1.0 / n_phones)
@@ -336,27 +334,21 @@ def generate_corpus(
     cdf = probs.cumsum()
     cdf /= cdf[-1]
 
-    # Pre-split seed streams: one for the profiles, one per utterance, so
+    # Pre-split seed streams: one for the signatures, one per utterance, so
     # utterances could be generated concurrently without changing the output.
     root = np.random.SeedSequence(seed)
     streams = root.spawn(1 + n_speakers * utts_per_speaker)
-    profile_rng = np.random.default_rng(streams[0])
+    signature_rng = np.random.default_rng(streams[0])
 
-    prototypes = profile_rng.standard_normal((n_phones, feature_dim))
-    profiles = []
-    for s in range(n_speakers):
-        deviation = profile_rng.standard_normal((n_phones, feature_dim))
-        profiles.append(
-            SyntheticSpeakerProfile(
-                speaker_id=f"spk{s:03d}",
-                signatures=prototypes + speaker_spread * deviation,
-                noise_std=noise_std,
-            )
-        )
+    prototypes = signature_rng.standard_normal((n_phones, feature_dim))
+    # The deviations take the stream's values in the order one draw per speaker would.
+    signatures = prototypes + speaker_spread * signature_rng.standard_normal(
+        (n_speakers, n_phones, feature_dim))
 
     features: list[UtteranceFeatures] = []
     alignments: list[PhoneAlignment] = []
-    for s, profile in enumerate(profiles):
+    for s in range(n_speakers):
+        speaker_id = f"spk{s:03d}"
         for u in range(utts_per_speaker):
             rng = np.random.default_rng(streams[1 + s * utts_per_speaker + u])
             n_segments = int(rng.integers(ppu_lo, ppu_hi + 1))
@@ -367,14 +359,13 @@ def generate_corpus(
                 noise.append(rng.standard_normal((lengths[-1], feature_dim)))
             # Elementwise over the whole utterance, so every frame has the
             # bits of its own segment's ``signature + noise_std * noise``.
-            frames = (profile.signatures[np.repeat(phones, lengths)]
+            frames = (signatures[s, np.repeat(phones, lengths)]
                       + noise_std * np.concatenate(noise))
-            ends = np.cumsum(lengths).tolist()
-            starts = [0] + ends[:-1]
-            utt_id = f"{profile.speaker_id}_u{u:03d}"
-            features.append(UtteranceFeatures(utt_id, profile.speaker_id, frames))
-            alignments.append(PhoneAlignment(utt_id, list(zip(starts, ends, phones))))
-    return features, alignments, profiles
+            ends = np.cumsum(lengths)
+            utt = f"{speaker_id}_u{u:03d}"
+            features.append(UtteranceFeatures(utt, speaker_id, frames))
+            alignments.append(PhoneAlignment(utt, np.column_stack((ends - lengths, ends, phones))))
+    return features, alignments, signatures
 
 
 def make_trials(
@@ -395,23 +386,19 @@ def make_trials(
         raise ConfigurationError("non-target trials need >= 2 speakers")
 
     rng = np.random.default_rng(seed)
-    trials: list[Trial] = []
+    enroll_ids, test_ids = [], []
     for _ in range(n_target):
-        spk = pairable[int(rng.integers(len(pairable)))]
-        a, b = rng.choice(len(by_speaker[spk]), size=2, replace=False)
-        trials.append(Trial(by_speaker[spk][int(a)], by_speaker[spk][int(b)], 1))
+        utts = by_speaker[pairable[int(rng.integers(len(pairable)))]]
+        a, b = rng.choice(len(utts), size=2, replace=False)
+        enroll_ids.append(utts[int(a)])
+        test_ids.append(utts[int(b)])
     for _ in range(n_nontarget):
         i, j = rng.choice(len(speakers), size=2, replace=False)
         enroll = by_speaker[speakers[int(i)]]
         test = by_speaker[speakers[int(j)]]
-        trials.append(
-            Trial(
-                enroll[int(rng.integers(len(enroll)))],
-                test[int(rng.integers(len(test)))],
-                0,
-            )
-        )
-    return TrialList(trials)
+        enroll_ids.append(enroll[int(rng.integers(len(enroll)))])
+        test_ids.append(test[int(rng.integers(len(test)))])
+    return TrialList(enroll_ids, test_ids, np.repeat([1, 0], [n_target, n_nontarget]))
 
 
 # ---------------------------------------------------------------------------
@@ -578,22 +565,10 @@ class _LineReader:
 
     def reject(self, line_nos, *rules) -> None:
         """Raise a ParseError at the first row that any rule marks, citing the
-        first rule that marks that row, at line ``line_nos[k]`` for row ``k``.
-        A rule is ``(marks, message)``: ``marks`` is true (or an error string)
-        for each row that breaks it, or None; ``message(k)`` is row k's error."""
-        marked = [(np.asarray(marks, dtype=bool), i)
-                  for i, (marks, _) in enumerate(rules) if marks is not None]
-        firsts = [(int(marks.argmax()), i) for marks, i in marked if marks.any()]
-        if firsts:
-            k, i = min(firsts)
-            raise self.error(rules[i][1](k), line_nos[k])
-
-    def fields(self, text: str, n: int, sep: str | None = "\t") -> list[str]:
-        """``text`` split on ``sep`` (None: on whitespace) into exactly ``n`` fields."""
-        parts = text.split(sep)
-        if len(parts) != n:
-            raise self.error(f"expected {n} fields, got {len(parts)}")
-        return parts
+        first rule that marks that row (see ``_first_broken``), at line
+        ``line_nos[k]`` for row ``k``."""
+        if broken := _first_broken(*rules):
+            raise self.error(broken[1], line_nos[broken[0]])
 
     def key_value(self, text: str, sep: str = " ") -> tuple[str, str]:
         key, found, value = text.partition(sep)
@@ -683,7 +658,7 @@ def save_alignments(alignments: list[PhoneAlignment], inventory: PhoneInventory,
     _check_ids((align.utterance_id for align in alignments), "\t")
     with atomic_write(path) as f:
         for align in alignments:
-            for start, end, phone in align.segments:
+            for start, end, phone in align.segments.tolist():
                 f.write(f"{align.utterance_id}\t{start}\t{end}\t{inventory.labels[phone]}\n")
 
 
@@ -698,9 +673,11 @@ def load_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
     The rows are read ``_ALIGNMENT_CHUNK`` at a time, each chunk's frame
     bounds converted by ``_numbers``; every rule is a mask over the chunk's
     rows, and ``_LineReader.reject`` names the first row that breaks one.
+    Every utterance's segments are a slice of one array of all the rows.
     """
-    order: list[str] = []
-    segments: dict[str, list[tuple[int, int, int]]] = {}
+    first_rows: dict[str, int] = {}  # each utterance's first row, in file order
+    blocks: list[np.ndarray] = []  # each chunk's (start, end, phone) rows
+    n_read = 0
     with _LineReader(path) as lines:
         for rows, line_nos in lines.chunks(_ALIGNMENT_CHUNK):
             fields = [row.split("\t") for row in rows]
@@ -711,16 +688,16 @@ def load_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
             bounds, (_, not_number, _) = _numbers(
                 list(map("\t".join, zip(starts, ends))), 2, "\t", np.int64)
             phones = np.fromiter(map(inventory._index.get, labels, repeat(-1)), np.intp, len(labels))
-            last = order[-1] if order else None
+            last = next(reversed(first_rows), None)
             # Where each utterance's run of rows starts; none may start twice.
             firsts = [k for k, (utt, prev) in enumerate(zip(utts, (last,) + utts)) if utt != prev]
-            reopened, opened = np.zeros(len(rows), bool), set()
+            reopened = np.zeros(len(rows), bool)
             for k in firsts:
-                reopened[k] = utts[k] in segments or utts[k] in opened
-                opened.add(utts[k])
+                reopened[k] = utts[k] in first_rows
+                first_rows[utts[k]] = n_read + k
             # ``bounds`` may stop short of the chunk, before a row that is no bounds.
             start, end = bounds.T
-            expected = np.r_[segments[last][-1][1] if last is not None else 0, end[:-1]]
+            expected = np.r_[blocks[-1][-1, 1] if blocks else 0, end[:-1]]
             expected[[k for k in firsts if k < len(bounds)]] = 0
             lines.reject(
                 line_nos,
@@ -733,33 +710,33 @@ def load_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
                     f"{'overlap' if start[k] < expected[k] else 'gap'} at frame {expected[k]} "
                     f"of utterance {utts[k]!r}")),
             )
-            order.extend(utts[k] for k in firsts)
-            rows_segments = list(zip(start.tolist(), end.tolist(), phones.tolist()))
-            runs = sorted({0, *firsts}) + [len(rows)]
-            for a, b in zip(runs, runs[1:]):
-                segments.setdefault(utts[a], []).extend(rows_segments[a:b])
-    return [PhoneAlignment(utt, segments[utt]) for utt in order]
+            blocks.append(np.column_stack((start, end, phones)))
+            n_read += len(rows)
+    segments = np.concatenate(blocks) if blocks else np.empty((0, 3), np.int64)
+    runs = [*first_rows.values(), n_read]
+    return [PhoneAlignment(utt, segments[a:b]) for utt, a, b in zip(first_rows, runs, runs[1:])]
 
 
 def save_trials(trials: TrialList, path) -> None:
-    _check_ids((utt for t in trials for utt in (t.enroll_id, t.test_id)), "\t")
+    _check_ids(chain.from_iterable(zip(trials.enroll_ids, trials.test_ids)), "\t")
     with atomic_write(path) as f:
-        for t in trials:
-            f.write(f"{t.label}\t{t.enroll_id}\t{t.test_id}\n")
+        for label, enroll, test in zip(trials.labels.tolist(), trials.enroll_ids, trials.test_ids):
+            f.write(f"{label}\t{enroll}\t{test}\n")
 
 
 def load_trials(path) -> TrialList:
-    out = []
+    """Parse a trial file, read in one chunk; ``_LineReader.reject`` names the
+    first row that has other than three fields or breaks a ``TrialList`` rule."""
     with _LineReader(path) as lines:
-        for text in lines.records():
-            label_s, enroll, test = lines.fields(text, 3)
-            if label_s not in ("0", "1"):
-                raise lines.error(f"trial label must be 1 or 0, got {label_s!r}")
-            try:
-                out.append(Trial(enroll, test, int(label_s)))
-            except ConfigurationError as exc:
-                raise lines.error(str(exc)) from None
-    return TrialList(out)
+        rows, line_nos = next(lines.chunks(sys.maxsize), ([], []))
+    fields = [row.split("\t") for row in rows]
+    n_fields = list(map(len, fields))
+    labels, enroll_ids, test_ids = ([f[c] if len(f) == 3 else "" for f in fields] for c in range(3))
+    labels = [{"1": 1, "0": 0}.get(text, text) for text in labels]
+    lines.reject(line_nos,
+                 (np.not_equal(n_fields, 3), lambda k: f"expected 3 fields, got {n_fields[k]}"),
+                 *_trial_rules(enroll_ids, test_ids, labels))
+    return TrialList(enroll_ids, test_ids, labels)
 
 
 def save_features(features: list[UtteranceFeatures], path) -> None:
@@ -776,7 +753,9 @@ def load_features(path) -> list[UtteranceFeatures]:
     out = []
     with _LineReader(path) as lines:
         for text in lines.records():
-            utt_id, speaker_id, t_s, f_s = lines.fields(text, 4, None)
+            if len(header := text.split()) != 4:
+                raise lines.error(f"expected 4 fields, got {len(header)}")
+            utt_id, speaker_id, t_s, f_s = header
             n_frames, dim = lines.parse((t_s, f_s), int, "T or F")
             if n_frames < 1 or dim < 1:
                 raise lines.error(f"T and F must be >= 1, got {n_frames}, {dim}")

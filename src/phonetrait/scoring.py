@@ -32,6 +32,7 @@ per-phone entry is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isnan
 
 import numpy as np
@@ -171,18 +172,15 @@ def score_trials(
     pairs. The evidence column is computed once at the end.
     """
     trials.validate_against(index.features)
-    place: dict[str, int] = {}
-    for trial in trials:
-        place.setdefault(trial.enroll_id, len(place))
-        place.setdefault(trial.test_id, len(place))
+    # Each distinct utterance's row, in the order the trials first name it.
+    pairs = chain.from_iterable(zip(trials.enroll_ids, trials.test_ids))
+    place = {utt: k for k, utt in enumerate(dict.fromkeys(pairs))}
     traits, present, embeddings = _forward_utterances(list(place), index, state, n_phones)
     trait_norms = _row_norms(traits.reshape(-1, traits.shape[2])).reshape(present.shape)
     embedding_norms = _row_norms(embeddings)
 
-    enroll_ids = [trial.enroll_id for trial in trials]
-    test_ids = [trial.test_id for trial in trials]
-    enroll_all = np.array([place[utt] for utt in enroll_ids], dtype=np.intp)
-    test_all = np.array([place[utt] for utt in test_ids], dtype=np.intp)
+    enroll_all = np.array([place[utt] for utt in trials.enroll_ids], dtype=np.intp)
+    test_all = np.array([place[utt] for utt in trials.test_ids], dtype=np.intp)
     final = np.empty(len(trials))
     similarity = np.full((len(trials), n_phones), np.nan)
     for start in range(0, len(trials), _TRIAL_CHUNK):
@@ -196,8 +194,8 @@ def score_trials(
         final[block] = _row_cosines(
             embeddings[enroll], embeddings[test], embedding_norms[enroll], embedding_norms[test]
         )
-    labels = [trial.label for trial in trials]
-    return ScoreTable(enroll_ids, test_ids, labels, final, _defined_means(similarity), similarity)
+    return ScoreTable(trials.enroll_ids, trials.test_ids, trials.labels, final,
+                      _defined_means(similarity), similarity)
 
 
 # ---------------------------------------------------------------------------

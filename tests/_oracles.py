@@ -310,9 +310,9 @@ def per_trial_scores(state, index, trials, n_phones):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
     scores = []
-    for trial in trials:
-        enroll_traits, enroll_present, enroll_embedding = forward(trial.enroll_id)
-        test_traits, test_present, test_embedding = forward(trial.test_id)
+    for enroll_id, test_id in zip(trials.enroll_ids, trials.test_ids):
+        enroll_traits, enroll_present, enroll_embedding = forward(enroll_id)
+        test_traits, test_present, test_embedding = forward(test_id)
         defined = enroll_present & test_present
         values = np.full(n_phones, np.nan)
         for i in np.nonzero(defined)[0]:

@@ -35,7 +35,6 @@ from phonetrait.corpus import (
     CorpusIndex,
     PhoneAlignment,
     PhoneInventory,
-    Trial,
     TrialList,
     UtteranceFeatures,
     default_inventory,
@@ -247,7 +246,7 @@ def test_evidence_equals_brute_force_shared_phone_mean(capsys):
             ProjectionParams(np.eye(2 * dim), np.zeros(2 * dim)),
             class_weights=np.ones((2, 2 * dim)),
         )
-        got = score_trials(state, index, TrialList([Trial("e", "t", 0)]), n_phones).evidence[0]
+        got = score_trials(state, index, TrialList(["e"], ["t"], [0]), n_phones).evidence[0]
 
         if not shared.any():
             assert np.isnan(got)
@@ -348,7 +347,7 @@ def train_each(index, inventory, model_cfg, train_cfgs):
 def desk():
     inventory = default_inventory()
     t0 = time.monotonic()
-    features, alignments, profiles = generate_corpus(
+    features, alignments, signatures = generate_corpus(
         **presets.desk_corpus_kwargs(inventory)
     )
     index = CorpusIndex.build(features, alignments)
@@ -361,9 +360,7 @@ def desk():
     scores = score_trials(state, index, trials, inventory.size)
     experiment_seconds = time.monotonic() - t0
 
-    snr = float(np.mean([
-        np.linalg.norm(p.signatures, axis=1).mean() for p in profiles
-    ]) / presets.NOISE_STD)
+    snr = float(np.linalg.norm(signatures, axis=2).mean() / presets.NOISE_STD)
 
     ablation_scores = score_trials(ablation_state, index, trials, inventory.size)
 

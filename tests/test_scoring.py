@@ -11,7 +11,6 @@ from phonetrait.corpus import (
     CorpusIndex,
     PhoneAlignment,
     PhoneInventory,
-    Trial,
     TrialList,
     UtteranceFeatures,
     generate_corpus,
@@ -121,10 +120,10 @@ def scoring_cases(draw):
     trials = []
     for _ in range(n_trials):
         e, t = rng.choice(len(ids), size=2, replace=False)
-        trials.append(Trial(ids[e], ids[t], int(rng.integers(0, 2))))
+        trials.append((ids[e], ids[t], int(rng.integers(0, 2))))
     for pair in (("x", "y"), ("x", "z")):
-        trials.insert(int(rng.integers(0, len(trials) + 1)), Trial(*pair, 1))
-    return state, index, TrialList(trials), n_phones
+        trials.insert(int(rng.integers(0, len(trials) + 1)), (*pair, 1))
+    return state, index, TrialList(*map(list, zip(*trials))), n_phones
 
 
 class TestTraitSimilarity:
@@ -132,7 +131,7 @@ class TestTraitSimilarity:
         # "a" holds phones 0 and 1, "b" phones 0 and 2: only phone 0 is shared.
         state, index = two_utterances([[1.0, 0.0], [1.0, 1.0]], [(0, 1, 0), (1, 2, 1)],
                                       [[0.0, 1.0], [9.0, 9.0]], [(0, 1, 0), (1, 2, 2)])
-        table = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
+        table = score_trials(state, index, TrialList(["a"], ["b"], [0]), 3)
         assert table.similarity.shape == (1, 3)
         assert abs(table.similarity[0, 0]) < 1e-15
         assert np.isnan(table.similarity[0, 1:]).all()
@@ -145,7 +144,7 @@ class TestTraitSimilarity:
         b = rng.normal(size=(4, 3))
         segments = [(i, i + 1, i) for i in range(4)]
         state, index = two_utterances(a, segments, b, segments)
-        sim = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 4).similarity[0]
+        sim = score_trials(state, index, TrialList(["a"], ["b"], [0]), 4).similarity[0]
         for i in range(4):
             assert abs(sim[i] - naive_cosine(a[i], b[i])) < 1e-12
 
@@ -170,7 +169,7 @@ class TestTraitSimilarity:
             for j in range(3):
                 phones = rng.permutation(n_shared)[:c] if c else [n_shared]
                 pairs.append(utterance(f"t{c}_{j}", phones))
-                trials.append(Trial("e", f"t{c}_{j}", j % 2))
+                trials.append(("e", f"t{c}_{j}", j % 2))
         index = CorpusIndex.build(*map(list, zip(*pairs)))
         state = ModelState(
             EncoderParams(EncoderConfig(dim, (LayerSpec((0,), dim, "identity"),)),
@@ -178,7 +177,7 @@ class TestTraitSimilarity:
             ProjectionParams(np.eye(2 * dim), np.zeros(2 * dim)),
             class_weights=np.ones((2, 2 * dim)),
         )
-        table = score_trials(state, index, TrialList(trials), n_phones)
+        table = score_trials(state, index, TrialList(*map(list, zip(*trials))), n_phones)
 
         counts = (~np.isnan(table.similarity)).sum(axis=1)
         assert sorted(set(counts.tolist())) == list(range(n_shared + 1))
@@ -201,9 +200,9 @@ class TestScoreTrials:
         state, index, trials, inventory = scored_table()
         table = score_trials(state, index, trials, inventory.size)
         assert len(table) == len(trials)
-        assert table.enroll_ids == [trial.enroll_id for trial in trials]
-        assert table.test_ids == [trial.test_id for trial in trials]
-        assert table.labels.tolist() == [trial.label for trial in trials]
+        assert table.enroll_ids == trials.enroll_ids
+        assert table.test_ids == trials.test_ids
+        assert table.labels.tolist() == trials.labels.tolist()
         assert table.similarity.shape == (len(trials), inventory.size)
         assert np.isfinite(table.final).all()
 
@@ -226,14 +225,14 @@ class TestScoreTrials:
         model_cfg = ModelConfig(EncoderConfig(3, (LayerSpec((-1, 0, 1), 4, "relu"),)), 3)
         state = init_model(model_cfg, len(index.speakers), seed=5)
         trials = make_trials(features, 300, 300, seed=6)
-        distinct = {utt for trial in trials for utt in (trial.enroll_id, trial.test_id)}
+        distinct = set(trials.enroll_ids) | set(trials.test_ids)
         assert len(distinct) > 2 * _UTTERANCE_CHUNK
         table = score_trials(state, index, trials, inventory.size)
         assert_matches_oracle(table, per_trial_scores(state, index, trials, inventory.size))
 
     def test_unknown_utterance_rejected(self):
         state, index, _, inventory = scored_table()
-        trials = TrialList([Trial("nope", list(index.features)[0], 0)])
+        trials = TrialList(["nope"], [list(index.features)[0]], [0])
         with pytest.raises(ConfigurationError):
             score_trials(state, index, trials, inventory.size)
 
@@ -242,7 +241,7 @@ class TestScoreTrials:
         # evidence is not.
         state, index = two_utterances(np.full((2, 2), 2.0), [(0, 2, 0)],
                                       np.full((2, 2), 3.0), [(0, 2, 1)])
-        table = score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
+        table = score_trials(state, index, TrialList(["a"], ["b"], [0]), 3)
         assert np.isnan(table.evidence[0])
         assert np.isnan(table.similarity[0]).all()
         assert np.isfinite(table.final[0])
@@ -254,14 +253,14 @@ class TestScoreTrials:
         state, index = two_utterances(features_a, [(0, 1, 0), (1, 2, 1)],
                                       np.full((2, 2), 3.0), [(0, 2, 0)])
         with pytest.raises(NumericGuardError):
-            score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
+            score_trials(state, index, TrialList(["a"], ["b"], [0]), 3)
 
     def test_zero_embedding_is_a_numeric_error(self):
         state, index = two_utterances(np.full((2, 2), 2.0), [(0, 2, 0)],
                                       np.full((2, 2), 3.0), [(0, 2, 0)])
         state.projection = ProjectionParams(np.zeros((4, 4)), np.zeros(4))
         with pytest.raises(NumericGuardError):
-            score_trials(state, index, TrialList([Trial("a", "b", 0)]), 3)
+            score_trials(state, index, TrialList(["a"], ["b"], [0]), 3)
 
 
 class TestScoreFileIO:
