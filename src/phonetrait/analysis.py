@@ -88,8 +88,8 @@ def compute_min_dcf(
     """
     if not 0.0 < p_target < 1.0:
         raise ConfigurationError("p_target must be in (0, 1)")
-    if c_miss <= 0 or c_fa <= 0:
-        raise ConfigurationError("c_miss and c_fa must be > 0")
+    if not (0.0 < c_miss < np.inf and 0.0 < c_fa < np.inf):
+        raise ConfigurationError("c_miss and c_fa must be finite and > 0")
     target, nontarget = _split_by_label(scores, labels)
     thresholds, far, frr = _operating_points(target, nontarget)
     cost = c_miss * p_target * frr + c_fa * (1.0 - p_target) * far

@@ -325,8 +325,9 @@ def generate_corpus(
         probs = np.full(n_phones, 1.0 / n_phones)
     else:
         w = np.asarray(phone_weights, dtype=np.float64)
-        if w.shape != (n_phones,) or (w < 0).any() or w.sum() <= 0:
-            raise ConfigurationError("phone_weights must be non-negative, one per label, sum > 0")
+        if w.shape != (n_phones,) or (w < 0).any() or not 0.0 < w.sum() < np.inf:
+            raise ConfigurationError(
+                "phone_weights must be non-negative, one per label, with a finite sum > 0")
         probs = w / w.sum()
     # The CDF that ``Generator.choice(n_phones, p=probs)`` rebuilds on every
     # call: one ``random()`` draw searched in it picks the same phone and
@@ -547,14 +548,26 @@ class _LineReader:
 
     def chunks(self, size: int):
         """The remaining lines ``size`` at a time, blank ones skipped as by ``records``,
-        each chunk as a list of lines and a sequence of their line numbers."""
-        while lines := list(islice(self, size)):
-            first = self.line_no - len(lines) + 1
+        each chunk as a list of lines and a sequence of their line numbers. A
+        line that is not UTF-8 ends its chunk and is raised after it, so that
+        the caller names a bad row above it first."""
+        while True:
+            lines, not_utf8 = [], None
+            try:
+                for text in islice(self, size):
+                    lines.append(text)
+            except ParseError as exc:
+                not_utf8 = exc
+            first = self.line_no - (not_utf8 is not None) - len(lines) + 1
             rows = [text for text in lines if text.strip()]
-            if len(rows) == len(lines):
-                yield rows, range(first, self.line_no + 1)
+            if len(rows) == len(lines) > 0:
+                yield rows, range(first, first + len(lines))
             elif rows:
                 yield rows, [first + k for k, text in enumerate(lines) if text.strip()]
+            if not_utf8 is not None:
+                raise not_utf8
+            if not lines:
+                return
 
     def next_line(self) -> str | None:
         """The next line, blank or not, or None at the end of the file."""
@@ -634,6 +647,14 @@ def _check_ids(ids, sep: str | None) -> None:
 
 
 def save_inventory(inventory: PhoneInventory, path) -> None:
+    """Write one label per line. A label that ``load_inventory`` would read back
+    otherwise (empty, padded with whitespace or holding a line break) or that
+    ``load_alignments`` would split (a tab) raises ConfigurationError before
+    anything is written."""
+    for label in inventory.labels:
+        if not label or label != label.strip() or any(c in label for c in "\t\n\r"):
+            raise ConfigurationError(f"inventory label {label!r} must be non-empty, "
+                                     "unpadded and hold no tab or line break")
     with atomic_write(path) as f:
         for label in inventory.labels:
             f.write(label + "\n")
@@ -725,17 +746,20 @@ def save_trials(trials: TrialList, path) -> None:
 
 
 def load_trials(path) -> TrialList:
-    """Parse a trial file, read in one chunk; ``_LineReader.reject`` names the
+    """Parse a trial file, read as one chunk; ``_LineReader.reject`` names the
     first row that has other than three fields or breaks a ``TrialList`` rule."""
+    labels, enroll_ids, test_ids = [], [], []
     with _LineReader(path) as lines:
-        rows, line_nos = next(lines.chunks(sys.maxsize), ([], []))
-    fields = [row.split("\t") for row in rows]
-    n_fields = list(map(len, fields))
-    labels, enroll_ids, test_ids = ([f[c] if len(f) == 3 else "" for f in fields] for c in range(3))
-    labels = [{"1": 1, "0": 0}.get(text, text) for text in labels]
-    lines.reject(line_nos,
-                 (np.not_equal(n_fields, 3), lambda k: f"expected 3 fields, got {n_fields[k]}"),
-                 *_trial_rules(enroll_ids, test_ids, labels))
+        for rows, line_nos in lines.chunks(sys.maxsize):  # one, unless a byte is not UTF-8
+            fields = [row.split("\t") for row in rows]
+            n_fields = list(map(len, fields))
+            labels, enroll_ids, test_ids = (
+                [f[c] if len(f) == 3 else "" for f in fields] for c in range(3))
+            labels = [{"1": 1, "0": 0}.get(text, text) for text in labels]
+            lines.reject(
+                line_nos,
+                (np.not_equal(n_fields, 3), lambda k: f"expected 3 fields, got {n_fields[k]}"),
+                *_trial_rules(enroll_ids, test_ids, labels))
     return TrialList(enroll_ids, test_ids, labels)
 
 

@@ -44,8 +44,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class AamConfig:
     def __post_init__(self):
         if not 0.0 <= self.margin < np.pi / 2:
             raise ConfigurationError("margin must be in [0, pi/2)")
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be > 0")
+        if not 0.0 < self.scale < np.inf:
+            raise ConfigurationError("scale must be finite and > 0")
 
 
 def trait_verification_loss(

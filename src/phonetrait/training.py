@@ -88,8 +88,8 @@ class TrainConfig:
         if self.speakers_per_batch < 2:
             raise ConfigurationError("speakers_per_batch must be >= 2")
         # A zero rate is allowed so a frozen model is expressible.
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ConfigurationError("learning_rate must be finite and >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum must be in [0, 1)")
 
@@ -156,7 +156,6 @@ def _parameter_shapes(model_cfg: ModelConfig, n_classes: int) -> dict[str, tuple
 class PairSelection:
     """Which utterances make up one pair batch."""
 
-    speaker_ids: list[str]
     class_labels: np.ndarray
     enroll_utts: list[str]
     test_utts: list[str]
@@ -170,15 +169,13 @@ def sample_pair_batch(index: CorpusIndex, k: int, rng: np.random.Generator) -> P
             f"need {k} speakers with >= 2 utterances, corpus has {len(eligible)}"
         )
     chosen = rng.choice(len(eligible), size=k, replace=False)
-    speaker_ids, enroll_utts, test_utts = [], [], []
+    enroll_utts, test_utts = [], []
     for c in chosen:
-        speaker = eligible[int(c)]
-        utts = index.utts_by_speaker[speaker]
+        utts = index.utts_by_speaker[eligible[int(c)]]
         a, b = rng.choice(len(utts), size=2, replace=False)
-        speaker_ids.append(speaker)
         enroll_utts.append(utts[int(a)])
         test_utts.append(utts[int(b)])
-    return PairSelection(speaker_ids, labels[chosen], enroll_utts, test_utts)
+    return PairSelection(labels[chosen], enroll_utts, test_utts)
 
 
 def forward_pair_batch(
@@ -410,7 +407,15 @@ def grad_check(
     step_size: float,
     tolerance: float,
 ) -> GradCheckReport:
-    """Certify the analytic gradients of one batch against finite differences."""
+    """Certify the analytic gradients of one batch against finite differences.
+
+    A relative error reaches 1 where one gradient is zero and the other is
+    not, so a ``tolerance`` of 1 or more would pass a missing gradient.
+    """
+    if not 0.0 < step_size < np.inf:
+        raise ConfigurationError("step_size must be finite and > 0")
+    if not 0.0 < tolerance < 1.0:
+        raise ConfigurationError("tolerance must be in (0, 1)")
     _, analytic = batch_loss_and_grads(state, index, selection, weights, aam, n_phones)
     numeric = numeric_gradients(
         lambda: batch_loss_value(state, index, selection, weights, aam, n_phones),

@@ -422,6 +422,34 @@ class TestGradcheck:
         assert (out / "gradcheck.txt").read_text().rstrip().endswith("FAIL")
 
 
+# Each setting is refused where its value is defined, before any work.
+BAD_SETTINGS = {
+    "rare-phone-weight-nan": ["gen-corpus", "--rare-phone-weight", "nan"],
+    "rare-phone-weight-inf": ["gen-corpus", "--rare-phone-weight", "inf"],
+    "speaker-spread-nan": ["gen-corpus", "--speaker-spread", "nan"],
+    "noise-std-inf": ["gen-corpus", "--noise-std", "inf"],
+    "learning-rate-nan": ["train", "--learning-rate", "nan"],
+    "learning-rate-inf": ["train", "--learning-rate", "inf"],
+    "alpha-inf": ["train", "--alpha", "inf"],
+    "scale-nan": ["train", "--scale", "nan"],
+    "c-miss-nan": ["eval", "--c-miss", "nan"],
+    "c-fa-inf": ["eval", "--c-fa", "inf"],
+    "step-size-zero": ["gradcheck", "--step-size", "0"],
+    "tolerance-inf": ["gradcheck", "--tolerance", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+def test_non_finite_or_out_of_range_setting_is_a_config_error(pipeline, tmp_path, capsys, case):
+    corpus, run = pipeline
+    command, *setting = BAD_SETTINGS[case]
+    inputs = {"gen-corpus": GEN_ARGS[1:], "train": TRAIN_ARGS[1:] + ["--corpus-dir", str(corpus)],
+              "eval": ["--scores", str(run / "scores.txt")], "gradcheck": TestGradcheck.ARGS[1:]}
+    code = main([command, *inputs[command], *setting, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ConfigurationError: ")
+
+
 class TestConfigFile:
     def test_file_sets_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -1,6 +1,8 @@
 """Corpus generation, validation, and file round-trips."""
 
+import hashlib
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonetrait import presets
+from phonetrait.cli import main
 from phonetrait.corpus import (
     CMU_PHONES,
     NON_VERBAL,
@@ -383,6 +386,16 @@ class TestFileRoundTrips:
         save_inventory(default_inventory(), path)
         assert load_inventory(path).labels == default_inventory().labels
 
+    @pytest.mark.parametrize("bad", [" AE", "AE\t", "C\nD", "C\rD", "C\tD", ""],
+                             ids=["padded", "trailing_tab", "newline", "carriage_return", "tab",
+                                  "empty"])
+    def test_inventory_writer_refuses_labels_that_do_not_read_back(self, tmp_path, bad):
+        # load_inventory strips each line and load_alignments splits rows on
+        # tabs: (" AE", "B", "C\nD") would read back as ("AE", "B", "C", "D").
+        with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
+            save_inventory(PhoneInventory(("A", bad, "B\nE")), tmp_path / "inv.txt")
+        assert list(tmp_path.iterdir()) == []
+
     def test_inventory_duplicate_label(self, tmp_path):
         path = tmp_path / "inv.txt"
         path.write_text("AA\nAA\n")
@@ -492,11 +505,30 @@ class TestFileRoundTrips:
     def test_trials_bad_label(self, tmp_path):
         path = tmp_path / "trials.txt"
         path.write_text("2\ta\tb\n")
-        with pytest.raises(ParseError, match=r"trials\.txt:1"):
+        with pytest.raises(ParseError, match=r"trials\.txt:1: trial label must be 1 or 0, got '2'"):
             load_trials(path)
 
     def test_trials_self_pair_names_line(self, tmp_path):
         path = tmp_path / "trials.txt"
         path.write_text("1\ta\tb\n0\tc\tc\n")
-        with pytest.raises(ParseError, match=r"trials\.txt:2"):
+        with pytest.raises(ParseError,
+                           match=r"trials\.txt:2: trial pairs utterance 'c' with itself"):
             load_trials(path)
+
+
+# sha256 of each file ``gen-corpus`` writes at its defaults (NumPy 2.4.6). The
+# same on x86 under the default, Haswell and Sandybridge OpenBLAS kernels and
+# with NumPy's AVX-512 dispatch disabled: generation is elementwise, no BLAS.
+DESK_CORPUS_DIGESTS = {
+    "inventory.txt": "a84efa309c837b71150c3989da8b4c097527842da4aeda78ab6099a0f6074f97",
+    "features.txt": "ea631b6e3abed3bfa2de09048ab5487486cb340b53db6123066e6facfb6ad2b9",
+    "alignments.txt": "7ad9bfc7adaa32b70e903ee354fb8c4444fb1488b0f9f9a8461008273c14fed2",
+    "trials.txt": "96efeaae70ff41ac90921402f531a1aaeb5cdf12141d540f6cd6825575815d13",
+}
+
+
+def test_desk_corpus_files_match_recorded_digests(tmp_path):
+    assert main(["gen-corpus", "--out-dir", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DESK_CORPUS_DIGESTS}
+    assert digests == DESK_CORPUS_DIGESTS

@@ -138,6 +138,29 @@ def test_malformed_file_names_its_line(tmp_path, case):
     assert str(info.value).startswith(f"{path}:{line}: ")
 
 
+# (good row, bad row) of each chunk-checked loader
+CHUNKED_ROWS = {
+    "trials": (b"1\ta\tb\n", b"2\ta\tb\n"),
+    "alignments": (b"u\t0\t2\tAA\n", b"u\t0\t2\tZZ\n"),
+    "scores": (b"a\tb\t1\t0.5\t0.5\t0.5\n", b"a\tb\t7\t0.5\t0.5\t0.5\n"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(CHUNKED_ROWS))
+def test_bad_row_is_named_before_a_later_byte_that_is_not_utf8(tmp_path, loader):
+    # A loader reads a chunk of lines before it checks their rows; a byte that
+    # is not UTF-8 ends the chunk, so a bad row above it is the one named.
+    good, bad = CHUNKED_ROWS[loader]
+    path = tmp_path / "input.txt"
+    path.write_bytes(bad + b"x\xff\ty\n")
+    with pytest.raises(ParseError) as info:
+        LOADERS[loader](path)
+    assert str(info.value).startswith(f"{path}:1: ")
+    path.write_bytes(good + b"x\xff\ty\n")
+    with pytest.raises(ParseError, match=f"{path}:2: byte 0xff is not UTF-8"):
+        LOADERS[loader](path)
+
+
 BAD_SCORE_ROWS = {
     "non-numeric": "a\tc\t0\t0.5\tx\t0.5\n",
     "non-finite": "a\tc\t0\t0.5\t0.5\tinf\n",
