@@ -258,13 +258,12 @@ class CorpusIndex:
             utts_by_speaker=by_speaker,
         )
 
-    def pack(self, utterance_ids: list[str], workspace: Workspace | None = None
+    def pack(self, utterance_ids: list[str], workspace: Workspace
              ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """The utterances' features (N x F) and frame phones (N,) back to back, and their lengths.
 
         The features go to the ``workspace`` role ``features``.
         """
-        workspace = Workspace() if workspace is None else workspace
         lengths = [self.features[u].n_frames for u in utterance_ids]
         shape = (sum(lengths), self.features[utterance_ids[0]].dim)
         return (

@@ -133,8 +133,8 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderPara
 
 
 def _bounds(lengths, n_frames: int) -> list[list[int]]:
-    """[start, end) rows of every packed utterance; ``None`` is one utterance of all rows."""
-    lengths = np.array([n_frames] if lengths is None else lengths, dtype=np.int64)
+    """[start, end) rows of every packed utterance."""
+    lengths = np.array(lengths, dtype=np.int64)
     if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != n_frames:
         raise DimensionError(
             f"utterance lengths {lengths.tolist()} do not pack {n_frames} frames"
@@ -173,13 +173,12 @@ class Packing:
 
 
 def encode_layers(
-    params: EncoderParams, features: np.ndarray, lengths=None, workspace: Workspace | None = None
+    params: EncoderParams, features: np.ndarray, lengths, workspace: Workspace
 ) -> tuple[list[np.ndarray], Packing]:
     """Every layer's activation for N x F frames of utterances packed back to back.
 
-    ``lengths`` gives each utterance's frame count in packing order (default:
-    one utterance of all N frames); no context window crosses from one
-    utterance into the next. Returns (activations, packing): the activations
+    ``lengths`` gives each utterance's frame count in packing order; no
+    context window crosses from one utterance into the next. Returns (activations, packing): the activations
     start with the input (as float64) and end with the N x D1 frame
     embeddings, and the packing holds the utterance bounds, context indices
     and context rows the pass built. ``encode_backward`` reads both.
@@ -188,7 +187,6 @@ def encode_layers(
     roles ``index<l>``, ``context<l>`` and ``layer<l>``, so they are valid
     until the next pass through the same workspace.
     """
-    workspace = Workspace() if workspace is None else workspace
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise DimensionError(
@@ -226,7 +224,7 @@ def encode_backward(
     activations: list[np.ndarray],
     packing: Packing,
     d_output: np.ndarray,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of a scalar loss w.r.t. every weight and bias.
 
@@ -244,7 +242,6 @@ def encode_backward(
     The frame gradients of the lower layers take turns in the ``workspace``
     roles ``grad_a`` and ``grad_b``, and each ReLU mask goes to ``relu_mask``.
     """
-    workspace = Workspace() if workspace is None else workspace
     grad = np.asarray(d_output, dtype=np.float64)
     if grad.shape != activations[-1].shape:
         raise DimensionError(f"d_output shape {grad.shape}, want {activations[-1].shape}")

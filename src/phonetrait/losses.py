@@ -69,7 +69,7 @@ def trait_verification_loss(
     test_present: np.ndarray,
     alpha: float,
     beta: float,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Pull same-speaker traits together, push nearest other-speaker traits apart.
 
@@ -84,7 +84,6 @@ def trait_verification_loss(
     the difference block go to the ``workspace`` roles ``distances`` and
     ``differences``.
     """
-    workspace = Workspace() if workspace is None else workspace
     enroll = np.asarray(enroll_traits, dtype=np.float64)
     test = np.asarray(test_traits, dtype=np.float64)
     pe = np.asarray(enroll_present, dtype=bool)
@@ -257,7 +256,8 @@ def total_loss(
     aam_config: AamConfig,
     class_weights: np.ndarray,
     with_classification: bool = True,
-    workspace: Workspace | None = None,
+    *,
+    workspace: Workspace,
 ) -> LossOutput:
     """Sum of the classification, verification and center losses on one pair batch.
 

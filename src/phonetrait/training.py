@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .errors import (
 )
 from .losses import AamConfig, LossOutput, LossWeights, total_loss
 from .trait_layer import (
-    BatchForward,
     ProjectionParams,
     forward_batch,
     init_projection,
@@ -126,30 +126,33 @@ def init_model(
     return ModelState(encoder, projection, class_weights, step=0)
 
 
+def _named(enc_weights, enc_biases, proj_weight, proj_bias, class_weights) -> dict:
+    """One value per trainable array, under its checkpoint name, in checkpoint order."""
+    out = {f"encoder_weight_{l}": w for l, w in enumerate(enc_weights)}
+    out.update({f"encoder_bias_{l}": b for l, b in enumerate(enc_biases)})
+    out.update(projection_weight=proj_weight, projection_bias=proj_bias,
+               class_weights=class_weights)
+    return out
+
+
 def parameter_arrays(state: ModelState) -> dict[str, np.ndarray]:
     """Named views of every trainable array, shared with the live state."""
-    out: dict[str, np.ndarray] = {}
-    for l, w in enumerate(state.encoder.weights):
-        out[f"encoder_weight_{l}"] = w
-    for l, b in enumerate(state.encoder.biases):
-        out[f"encoder_bias_{l}"] = b
-    out["projection_weight"] = state.projection.weight
-    out["projection_bias"] = state.projection.bias
-    out["class_weights"] = state.class_weights
-    return out
+    return _named(state.encoder.weights, state.encoder.biases, state.projection.weight,
+                  state.projection.bias, state.class_weights)
 
 
 def _parameter_shapes(model_cfg: ModelConfig, n_classes: int) -> dict[str, tuple[int, ...]]:
     """The shape of every array ``parameter_arrays`` names, in its order."""
     layers = model_cfg.encoder.layers
     in_dims = model_cfg.encoder.layer_input_dims()
-    shapes = {f"encoder_weight_{l}": (layer.output_dim, len(layer.context_offsets) * in_dims[l])
-              for l, layer in enumerate(layers)}
-    shapes.update({f"encoder_bias_{l}": (layer.output_dim,) for l, layer in enumerate(layers)})
-    shapes["projection_weight"] = (model_cfg.embedding_dim, 2 * model_cfg.trait_dim)
-    shapes["projection_bias"] = (model_cfg.embedding_dim,)
-    shapes["class_weights"] = (n_classes, model_cfg.embedding_dim)
-    return shapes
+    return _named(
+        [(layer.output_dim, len(layer.context_offsets) * in_dims[l])
+         for l, layer in enumerate(layers)],
+        [(layer.output_dim,) for layer in layers],
+        (model_cfg.embedding_dim, 2 * model_cfg.trait_dim),
+        (model_cfg.embedding_dim,),
+        (n_classes, model_cfg.embedding_dim),
+    )
 
 
 @dataclass
@@ -178,23 +181,6 @@ def sample_pair_batch(index: CorpusIndex, k: int, rng: np.random.Generator) -> P
     return PairSelection(labels[chosen], enroll_utts, test_utts)
 
 
-def forward_pair_batch(
-    state: ModelState,
-    index: CorpusIndex,
-    selection: PairSelection,
-    n_phones: int,
-    workspace: Workspace | None = None,
-) -> BatchForward:
-    """Run the selection's enrollments, then its tests, through the model as one batch.
-
-    The frame-sized arrays go into ``workspace``; see ``forward_batch``.
-    """
-    utts = selection.enroll_utts + selection.test_utts
-    features, phones, lengths = index.pack(utts, workspace)
-    return forward_batch(features, phones, lengths, utts, state.encoder, state.projection,
-                         n_phones, workspace)
-
-
 def batch_loss_and_grads(
     state: ModelState,
     index: CorpusIndex,
@@ -203,34 +189,34 @@ def batch_loss_and_grads(
     aam: AamConfig,
     n_phones: int,
     with_classification: bool = True,
-    workspace: Workspace | None = None,
+    *,
+    workspace: Workspace,
 ) -> tuple[LossOutput, dict[str, np.ndarray]]:
     """Loss components and gradients for every trainable array on one batch.
 
-    Every gradient sums its per-utterance terms enrollments first, then
-    tests, in selection order. The desk experiment's trajectory depends on
-    that summation order, down to its EERs.
+    The selection's enrollments, then its tests, run as one packed batch,
+    and every gradient sums its per-utterance terms in that order. The desk
+    experiment's trajectory depends on that summation order, down to its
+    EERs. Training steps with this function; ``grad_check`` certifies it.
 
     The step's frame-sized arrays live in ``workspace``; the returned loss
     and gradients are fresh arrays.
     """
-    cache = forward_pair_batch(state, index, selection, n_phones, workspace)
+    utts = selection.enroll_utts + selection.test_utts
+    features, phones, lengths = index.pack(utts, workspace)
+    cache = forward_batch(features, phones, lengths, utts, state.encoder, state.projection,
+                          n_phones, workspace)
     out = total_loss(cache, selection.class_labels, weights, aam, state.class_weights,
-                     with_classification, workspace)
-
-    grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
-    grads["class_weights"] += out.d_class_weights
+                     with_classification, workspace=workspace)
     d_proj_w, d_proj_b, d_frames = trait_layer_backward(
         cache, state.projection, out.d_embeddings, out.d_traits, workspace
     )
-    grads["projection_weight"] += d_proj_w
-    grads["projection_bias"] += d_proj_b
     d_enc_w, d_enc_b = encode_backward(state.encoder, cache.activations, cache.packing, d_frames,
                                        workspace)
-    for l, g in enumerate(d_enc_w):
-        grads[f"encoder_weight_{l}"] += g
-    for l, g in enumerate(d_enc_b):
-        grads[f"encoder_bias_{l}"] += g
+    # Added into zeros, so a -0.0 gradient element reads +0.0.
+    grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
+    for name, g in _named(d_enc_w, d_enc_b, d_proj_w, d_proj_b, out.d_class_weights).items():
+        grads[name] += g
     return out, grads
 
 
@@ -319,21 +305,6 @@ def train(
 # gradient checking
 # ---------------------------------------------------------------------------
 
-def batch_loss_value(
-    state: ModelState,
-    index: CorpusIndex,
-    selection: PairSelection,
-    weights: LossWeights,
-    aam: AamConfig,
-    n_phones: int,
-    with_classification: bool = True,
-) -> float:
-    """Scalar total loss of one batch (forward only), for finite differences."""
-    cache = forward_pair_batch(state, index, selection, n_phones)
-    return total_loss(cache, selection.class_labels, weights, aam, state.class_weights,
-                      with_classification).total
-
-
 def numeric_gradients(
     loss_fn,
     params: dict[str, np.ndarray],
@@ -407,7 +378,9 @@ def grad_check(
     step_size: float,
     tolerance: float,
 ) -> GradCheckReport:
-    """Certify the analytic gradients of one batch against finite differences.
+    """Certify ``batch_loss_and_grads``' gradients of one batch against
+    central finite differences of its own loss, so the check covers the
+    function training steps with. All its passes share one workspace.
 
     A relative error reaches 1 where one gradient is zero and the other is
     not, so a ``tolerance`` of 1 or more would pass a missing gradient.
@@ -416,12 +389,10 @@ def grad_check(
         raise ConfigurationError("step_size must be finite and > 0")
     if not 0.0 < tolerance < 1.0:
         raise ConfigurationError("tolerance must be in (0, 1)")
-    _, analytic = batch_loss_and_grads(state, index, selection, weights, aam, n_phones)
-    numeric = numeric_gradients(
-        lambda: batch_loss_value(state, index, selection, weights, aam, n_phones),
-        parameter_arrays(state),
-        step_size,
-    )
+    step = partial(batch_loss_and_grads, state, index, selection, weights, aam, n_phones,
+                   workspace=Workspace())
+    _, analytic = step()
+    numeric = numeric_gradients(lambda: step()[0].total, parameter_arrays(state), step_size)
     return compare_gradient_tables(analytic, numeric, tolerance)
 
 
@@ -510,9 +481,9 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
                 f"tensor {name!r} has shape {tensors[name].shape}, "
                 f"architecture requires {shape}"
             )
+    # In ``_named`` order: encoder weights, encoder biases, projection, class weights.
+    arrays = [tensors[name] for name in shapes]
     n_layers = len(model_cfg.encoder.layers)
-    encoder = EncoderParams(model_cfg.encoder,
-                            [tensors[f"encoder_weight_{l}"] for l in range(n_layers)],
-                            [tensors[f"encoder_bias_{l}"] for l in range(n_layers)])
-    projection = ProjectionParams(tensors["projection_weight"], tensors["projection_bias"])
-    return ModelState(encoder, projection, tensors["class_weights"], header["step"]), model_cfg
+    encoder = EncoderParams(model_cfg.encoder, arrays[:n_layers], arrays[n_layers:2 * n_layers])
+    projection = ProjectionParams(*arrays[2 * n_layers:-1])
+    return ModelState(encoder, projection, arrays[-1], header["step"]), model_cfg

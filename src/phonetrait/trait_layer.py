@@ -47,7 +47,7 @@ def extract_traits(
     frame_embeddings: np.ndarray,
     segments: np.ndarray,
     counts: np.ndarray,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average packed frame embeddings per (utterance, phone) into B x I x D1 traits.
 
@@ -60,7 +60,6 @@ def extract_traits(
     Returns (traits, present) with a (B, I) presence mask. The segment sum's
     bins go to the ``workspace`` role ``bins``.
     """
-    workspace = Workspace() if workspace is None else workspace
     emb = np.asarray(frame_embeddings, dtype=np.float64)
     if emb.ndim != 2:
         raise DimensionError(f"frame embeddings must be T x D1, got shape {emb.shape}")
@@ -159,7 +158,7 @@ def forward_batch(
     encoder_params: EncoderParams,
     projection: ProjectionParams,
     n_phones: int,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> BatchForward:
     """Full path features -> frames -> traits -> stats -> embedding.
 
@@ -212,7 +211,7 @@ def trait_layer_backward(
     projection: ProjectionParams,
     d_embeddings: np.ndarray,
     d_traits: np.ndarray,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backprop from the embeddings and the traits to frames.
 
@@ -260,7 +259,6 @@ def trait_layer_backward(
     # Each frame contributed 1/count to its phone's mean; a phone no frame
     # reads is divided by 1 instead of 0.
     d_trait_full /= np.maximum(cache.counts, 1)[:, :, None]
-    workspace = Workspace() if workspace is None else workspace
     rows = d_trait_full.reshape(-1, d_trait_full.shape[2])
     # Every segment id is a row of ``rows``; see ``encode_layers`` on "clip".
     d_frames = np.take(rows, cache.segments, axis=0, mode="clip",

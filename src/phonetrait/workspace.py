@@ -9,8 +9,10 @@ the buffers with ``out=``, and a buffer only grows, to the largest pass seen.
 Where the result lands is all that changes; every array is computed by the
 same call on the same operands, so it holds the same bits.
 
-A function that writes into a workspace and is given none makes a fresh
-one, so a call outside training allocates its arrays as before.
+Every function that writes into a workspace takes it as a required
+argument. Three callers make one: ``train_epochs`` for its run,
+``grad_check`` for all the passes of one check, and ``score_trials`` (in
+``scoring._forward_utterances``) for its packs.
 """
 
 from __future__ import annotations

@@ -202,6 +202,7 @@ def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones
     """
     from phonetrait.losses import total_loss
     from phonetrait.training import parameter_arrays
+    from phonetrait.workspace import Workspace
 
     def run(utt):
         return per_utterance_forward(index.features[utt].features, index.phones[utt], utt,
@@ -216,7 +217,7 @@ def per_utterance_loss_and_grads(state, index, selection, weights, aam, n_phones
         embeddings=np.stack([c["embedding"] for c in caches]),
     )
     out = total_loss(forward, selection.class_labels, weights, aam, state.class_weights,
-                     with_classification)
+                     with_classification, workspace=Workspace())
     grads = {name: np.zeros_like(arr) for name, arr in parameter_arrays(state).items()}
     grads["class_weights"] += out.d_class_weights
     for u, cache in enumerate(caches):

@@ -49,7 +49,6 @@ from phonetrait.training import (
     ModelConfig,
     ModelState,
     batch_loss_and_grads,
-    batch_loss_value,
     compare_gradient_tables,
     init_model,
     numeric_gradients,
@@ -57,6 +56,7 @@ from phonetrait.training import (
     sample_pair_batch,
     train,
 )
+from phonetrait.workspace import Workspace
 
 
 def report(capsys, name, ok, detail):
@@ -88,20 +88,17 @@ def test_gradients_match_finite_differences(capsys):
         "center": (LossWeights(0.0, 0.0, desk.gamma), False),
         "combined": (desk, True),
     }
+    # The loss that finite differences perturb is the training step's own.
     worst = {}
+    workspace = Workspace()
     for name, (weights, with_classification) in cases.items():
-        _, analytic = batch_loss_and_grads(
-            state, index, selection, weights, AamConfig(), inventory.size,
-            with_classification,
-        )
-        numeric = numeric_gradients(
-            lambda: batch_loss_value(
-                state, index, selection, weights, AamConfig(), inventory.size,
-                with_classification,
-            ),
-            parameter_arrays(state),
-            step_size=1e-5,
-        )
+        def step():
+            return batch_loss_and_grads(state, index, selection, weights, AamConfig(),
+                                        inventory.size, with_classification, workspace=workspace)
+
+        _, analytic = step()
+        numeric = numeric_gradients(lambda: step()[0].total, parameter_arrays(state),
+                                    step_size=1e-5)
         worst[name] = compare_gradient_tables(analytic, numeric, tolerance=1e-4).worst
 
     elapsed = time.monotonic() - t0
@@ -130,7 +127,7 @@ def test_trait_extraction_matches_naive_group_means(capsys):
 
         phones = alignment.frame_phones()
         traits, present = extract_traits(
-            embeddings, phones, np.bincount(phones, minlength=inventory.size)[None])
+            embeddings, phones, np.bincount(phones, minlength=inventory.size)[None], Workspace())
         want_traits, want_present = naive_traits(embeddings, phones, inventory.size)
         assert np.array_equal(present[0], want_present)
         worst = max(worst, float(np.abs(traits[0] - want_traits).max()))
@@ -167,7 +164,8 @@ def _permute_same_label_segments(features, segments, rng):
 
 def _forward_one(state, features, alignment, n_phones):
     return forward_batch(features, alignment.frame_phones(), [alignment.n_frames],
-                         [alignment.utterance_id], state.encoder, state.projection, n_phones)
+                         [alignment.utterance_id], state.encoder, state.projection, n_phones,
+                         Workspace())
 
 
 def test_absent_phones_and_segment_order_leave_embedding_alone(capsys):

@@ -16,6 +16,7 @@ from phonetrait.encoder import (
     parse_layer_string,
 )
 from phonetrait.errors import ConfigurationError, DimensionError
+from phonetrait.workspace import Workspace
 
 from _oracles import (
     assert_matches,
@@ -24,6 +25,11 @@ from _oracles import (
     max_relative_error,
     naive_encode,
 )
+
+
+def encode_one(params, feats):
+    """``encode_layers`` of ``feats`` as one utterance, in a workspace of its own."""
+    return encode_layers(params, feats, [len(feats)], Workspace())
 
 
 def two_layer_config(input_dim=3):
@@ -85,20 +91,20 @@ class TestInit:
 class TestForward:
     def test_identity_network_reproduces_input(self):
         feats = np.random.default_rng(1).normal(size=(6, 3))
-        out = encode_layers(identity_params(3), feats)[0][-1]
+        out = encode_one(identity_params(3), feats)[0][-1]
         assert np.array_equal(out, feats)
 
     def test_edge_clamp_hand_case(self):
         # One layer averaging x[t-1] and x[t+1]; frame 0 uses x[0] twice.
         config = EncoderConfig(1, (LayerSpec((-1, 1), 1, "identity"),))
         params = EncoderParams(config, [np.array([[0.5, 0.5]])], [np.zeros(1)])
-        out = encode_layers(params, np.array([[1.0], [2.0], [4.0]]))[0][-1]
+        out = encode_one(params, np.array([[1.0], [2.0], [4.0]]))[0][-1]
         assert out.tolist() == [[1.5], [2.5], [3.0]]
 
     def test_relu_clips_negatives(self):
         config = EncoderConfig(1, (LayerSpec((0,), 1, "relu"),))
         params = EncoderParams(config, [np.array([[1.0]])], [np.array([-2.0])])
-        out = encode_layers(params, np.array([[1.0], [3.0]]))[0][-1]
+        out = encode_one(params, np.array([[1.0], [3.0]]))[0][-1]
         assert out.tolist() == [[0.0], [1.0]]
 
     def test_matches_naive_oracle(self):
@@ -113,7 +119,7 @@ class TestForward:
         )
         params = init_encoder(config, rng)
         feats = rng.normal(size=(9, 4))
-        fast = encode_layers(params, feats)[0][-1]
+        fast = encode_one(params, feats)[0][-1]
         slow = naive_encode(config, params.weights, params.biases, feats)
         assert np.allclose(fast, slow, atol=1e-12, rtol=0.0)
 
@@ -123,14 +129,14 @@ class TestForward:
         params = init_encoder(two_layer_config(), rng)
         feats = rng.normal(size=(10, 3))
         shifted = np.roll(feats, 2, axis=0)
-        out = encode_layers(params, feats)[0][-1]
-        out_shifted = encode_layers(params, shifted)[0][-1]
+        out = encode_one(params, feats)[0][-1]
+        out_shifted = encode_one(params, shifted)[0][-1]
         assert np.allclose(out[3:6], out_shifted[5:8], atol=1e-12)
 
     def test_wrong_input_dim_rejected(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            encode_layers(params, np.zeros((4, 2)))
+            encode_one(params, np.zeros((4, 2)))
 
 
 def linear_under(top: LayerSpec, dim: int, rng) -> EncoderParams:
@@ -148,7 +154,8 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
         feats = np.random.default_rng(1).normal(size=(5, 3))
-        d_w, d_b = encode_backward(params, *encode_layers(params, feats), np.zeros((5, 4)))
+        d_w, d_b = encode_backward(params, *encode_one(params, feats), np.zeros((5, 4)),
+                                   Workspace())
         assert all(not w.any() for w in d_w)
         assert all(not b.any() for b in d_b)
 
@@ -160,7 +167,7 @@ class TestBackward:
             EncoderConfig(3, (LayerSpec((0,), 3, "identity"), LayerSpec((0,), 3, "identity"))),
             [np.eye(3), np.eye(3)], [np.zeros(3), np.zeros(3)],
         )
-        d_w, d_b = encode_backward(params, *encode_layers(params, feats), upstream)
+        d_w, d_b = encode_backward(params, *encode_one(params, feats), upstream, Workspace())
         assert np.allclose(d_w[0], upstream.T @ feats, atol=1e-12)
         assert np.allclose(d_b[0], upstream.sum(axis=0), atol=1e-12)
 
@@ -174,7 +181,8 @@ class TestBackward:
         params = EncoderParams(config, [np.array([[1.0]]), np.array([[1.0, 1.0]])],
                                [np.zeros(1), np.zeros(1)])
         feats = np.array([[1.0], [10.0], [100.0]])
-        d_w, d_b = encode_backward(params, *encode_layers(params, feats), np.ones((3, 1)))
+        d_w, d_b = encode_backward(params, *encode_one(params, feats), np.ones((3, 1)),
+                                   Workspace())
         assert d_w[0].tolist() == [[123.0]]
         assert d_b[0].tolist() == [6.0]
 
@@ -189,9 +197,9 @@ class TestBackward:
         upstream = rng.normal(size=(7, 4))
 
         def loss():
-            return float((encode_layers(params, feats)[0][-1] * upstream).sum())
+            return float((encode_one(params, feats)[0][-1] * upstream).sum())
 
-        d_w, d_b = encode_backward(params, *encode_layers(params, feats), upstream)
+        d_w, d_b = encode_backward(params, *encode_one(params, feats), upstream, Workspace())
         for l in range(2):
             assert max_relative_error(d_w[l], central_difference(loss, params.weights[l])) < 1e-6
             assert max_relative_error(d_b[l], central_difference(loss, params.biases[l])) < 1e-6
@@ -204,18 +212,19 @@ class TestBackward:
         rng = np.random.default_rng(5)
         config = EncoderConfig(3, (LayerSpec((-1, 0, 1), 5, "relu"), LayerSpec((0,), 4, top)))
         params = init_encoder(config, rng)
-        activations, packing = encode_layers(params, rng.normal(size=(9, 3)), [4, 5])
+        activations, packing = encode_layers(params, rng.normal(size=(9, 3)), [4, 5], Workspace())
         upstream = rng.normal(size=(9, 4))
         want = upstream * (activations[-1] > 0.0) if top == "relu" else upstream.copy()
         # Some outputs are clipped, so the ReLU case has rows to zero.
         assert (activations[-1] <= 0.0).any() and (activations[-1] > 0.0).any()
-        encode_backward(params, activations, packing, upstream)
+        encode_backward(params, activations, packing, upstream, Workspace())
         assert upstream.tobytes() == want.tobytes()
 
     def test_upstream_shape_checked(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            encode_backward(params, *encode_layers(params, np.zeros((5, 3))), np.zeros((5, 3)))
+            encode_backward(params, *encode_one(params, np.zeros((5, 3))), np.zeros((5, 3)),
+                            Workspace())
 
     @given(st.integers(1, 9), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -225,7 +234,7 @@ class TestBackward:
         config = EncoderConfig(2, (LayerSpec((-2, 0, 3), 3, "relu"),))
         params = init_encoder(config, rng)
         feats = rng.normal(size=(n_frames, 2))
-        fast = encode_layers(params, feats)[0][-1]
+        fast = encode_one(params, feats)[0][-1]
         slow = naive_encode(config, params.weights, params.biases, feats)
         assert np.allclose(fast, slow, atol=1e-12, rtol=0.0)
 
@@ -235,9 +244,9 @@ class TestBackward:
         upstream = rng.normal(size=(n_frames, 3))
 
         def loss():
-            return float((encode_layers(linear, feats)[0][-1] * upstream).sum())
+            return float((encode_one(linear, feats)[0][-1] * upstream).sum())
 
-        d_w, d_b = encode_backward(linear, *encode_layers(linear, feats), upstream)
+        d_w, d_b = encode_backward(linear, *encode_one(linear, feats), upstream, Workspace())
         for l in range(2):
             assert max_relative_error(d_w[l], central_difference(loss, linear.weights[l])) < 1e-6
             assert max_relative_error(d_b[l], central_difference(loss, linear.biases[l])) < 1e-6
@@ -260,18 +269,18 @@ class TestPackedUtterances:
         params = init_encoder(config, rng)
         utterances = [rng.normal(size=(n, width)) for n in lengths]
         upstreams = [rng.normal(size=(n, 2)) for n in lengths]
-        packed, packing = encode_layers(params, np.concatenate(utterances), lengths)
-        d_w, d_b = encode_backward(params, packed, packing, np.concatenate(upstreams))
+        packed, packing = encode_layers(params, np.concatenate(utterances), lengths, Workspace())
+        d_w, d_b = encode_backward(params, packed, packing, np.concatenate(upstreams), Workspace())
 
         want_w = [np.zeros_like(w) for w in params.weights]
         want_b = [np.zeros_like(b) for b in params.biases]
         start = 0
         for feats, upstream in zip(utterances, upstreams):
-            alone, alone_packing = encode_layers(params, feats)
+            alone, alone_packing = encode_one(params, feats)
             for got, want in zip(packed, alone):
                 assert_matches(got[start:start + len(feats)], want, exact)
             start += len(feats)
-            one_w, one_b = encode_backward(params, alone, alone_packing, upstream)
+            one_w, one_b = encode_backward(params, alone, alone_packing, upstream, Workspace())
             for l in range(3):
                 want_w[l] += one_w[l]
                 want_b[l] += one_b[l]
@@ -282,4 +291,4 @@ class TestPackedUtterances:
     def test_lengths_must_pack_the_frames(self):
         params = init_encoder(two_layer_config(), np.random.default_rng(0))
         with pytest.raises(DimensionError, match="do not pack 5 frames"):
-            encode_layers(params, np.zeros((5, 3)), [2, 2])
+            encode_layers(params, np.zeros((5, 3)), [2, 2], Workspace())

@@ -26,6 +26,7 @@ from phonetrait.losses import (
     trait_verification_loss,
 )
 from phonetrait.trait_layer import forward_batch, init_projection
+from phonetrait.workspace import Workspace
 
 from _oracles import (
     central_difference,
@@ -74,14 +75,16 @@ def random_masked_traits(rng, n_speakers=3, n_phones=4, dim=2, p_present=0.7):
 
 def forward_of(traits, present, emb_dim=3, seed=0):
     """``forward_batch`` of utterances whose present phones hold ``traits``:
-    one frame per present phone, through an identity encoder."""
+    one frame per present phone, through an identity encoder, in a workspace
+    of its own."""
     n_utts, n_phones, dim = traits.shape
     utts, phones = np.nonzero(present)
     config = EncoderConfig(dim, (LayerSpec((0,), dim, "identity"),))
     encoder = EncoderParams(config, [np.eye(dim)], [np.zeros(dim)])
     projection = init_projection(dim, emb_dim, np.random.default_rng(seed))
     return forward_batch(traits[utts, phones], phones, present.sum(axis=1),
-                         [f"u{u}" for u in range(n_utts)], encoder, projection, n_phones)
+                         [f"u{u}" for u in range(n_utts)], encoder, projection, n_phones,
+                         Workspace())
 
 
 def center_loss_of(traits, present, gamma):
@@ -117,14 +120,14 @@ class TestTraitVerification:
         enroll = np.array([[[1.0]], [[2.0]]])
         test = np.array([[[1.0]], [[3.0]]])
         present = np.ones((2, 1), dtype=bool)
-        loss, _, _ = trait_verification_loss(enroll, present, test, present, 1.0, 1.0)
+        loss, _, _ = trait_verification_loss(enroll, present, test, present, 1.0, 1.0, Workspace())
         assert abs(loss - (-2.0)) < 1e-12
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(1)
         enroll, pe = random_masked_traits(rng)
         test, pt = random_masked_traits(rng)
-        loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
+        loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7, Workspace())
         assert abs(loss - naive_verification(enroll, pe, test, pt, 0.3, 0.7)) < 1e-12
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 64))
@@ -133,7 +136,7 @@ class TestTraitVerification:
         rng = np.random.default_rng(seed)
         enroll, pe = random_masked_traits(rng, n_speakers, p_present=0.5)
         test, pt = random_masked_traits(rng, n_speakers, p_present=0.5)
-        loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 1.0, 1.0)
+        loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 1.0, 1.0, Workspace())
         assert abs(loss - naive_verification(enroll, pe, test, pt, 1.0, 1.0)) < 1e-10
 
     @pytest.mark.parametrize("n_speakers, n_phones, width, integer", [
@@ -154,7 +157,7 @@ class TestTraitVerification:
         if integer:
             enroll = np.round(enroll).clip(0, 1) * pe[:, :, None]
             test = np.round(test).clip(0, 1) * pt[:, :, None]
-        got = trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
+        got = trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7, Workspace())
         want = per_phone_trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
         assert got[0] == want[0]
         for g, w in zip(got[1:], want[1:]):
@@ -169,7 +172,7 @@ class TestTraitVerification:
         test, pt = random_masked_traits(rng, 64, 40, 16)
         tracemalloc.start()
         try:
-            trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
+            trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7, Workspace())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -181,10 +184,10 @@ class TestTraitVerification:
         test, pt = random_masked_traits(rng)
 
         def loss():
-            value, _, _ = trait_verification_loss(enroll, pe, test, pt, 0.4, 0.2)
+            value, _, _ = trait_verification_loss(enroll, pe, test, pt, 0.4, 0.2, Workspace())
             return value
 
-        _, d_enroll, d_test = trait_verification_loss(enroll, pe, test, pt, 0.4, 0.2)
+        _, d_enroll, d_test = trait_verification_loss(enroll, pe, test, pt, 0.4, 0.2, Workspace())
         assert max_relative_error(d_enroll, central_difference(loss, enroll)) < 1e-6
         assert max_relative_error(d_test, central_difference(loss, test)) < 1e-6
 
@@ -195,7 +198,7 @@ class TestTraitVerification:
         test[:, 1] = [[2.0], [3.0]]
         pe = np.array([[True, False], [True, False]])
         pt = np.array([[False, True], [False, True]])
-        loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 100.0, 1.0)
+        loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 100.0, 1.0, Workspace())
         # No phone present on both sides of a speaker, so only repulsion; that
         # term is empty too (candidates need the same phone on the test side).
         assert loss == 0.0
@@ -208,7 +211,7 @@ class TestTraitVerification:
         test[0, 0], test[1, 1] = [3.0], [8.0]
         pe = np.array([[True, False], [False, True]])
         pt = pe.copy()
-        loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 1.0, 1000.0)
+        loss, _, _ = trait_verification_loss(enroll, pe, test, pt, 1.0, 1000.0, Workspace())
         assert abs(loss - (4.0 + 16.0) / 2.0) < 1e-12
 
     def test_nearest_competitor_is_selected(self):
@@ -216,7 +219,7 @@ class TestTraitVerification:
         enroll = np.array([[[0.0]], [[10.0]], [[100.0]]])
         test = np.array([[[0.0]], [[10.0]], [[1.0]]])
         present = np.ones((3, 1), dtype=bool)
-        loss, _, _ = trait_verification_loss(enroll, present, test, present, 0.0, 1.0)
+        loss, _, _ = trait_verification_loss(enroll, present, test, present, 0.0, 1.0, Workspace())
         # mins: speaker0 -> (0-1)^2=1; speaker1 -> (10-1)^2=81; speaker2 -> (100-10)^2=8100
         assert abs(loss - (-(1.0 + 81.0 + 8100.0) / 3.0)) < 1e-12
 
@@ -224,7 +227,7 @@ class TestTraitVerification:
         one = np.ones((1, 2, 2))
         mask = np.ones((1, 2), dtype=bool)
         with pytest.raises(BatchError):
-            trait_verification_loss(one, mask, one, mask, 1.0, 1.0)
+            trait_verification_loss(one, mask, one, mask, 1.0, 1.0, Workspace())
 
 
 class TestTraitCenter:
@@ -370,11 +373,12 @@ class TestTotalLoss:
         rng = np.random.default_rng(13)
         batch, labels = make_pair_batch(rng)
         class_weights = rng.normal(size=(3, 3))
-        out = total_loss(batch, labels, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights)
+        out = total_loss(batch, labels, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights,
+                         workspace=Workspace())
 
         veri, _, _ = trait_verification_loss(
             batch.traits[:3], batch.present[:3],
-            batch.traits[3:], batch.present[3:], 0.5, 0.25,
+            batch.traits[3:], batch.present[3:], 0.5, 0.25, Workspace(),
         )
         center_e, _ = trait_center_loss(batch.deviations[:3], batch.n_present[:3], 0.125)
         center_t, _ = trait_center_loss(batch.deviations[3:], batch.n_present[3:], 0.125)
@@ -391,7 +395,7 @@ class TestTotalLoss:
         batch, labels = make_pair_batch(rng)
         class_weights = rng.normal(size=(3, 3))
         out = total_loss(batch, labels, LossWeights(1.0, 1.0, 1.0), AamConfig(), class_weights,
-                         with_classification=False)
+                         with_classification=False, workspace=Workspace())
         assert out.classification == 0.0
         assert out.d_embeddings.shape == (6, 3)
         assert not out.d_embeddings.any()
@@ -402,10 +406,11 @@ class TestTotalLoss:
         rng = np.random.default_rng(15)
         batch, labels = make_pair_batch(rng)
         class_weights = rng.normal(size=(3, 3))
-        out = total_loss(batch, labels, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights)
+        out = total_loss(batch, labels, LossWeights(0.5, 0.25, 0.125), AamConfig(), class_weights,
+                         workspace=Workspace())
         _, d_veri_e, d_veri_t = trait_verification_loss(
             batch.traits[:3], batch.present[:3],
-            batch.traits[3:], batch.present[3:], 0.5, 0.25,
+            batch.traits[3:], batch.present[3:], 0.5, 0.25, Workspace(),
         )
         _, d_center_e = trait_center_loss(batch.deviations[:3], batch.n_present[:3], 0.125)
         _, d_center_t = trait_center_loss(batch.deviations[3:], batch.n_present[3:], 0.125)
@@ -424,12 +429,13 @@ class TestTotalLoss:
         batch = forward_of(traits, present)
         weights = LossWeights(0.5, 0.25, 0.125)
         out = total_loss(batch, np.arange(n_speakers), weights, AamConfig(),
-                         rng.normal(size=(n_speakers, 3)))
+                         rng.normal(size=(n_speakers, 3)), workspace=Workspace())
         k = n_speakers
         want_e, d_center_e = traits_center_loss(traits[:k], present[:k], weights.gamma)
         want_t, d_center_t = traits_center_loss(traits[k:], present[k:], weights.gamma)
         _, d_veri_e, d_veri_t = trait_verification_loss(
-            traits[:k], present[:k], traits[k:], present[k:], weights.alpha, weights.beta)
+            traits[:k], present[:k], traits[k:], present[k:], weights.alpha, weights.beta,
+            Workspace())
         assert out.center == want_e + want_t
         assert out.d_traits.tobytes() == np.concatenate(
             [d_veri_e + d_center_e, d_veri_t + d_center_t]).tobytes()
@@ -438,14 +444,15 @@ class TestTotalLoss:
         rng = np.random.default_rng(16)
         batch, labels = make_pair_batch(rng, n_speakers=1)
         with pytest.raises(BatchError):
-            total_loss(batch, labels, LossWeights(), AamConfig(), rng.normal(size=(3, 3)))
+            total_loss(batch, labels, LossWeights(), AamConfig(), rng.normal(size=(3, 3)),
+                       workspace=Workspace())
 
     def test_duplicate_speakers_rejected(self):
         rng = np.random.default_rng(17)
         batch, _ = make_pair_batch(rng, n_speakers=2)
         with pytest.raises(BatchError, match="distinct"):
             total_loss(batch, np.array([0, 0]), LossWeights(), AamConfig(),
-                       rng.normal(size=(3, 3)))
+                       rng.normal(size=(3, 3)), workspace=Workspace())
 
     def test_shape_mismatch_rejected(self):
         # Two labels for a batch of three speakers' six utterances: the
@@ -455,7 +462,7 @@ class TestTotalLoss:
         for with_classification in (True, False):
             with pytest.raises(DimensionError):
                 total_loss(batch, np.array([0, 1]), LossWeights(), AamConfig(),
-                           rng.normal(size=(3, 3)), with_classification)
+                           rng.normal(size=(3, 3)), with_classification, workspace=Workspace())
 
 
 class TestLossLog:

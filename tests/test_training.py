@@ -29,15 +29,14 @@ from phonetrait.errors import (
     ParseError,
 )
 from phonetrait.losses import AamConfig, LossWeights
+from phonetrait.trait_layer import forward_batch
 from phonetrait.training import (
     CHECKPOINT_MAGIC,
     GradCheckReport,
     ModelConfig,
     TrainConfig,
     batch_loss_and_grads,
-    batch_loss_value,
     compare_gradient_tables,
-    forward_pair_batch,
     grad_check,
     init_model,
     load_checkpoint,
@@ -220,6 +219,15 @@ def step_inputs(draw, edges=True):
             draw(st.booleans()))
 
 
+def forward_selection(state, index, sel, n_phones):
+    """The forward pass of ``sel`` that a step makes, in a workspace of its own,
+    so no backward pass overwrites its deviations."""
+    utts = sel.enroll_utts + sel.test_utts
+    workspace = Workspace()
+    return forward_batch(*index.pack(utts, workspace), utts, state.encoder, state.projection,
+                         n_phones, workspace)
+
+
 class TestBatchGradients:
     def certify(self, with_classification):
         inventory, index, model_cfg = tiny_setup()
@@ -227,16 +235,14 @@ class TestBatchGradients:
         sel = sample_pair_batch(index, 3, np.random.default_rng(2))
         weights = LossWeights(alpha=0.05, beta=0.02, gamma=0.03)
         aam = AamConfig(margin=0.2, scale=30.0)
-        _, analytic = batch_loss_and_grads(
-            state, index, sel, weights, aam, inventory.size, with_classification
-        )
-        numeric = numeric_gradients(
-            lambda: batch_loss_value(
-                state, index, sel, weights, aam, inventory.size, with_classification
-            ),
-            parameter_arrays(state),
-            1e-5,
-        )
+        workspace = Workspace()
+
+        def step():
+            return batch_loss_and_grads(state, index, sel, weights, aam, inventory.size,
+                                        with_classification, workspace=workspace)
+
+        _, analytic = step()
+        numeric = numeric_gradients(lambda: step()[0].total, parameter_arrays(state), 1e-5)
         return compare_gradient_tables(analytic, numeric, tolerance=1e-4)
 
     def test_full_loss_gradients(self):
@@ -269,7 +275,8 @@ class TestBatchGradients:
         monkeypatch.setattr(training, "encode_backward", backward)
         monkeypatch.setattr(PhoneAlignment, "frame_phones",
                             counted("frame_phones", PhoneAlignment.frame_phones))
-        batch_loss_and_grads(state, index, sel, LossWeights(), AamConfig(), inventory.size)
+        batch_loss_and_grads(state, index, sel, LossWeights(), AamConfig(), inventory.size,
+                             workspace=Workspace())
         assert calls == {"encode_layers": 1, "encode_backward": 1}
 
     @given(step_inputs())
@@ -301,11 +308,11 @@ class TestBatchGradients:
         except EmptyUtteranceError:
             with pytest.raises(EmptyUtteranceError):
                 batch_loss_and_grads(state, index, sel, weights, aam, n_phones,
-                                     with_classification)
+                                     with_classification, workspace=Workspace())
             return
         got, got_grads = batch_loss_and_grads(state, index, sel, weights, aam, n_phones,
-                                              with_classification)
-        got_batch = forward_pair_batch(state, index, sel, n_phones)
+                                              with_classification, workspace=Workspace())
+        got_batch = forward_selection(state, index, sel, n_phones)
         for term in ("total", "classification", "verification", "center"):
             assert_matches(getattr(got, term), getattr(want, term), exact, term)
         assert sorted(got_grads) == sorted(want_grads)
@@ -325,8 +332,8 @@ class TestBatchGradients:
         sel = sample_pair_batch(index, k, np.random.default_rng(selection_seed))
         args = (state, index, sel, train_cfg.weights, train_cfg.aam, inventory.size)
         want, want_grads, want_batch = per_utterance_loss_and_grads(*args)
-        got, got_grads = batch_loss_and_grads(*args)
-        got_batch = forward_pair_batch(state, index, sel, inventory.size)
+        got, got_grads = batch_loss_and_grads(*args, workspace=Workspace())
+        got_batch = forward_selection(state, index, sel, inventory.size)
         assert got_batch.traits.shape == traits_shape
         for term in ("total", "classification", "verification", "center"):
             assert getattr(got, term) == getattr(want, term), term
@@ -401,7 +408,7 @@ class TestStepWorkspace:
         for sel in selections:
             args = (state, index, sel, train_cfg.weights, train_cfg.aam, inventory.size)
             got, got_grads = batch_loss_and_grads(*args, workspace=workspace)
-            fresh, fresh_grads = batch_loss_and_grads(*args)
+            fresh, fresh_grads = batch_loss_and_grads(*args, workspace=Workspace())
             want, want_grads, _ = per_utterance_loss_and_grads(*args)
             for term in ("total", "classification", "verification", "center"):
                 assert getattr(got, term) == getattr(fresh, term) == getattr(want, term), term

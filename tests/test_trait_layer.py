@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from phonetrait.encoder import EncoderConfig, EncoderParams, LayerSpec
 from phonetrait.errors import ConfigurationError, DimensionError, EmptyUtteranceError
+from phonetrait.workspace import Workspace
 from phonetrait.trait_layer import (
     STD_EPS,
     ProjectionParams,
@@ -35,14 +36,16 @@ def identity_encoder(dim):
 def traits_for(frames, phones_per_frame, n_phones):
     """One utterance's (traits, present): a batch of one, whose segment ids are its phones."""
     phones = np.asarray(phones_per_frame)
-    traits, present = extract_traits(frames, phones, np.bincount(phones, minlength=n_phones)[None])
+    traits, present = extract_traits(frames, phones, np.bincount(phones, minlength=n_phones)[None],
+                                     Workspace())
     return traits[0], present[0]
 
 
 def forward_one(features, phones_per_frame, encoder, projection, n_phones):
-    """``forward_batch`` of the one utterance "u"."""
+    """``forward_batch`` of the one utterance "u", in a workspace of its own."""
     phones = np.asarray(phones_per_frame)
-    return forward_batch(features, phones, [phones.shape[0]], ["u"], encoder, projection, n_phones)
+    return forward_batch(features, phones, [phones.shape[0]], ["u"], encoder, projection, n_phones,
+                         Workspace())
 
 
 class TestExtractTraits:
@@ -83,7 +86,7 @@ class TestExtractTraits:
         frames = np.array([[1.0], [3.0], [10.0], [20.0]])
         segments = np.array([0, 0, 2, 3])
         counts = np.bincount(segments, minlength=4).reshape(2, 2)
-        traits, present = extract_traits(frames, segments, counts)
+        traits, present = extract_traits(frames, segments, counts, Workspace())
         assert traits[:, :, 0].tolist() == [[2.0, 0.0], [10.0, 20.0]]
         assert present.tolist() == [[True, False], [True, True]]
 
@@ -117,7 +120,7 @@ class TestForwardBatch:
         projection = ProjectionParams(np.eye(2), np.zeros(2))
         with pytest.raises(EmptyUtteranceError, match="'b'"):
             forward_batch(features, phones, [2, 2, 1], ["a", "b", "c"],
-                          identity_encoder(1), projection, 2)
+                          identity_encoder(1), projection, 2, Workspace())
 
     def test_first_empty_utterance_in_packing_order_is_named(self):
         # Width 2 pools the stacked traits; 'b' cancels to zero and 'c' reads
@@ -127,7 +130,7 @@ class TestForwardBatch:
         projection = ProjectionParams(np.eye(4), np.zeros(4))
         with pytest.raises(EmptyUtteranceError, match="'b'"):
             forward_batch(features, phones, [1, 2, 1], ["a", "b", "c"],
-                          identity_encoder(2), projection, 2)
+                          identity_encoder(2), projection, 2, Workspace())
 
 
 def pooled(rows):
@@ -214,7 +217,7 @@ class TestTraitLayerBackward:
         rng, features, phones, projection = self.rig()
         cache = forward_one(features, phones, identity_encoder(3), projection, 5)
         d_w, d_b, d_frames = trait_layer_backward(cache, projection, np.zeros((1, 4)),
-                                                  np.zeros((1, 5, 3)))
+                                                  np.zeros((1, 5, 3)), Workspace())
         assert not d_w.any() and not d_b.any() and not d_frames.any()
 
     def test_finite_differences_embedding_path(self):
@@ -227,7 +230,8 @@ class TestTraitLayerBackward:
             return float(g @ cache.embeddings[0])
 
         cache = forward_one(features, phones, encoder, projection, 5)
-        d_w, d_b, d_frames = trait_layer_backward(cache, projection, g[None], np.zeros((1, 5, 3)))
+        d_w, d_b, d_frames = trait_layer_backward(cache, projection, g[None], np.zeros((1, 5, 3)),
+                                                  Workspace())
         assert max_relative_error(d_frames, central_difference(loss, features)) < 1e-6
         assert max_relative_error(d_w, central_difference(loss, projection.weight)) < 1e-6
         assert max_relative_error(d_b, central_difference(loss, projection.bias)) < 1e-6
@@ -243,7 +247,7 @@ class TestTraitLayerBackward:
             return float(g @ cache.embeddings[0]) + float((h * cache.traits[0]).sum())
 
         cache = forward_one(features, phones, encoder, projection, 5)
-        _, _, d_frames = trait_layer_backward(cache, projection, g[None], d_traits=h[None])
+        _, _, d_frames = trait_layer_backward(cache, projection, g[None], h[None], Workspace())
         assert max_relative_error(d_frames, central_difference(loss, features)) < 1e-6
 
     def test_absent_rows_of_trait_gradient_ignored(self):
@@ -257,9 +261,11 @@ class TestTraitLayerBackward:
         g = rng.normal(size=(1, 4))
         h = np.zeros((1, 5, 3))
         h[~cache.present] = 1e6
-        # Backward overwrites the cache's deviations, so each pass has its own.
-        _, _, with_garbage = trait_layer_backward(cache, projection, g, d_traits=h)
-        _, _, clean = trait_layer_backward(forward(), projection, g, d_traits=np.zeros((1, 5, 3)))
+        # Backward overwrites the cache's deviations and writes its frame
+        # gradient to its workspace, so each pass has its own of both.
+        _, _, with_garbage = trait_layer_backward(cache, projection, g, h, Workspace())
+        _, _, clean = trait_layer_backward(forward(), projection, g, np.zeros((1, 5, 3)),
+                                           Workspace())
         assert np.array_equal(with_garbage, clean)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 24), st.integers(1, 12),
@@ -279,10 +285,12 @@ class TestTraitLayerBackward:
         phones = rng.integers(0, n_phones, size=features.shape[0])
         encoder, projection = identity_encoder(dim), init_projection(dim, emb_dim, rng)
         utts = [f"u{u}" for u in range(n_utts)]
-        cache = forward_batch(features, phones, lengths, utts, encoder, projection, n_phones)
+        workspace = Workspace()
+        cache = forward_batch(features, phones, lengths, utts, encoder, projection, n_phones,
+                              workspace)
         d_emb = rng.normal(size=(n_utts, emb_dim))
         d_traits = rng.normal(size=cache.traits.shape)
-        d_w, d_b, d_frames = trait_layer_backward(cache, projection, d_emb, d_traits)
+        d_w, d_b, d_frames = trait_layer_backward(cache, projection, d_emb, d_traits, workspace)
 
         want_w, want_b = np.zeros_like(d_w), np.zeros_like(d_b)
         ends = np.cumsum(lengths)
