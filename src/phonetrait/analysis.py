@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _NA, PhoneInventory, _LineReader, atomic_write
+from .corpus import _NA, PhoneInventory, _LineReader, atomic_write, check_seed
 from .errors import ConfigurationError, NumericGuardError
 from .scoring import ScoreTable, _check_writable
 
@@ -189,6 +189,7 @@ def f_ratio(
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
+    check_seed(seed)
     _check_width(table, inventory)
     streams = np.random.SeedSequence(seed).spawn(inventory.size)
     labelled = table.labels >= 0

@@ -199,10 +199,10 @@ def build_parser():
                                "compute detection metrics and the explainability correlation")
     _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the reports")
     _add(sub, reg, "--scores", type=str, default=None, help="score file to evaluate")
-    _add(sub, reg, "--p-target", type=float, default=0.01,
+    _add(sub, reg, "--p-target", type=float, default=presets.P_TARGET,
          help="target prior of the detection cost")
-    _add(sub, reg, "--c-miss", type=float, default=1.0, help="miss cost")
-    _add(sub, reg, "--c-fa", type=float, default=1.0, help="false-alarm cost")
+    _add(sub, reg, "--c-miss", type=float, default=presets.C_MISS, help="miss cost")
+    _add(sub, reg, "--c-fa", type=float, default=presets.C_FA, help="false-alarm cost")
 
     sub, reg = _new_subcommand(subparsers, registries, "fratio",
                                "per-phone discriminability table from a score file")
@@ -210,8 +210,8 @@ def build_parser():
     _add(sub, reg, "--seed", type=int, default=0, help="resampling seed")
     _add(sub, reg, "--scores", type=str, default=None, help="score file to analyse")
     _add(sub, reg, "--inventory", type=str, default=None, help="inventory file naming the phones")
-    _add(sub, reg, "--n-samples", type=int, default=500, help="draws per pool; also the "
-         "minimum pool size for a phone to be included")
+    _add(sub, reg, "--n-samples", type=int, default=presets.F_RATIO_SAMPLES,
+         help="draws per pool; also the minimum pool size for a phone to be included")
 
     sub, reg = _new_subcommand(subparsers, registries, "explain",
                                "export one trial's per-phone evidence")

@@ -56,9 +56,20 @@ CMU_PHONES = (
 NON_VERBAL = "[N-V]"
 
 
+def check_seed(seed: int) -> None:
+    """ConfigurationError for a seed that ``np.random.SeedSequence`` refuses."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class PhoneInventory:
-    """Ordered phone label set; index in ``labels`` is the phone index."""
+    """Ordered phone label set; index in ``labels`` is the phone index.
+
+    Every label reads back whole from each file that holds one: it is not
+    empty or padded (``load_inventory`` strips each line) and holds no tab
+    (alignment and explanation cells), line break or comma (F-ratio cells).
+    """
 
     labels: tuple[str, ...]
 
@@ -66,8 +77,17 @@ class PhoneInventory:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) < 2:
             raise ConfigurationError("inventory needs at least 2 labels")
+        for label in self.labels:
+            self.check_label(label)
         if len(set(self.labels)) != len(self.labels):
             raise ConfigurationError("inventory labels must be unique")
+
+    @staticmethod
+    def check_label(label: str) -> None:
+        """ConfigurationError, naming ``label``, if it breaks the label rule above."""
+        if not label or label != label.strip() or any(c in label for c in "\t\n\r,"):
+            raise ConfigurationError(f"inventory label {label!r} must be non-empty, unpadded "
+                                     "and hold no tab, line break or comma")
 
     @property
     def size(self) -> int:
@@ -319,6 +339,7 @@ def generate_corpus(
         raise ConfigurationError("noise_std must be finite and >= 0")
     if not 0.0 <= speaker_spread < np.inf:
         raise ConfigurationError("speaker_spread must be finite and >= 0")
+    check_seed(seed)
     n_phones = inventory.size
     if phone_weights is None:
         probs = np.full(n_phones, 1.0 / n_phones)
@@ -377,6 +398,7 @@ def make_trials(
     """Sample labelled verification trials (with replacement across trials)."""
     if n_target < 0 or n_nontarget < 0:
         raise ConfigurationError("trial counts must be >= 0")
+    check_seed(seed)
     by_speaker = _utterances_by_speaker(features)
     speakers = sorted(by_speaker)
     pairable = [s for s in speakers if len(by_speaker[s]) >= 2]
@@ -646,14 +668,7 @@ def _check_ids(ids, sep: str | None) -> None:
 
 
 def save_inventory(inventory: PhoneInventory, path) -> None:
-    """Write one label per line. A label that ``load_inventory`` would read back
-    otherwise (empty, padded with whitespace or holding a line break) or that
-    ``load_alignments`` would split (a tab) raises ConfigurationError before
-    anything is written."""
-    for label in inventory.labels:
-        if not label or label != label.strip() or any(c in label for c in "\t\n\r"):
-            raise ConfigurationError(f"inventory label {label!r} must be non-empty, "
-                                     "unpadded and hold no tab or line break")
+    """Write one label per line; ``PhoneInventory`` holds only labels that read back."""
     with atomic_write(path) as f:
         for label in inventory.labels:
             f.write(label + "\n")
@@ -664,8 +679,10 @@ def load_inventory(path) -> PhoneInventory:
     with _LineReader(path) as lines:
         for text in lines:
             label = text.strip()
-            if not label:
-                raise lines.error("empty inventory label")
+            try:
+                PhoneInventory.check_label(label)
+            except ConfigurationError as exc:
+                raise lines.error(str(exc)) from None
             if label in labels:
                 raise lines.error(f"duplicate inventory label {label!r}")
             labels.append(label)

@@ -37,6 +37,13 @@ TRAIN_SEED = 23
 TRIAL_SEED = 37
 EVAL_N_TARGET = 250
 EVAL_N_NONTARGET = 250
+# Detection cost: target prior, miss cost and false-alarm cost.
+P_TARGET = 0.01
+C_MISS = 1.0
+C_FA = 1.0
+# F-ratio draws per pool, which are also the fewest values a pool needs for
+# its phone to be ranked.
+F_RATIO_SAMPLES = 500
 
 
 def desk_phone_weights(

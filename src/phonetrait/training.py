@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import CorpusIndex, PhoneInventory, _LineReader, _write_row, atomic_write
+from .corpus import CorpusIndex, PhoneInventory, _LineReader, _write_row, atomic_write, check_seed
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -92,6 +92,7 @@ class TrainConfig:
             raise ConfigurationError("learning_rate must be finite and >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum must be in [0, 1)")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -253,7 +254,8 @@ def train_epochs(
     workspace = Workspace()
     params = parameter_arrays(state)
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
-    history = np.recarray(train_cfg.epochs * train_cfg.steps_per_epoch, dtype=LOSS_HISTORY_DTYPE)
+    # Grown by doubling, so its memory follows the steps run, not the steps asked for.
+    history = np.recarray(0, dtype=LOSS_HISTORY_DTYPE)
     for epoch in range(train_cfg.epochs):
         for _ in range(train_cfg.steps_per_epoch):
             selection = sample_pair_batch(index, train_cfg.speakers_per_batch, rng)
@@ -277,6 +279,10 @@ def train_epochs(
                     raise DivergenceError(
                         f"non-finite {name} after step {state.step}; lower the learning rate"
                     )
+            if state.step == len(history):
+                grown = np.recarray(max(1, 2 * state.step), dtype=LOSS_HISTORY_DTYPE)
+                grown[:state.step] = history
+                history = grown
             history[state.step] = (epoch, state.step, out.total, out.classification,
                                    out.verification, out.center)
             state.step += 1

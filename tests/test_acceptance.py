@@ -288,7 +288,7 @@ def test_error_rate_metrics_match_sweep_oracles(capsys):
     labels = rng.integers(0, 2, size=200)
     labels[:2] = (0, 1)  # keep both trial kinds present
     eer_pair = compute_eer(scores, labels)
-    dcf_pair = compute_min_dcf(scores, labels, 0.01, 1.0, 1.0)
+    dcf_pair = compute_min_dcf(scores, labels, presets.P_TARGET, presets.C_MISS, presets.C_FA)
 
     ok = (hand_eer == 1.0 / 3.0
           and eer_pair == sweep_eer(scores, labels)
@@ -418,10 +418,9 @@ def _same_row(a, b):
 
 
 def test_phone_discriminability_ranking(desk, capsys):
-    rows = f_ratio(desk.ranking_scores, desk.inventory,
-                   n_samples=500, seed=presets.TRIAL_SEED)
-    again = f_ratio(desk.ranking_scores, desk.inventory,
-                    n_samples=500, seed=presets.TRIAL_SEED)
+    floor = presets.F_RATIO_SAMPLES
+    rows = f_ratio(desk.ranking_scores, desk.inventory, n_samples=floor, seed=presets.TRIAL_SEED)
+    again = f_ratio(desk.ranking_scores, desk.inventory, n_samples=floor, seed=presets.TRIAL_SEED)
     deterministic = len(rows) == len(again) and all(
         _same_row(a, b) for a, b in zip(rows, again))
 
@@ -431,8 +430,8 @@ def test_phone_discriminability_ranking(desk, capsys):
 
     ok = (deterministic
           and included and all(r.ratio > 1.0 for r in included)
-          and all(r.n_available < 500 for r in excluded)
-          and not rare.included and rare.n_available < 500
+          and all(r.n_available < floor for r in excluded)
+          and not rare.included and rare.n_available < floor
           and math.isnan(rare.ratio))
     min_ratio = min((r.ratio for r in included), default=float("nan"))
     report(capsys, "8 phone discriminability ranking", ok,

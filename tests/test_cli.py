@@ -436,6 +436,12 @@ BAD_SETTINGS = {
     "c-fa-inf": ["eval", "--c-fa", "inf"],
     "step-size-zero": ["gradcheck", "--step-size", "0"],
     "tolerance-inf": ["gradcheck", "--tolerance", "inf"],
+    # np.random.SeedSequence refuses a negative seed with a bare ValueError.
+    "corpus-seed-negative": ["gen-corpus", "--seed", "-1"],
+    "trial-seed-negative": ["gen-corpus", "--trial-seed", "-1"],
+    "train-seed-negative": ["train", "--seed", "-1"],
+    "fratio-seed-negative": ["fratio", "--seed", "-1"],
+    "gradcheck-seed-negative": ["gradcheck", "--seed", "-1"],
 }
 
 
@@ -444,7 +450,9 @@ def test_non_finite_or_out_of_range_setting_is_a_config_error(pipeline, tmp_path
     corpus, run = pipeline
     command, *setting = BAD_SETTINGS[case]
     inputs = {"gen-corpus": GEN_ARGS[1:], "train": TRAIN_ARGS[1:] + ["--corpus-dir", str(corpus)],
-              "eval": ["--scores", str(run / "scores.txt")], "gradcheck": TestGradcheck.ARGS[1:]}
+              "eval": ["--scores", str(run / "scores.txt")], "gradcheck": TestGradcheck.ARGS[1:],
+              "fratio": ["--scores", str(run / "scores.txt"),
+                         "--inventory", str(corpus / "inventory.txt")]}
     code = main([command, *inputs[command], *setting, "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ConfigurationError: ")

@@ -386,12 +386,13 @@ class TestFileRoundTrips:
         save_inventory(default_inventory(), path)
         assert load_inventory(path).labels == default_inventory().labels
 
-    @pytest.mark.parametrize("bad", [" AE", "AE\t", "C\nD", "C\rD", "C\tD", ""],
+    @pytest.mark.parametrize("bad", [" AE", "AE\t", "C\nD", "C\rD", "C\tD", "", "C,D"],
                              ids=["padded", "trailing_tab", "newline", "carriage_return", "tab",
-                                  "empty"])
+                                  "empty", "comma"])
     def test_inventory_writer_refuses_labels_that_do_not_read_back(self, tmp_path, bad):
-        # load_inventory strips each line and load_alignments splits rows on
-        # tabs: (" AE", "B", "C\nD") would read back as ("AE", "B", "C", "D").
+        # load_inventory strips each line, load_alignments splits rows on tabs
+        # and an F-ratio row splits on commas: (" AE", "B", "C\nD") would read
+        # back as ("AE", "B", "C", "D"). PhoneInventory itself refuses them.
         with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
             save_inventory(PhoneInventory(("A", bad, "B\nE")), tmp_path / "inv.txt")
         assert list(tmp_path.iterdir()) == []

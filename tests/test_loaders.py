@@ -55,6 +55,9 @@ CASES = {
     "inventory-blank-line": ("inventory", "AA\n\nAE\n", 2),
     "inventory-empty": ("inventory", "", 1),
     "inventory-one-label": ("inventory", "AA\n", 1),
+    # A tab would split an alignment or explanation cell, a comma an F-ratio cell.
+    "inventory-tab-in-label": ("inventory", "AA\nA\tA\nAE\n", 2),
+    "inventory-comma-in-label": ("inventory", "AA\nAE\nA,E\n", 3),
     "alignments-field-count": ("alignments", "u\t0\t2\tAA\nu\t2\t4\n", 2),
     "alignments-non-numeric": ("alignments", "u\t0\t2\tAA\nu\t2\tx\tAE\n", 2),
     "trials-field-count": ("trials", "1\ta\tb\n0\ta\tb\tc\n", 2),

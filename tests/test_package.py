@@ -186,3 +186,26 @@ def test_every_error_is_constructed():
     }
     assert subclasses, "no error types found in errors.py"
     assert not subclasses - constructed, f"never constructed: {sorted(subclasses - constructed)}"
+
+
+def test_workspaces_come_from_runs_alone():
+    # A Workspace lives for one training run, one gradient check or one
+    # score_trials call. Every function that writes into one requires it, so
+    # no call site quietly gets a fresh workspace of its own.
+    package = Path(phonetrait.__file__).parent
+    defaulted, makers = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+                if any(arg.arg == "workspace" for arg in with_default):
+                    defaulted.append(f"{path.stem}.{node.name}")
+            elif (isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] == "Workspace"):
+                makers.add(path.stem)
+    assert not defaulted, f"workspace with a default: {defaulted}"
+    assert makers <= {"training", "scoring"}, f"modules making a Workspace: {sorted(makers)}"

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -45,6 +46,7 @@ from phonetrait.training import (
     sample_pair_batch,
     save_checkpoint,
     train,
+    train_epochs,
 )
 from phonetrait.workspace import Workspace
 
@@ -81,6 +83,8 @@ class TestConfigs:
             quick_train_cfg(learning_rate=-0.1)
         with pytest.raises(ConfigurationError):
             quick_train_cfg(momentum=1.0)
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            quick_train_cfg(seed=-1)
         quick_train_cfg(learning_rate=0.0)  # frozen model is allowed
 
     def test_model_config(self):
@@ -442,6 +446,21 @@ class TestTrain:
         assert [h.step for h in history] == list(range(6))
         for rec in history:
             assert np.isfinite(rec.total)
+
+    def test_history_grows_with_the_steps_taken(self):
+        # Rows are kept for the steps run, not for epochs x steps_per_epoch:
+        # a trillion-epoch run yields its first epoch in a few MB.
+        inventory, index, model_cfg = tiny_setup()
+        cfg = quick_train_cfg(epochs=10 ** 12, steps_per_epoch=1)
+        tracemalloc.start()
+        try:
+            epoch, state, history = next(train_epochs(index, inventory, model_cfg, cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (epoch, state.step, len(history)) == (1, 1, 1)
+        assert isinstance(history, np.recarray) and history.step.tolist() == [0]
+        assert peak < 4 * 2 ** 20
 
     def test_deterministic(self):
         inventory, index, model_cfg = tiny_setup()
