@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _NA, PhoneInventory, _LineReader, atomic_write, check_seed
+from .corpus import _NA, PhoneInventory, _cell, _LineReader, atomic_write, check_seed
 from .errors import ConfigurationError, NumericGuardError
 from .scoring import ScoreTable, _check_writable
 
@@ -224,10 +224,6 @@ def f_ratio(
 FRATIO_HEADER = "phone,within,between,ratio,included"
 
 
-def _cell(x: float) -> str:
-    return _NA if np.isnan(x) else repr(float(x))
-
-
 def save_f_ratio(rows: list[FRatioRow], path) -> None:
     with atomic_write(path) as f:
         f.write(FRATIO_HEADER + "\n")
@@ -275,11 +271,10 @@ def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, p
 # ---------------------------------------------------------------------------
 
 def write_report(entries: list[tuple[str, object]], path) -> None:
-    """Write ``key value`` lines; floats rendered with repr for round-trips."""
+    """Write ``key value`` lines, each value a ``corpus._cell``."""
     with atomic_write(path) as f:
         for key, value in entries:
-            rendered = repr(float(value)) if isinstance(value, float) else str(value)
-            f.write(f"{key} {rendered}\n")
+            f.write(f"{key} {_cell(value)}\n")
 
 
 def read_report(path) -> dict[str, str]:

@@ -3,11 +3,12 @@
 Subcommands: ``gen-corpus``, ``train``, ``score``, ``eval``, ``fratio``,
 ``explain``, ``gradcheck``. Every subcommand accepts ``--config`` (a
 key=value file whose keys are the flag names with dashes as underscores)
-and ``--out-dir``; explicit flags override config-file values, which
-override the built-in defaults from ``phonetrait.presets``. The effective
+and requires ``--out-dir``; explicit flags override config-file values,
+which override the built-in defaults from ``phonetrait.presets``. A required
+path given as the empty string is refused like a missing one. The effective
 settings are echoed to ``config_used.txt`` in the output directory, in the
-same key=value format; a config file whose ``command`` names another
-subcommand is refused.
+same key=value format, after the subcommand has run; a config file whose
+``command`` names another subcommand is refused.
 
 Exit codes: 0 success, 2 bad command line, 3 missing input file, 4 unparsable
 input, 5 invalid configuration or insufficient data, 6 numeric failure or
@@ -39,6 +40,7 @@ from .corpus import (
     NON_VERBAL,
     CorpusIndex,
     PhoneInventory,
+    _cell,
     _LineReader,
     atomic_write,
     default_inventory,
@@ -62,6 +64,7 @@ from .errors import (
     EmptyUtteranceError,
     NumericGuardError,
     ParseError,
+    PhonetraitError,
 )
 from .losses import LOSS_LOG_HEADER, AamConfig, LossWeights, format_loss_log_line
 from .scoring import load_scores, save_scores, score_trials
@@ -105,7 +108,8 @@ def _add(parser: argparse.ArgumentParser, registry: dict, *names, **kwargs):
     return action
 
 
-def _new_subcommand(subparsers, registries, name: str, help_text: str):
+def _new_subcommand(subparsers, registries, name: str, outputs: str, help_text: str):
+    """A subcommand with ``--config`` and ``--out-dir``, the directory for ``outputs``."""
     sub = subparsers.add_parser(
         name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
     )
@@ -113,6 +117,7 @@ def _new_subcommand(subparsers, registries, name: str, help_text: str):
     registries[name] = registry
     sub.add_argument("--config", type=str, default=None,
                      help="key=value file with defaults for any flag of this subcommand")
+    _add(sub, registry, "--out-dir", type=str, default=None, help=f"directory for {outputs}")
     return sub, registry
 
 
@@ -124,9 +129,8 @@ def build_parser():
     subparsers = parser.add_subparsers(dest="command")
     registries: dict[str, dict] = {}
 
-    sub, reg = _new_subcommand(subparsers, registries, "gen-corpus",
+    sub, reg = _new_subcommand(subparsers, registries, "gen-corpus", "the corpus files",
                                "generate a synthetic corpus with alignments and trials")
-    _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the corpus files")
     _add(sub, reg, "--seed", type=int, default=presets.CORPUS_SEED, help="corpus generation seed")
     _add(sub, reg, "--n-speakers", type=int, default=presets.N_SPEAKERS, help="speakers to generate")
     _add(sub, reg, "--utts-per-speaker", type=int, default=presets.UTTS_PER_SPEAKER,
@@ -155,10 +159,8 @@ def build_parser():
          help="cross-speaker trials to sample")
     _add(sub, reg, "--trial-seed", type=int, default=presets.TRIAL_SEED, help="trial sampling seed")
 
-    sub, reg = _new_subcommand(subparsers, registries, "train",
+    sub, reg = _new_subcommand(subparsers, registries, "train", "checkpoints and the loss log",
                                "train a model on a generated corpus")
-    _add(sub, reg, "--out-dir", type=str, default=None,
-         help="directory for checkpoints and the loss log")
     _add(sub, reg, "--seed", type=int, default=presets.TRAIN_SEED,
          help="initialisation and batch sampling seed")
     _add(sub, reg, "--corpus-dir", type=str, default=None, help="directory holding the corpus files")
@@ -187,42 +189,37 @@ def build_parser():
     _add(sub, reg, "--embedding-dim", type=int, default=default_model.embedding_dim,
          help="speaker embedding width")
 
-    sub, reg = _new_subcommand(subparsers, registries, "score",
+    sub, reg = _new_subcommand(subparsers, registries, "score", "the score file",
                                "score a trial list with a trained checkpoint")
-    _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the score file")
     _add(sub, reg, "--corpus-dir", type=str, default=None, help="directory holding the corpus files")
     _add(sub, reg, "--checkpoint", type=str, default=None, help="checkpoint file to score with")
     _add(sub, reg, "--trials", type=str, default=None,
          help="trial file, default <corpus-dir>/trials.txt")
 
-    sub, reg = _new_subcommand(subparsers, registries, "eval",
+    sub, reg = _new_subcommand(subparsers, registries, "eval", "the reports",
                                "compute detection metrics and the explainability correlation")
-    _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the reports")
     _add(sub, reg, "--scores", type=str, default=None, help="score file to evaluate")
     _add(sub, reg, "--p-target", type=float, default=presets.P_TARGET,
          help="target prior of the detection cost")
     _add(sub, reg, "--c-miss", type=float, default=presets.C_MISS, help="miss cost")
     _add(sub, reg, "--c-fa", type=float, default=presets.C_FA, help="false-alarm cost")
 
-    sub, reg = _new_subcommand(subparsers, registries, "fratio",
+    sub, reg = _new_subcommand(subparsers, registries, "fratio", "the table",
                                "per-phone discriminability table from a score file")
-    _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the table")
     _add(sub, reg, "--seed", type=int, default=0, help="resampling seed")
     _add(sub, reg, "--scores", type=str, default=None, help="score file to analyse")
     _add(sub, reg, "--inventory", type=str, default=None, help="inventory file naming the phones")
     _add(sub, reg, "--n-samples", type=int, default=presets.F_RATIO_SAMPLES,
          help="draws per pool; also the minimum pool size for a phone to be included")
 
-    sub, reg = _new_subcommand(subparsers, registries, "explain",
+    sub, reg = _new_subcommand(subparsers, registries, "explain", "the explanation",
                                "export one trial's per-phone evidence")
-    _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the explanation")
     _add(sub, reg, "--scores", type=str, default=None, help="score file to read")
     _add(sub, reg, "--inventory", type=str, default=None, help="inventory file naming the phones")
     _add(sub, reg, "--index", type=int, default=0, help="0-based trial row to explain")
 
-    sub, reg = _new_subcommand(subparsers, registries, "gradcheck",
+    sub, reg = _new_subcommand(subparsers, registries, "gradcheck", "the report",
                                "finite-difference certification of all gradients")
-    _add(sub, reg, "--out-dir", type=str, default=None, help="directory for the report")
     _add(sub, reg, "--seed", type=int, default=0, help="model and batch seed")
     _add(sub, reg, "--feature-dim", type=int, default=5, help="feature width of the toy corpus")
     _add(sub, reg, "--trait-dim", type=int, default=8, help="frame embedding width")
@@ -235,17 +232,11 @@ def build_parser():
     return parser, subparsers, registries
 
 
-def _render_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return "" if value is None else str(value)
-
-
-def _echo_config(command: str, args, registry: dict, out_dir) -> None:
-    with atomic_write(Path(out_dir) / CONFIG_ECHO_FILE) as f:
+def _echo_config(command: str, args, registry: dict, out: Path) -> None:
+    with atomic_write(out / CONFIG_ECHO_FILE) as f:
         f.write(f"command={command}\n")
         for dest in sorted(registry):
-            f.write(f"{dest}={_render_value(getattr(args, dest))}\n")
+            f.write(f"{dest}={_cell(getattr(args, dest))}\n")
 
 
 def _find_config_value(argv: list[str]) -> str | None:
@@ -278,13 +269,10 @@ def _load_config_file(path: str, command: str, registry: dict) -> dict:
 
 
 def _require(value, flag: str):
-    if value is None:
+    """``value``, refused if missing or empty (an empty path is the working directory)."""
+    if not value:
         raise ConfigurationError(f"{flag} is required")
     return value
-
-
-def _out_dir(args) -> Path:
-    return Path(_require(args.out_dir, "--out-dir"))
 
 
 def _load_corpus(corpus_dir: str):
@@ -295,8 +283,7 @@ def _load_corpus(corpus_dir: str):
     return inventory, features, alignments, CorpusIndex.build(features, alignments)
 
 
-def cmd_gen_corpus(args) -> int:
-    out = _out_dir(args)
+def cmd_gen_corpus(args, out: Path) -> int:
     inventory = default_inventory()
     weights = presets.desk_phone_weights(inventory, args.rare_phone, args.rare_phone_weight)
     features, alignments, _ = generate_corpus(
@@ -319,8 +306,7 @@ def cmd_gen_corpus(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
+def cmd_train(args, out: Path) -> int:
     inventory, features, _, index = _load_corpus(_require(args.corpus_dir, "--corpus-dir"))
     model_cfg = ModelConfig(
         encoder=EncoderConfig(features[0].dim, parse_layer_string(args.layers)),
@@ -350,8 +336,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_score(args) -> int:
-    out = _out_dir(args)
+def cmd_score(args, out: Path) -> int:
     corpus_dir = _require(args.corpus_dir, "--corpus-dir")
     inventory, features, _, index = _load_corpus(corpus_dir)
     state, model_cfg = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
@@ -366,8 +351,7 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
+def cmd_eval(args, out: Path) -> int:
     scores_path = _require(args.scores, "--scores")
     table = load_scores(scores_path)
 
@@ -396,12 +380,11 @@ def cmd_eval(args) -> int:
     with atomic_write(out / REPORT_CSV_FILE) as f:
         f.write("kind,metric,value\n")
         for kind, metric, value in metrics:
-            f.write(f"{kind},{metric},{_render_value(value)}\n")
+            f.write(f"{kind},{metric},{_cell(value)}\n")
     return EXIT_OK
 
 
-def cmd_fratio(args) -> int:
-    out = _out_dir(args)
+def cmd_fratio(args, out: Path) -> int:
     inventory = load_inventory(_require(args.inventory, "--inventory"))
     table = load_scores(_require(args.scores, "--scores"), inventory.size)
     rows = f_ratio(table, inventory, n_samples=args.n_samples, seed=args.seed)
@@ -409,8 +392,7 @@ def cmd_fratio(args) -> int:
     return EXIT_OK
 
 
-def cmd_explain(args) -> int:
-    out = _out_dir(args)
+def cmd_explain(args, out: Path) -> int:
     inventory = load_inventory(_require(args.inventory, "--inventory"))
     table = load_scores(_require(args.scores, "--scores"), inventory.size)
     if not 0 <= args.index < len(table):
@@ -421,8 +403,7 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    out = _out_dir(args)
+def cmd_gradcheck(args, out: Path) -> int:
     if not 2 <= args.n_phones <= len(CMU_PHONES) + 1:
         raise ConfigurationError("--n-phones must be between 2 and the full inventory size")
     inventory = PhoneInventory(CMU_PHONES[: args.n_phones - 1] + (NON_VERBAL,))
@@ -475,8 +456,14 @@ _HANDLERS = {
 }
 
 
-def _print_error(exc: BaseException) -> None:
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+# The exit code of an error: that of the first entry whose types it belongs to.
+_EXIT_CODES = (
+    (FileNotFoundError, EXIT_MISSING_INPUT),
+    (OSError, EXIT_IO),
+    (ParseError, EXIT_PARSE),
+    ((ConfigurationError, DimensionError, BatchError, EmptyUtteranceError), EXIT_CONFIG),
+    ((NumericGuardError, DivergenceError), EXIT_NUMERIC),
+)
 
 
 def main(argv=None) -> int:
@@ -497,25 +484,13 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        code = _HANDLERS[args.command](args)
-        if args.out_dir is not None:
-            _echo_config(args.command, args, registries[args.command], args.out_dir)
+        out = Path(_require(args.out_dir, "--out-dir"))
+        code = _HANDLERS[args.command](args, out)
+        _echo_config(args.command, args, registries[args.command], out)
         return code
-    except FileNotFoundError as exc:
-        _print_error(exc)
-        return EXIT_MISSING_INPUT
-    except OSError as exc:
-        _print_error(exc)
-        return EXIT_IO
-    except ParseError as exc:
-        _print_error(exc)
-        return EXIT_PARSE
-    except (ConfigurationError, DimensionError, BatchError, EmptyUtteranceError) as exc:
-        _print_error(exc)
-        return EXIT_CONFIG
-    except (NumericGuardError, DivergenceError) as exc:
-        _print_error(exc)
-        return EXIT_NUMERIC
+    except (OSError, PhonetraitError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
+from math import isnan
 from pathlib import Path
 
 import numpy as np
@@ -151,13 +152,27 @@ def _first_broken(*rules) -> tuple[int, str] | None:
     return k, rules[i][1](k)
 
 
+def _segment_rules(start, end, expected, utts):
+    """The ``_first_broken`` rules of every alignment segment row: it is not
+    empty, and it starts at ``expected``, where the row before it in utterance
+    ``utts[k]`` ended (0 for an utterance's first row)."""
+    return (
+        (end <= start, lambda k: f"empty segment ({start[k]}, {end[k]})"),
+        (start != expected, lambda k: (
+            f"{'overlap' if start[k] < expected[k] else 'gap'} at frame {expected[k]} "
+            f"of utterance {utts[k]!r}")),
+    )
+
+
 @dataclass
 class PhoneAlignment:
     """Exhaustive segmentation of an utterance into phone-labelled frame spans.
 
     ``segments`` is one (S, 3) int64 array of ``(start_frame, end_frame,
     phone_index)`` rows with ``end`` exclusive. Segments must be non-empty,
-    sorted, and contiguous from frame 0, so the union covers [0, T) exactly.
+    sorted, and contiguous from frame 0, so the union covers [0, T) exactly;
+    ``_segment_rules`` states these rules for ``load_alignments`` too, in its
+    wording.
     """
 
     utterance_id: str
@@ -168,16 +183,13 @@ class PhoneAlignment:
         if not len(self.segments):
             raise ConfigurationError(f"alignment of {self.utterance_id!r} has no segments")
         start, end, phone = self.segments.T
-        prev_end = np.r_[0, end[:-1]]
         broken = _first_broken(
-            (end <= start, lambda k: f"segment {k} is empty ({start[k]}, {end[k]})"),
-            (start != prev_end, lambda k: (
-                f"segment {k} {'overlaps' if start[k] < prev_end[k] else 'leaves a gap after'} "
-                f"frame {prev_end[k]}")),
-            (phone < 0, lambda k: f"negative phone index {phone[k]}"),
+            *_segment_rules(start, end, np.r_[0, end[:-1]], [self.utterance_id] * len(start)),
+            (phone < 0, lambda k: (
+                f"negative phone index {phone[k]} of utterance {self.utterance_id!r}")),
         )
         if broken:
-            raise ConfigurationError(f"alignment of {self.utterance_id!r}: {broken[1]}")
+            raise ConfigurationError(broken[1])
 
     @property
     def n_frames(self) -> int:
@@ -522,14 +534,6 @@ def _numbers(rows, width: int, sep: str | None = None, dtype=np.float64, na: boo
     return np.array(good, dtype).reshape(shape), (wrong_width, not_number, non_finite)
 
 
-def _labels(texts):
-    """Trial labels of a score file as 1, 0 or -1 (NA), with None for any
-    other text, and the ``_LineReader.reject`` rule marking those."""
-    codes = list(map({"1": 1, "0": 0, _NA: -1}.get, texts))
-    return codes, ([code is None for code in codes],
-                   lambda k: f"label must be 1, 0 or NA, got {texts[k]!r}")
-
-
 class _LineReader:
     """One phonetrait text file, streamed under the rules above; ``line_no`` is
     the 1-based number of the last line read, which ``error`` names."""
@@ -640,16 +644,14 @@ class _LineReader:
                     (non_finite, lambda k: f"non-finite value in {what}"))
         return values
 
-    def na_rows(self, rows, width: int, what: str):
-        """``rows`` of ``width`` tab-separated cells as one float array, NaN
-        where a cell is exactly ``NA`` (``-NA`` or a padded ``NA`` is no number),
-        and the ``reject`` rules for a row of other cells or a non-finite value."""
-        values, (wrong_width, not_number, non_finite) = _numbers(rows, width, "\t", na=True)
-        return values, [
-            (wrong_width, lambda k: f"non-numeric {what} ({wrong_width[k]})"),
-            (not_number, lambda k: f"non-numeric {what} ({not_number[k]})"),
-            (non_finite, lambda k: f"non-finite {what}"),
-        ]
+
+def _cell(value) -> str:
+    """One value as a text cell: a float as its ``repr`` (NaN as ``NA``), None
+    as the empty string, anything else with ``str``."""
+    if isinstance(value, float):
+        # float(): NumPy 2 writes repr(np.float64(x)) as "np.float64(x)".
+        return _NA if isnan(value) else repr(float(value))
+    return "" if value is None else str(value)
 
 
 def _write_row(f, row: np.ndarray) -> None:
@@ -675,7 +677,7 @@ def save_inventory(inventory: PhoneInventory, path) -> None:
 
 
 def load_inventory(path) -> PhoneInventory:
-    labels = []
+    labels: dict[str, None] = {}  # in file order
     with _LineReader(path) as lines:
         for text in lines:
             label = text.strip()
@@ -683,9 +685,7 @@ def load_inventory(path) -> PhoneInventory:
                 PhoneInventory.check_label(label)
             except ConfigurationError as exc:
                 raise lines.error(str(exc)) from None
-            if label in labels:
-                raise lines.error(f"duplicate inventory label {label!r}")
-            labels.append(label)
+            labels[lines.unique_key(labels, label, "inventory label")] = None
     if len(labels) < 2:
         raise ParseError(path, 1, "inventory needs at least 2 labels")
     return PhoneInventory(tuple(labels))
@@ -742,10 +742,7 @@ def load_alignments(path, inventory: PhoneInventory) -> list[PhoneAlignment]:
                 (not_number, lambda k: f"non-numeric frame bounds ({not_number[k]})"),
                 (phones < 0, lambda k: f"phone label {labels[k]!r} not in inventory"),
                 (reopened, lambda k: f"rows of utterance {utts[k]!r} are not consecutive"),
-                (end <= start, lambda k: f"empty segment ({start[k]}, {end[k]})"),
-                (start != expected, lambda k: (
-                    f"{'overlap' if start[k] < expected[k] else 'gap'} at frame {expected[k]} "
-                    f"of utterance {utts[k]!r}")),
+                *_segment_rules(start, end, expected, utts),
             )
             blocks.append(np.column_stack((start, end, phones)))
             n_read += len(rows)

@@ -37,7 +37,7 @@ from math import isnan
 
 import numpy as np
 
-from .corpus import _NA, CorpusIndex, TrialList, _labels, _LineReader, atomic_write
+from .corpus import _NA, CorpusIndex, TrialList, _LineReader, _numbers, atomic_write
 from .errors import ConfigurationError, DimensionError, NumericGuardError
 from .losses import _NORM_FLOOR
 from .trait_layer import forward_batch
@@ -259,9 +259,10 @@ def load_scores(path, n_phones: int | None = None) -> ScoreTable:
     and to 0 for a file without rows.
 
     The rows are read ``_SCORE_CHUNK`` at a time, each chunk's numeric cells
-    converted by one ``_LineReader.na_rows`` call; every rule is a mask over
-    the chunk's rows, and ``_LineReader.reject`` names the first row that
-    breaks one.
+    converted by one ``corpus._numbers`` call, with NaN where a cell is
+    exactly ``NA`` (``-NA`` or a padded ``NA`` is no number); every rule is a
+    mask over the chunk's rows, and ``_LineReader.reject`` names the first row
+    that breaks one.
     """
     enroll_ids, test_ids, labels, blocks = [], [], [], []
     with _LineReader(path) as lines:
@@ -271,15 +272,19 @@ def load_scores(path, n_phones: int | None = None) -> ScoreTable:
             n_fields = [row.count("\t") + 1 for row in rows]
             enroll, test, label, cells = zip(*(row.split("\t", 3) if n == 5 + n_phones else [""] * 4
                                                for row, n in zip(rows, n_fields)))
-            codes, label_rule = _labels(label)
-            values, number_rules = lines.na_rows(cells, 2 + n_phones, "score")
+            codes = list(map({"1": 1, "0": 0, _NA: -1}.get, label))
+            values, (wrong_width, not_number, non_finite) = _numbers(
+                cells, 2 + n_phones, "\t", na=True)
             lines.reject(
                 line_nos,
                 (np.not_equal(n_fields, 5 + n_phones),
                  lambda k: f"expected {5 + n_phones} fields, got {n_fields[k]}"),
-                label_rule,
+                ([code is None for code in codes],
+                 lambda k: f"label must be 1, 0 or NA, got {label[k]!r}"),
                 ([text.startswith(_NA + "\t") for text in cells], lambda k: "final score is NA"),
-                *number_rules,
+                (wrong_width, lambda k: f"non-numeric score ({wrong_width[k]})"),
+                (not_number, lambda k: f"non-numeric score ({not_number[k]})"),
+                (non_finite, lambda k: "non-finite score"),
                 (_evidence_mismatch(values[:, 1], values[:, 2:]), lambda k: _EVIDENCE_MISMATCH),
             )
             enroll_ids += enroll

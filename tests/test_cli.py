@@ -1,6 +1,8 @@
 """Command line interface: pipelines, config files, exit codes, error text."""
 
 import dataclasses
+import errno
+import inspect
 import shutil
 import subprocess
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from _entry import run_phonetrait
-from phonetrait import cli, presets
+from phonetrait import cli, errors, presets
 from phonetrait.analysis import FRATIO_HEADER, read_report
 from phonetrait.cli import (
     EXIT_CONFIG,
@@ -24,9 +26,11 @@ from phonetrait.cli import (
 )
 from phonetrait.corpus import UtteranceFeatures, load_features, save_features
 from phonetrait.encoder import parse_layer_string
+from phonetrait.errors import PhonetraitError
 from phonetrait.losses import AamConfig, LossWeights
 from phonetrait.training import TrainConfig
 
+SUBCOMMANDS = ("gen-corpus", "train", "score", "eval", "fratio", "explain", "gradcheck")
 GEN_ARGS = [
     "gen-corpus",
     "--n-speakers", "4", "--utts-per-speaker", "3", "--feature-dim", "3",
@@ -55,6 +59,21 @@ def pipeline(tmp_path_factory):
         "eval", "--scores", str(run / "scores.txt"), "--out-dir", str(run),
     ]) == EXIT_OK
     return corpus, run
+
+
+def valid_argv(command, corpus, run):
+    """An argv, without --out-dir, on which ``command`` succeeds given the
+    pipeline's corpus and run directories."""
+    scores, inventory = str(run / "scores.txt"), str(corpus / "inventory.txt")
+    return {
+        "gen-corpus": GEN_ARGS,
+        "train": TRAIN_ARGS + ["--corpus-dir", str(corpus)],
+        "score": ["score", "--corpus-dir", str(corpus), "--checkpoint", str(run / "ckpt_epoch1")],
+        "eval": ["eval", "--scores", scores],
+        "fratio": ["fratio", "--scores", scores, "--inventory", inventory, "--n-samples", "1"],
+        "explain": ["explain", "--scores", scores, "--inventory", inventory],
+        "gradcheck": TestGradcheck.ARGS,
+    }[command]
 
 
 class TestUsage:
@@ -458,6 +477,82 @@ def test_non_finite_or_out_of_range_setting_is_a_config_error(pipeline, tmp_path
     assert capsys.readouterr().err.startswith("error: ConfigurationError: ")
 
 
+# Each required path given as "" is refused: an empty path names the working
+# directory, which would be written to or read from.
+EMPTY_PATHS = [(command, "--out-dir") for command in SUBCOMMANDS] + [
+    ("train", "--corpus-dir"), ("score", "--corpus-dir"), ("score", "--checkpoint"),
+    ("eval", "--scores"), ("fratio", "--scores"), ("fratio", "--inventory"),
+    ("explain", "--scores"), ("explain", "--inventory"),
+]
+
+
+@pytest.mark.parametrize("command, flag", EMPTY_PATHS)
+def test_empty_required_path_is_refused(pipeline, tmp_path, monkeypatch, capsys, command, flag):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = valid_argv(command, *pipeline) + ["--out-dir", str(tmp_path / "o"), flag, ""]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: ConfigurationError: {flag} is required\n"
+    assert list(cwd.iterdir()) == [] and not (tmp_path / "o").exists()
+
+
+def test_empty_out_dir_in_a_config_file_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.txt").write_text("out_dir=\n")
+    assert main(GEN_ARGS + ["--config", "cfg.txt"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: ConfigurationError: --out-dir is required\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
+
+
+# The documented exit code of every error a subcommand may raise.
+DOCUMENTED_EXIT_CODES = {
+    FileNotFoundError: EXIT_MISSING_INPUT,
+    IsADirectoryError: EXIT_IO,
+    PermissionError: EXIT_IO,
+    OSError: EXIT_IO,
+    errors.ParseError: EXIT_PARSE,
+    errors.ConfigurationError: EXIT_CONFIG,
+    errors.DimensionError: EXIT_CONFIG,
+    errors.BatchError: EXIT_CONFIG,
+    errors.EmptyUtteranceError: EXIT_CONFIG,
+    errors.NumericGuardError: EXIT_NUMERIC,
+    errors.DivergenceError: EXIT_NUMERIC,
+}
+PACKAGE_ERRORS = [obj for obj in vars(errors).values() if inspect.isclass(obj)
+                  and issubclass(obj, PhonetraitError) and obj is not PhonetraitError]
+
+
+def raised(kind):
+    if kind is errors.ParseError:
+        return kind("scores.txt", 7, "bad row")
+    if issubclass(kind, OSError):  # ENOSPC: OSError maps no subclass to it
+        return kind(errno.ENOSPC, "no space left", "a file")
+    return kind("what went wrong")
+
+
+@pytest.mark.parametrize("kind", sorted({*DOCUMENTED_EXIT_CODES, *PACKAGE_ERRORS},
+                                        key=lambda kind: kind.__name__),
+                         ids=lambda kind: kind.__name__)
+def test_every_error_gets_its_exit_code_and_one_line(tmp_path, monkeypatch, capsys, kind):
+    exc = raised(kind)
+
+    def fail(args, out):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "eval", fail)
+    assert main(["eval", "--out-dir", str(tmp_path / "o")]) == DOCUMENTED_EXIT_CODES[kind]
+    assert capsys.readouterr().err == f"error: {kind.__name__}: {exc}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_exit_code_table_names_every_package_error():
+    listed = set()
+    for kinds, _ in cli._EXIT_CODES:
+        listed.update(kinds if isinstance(kinds, tuple) else (kinds,))
+    assert set(PACKAGE_ERRORS) <= listed
+
+
 class TestConfigFile:
     def test_file_sets_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -493,6 +588,19 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert (first / "features.txt").read_bytes() == (second / "features.txt").read_bytes()
 
+    @pytest.mark.parametrize("command", SUBCOMMANDS[1:])
+    def test_echo_of_every_other_subcommand_is_reusable_as_config(self, pipeline, tmp_path,
+                                                                  command):
+        # Passed back as the only flag, the echo reruns the subcommand into
+        # the same directory: every file, the echo included, comes out the same.
+        out = tmp_path / "o"
+        assert main(valid_argv(command, *pipeline) + ["--out-dir", str(out)]) == EXIT_OK
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        config = tmp_path / "config.txt"
+        config.write_bytes(first["config_used.txt"])
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
     def test_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("does_not_exist=1\n")
@@ -519,9 +627,6 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["gen-corpus", "--config", str(tmp_path / "none.txt"), "--out-dir", "x"])
         assert code == EXIT_MISSING_INPUT
-
-
-SUBCOMMANDS = ("gen-corpus", "train", "score", "eval", "fratio", "explain", "gradcheck")
 
 
 class TestEntryPoint:

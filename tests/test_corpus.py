@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -401,6 +402,19 @@ class TestFileRoundTrips:
         path = tmp_path / "inv.txt"
         path.write_text("AA\nAA\n")
         with pytest.raises(ParseError, match=r"inv\.txt:2"):
+            load_inventory(path)
+
+    def test_large_inventory_loads_in_linear_time(self, tmp_path):
+        # A repeat check against a list of the labels read so far took 17 s
+        # for these 40,000 labels; a dict takes a fraction of a second.
+        labels = tuple(f"P{k}" for k in range(40_000))
+        path = tmp_path / "inv.txt"
+        save_inventory(PhoneInventory(labels), path)
+        start = time.perf_counter()
+        assert load_inventory(path).labels == labels
+        assert time.perf_counter() - start < 5.0
+        path.write_text("\n".join(labels[:3] + labels[1:2]) + "\n")
+        with pytest.raises(ParseError, match=r"inv\.txt:4: duplicate inventory label 'P1'$"):
             load_inventory(path)
 
     def test_features_round_trip_is_exact(self, tmp_path):
