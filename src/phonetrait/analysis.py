@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _NA, PhoneInventory, _cell, _LineReader, atomic_write, check_seed
+from .corpus import PhoneInventory, check_seed
 from .errors import ConfigurationError, NumericGuardError
 from .scoring import ScoreTable, _check_writable
+from .textio import NA, LineReader, atomic_write, cell
 
 
 def _split_by_label(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,8 +230,8 @@ def save_f_ratio(rows: list[FRatioRow], path) -> None:
         f.write(FRATIO_HEADER + "\n")
         for row in rows:
             f.write(
-                f"{row.phone},{_cell(row.within_mean)},{_cell(row.between_mean)},"
-                f"{_cell(row.ratio)},{int(row.included)}\n"
+                f"{row.phone},{cell(row.within_mean)},{cell(row.between_mean)},"
+                f"{cell(row.ratio)},{int(row.included)}\n"
             )
 
 
@@ -259,11 +260,11 @@ def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, p
     with atomic_write(path) as f:
         f.write(f"enroll {table.enroll_ids[row]}\n")
         f.write(f"test {table.test_ids[row]}\n")
-        f.write(f"label {_NA if label < 0 else label}\n")
-        f.write(f"final {_cell(table.final[row])}\n")
-        f.write(f"evidence {_cell(table.evidence[row])}\n")
+        f.write(f"label {NA if label < 0 else label}\n")
+        f.write(f"final {cell(table.final[row])}\n")
+        f.write(f"evidence {cell(table.evidence[row])}\n")
         for phone, value in zip(inventory.labels, table.similarity[row]):
-            f.write(f"trait\t{phone}\t{_cell(value)}\n")
+            f.write(f"trait\t{phone}\t{cell(value)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +272,15 @@ def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, p
 # ---------------------------------------------------------------------------
 
 def write_report(entries: list[tuple[str, object]], path) -> None:
-    """Write ``key value`` lines, each value a ``corpus._cell``."""
+    """Write ``key value`` lines, each value a ``textio.cell``."""
     with atomic_write(path) as f:
         for key, value in entries:
-            f.write(f"{key} {_cell(value)}\n")
+            f.write(f"{key} {cell(value)}\n")
 
 
 def read_report(path) -> dict[str, str]:
     out = {}
-    with _LineReader(path) as lines:
+    with LineReader(path) as lines:
         for text in lines.records():
             key, value = lines.key_value(text)
             out[lines.unique_key(out, key)] = value

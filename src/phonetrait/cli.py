@@ -4,11 +4,14 @@ Subcommands: ``gen-corpus``, ``train``, ``score``, ``eval``, ``fratio``,
 ``explain``, ``gradcheck``. Every subcommand accepts ``--config`` (a
 key=value file whose keys are the flag names with dashes as underscores)
 and requires ``--out-dir``; explicit flags override config-file values,
-which override the built-in defaults from ``phonetrait.presets``. A required
-path given as the empty string is refused like a missing one. The effective
-settings are echoed to ``config_used.txt`` in the output directory, in the
-same key=value format, after the subcommand has run; a config file whose
-``command`` names another subcommand is refused.
+which override the built-in defaults from ``phonetrait.presets``. The file
+read is the one argparse parses into ``--config``: an abbreviation such as
+``--conf`` names it too, and the last of several wins. A required path given
+as the empty string is refused like a missing one. The effective settings
+are echoed to ``config_used.txt`` in the output directory, in the same
+key=value format, after the subcommand has run; a config file whose
+``command`` names another subcommand is refused, and so, before any work, is
+a string value the echo could not replay: padded, multi-line or not UTF-8.
 
 Exit codes: 0 success, 2 bad command line, 3 missing input file, 4 unparsable
 input, 5 invalid configuration or insufficient data, 6 numeric failure or
@@ -40,9 +43,6 @@ from .corpus import (
     NON_VERBAL,
     CorpusIndex,
     PhoneInventory,
-    _cell,
-    _LineReader,
-    atomic_write,
     default_inventory,
     generate_corpus,
     load_alignments,
@@ -68,6 +68,7 @@ from .errors import (
 )
 from .losses import LOSS_LOG_HEADER, AamConfig, LossWeights, format_loss_log_line
 from .scoring import load_scores, save_scores, score_trials
+from .textio import LineReader, atomic_write, cell
 from .training import (
     ModelConfig,
     TrainConfig,
@@ -126,6 +127,8 @@ def build_parser():
         prog="phonetrait",
         description="Explainable phonetic-trait speaker verification pipeline",
     )
+    # A --config before the subcommand is parsed only to be refused.
+    parser.add_argument("--config", dest="config_before_command", help=argparse.SUPPRESS)
     subparsers = parser.add_subparsers(dest="command")
     registries: dict[str, dict] = {}
 
@@ -236,22 +239,26 @@ def _echo_config(command: str, args, registry: dict, out: Path) -> None:
     with atomic_write(out / CONFIG_ECHO_FILE) as f:
         f.write(f"command={command}\n")
         for dest in sorted(registry):
-            f.write(f"{dest}={_cell(getattr(args, dest))}\n")
+            f.write(f"{dest}={cell(getattr(args, dest))}\n")
 
 
-def _find_config_value(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+def _check_echoable(args, registry: dict) -> None:
+    """ConfigurationError naming the first string flag whose value
+    ``_load_config_file`` would not read back from the echo as given: one that
+    is padded (values are stripped), holds a line break or is not UTF-8."""
+    for dest in sorted(registry):
+        value = getattr(args, dest)
+        if registry[dest] is str and value is not None and (
+                value != value.strip() or "\n" in value or "\r" in value
+                or value.encode("utf-8", "replace").decode() != value):
+            raise ConfigurationError(f"--{dest.replace('_', '-')} {value!r} must be unpadded, "
+                                     f"on one line and UTF-8 to be echoed to {CONFIG_ECHO_FILE}")
 
 
 def _load_config_file(path: str, command: str, registry: dict) -> dict:
     overrides = {}
     seen = set()
-    with _LineReader(path) as lines:
+    with LineReader(path) as lines:
         for text in lines.records():
             stripped = text.strip()
             if stripped.startswith("#"):
@@ -380,7 +387,7 @@ def cmd_eval(args, out: Path) -> int:
     with atomic_write(out / REPORT_CSV_FILE) as f:
         f.write("kind,metric,value\n")
         for kind, metric, value in metrics:
-            f.write(f"{kind},{metric},{_cell(value)}\n")
+            f.write(f"{kind},{metric},{cell(value)}\n")
     return EXIT_OK
 
 
@@ -470,23 +477,26 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers, registries = build_parser()
     try:
-        config_path = _find_config_value(argv)
-        if config_path is not None:
-            command = next((a for a in argv if not a.startswith("-")), None)
-            if command not in registries:
-                raise ConfigurationError("--config needs a recognised subcommand before it")
-            overrides = _load_config_file(config_path, command, registries[command])
-            subparsers.choices[command].set_defaults(**overrides)
         try:
             args = parser.parse_args(argv)
+            if args.config_before_command is not None:
+                raise ConfigurationError("--config needs a recognised subcommand before it")
+            if args.command is not None and args.config is not None:
+                # The file argparse parsed sets the subcommand's defaults,
+                # which the flags given override when argv is parsed again.
+                overrides = _load_config_file(args.config, args.command, registries[args.command])
+                subparsers.choices[args.command].set_defaults(**overrides)
+                args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse handles --help and bad flags
             return int(exc.code) if exc.code else EXIT_OK
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        registry = registries[args.command]
+        _check_echoable(args, registry)
         out = Path(_require(args.out_dir, "--out-dir"))
         code = _HANDLERS[args.command](args, out)
-        _echo_config(args.command, args, registries[args.command], out)
+        _echo_config(args.command, args, registry, out)
         return code
     except (OSError, PhonetraitError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

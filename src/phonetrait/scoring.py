@@ -37,9 +37,10 @@ from math import isnan
 
 import numpy as np
 
-from .corpus import _NA, CorpusIndex, TrialList, _LineReader, _numbers, atomic_write
+from .corpus import CorpusIndex, TrialList
 from .errors import ConfigurationError, DimensionError, NumericGuardError
 from .losses import _NORM_FLOOR
+from .textio import NA, LineReader, atomic_write, numbers
 from .trait_layer import forward_batch
 from .training import ModelState
 from .workspace import Workspace
@@ -248,8 +249,8 @@ def save_scores(table: ScoreTable, path) -> None:
             table.enroll_ids, table.test_ids, table.labels.tolist(), table.final.tolist(),
             table.evidence.tolist(), table.similarity,
         ):
-            cells = [enroll, test, _NA if label < 0 else str(label), repr(final)] + [
-                _NA if isnan(v) else repr(v) for v in [evidence] + values.tolist()
+            cells = [enroll, test, NA if label < 0 else str(label), repr(final)] + [
+                NA if isnan(v) else repr(v) for v in [evidence] + values.tolist()
             ]
             f.write("\t".join(cells) + "\n")
 
@@ -259,21 +260,21 @@ def load_scores(path, n_phones: int | None = None) -> ScoreTable:
     and to 0 for a file without rows.
 
     The rows are read ``_SCORE_CHUNK`` at a time, each chunk's numeric cells
-    converted by one ``corpus._numbers`` call, with NaN where a cell is
+    converted by one ``textio.numbers`` call, with NaN where a cell is
     exactly ``NA`` (``-NA`` or a padded ``NA`` is no number); every rule is a
-    mask over the chunk's rows, and ``_LineReader.reject`` names the first row
+    mask over the chunk's rows, and ``LineReader.reject`` names the first row
     that breaks one.
     """
     enroll_ids, test_ids, labels, blocks = [], [], [], []
-    with _LineReader(path) as lines:
+    with LineReader(path) as lines:
         for rows, line_nos in lines.chunks(_SCORE_CHUNK):
             if n_phones is None:
                 n_phones = max(rows[0].count("\t") - 4, 1)
             n_fields = [row.count("\t") + 1 for row in rows]
             enroll, test, label, cells = zip(*(row.split("\t", 3) if n == 5 + n_phones else [""] * 4
                                                for row, n in zip(rows, n_fields)))
-            codes = list(map({"1": 1, "0": 0, _NA: -1}.get, label))
-            values, (wrong_width, not_number, non_finite) = _numbers(
+            codes = list(map({"1": 1, "0": 0, NA: -1}.get, label))
+            values, (wrong_width, not_number, non_finite) = numbers(
                 cells, 2 + n_phones, "\t", na=True)
             lines.reject(
                 line_nos,
@@ -281,7 +282,7 @@ def load_scores(path, n_phones: int | None = None) -> ScoreTable:
                  lambda k: f"expected {5 + n_phones} fields, got {n_fields[k]}"),
                 ([code is None for code in codes],
                  lambda k: f"label must be 1, 0 or NA, got {label[k]!r}"),
-                ([text.startswith(_NA + "\t") for text in cells], lambda k: "final score is NA"),
+                ([text.startswith(NA + "\t") for text in cells], lambda k: "final score is NA"),
                 (wrong_width, lambda k: f"non-numeric score ({wrong_width[k]})"),
                 (not_number, lambda k: f"non-numeric score ({not_number[k]})"),
                 (non_finite, lambda k: "non-finite score"),

@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import CorpusIndex, PhoneInventory, _LineReader, _write_row, atomic_write, check_seed
+from .corpus import CorpusIndex, PhoneInventory, check_seed
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -49,6 +49,7 @@ from .trait_layer import (
     init_projection,
     trait_layer_backward,
 )
+from .textio import LineReader, atomic_write, write_row
 from .workspace import Workspace
 
 CHECKPOINT_MAGIC = "phonetrait-checkpoint v1"
@@ -410,7 +411,7 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     dims = " ".join(str(d) for d in arr.shape)
     f.write(f"tensor {name} {dims}\n")
     for row in arr.reshape(1, -1) if arr.ndim == 1 else arr:
-        _write_row(f, row)
+        write_row(f, row)
 
 
 def save_checkpoint(state: ModelState, model_cfg: ModelConfig, path) -> None:
@@ -432,7 +433,7 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
     a ParseError. The model is built from the tensors read; no array is
     allocated from a count in the file.
     """
-    with _LineReader(path) as lines:
+    with LineReader(path) as lines:
         if lines.next_line() != CHECKPOINT_MAGIC:
             raise lines.error(f"not a {CHECKPOINT_MAGIC!r} file", 1)
         header: dict = {}

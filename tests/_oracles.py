@@ -448,7 +448,7 @@ def _records(path):
 
 def _na_row(path, line_no, text, width, what, sep):
     """One row of ``width`` cells, NaN where a cell is exactly NA."""
-    from phonetrait.corpus import _loadtxt
+    from phonetrait.textio import _loadtxt
     from phonetrait.errors import ParseError
 
     cells = text.split(sep)
@@ -465,7 +465,7 @@ def _na_row(path, line_no, text, width, what, sep):
 
 def scan_alignments(path, inventory):
     """``load_alignments`` one row at a time; returns [(utt, segments)]."""
-    from phonetrait.corpus import _loadtxt
+    from phonetrait.textio import _loadtxt
     from phonetrait.errors import ParseError
 
     order, segments = [], {}
@@ -529,7 +529,7 @@ def scan_scores(path, n_phones=None):
 
 def scan_features(path):
     """``load_features`` one row at a time; returns [(utt, speaker, features)]."""
-    from phonetrait.corpus import _loadtxt
+    from phonetrait.textio import _loadtxt
     from phonetrait.errors import ParseError
 
     out = []

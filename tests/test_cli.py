@@ -8,6 +8,8 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _entry import run_phonetrait
 from phonetrait import cli, errors, presets
@@ -505,6 +507,70 @@ def test_empty_out_dir_in_a_config_file_is_refused(tmp_path, monkeypatch, capsys
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
 
 
+# String values that config_used.txt cannot hold as given: a replay of the
+# echo would strip the padding or split the value at its line break, and a
+# value that is not UTF-8 cannot be written at all.
+UNECHOABLE = {"padded": ("--out-dir", "e "), "leading-blank": ("--out-dir", " e"),
+              "newline": ("--out-dir", "a\nb"), "return": ("--out-dir", "a\rb"),
+              "not-utf8": ("--out-dir", "h\udcff"), "padded-label": ("--rare-phone", "AA ")}
+
+
+@pytest.mark.parametrize("case", sorted(UNECHOABLE))
+def test_unechoable_string_is_refused(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    flag, value = UNECHOABLE[case]
+    assert main(GEN_ARGS + ["--out-dir", "out", flag, value]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: ConfigurationError: {flag} {value!r} must be unpadded, "
+        "on one line and UTF-8 to be echoed to config_used.txt\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_utf8_argument_is_refused_without_a_traceback(tmp_path):
+    # The operating system hands Python a byte that is not UTF-8 as a lone surrogate.
+    result = run_phonetrait(["gen-corpus", "--out-dir", "h\udcff"], tmp_path)
+    assert result.returncode == EXIT_CONFIG
+    assert result.stderr.startswith("error: ConfigurationError: --out-dir 'h\\udcff' ")
+    assert list(tmp_path.iterdir()) == []
+
+
+FLAG_VALUES = {
+    str: st.none() | st.text(st.characters(exclude_categories=()))
+    | st.text(st.sampled_from("a =#\t\n\r\x0b\x85\u2028\udcff")).map(lambda s: f"a{s}a"),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_setting_is_refused_or_echoes_a_config_that_replays_exactly(
+        tmp_path_factory, command, data):
+    # Any value for each flag (None: left out): either the check refuses the
+    # settings, or the echo, read back as a config file, echoes the same bytes.
+    parser, _, registries = build_parser()
+    registry = registries[command]
+    argv = [command]
+    for dest in sorted(registry):
+        value = data.draw(FLAG_VALUES[registry[dest]], label=dest)
+        if value is not None:
+            argv.append(f"--{dest.replace('_', '-')}={value}")
+    args = parser.parse_args(argv)
+    try:
+        cli._check_echoable(args, registry)
+    except errors.ConfigurationError:
+        return
+    base = tmp_path_factory.mktemp("echo")
+    cli._echo_config(command, args, registry, base / "first")
+    replay, subparsers, _ = build_parser()
+    subparsers.choices[command].set_defaults(**cli._load_config_file(
+        str(base / "first" / "config_used.txt"), command, registry))
+    cli._echo_config(command, replay.parse_args([command]), registry, base / "second")
+    assert ((base / "second" / "config_used.txt").read_bytes()
+            == (base / "first" / "config_used.txt").read_bytes())
+
+
 # The documented exit code of every error a subcommand may raise.
 DOCUMENTED_EXIT_CODES = {
     FileNotFoundError: EXIT_MISSING_INPUT,
@@ -600,6 +666,23 @@ class TestConfigFile:
         config.write_bytes(first["config_used.txt"])
         assert main([command, "--config", str(config)]) == EXIT_OK
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    def test_abbreviated_flag_reads_the_file(self, tmp_path):
+        # argparse takes --conf for --config, so the file it names is read.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("trial_seed=9\n")
+        out = tmp_path / "c"
+        assert main(GEN_ARGS + ["--conf", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        assert "trial_seed=9\n" in (out / "config_used.txt").read_text()
+
+    @pytest.mark.parametrize("files, code", [(("none.txt", "cfg.txt"), EXIT_OK),
+                                             (("cfg.txt", "none.txt"), EXIT_MISSING_INPUT)])
+    def test_last_config_flag_wins(self, tmp_path, files, code):
+        (tmp_path / "cfg.txt").write_text("trial_seed=9\n")
+        first, last = (str(tmp_path / name) for name in files)
+        out = tmp_path / "c"
+        assert main(GEN_ARGS + ["--config", first, "--config", last, "--out-dir", str(out)]) == code
+        assert out.exists() == (code == EXIT_OK)
 
     def test_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

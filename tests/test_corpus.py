@@ -23,7 +23,6 @@ from phonetrait.corpus import (
     PhoneInventory,
     TrialList,
     UtteranceFeatures,
-    atomic_write,
     default_inventory,
     generate_corpus,
     load_alignments,
@@ -37,6 +36,7 @@ from phonetrait.corpus import (
     save_trials,
 )
 from phonetrait.errors import ConfigurationError, DimensionError, ParseError
+from phonetrait.textio import atomic_write
 
 from _entry import package_env
 from _oracles import choice_generate_corpus

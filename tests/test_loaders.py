@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from _oracles import scan_alignments, scan_features, scan_scores
 from phonetrait.analysis import read_report
 from phonetrait.cli import _load_config_file, build_parser
-from phonetrait import corpus, scoring
+from phonetrait import corpus, scoring, textio
 from phonetrait.corpus import (
     _ALIGNMENT_CHUNK,
     PhoneAlignment,
@@ -260,7 +260,7 @@ def test_alignment_rows_across_a_chunk_boundary(tmp_path):
     path = tmp_path / "alignments.txt"
     save_alignments(alignments, PHONES, path)
     opened = []
-    with mock.patch.object(corpus, "open", _counting_opens(opened), create=True):
+    with mock.patch.object(textio, "open", _counting_opens(opened), create=True):
         loaded = load_alignments(path, PHONES)
     assert ([(a.utterance_id, a.segments.tolist()) for a in loaded]
             == [(a.utterance_id, a.segments.tolist()) for a in alignments])
@@ -363,7 +363,7 @@ def _check_against_oracle(tmp_path_factory, text, load, scan, as_oracle, chunk):
     path = tmp_path_factory.mktemp("differential") / "input.txt"
     path.write_text(text)
     opened = []
-    with mock.patch.object(corpus, "open", _counting_opens(opened), create=True), \
+    with mock.patch.object(textio, "open", _counting_opens(opened), create=True), \
             mock.patch.object(corpus, "_ALIGNMENT_CHUNK", chunk), \
             mock.patch.object(scoring, "_SCORE_CHUNK", chunk):
         kind, loaded = _outcome(load, path)

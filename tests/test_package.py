@@ -19,8 +19,8 @@ def _opens_for_reading(call: ast.Call) -> bool:
     return not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax"))
 
 
-def test_only_corpus_opens_files_for_reading():
-    # Every text file is read through corpus._LineReader, which owns the rules
+def test_only_textio_opens_files_for_reading():
+    # Every text file is read through textio.LineReader, which owns the rules
     # for line numbers, blank lines, float cells and repeated keys.
     package = Path(phonetrait.__file__).parent
     readers = sorted(
@@ -28,7 +28,44 @@ def test_only_corpus_opens_files_for_reading():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call) and _opens_for_reading(node)
     )
-    assert set(readers) == {"corpus.py"}, readers
+    assert set(readers) == {"textio.py"}, readers
+
+
+def test_only_textio_writes_files():
+    # Every file is written through textio.atomic_write, which writes a
+    # temporary file and renames it into place.
+    package = Path(phonetrait.__file__).parent
+    writers = sorted(
+        path.name for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and (
+            ast.unparse(node.func) in ("open", "os.fdopen", "os.replace", "os.rename")
+            or ast.unparse(node.func).startswith("tempfile.")
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("write_text", "write_bytes"))
+    )
+    assert set(writers) == {"textio.py"}, writers
+
+
+def _private_text_reads(tree: ast.Module):
+    """Every ``_`` name a module imports from corpus or textio, or reads as
+    an attribute of either."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in (
+                "corpus", "textio"):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and ast.unparse(node.value) in ("corpus", "textio")):
+            yield ast.unparse(node)
+
+
+def test_no_module_reads_a_private_text_helper():
+    # The text rules are textio's public names; no module reaches into
+    # textio's or corpus's private ones.
+    package = Path(phonetrait.__file__).parent
+    private = sorted(f"{path.stem}: {name}" for path in package.glob("*.py")
+                     for name in _private_text_reads(ast.parse(path.read_text())))
+    assert not private, private
 
 
 def _names_norm_floor(node: ast.AST) -> bool:
@@ -171,7 +208,7 @@ def test_every_error_is_constructed():
     # An error type that no other module of the package constructs is never
     # raised, so an ``except`` clause or exit code naming it is dead. A
     # ``raise lines.error(...)`` counts through the ``ParseError(`` call in
-    # ``corpus._LineReader.error``.
+    # ``textio.LineReader.error``.
     package = Path(phonetrait.__file__).parent
     errors = ast.parse((package / "errors.py").read_text())
     subclasses = {
