@@ -11,7 +11,8 @@ as the empty string is refused like a missing one. The effective settings
 are echoed to ``config_used.txt`` in the output directory, in the same
 key=value format, after the subcommand has run; a config file whose
 ``command`` names another subcommand is refused, and so, before any work, is
-a string value the echo could not replay: padded, multi-line or not UTF-8.
+a string value the echo could not replay (padded, multi-line or not UTF-8)
+or that holds a NUL byte, which no path can.
 
 Exit codes: 0 success, 2 bad command line, 3 missing input file, 4 unparsable
 input, 5 invalid configuration or insufficient data, 6 numeric failure or
@@ -245,13 +246,18 @@ def _echo_config(command: str, args, registry: dict, out: Path) -> None:
 def _check_echoable(args, registry: dict) -> None:
     """ConfigurationError naming the first string flag whose value
     ``_load_config_file`` would not read back from the echo as given: one that
-    is padded (values are stripped), holds a line break or is not UTF-8."""
+    is padded (values are stripped), holds a line break or is not UTF-8. A
+    value holding a NUL byte is refused too, as no path can hold one."""
     for dest in sorted(registry):
         value = getattr(args, dest)
-        if registry[dest] is str and value is not None and (
-                value != value.strip() or "\n" in value or "\r" in value
+        if registry[dest] is not str or value is None:
+            continue
+        flag = f"--{dest.replace('_', '-')}"
+        if "\x00" in value:
+            raise ConfigurationError(f"{flag} {value!r} holds a NUL byte, which no path can")
+        if (value != value.strip() or "\n" in value or "\r" in value
                 or value.encode("utf-8", "replace").decode() != value):
-            raise ConfigurationError(f"--{dest.replace('_', '-')} {value!r} must be unpadded, "
+            raise ConfigurationError(f"{flag} {value!r} must be unpadded, "
                                      f"on one line and UTF-8 to be echoed to {CONFIG_ECHO_FILE}")
 
 

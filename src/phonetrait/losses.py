@@ -11,6 +11,13 @@ dropped (not zero-divided) when its averaging set is empty. ``total_loss``
 reads a pair batch's ``BatchForward``, its 2K utterances stacked enrollments
 first, then tests; it hands each term the side it needs and returns the
 gradients stacked in the same order.
+
+The verification term finds each enrollment trait's nearest other-speaker
+test trait with one batched GEMM and a rounding bound, not a table of every
+(enrollment, test, phone) difference. The bound only lets the GEMM pick a
+neighbour that the exact distances would pick, and every distance that
+enters the loss or a gradient is still an exact ``einsum`` of one
+difference, so the values do not depend on how BLAS sums.
 """
 
 from __future__ import annotations
@@ -25,13 +32,6 @@ from .workspace import Workspace
 
 # Norms below this are treated as degenerate rather than normalised.
 _NORM_FLOOR = 1e-12
-
-# Most float64 elements in one block of ``trait_verification_loss``'s
-# difference tensor (256 KB): at I=40 and D1=16 a block holds 5 enrollment
-# speakers at K=10, one at K=64. In training the block shares a workspace
-# buffer with the encoder's N x D1 context gradient, which a desk step's ~2.1k
-# frames make 269 KB, so at the desk shape the block adds no memory.
-_DIFF_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,38 @@ def trait_verification_loss(
     those minima; each term's average ignores entries with an empty candidate
     set.
 
-    Returns (loss, d_enroll_traits, d_test_traits). The distance table and
-    the difference block go to the ``workspace`` roles ``distances`` and
-    ``differences``.
+    Every distance that enters the loss or a gradient is the ``einsum`` of
+    one ``enroll - test`` difference with itself, and the nearest test
+    speaker is the first one at the least such distance. A screen finds it
+    without building every (enrollment, test, phone) difference:
+    ||e - t||^2 = ||e||^2 - 2s with s = e.t - ||t||^2 / 2, so the nearest
+    candidate has the largest s. One batched GEMM of ``[e, 1]`` by
+    ``[t, -||t||^2 / 2]`` gives each phone's (K, K) scores, -inf for a
+    non-candidate. The best score is taken outright when it leads the second
+    by more than c u (A + M)^2 + c 2^-1074; the other rows fall back to their
+    candidates' exact distances.
+
+    Why the bound is exact. Let u = 2^-53, n = D1, gamma_m = m u / (1 - m u)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 3.1),
+    A = ||e|| and M the largest ||t|| of the phone's present test traits. A
+    length-m inner product summed in any order, with or without FMA, errs by
+    at most gamma_m times its sum of |products|. So the computed ||t||^2
+    errs by gamma_n ||t||^2, and a length-(n + 1) GEMM score by
+    gamma_{n+1} (A ||t|| + (1 + gamma_n) ||t||^2 / 2): each score errs by at
+    most eps_s = (gamma_{n+1} (1 + gamma_n) + gamma_n) (A + M)^2 / 2. An
+    exact distance rounds a difference, its square and n - 1 sums of
+    non-negative terms, so it errs by at most gamma_{n+2} (A + M)^2. When
+    the computed scores of h and h' differ by more than
+    2 eps_s + gamma_{n+2} (A + M)^2, about (3n + 3) u (A + M)^2, the exact
+    distance of h is strictly below that of h', whatever order BLAS and
+    einsum sum in. c = 4 (n + 1) >= 3n + 4 leaves at least u (A + M)^2 for
+    the second-order terms and for rounding the lead, the norms and the bound
+    themselves, and the c 2^-1074 term covers products that underflow. A
+    tie, an overflow or a NaN fails the test and takes the fallback.
+
+    Returns (loss, d_enroll_traits, d_test_traits). The screen's score table
+    and its two GEMM operands go to the ``workspace`` roles ``distances`` and
+    ``operands``.
     """
     enroll = np.asarray(enroll_traits, dtype=np.float64)
     test = np.asarray(test_traits, dtype=np.float64)
@@ -90,62 +119,106 @@ def trait_verification_loss(
     pt = np.asarray(test_present, dtype=bool)
     if enroll.shape != test.shape or enroll.ndim != 3:
         raise DimensionError("trait tensors must both be (K, I, D1)")
-    n_speakers, n_phones, width = enroll.shape
-    if n_speakers < 2:
+    if enroll.shape[0] < 2:
         raise BatchError("trait verification needs >= 2 speakers in the batch")
-
-    # (K, I, K) squared distances (enrollment speaker, phone, test speaker),
-    # a block of enrollment speakers at a time: a whole (K, K, I, D1)
-    # difference tensor would grow with K^2 * I * D1. Each enrollment's
-    # (K, I, D1) differences are one contiguous sweep, and each distance sums
-    # its own D1 products, whatever the block's size.
-    sq = workspace.take("distances", (n_speakers, n_phones, n_speakers))
-    block = max(1, _DIFF_BLOCK_ELEMENTS // max(1, n_speakers * n_phones * width))
-    buffer = workspace.take("differences", (min(block, n_speakers),) + test.shape)
-    for k in range(0, n_speakers, block):
-        diff = buffer[:n_speakers - k]
-        np.subtract(enroll[k:k + block, None], test[None], out=diff)
-        np.einsum("khid,khid->khi", diff, diff, out=sq[k:k + block].transpose(0, 2, 1))
-    valid = pe[:, :, None] & pt.T
 
     loss = 0.0
     d_enroll = np.zeros_like(enroll)
     d_test = np.zeros_like(test)
-    diag = np.arange(n_speakers)
 
-    matched_mask = valid[diag, :, diag]                      # (K, I)
+    matched_mask = pe & pt                                   # (K, I)
     n_matched = int(matched_mask.sum())
     if n_matched:
-        loss += alpha * float(sq[diag, :, diag][matched_mask].sum()) / n_matched
         # (enroll - test) * mask * coef, each product in place.
         matched_diff = np.subtract(enroll, test)
+        matched_sq = np.einsum("kid,kid->ki", matched_diff, matched_diff)
+        loss += alpha * float(matched_sq[matched_mask].sum()) / n_matched
         matched_diff *= matched_mask[:, :, None]
         matched_diff *= 2.0 * alpha / n_matched
         d_enroll += matched_diff
         d_test -= matched_diff
         del matched_diff  # before the nearest-neighbour term's temporaries
 
-    # The distances become the candidates in place, once the matched term
-    # has read the diagonal.
-    np.copyto(sq, np.inf, where=np.logical_not(valid, out=valid))
-    sq[diag, :, diag] = np.inf
-    nearest = np.argmin(sq, axis=2)                          # (K, I)
-    nearest_sq = np.take_along_axis(sq, nearest[:, :, None], axis=2)[:, :, 0]
+    ks, phones, hs = _nearest_test_speakers(enroll, pe, test, pt, workspace)
+    pulled = enroll[ks, phones]
+    pulled -= test[hs, phones]
+    nearest_sq = np.einsum("nd,nd->n", pulled, pulled)
     retained = np.isfinite(nearest_sq)
-    n_retained = int(retained.sum())
+    if not retained.all():
+        ks, phones, hs = ks[retained], phones[retained], hs[retained]
+        pulled, nearest_sq = pulled[retained], nearest_sq[retained]
+    n_retained = nearest_sq.size
     if n_retained:
-        loss -= beta * float(nearest_sq[retained].sum()) / n_retained
-        coef = 2.0 * beta / n_retained
-        ks, phones = np.nonzero(retained)
-        hs = nearest[ks, phones]
-        pulled = enroll[ks, phones]
-        pulled -= test[hs, phones]
-        pulled *= coef
+        loss -= beta * float(nearest_sq.sum()) / n_retained
+        pulled *= 2.0 * beta / n_retained
         # Each (k, phone) is retained once, but a test trait can be the
         # nearest neighbour of several enrollments.
         d_enroll[ks, phones] -= pulled
         np.add.at(d_test, (hs, phones), pulled)
     return loss, d_enroll, d_test
+
+
+def _gram_screen(enroll, test, pt, workspace):
+    """(best, decided), both (I, K): each enrollment's highest-scoring other
+    test speaker for each phone, and whether its lead over the second clears
+    ``trait_verification_loss``'s bound."""
+    n_speakers, n_phones, width = enroll.shape
+    lhs, rhs = workspace.take("operands", (2, n_phones, n_speakers, width + 1))
+    np.copyto(lhs[..., :width], enroll.transpose(1, 0, 2))
+    lhs[..., width] = 1.0
+    np.copyto(rhs[..., :width], test.transpose(1, 0, 2))
+    t_sq = np.einsum("hid,hid->ih", test, test)
+    np.multiply(t_sq, -0.5, out=rhs[..., width])
+    np.copyto(rhs[..., width], -np.inf, where=~pt.T)
+    score = np.matmul(lhs, rhs.transpose(0, 2, 1),
+                      out=workspace.take("distances", (n_phones, n_speakers, n_speakers)))
+    diag = np.arange(n_speakers)
+    score[:, diag, diag] = -np.inf
+
+    rows = score.reshape(-1, n_speakers)                     # (I * K, K)
+    at = np.arange(rows.shape[0])
+    best = rows.argmax(axis=1)
+    lead = rows[at, best]
+    rows[at, best] = -np.inf
+    with np.errstate(invalid="ignore"):                     # -inf - -inf: no candidate
+        lead -= rows[at, rows.argmax(axis=1)]
+    reach = np.sqrt(np.einsum("kid,kid->ik", enroll, enroll))     # A + M
+    reach += np.sqrt(np.max(t_sq, axis=1, where=pt.T, initial=0.0))[:, None]
+    c = 4.0 * (width + 1)
+    bound = c * (np.finfo(np.float64).eps / 2 * np.square(reach)
+                 + np.finfo(np.float64).smallest_subnormal)
+    return best.reshape(bound.shape), lead.reshape(bound.shape) > bound
+
+
+def _nearest_test_speakers(enroll, pe, test, pt, workspace):
+    """(ks, phones, hs): each present enrollment trait (k, phone) with a
+    candidate, in row-major order, and its nearest other test speaker h.
+
+    A row the screen leaves undecided takes the first minimum of its
+    candidates' exact distances, all such rows in one gather and one einsum
+    of K x D1 differences each. Such a row whose least distance is not
+    finite is left out, as the loss would drop it.
+    """
+    best, decided = _gram_screen(enroll, test, pt, workspace)
+    # A row has a candidate when another test speaker has its phone.
+    ks, phones = np.nonzero(pe & (pt.sum(axis=0) - pt > 0))
+    hs = best[phones, ks]
+    redo = np.flatnonzero(~decided[phones, ks])
+    if redo.size:
+        us = np.arange(redo.size)
+        rk, ri = ks[redo], phones[redo]
+        diff = np.take(test.transpose(1, 0, 2), ri, axis=0)  # (U, K, D1)
+        np.subtract(enroll[rk, ri][:, None], diff, out=diff)
+        exact = np.einsum("uhd,uhd->uh", diff, diff)
+        exact[~pt[:, ri].T] = np.inf
+        exact[us, rk] = np.inf
+        hs[redo] = np.argmin(exact, axis=1)
+        finite = np.isfinite(exact[us, hs[redo]])
+        if not finite.all():
+            keep = np.ones(ks.size, dtype=bool)
+            keep[redo[~finite]] = False
+            ks, phones, hs = ks[keep], phones[keep], hs[keep]
+    return ks, phones, hs
 
 
 def trait_center_loss(

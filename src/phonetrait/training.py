@@ -7,8 +7,8 @@ minibatches of K speakers, two utterances (enrollment, test) per speaker.
 A ``train`` run keeps one ``Workspace`` for all its steps. Each step writes
 its frame-sized arrays into the workspace's buffers: the packed features,
 every encoder layer's context index, context rows and output, the pooling's
-segment bins, the verification loss's distance table and difference block,
-the frame gradient, the encoder's context gradients and ReLU masks. The
+segment bins, the verification loss's score table and GEMM operands, the
+frame gradient, the encoder's context gradients and ReLU masks. The
 buffers grow to the largest step seen and are freed when the run ends. So a
 ``BatchForward`` made inside training is valid only until the next step,
 its deviations only until the step's backward pass; the loss output and the

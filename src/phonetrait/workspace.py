@@ -23,15 +23,16 @@ import numpy as np
 
 # Roles that a training step never holds at once share a buffer, so the
 # workspace holds no more than the step's live arrays at their peak. In step
-# order, the segment bins die inside ``extract_traits``, and the distance
-# table and difference block inside the verification loss; only then does
-# ``trait_layer_backward`` write the frame gradient, which ``encode_backward``
-# reads while it writes the first context gradient (``grad_a``).
+# order, the segment bins die inside ``extract_traits``, and the
+# nearest-neighbour screen's score table and GEMM operands inside the
+# verification loss; only then does ``trait_layer_backward`` write the frame
+# gradient, which ``encode_backward`` reads while it writes the first context
+# gradient (``grad_a``).
 _SHARED = {
     "bins": "pooling",
     "distances": "pooling",
     "d_frames": "pooling",
-    "differences": "grad_a",
+    "operands": "grad_a",
 }
 
 

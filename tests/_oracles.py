@@ -251,10 +251,10 @@ def per_phone_trait_verification_loss(enroll, pe, test, pt, alpha, beta):
     """``trait_verification_loss`` with its distances taken one phone at a time.
 
     Each phone's (K, K) squared distances come from their own
-    ``einsum("khd,khd->kh")`` call, as before the distances were blocked, in a
-    (K, K, I) table; the nearest test speaker is found in a masked copy of it
-    and the gradients are scattered with ``ufunc.at``. Returns (loss,
-    d_enroll, d_test).
+    ``einsum("khd,khd->kh")`` call, as before the distances were blocked and
+    then screened, in a (K, K, I) table; the nearest test speaker is found in
+    a masked copy of it and the gradients are scattered with ``ufunc.at``.
+    Returns (loss, d_enroll, d_test).
     """
     n_speakers = enroll.shape[0]
     sq = np.empty((n_speakers, n_speakers, enroll.shape[1]))

@@ -526,6 +526,19 @@ def test_unechoable_string_is_refused(tmp_path, monkeypatch, capsys, case):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, key", [("gen-corpus", "out_dir"), ("eval", "scores")])
+def test_nul_byte_in_a_config_file_is_refused(tmp_path, monkeypatch, capsys, command, key):
+    # No path can hold a NUL byte; opening one raises ValueError, not OSError.
+    monkeypatch.chdir(tmp_path)
+    settings = {"out_dir": "o", key: "a\x00b"}
+    (tmp_path / "cfg.txt").write_text("".join(f"{k}={v}\n" for k, v in sorted(settings.items())))
+    assert main([command, "--config", "cfg.txt"]) == EXIT_CONFIG
+    flag = "--" + key.replace("_", "-")
+    assert capsys.readouterr().err == (
+        f"error: ConfigurationError: {flag} 'a\\x00b' holds a NUL byte, which no path can\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
+
+
 def test_non_utf8_argument_is_refused_without_a_traceback(tmp_path):
     # The operating system hands Python a byte that is not UTF-8 as a lone surrogate.
     result = run_phonetrait(["gen-corpus", "--out-dir", "h\udcff"], tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonetrait import losses
 from phonetrait.encoder import EncoderConfig, EncoderParams, LayerSpec
 from phonetrait.errors import (
     BatchError,
@@ -71,6 +72,40 @@ def random_masked_traits(rng, n_speakers=3, n_phones=4, dim=2, p_present=0.7):
     present[:, 0] = True  # keep every utterance non-empty
     traits[~present] = 0.0
     return traits, present
+
+
+def screen_case(rng, kind, n_speakers, n_phones, width, sparse):
+    """(enroll, pe, test, pt) of one ``kind`` of nearest-neighbour case."""
+    shape = (n_speakers, n_phones, width)
+    p_present = 0.4 if sparse else 1.0
+    pe = rng.random(shape[:2]) < p_present
+    pt = rng.random(shape[:2]) < p_present
+    enroll, test = rng.normal(size=shape), rng.normal(size=shape)
+    if kind == "binary":
+        enroll, test = (rng.integers(0, 2, shape).astype(np.float64) for _ in "et")
+    elif kind == "near-tie":
+        # Each test trait is another's (or its own), moved by one ulp or not at all.
+        test = test[rng.integers(0, n_speakers, n_speakers)]
+        step = rng.choice([-np.inf, np.inf], shape)
+        test = np.where(rng.random(shape) < 0.5, np.nextafter(test, step), test)
+    elif kind == "offset":
+        # Traits 1e4 from the origin and 1 to 1e-8 from each other:
+        # the scores e.t - |t|^2 / 2 of the candidates, about 5e7 per
+        # dimension, may differ in their last digits only.
+        scale = 10.0 ** -rng.uniform(0.0, 8.0)
+        enroll = 1e4 + scale * enroll
+        test = 1e4 + scale * test
+    elif kind == "identical-test":
+        test = np.broadcast_to(test[:1], shape).copy()
+    return enroll, pe, test, pt
+
+
+def assert_equals_per_phone_loop(enroll, pe, test, pt):
+    got = trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7, Workspace())
+    want = per_phone_trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    for g, w in zip(got[1:], want[1:]):
+        assert g.tobytes() == w.tobytes()
 
 
 def forward_of(traits, present, emb_dim=3, seed=0):
@@ -140,8 +175,8 @@ class TestTraitVerification:
         assert abs(loss - naive_verification(enroll, pe, test, pt, 1.0, 1.0)) < 1e-10
 
     @pytest.mark.parametrize("n_speakers, n_phones, width, integer", [
-        # One enrollment speaker per block at K=64, two at K=23 (the last
-        # block holds one), every speaker in one block at K=10 over 20 phones.
+        # The training shapes K=64 and K=10, and K=23 between them. The ids
+        # name the blocks in which the loss once built its distance table.
         pytest.param(64, 40, 16, False, id="k64-one-speaker-per-block"),
         pytest.param(23, 40, 16, False, id="k23-partial-last-block"),
         pytest.param(10, 20, 16, False, id="k10-one-block"),
@@ -157,11 +192,47 @@ class TestTraitVerification:
         if integer:
             enroll = np.round(enroll).clip(0, 1) * pe[:, :, None]
             test = np.round(test).clip(0, 1) * pt[:, :, None]
-        got = trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7, Workspace())
-        want = per_phone_trait_verification_loss(enroll, pe, test, pt, 0.3, 0.7)
-        assert got[0] == want[0]
-        for g, w in zip(got[1:], want[1:]):
-            assert g.tobytes() == w.tobytes()
+        assert_equals_per_phone_loop(enroll, pe, test, pt)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["normal", "binary", "near-tie", "offset", "identical-test"]),
+           st.integers(2, 9), st.integers(1, 4), st.integers(1, 5), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_screen_keeps_every_bit_of_the_per_phone_loop(self, seed, kind, n_speakers,
+                                                          n_phones, width, sparse):
+        # Ties, one-ulp near-ties, scores that cancel and equal test traits
+        # are where the screen's bound must hand a row to the exact fallback.
+        enroll, pe, test, pt = screen_case(np.random.default_rng(seed), kind, n_speakers,
+                                           n_phones, width, sparse)
+        assert_equals_per_phone_loop(enroll, pe, test, pt)
+
+    @pytest.mark.parametrize("kind, decided", [("identical-test", False), ("separated", True)])
+    def test_screen_decides_or_falls_back(self, kind, decided):
+        # Equal test traits tie for every nearest speaker, so no row clears
+        # the bound; test traits 10 apart, each enrollment within 1 of its
+        # own speaker's, leave no near-tie.
+        rng = np.random.default_rng(5)
+        if kind == "identical-test":
+            enroll, pe, test, pt = screen_case(rng, kind, 12, 6, 3, False)
+        else:
+            test = np.arange(12.0)[:, None, None] * np.ones((1, 6, 3)) * 10.0
+            enroll = test + rng.uniform(-1.0, 1.0, test.shape)
+            pe = pt = np.ones((12, 6), dtype=bool)
+        _, screened = losses._gram_screen(enroll, test, pt, Workspace())
+        assert (screened == decided).all()
+        assert_equals_per_phone_loop(enroll, pe, test, pt)
+
+    def test_candidate_whose_distance_overflows_is_dropped(self):
+        # Speaker 1's one candidate is speaker 2, 2e154 away: the squared
+        # distance overflows, so no bound decides the row and its exact
+        # distances are all inf. It must be dropped, not matched to the
+        # absent test trait of speaker 0, which lies a finite 1e154 away.
+        enroll = np.array([[[0.0]], [[1e154]], [[-1e154]]])
+        test = np.array([[[0.0]], [[0.0]], [[-1e154]]])
+        pe = np.array([[False], [True], [True]])
+        pt = np.array([[False], [False], [True]])
+        with np.errstate(over="ignore"):
+            assert_equals_per_phone_loop(enroll, pe, test, pt)
 
     def test_peak_memory_stays_below_a_candidates_copy(self):
         # At K=64, I=40, D1=16 the (K, I, K) distances take 1.3 MB; a second

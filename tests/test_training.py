@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonetrait import encoder, losses, presets, trait_layer, training
+from phonetrait import encoder, presets, trait_layer, training
 from phonetrait.corpus import (
     CMU_PHONES,
     NON_VERBAL,
@@ -354,9 +354,8 @@ class TestBatchGradients:
         self.assert_step_matches_oracle(desk_setup, 10, selection_seed, (20, 40, 16))
 
     def test_k64_step_matches_per_utterance_oracle(self, k64_setup):
-        # K=64 puts one enrollment speaker in each verification-loss block,
-        # and its ~13.5k frames fill the step workspace's largest buffers.
-        assert losses._DIFF_BLOCK_ELEMENTS < 64 * 40 * 16
+        # K=64 is the benchmark's train-k64 shape, and its ~13.5k frames fill
+        # the step workspace's largest buffers.
         self.assert_step_matches_oracle(k64_setup, 64, 0, (128, 40, 16))
 
     def test_grad_check_wrapper(self):
