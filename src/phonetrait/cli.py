@@ -293,7 +293,7 @@ def _load_corpus(corpus_dir: str):
     inventory = load_inventory(base / INVENTORY_FILE)
     features = load_features(base / FEATURES_FILE)
     alignments = load_alignments(base / ALIGNMENTS_FILE, inventory)
-    return inventory, features, alignments, CorpusIndex.build(features, alignments)
+    return inventory, features, CorpusIndex.build(features, alignments)
 
 
 def cmd_gen_corpus(args, out: Path) -> int:
@@ -320,7 +320,7 @@ def cmd_gen_corpus(args, out: Path) -> int:
 
 
 def cmd_train(args, out: Path) -> int:
-    inventory, features, _, index = _load_corpus(_require(args.corpus_dir, "--corpus-dir"))
+    inventory, features, index = _load_corpus(_require(args.corpus_dir, "--corpus-dir"))
     model_cfg = ModelConfig(
         encoder=EncoderConfig(features[0].dim, parse_layer_string(args.layers)),
         embedding_dim=args.embedding_dim,
@@ -351,7 +351,7 @@ def cmd_train(args, out: Path) -> int:
 
 def cmd_score(args, out: Path) -> int:
     corpus_dir = _require(args.corpus_dir, "--corpus-dir")
-    inventory, features, _, index = _load_corpus(corpus_dir)
+    inventory, features, index = _load_corpus(corpus_dir)
     state, model_cfg = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
     if model_cfg.encoder.input_dim != features[0].dim:
         raise ConfigurationError(
@@ -419,10 +419,11 @@ def cmd_explain(args, out: Path) -> int:
 def cmd_gradcheck(args, out: Path) -> int:
     if not 2 <= args.n_phones <= len(CMU_PHONES) + 1:
         raise ConfigurationError("--n-phones must be between 2 and the full inventory size")
+    if args.speakers_per_batch < 2:
+        raise ConfigurationError("speakers_per_batch must be >= 2")
     inventory = PhoneInventory(CMU_PHONES[: args.n_phones - 1] + (NON_VERBAL,))
-    n_speakers = max(args.speakers_per_batch, 2)
     features, alignments, _ = generate_corpus(
-        n_speakers=n_speakers,
+        n_speakers=args.speakers_per_batch,
         utts_per_speaker=2,
         inventory=inventory,
         feature_dim=args.feature_dim,
@@ -442,7 +443,7 @@ def cmd_gradcheck(args, out: Path) -> int:
     )
     seq = np.random.SeedSequence(args.seed)
     init_stream, batch_stream = seq.spawn(2)
-    state = init_model(model_cfg, n_speakers, init_stream)
+    state = init_model(model_cfg, args.speakers_per_batch, init_stream)
     selection = sample_pair_batch(
         index, args.speakers_per_batch, np.random.default_rng(batch_stream)
     )

@@ -87,9 +87,6 @@ class PhoneInventory:
         except KeyError:
             raise ConfigurationError(f"unknown phone label {label!r}") from None
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
 
 def default_inventory() -> PhoneInventory:
     """The 40-unit inventory: 39 phones plus the non-verbal label last."""

@@ -67,11 +67,13 @@ class EncoderConfig:
     def output_dim(self) -> int:
         return self.layers[-1].output_dim
 
-    def layer_input_dims(self) -> list[int]:
-        dims = [self.input_dim]
-        for layer in self.layers[:-1]:
-            dims.append(layer.output_dim)
-        return dims
+    def weight_shapes(self) -> list[tuple[int, int]]:
+        """Every layer's weight shape, (output_dim, n_offsets * input width), in layer order."""
+        shapes, width = [], self.input_dim
+        for layer in self.layers:
+            shapes.append((layer.output_dim, len(layer.context_offsets) * width))
+            width = layer.output_dim
+        return shapes
 
 
 def format_layer_string(layers: tuple[LayerSpec, ...]) -> str:
@@ -107,28 +109,23 @@ class EncoderParams:
     biases: list[np.ndarray]   # layer l: (output_dim,)
 
     def __post_init__(self):
-        in_dims = self.config.layer_input_dims()
-        if len(self.weights) != len(self.config.layers) or len(self.biases) != len(self.config.layers):
+        shapes = self.config.weight_shapes()
+        if len(self.weights) != len(shapes) or len(self.biases) != len(shapes):
             raise DimensionError("one weight and bias per layer required")
-        for l, layer in enumerate(self.config.layers):
-            want = (layer.output_dim, len(layer.context_offsets) * in_dims[l])
-            if self.weights[l].shape != want:
-                raise DimensionError(f"layer {l} weight shape {self.weights[l].shape}, want {want}")
-            if self.biases[l].shape != (layer.output_dim,):
-                raise DimensionError(
-                    f"layer {l} bias shape {self.biases[l].shape}, want {(layer.output_dim,)}"
-                )
+        for l, (weight, bias, want) in enumerate(zip(self.weights, self.biases, shapes)):
+            if weight.shape != want:
+                raise DimensionError(f"layer {l} weight shape {weight.shape}, want {want}")
+            if bias.shape != want[:1]:
+                raise DimensionError(f"layer {l} bias shape {bias.shape}, want {want[:1]}")
 
 
 def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init for weights and biases."""
     weights, biases = [], []
-    in_dims = config.layer_input_dims()
-    for l, layer in enumerate(config.layers):
-        fan_in = len(layer.context_offsets) * in_dims[l]
+    for output_dim, fan_in in config.weight_shapes():
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, (layer.output_dim, fan_in)))
-        biases.append(rng.uniform(-bound, bound, layer.output_dim))
+        weights.append(rng.uniform(-bound, bound, (output_dim, fan_in)))
+        biases.append(rng.uniform(-bound, bound, output_dim))
     return EncoderParams(config, weights, biases)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from .corpus import CorpusIndex, TrialList
 from .errors import ConfigurationError, DimensionError, NumericGuardError
 from .losses import _NORM_FLOOR
-from .textio import NA, LineReader, atomic_write, numbers
+from .textio import NA, LineReader, atomic_write, check_ids, numbers
 from .trait_layer import forward_batch
 from .training import ModelState
 from .workspace import Workspace
@@ -221,14 +221,13 @@ def _evidence_mismatch(evidence: np.ndarray, similarity: np.ndarray) -> np.ndarr
 def _check_writable(table: ScoreTable, rows: np.ndarray) -> None:
     """ConfigurationError naming the first of ``rows`` that ``load_scores``
     would reject, and that would make an explanation file ambiguous to its
-    reader: an id that holds a tab or a line break, a label other than 1, 0 or
-    -1 (NA), an NA final score, an infinite value, or an evidence score NA
-    where some phone is defined or the reverse."""
+    reader: an id that holds a tab or a line break (``check_ids``), a label
+    other than 1, 0 or -1 (NA), an NA final score, an infinite value, or an
+    evidence score NA where some phone is defined or the reverse."""
+    check_ids(chain.from_iterable((table.enroll_ids[k], table.test_ids[k])
+                                  for k in rows.tolist()), "\t")
     evidence, similarity = table.evidence[rows], table.similarity[rows]
-    ids = (table.enroll_ids[k] + table.test_ids[k] for k in rows.tolist())
     for broken, problem in (
-        (np.array(["\t" in utt or "\n" in utt or "\r" in utt for utt in ids], dtype=bool),
-         "ids must not hold a tab or a line break"),
         (~np.isin(table.labels[rows], (-1, 0, 1)), "label must be 1, 0 or -1 (NA)"),
         (np.isnan(table.final[rows]), "final score is NA"),
         (np.isinf(table.final[rows]) | np.isinf(evidence) | np.isinf(similarity).any(axis=1),

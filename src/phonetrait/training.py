@@ -14,9 +14,10 @@ buffers grow to the largest step seen and are freed when the run ends. So a
 its deviations only until the step's backward pass; the loss output and the
 gradients are fresh arrays.
 
-Checkpoints are a versioned plain-text format written atomically; floats are
-serialised with ``repr`` so a save/load/save cycle is byte identical and no
-timestamps or environment details ever enter the file.
+Checkpoints are a versioned plain-text format written atomically: floats as
+``repr``, so a save/load/save cycle is byte identical, and no timestamps or
+environment details. The writer refuses, before writing, what the loader
+rejects; the loader builds the state through the constructors that check it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .encoder import (
 from .errors import (
     BatchError,
     ConfigurationError,
+    DimensionError,
     DivergenceError,
 )
 from .losses import AamConfig, LossOutput, LossWeights, total_loss
@@ -64,10 +66,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.embedding_dim < 1:
             raise ConfigurationError("embedding_dim must be >= 1")
-
-    @property
-    def trait_dim(self) -> int:
-        return self.encoder.output_dim
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,29 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
+    """The model's one description: ``config`` and ``n_classes`` are read off its arrays."""
+
     encoder: EncoderParams
     projection: ProjectionParams
     class_weights: np.ndarray  # (n_classes, D2)
     step: int = 0
 
+    def __post_init__(self):
+        d1, d2 = self.encoder.config.output_dim, self.projection.embedding_dim
+        if self.projection.trait_dim != d1:
+            raise DimensionError(f"projection trait dim {self.projection.trait_dim}, want {d1}")
+        if self.class_weights.ndim != 2 or self.class_weights.shape[1] != d2:
+            raise DimensionError(f"class weights shape {self.class_weights.shape}, want (n, {d2})")
+        if self.n_classes < 1:
+            raise ConfigurationError("n_classes must be >= 1")
+
     @property
     def n_classes(self) -> int:
         return self.class_weights.shape[0]
+
+    @property
+    def config(self) -> ModelConfig:
+        return ModelConfig(self.encoder.config, self.projection.embedding_dim)
 
 
 def init_model(
@@ -119,7 +132,7 @@ def init_model(
     enc_stream, proj_stream, cls_stream = seq.spawn(3)
     encoder = init_encoder(model_cfg.encoder, np.random.default_rng(enc_stream))
     projection = init_projection(
-        model_cfg.trait_dim, model_cfg.embedding_dim, np.random.default_rng(proj_stream)
+        model_cfg.encoder.output_dim, model_cfg.embedding_dim, np.random.default_rng(proj_stream)
     )
     bound = 1.0 / np.sqrt(model_cfg.embedding_dim)
     class_weights = np.random.default_rng(cls_stream).uniform(
@@ -141,20 +154,6 @@ def parameter_arrays(state: ModelState) -> dict[str, np.ndarray]:
     """Named views of every trainable array, shared with the live state."""
     return _named(state.encoder.weights, state.encoder.biases, state.projection.weight,
                   state.projection.bias, state.class_weights)
-
-
-def _parameter_shapes(model_cfg: ModelConfig, n_classes: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every array ``parameter_arrays`` names, in its order."""
-    layers = model_cfg.encoder.layers
-    in_dims = model_cfg.encoder.layer_input_dims()
-    return _named(
-        [(layer.output_dim, len(layer.context_offsets) * in_dims[l])
-         for l, layer in enumerate(layers)],
-        [(layer.output_dim,) for layer in layers],
-        (model_cfg.embedding_dim, 2 * model_cfg.trait_dim),
-        (model_cfg.embedding_dim,),
-        (n_classes, model_cfg.embedding_dim),
-    )
 
 
 @dataclass
@@ -415,14 +414,23 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(state: ModelState, model_cfg: ModelConfig, path) -> None:
+    """Write ``state``; a ``model_cfg`` other than ``state.config`` or a non-finite value,
+    which ``load_checkpoint`` would reject, is a ConfigurationError before any write."""
+    cfg = state.config
+    if model_cfg != cfg:
+        raise ConfigurationError(f"{model_cfg} does not describe the state, {cfg}")
+    arrays = parameter_arrays(state)
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ConfigurationError(f"non-finite value in tensor {name!r}")
     with atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC + "\n")
-        f.write(f"input_dim {model_cfg.encoder.input_dim}\n")
-        f.write(f"layers {format_layer_string(model_cfg.encoder.layers)}\n")
-        f.write(f"embedding_dim {model_cfg.embedding_dim}\n")
+        f.write(f"input_dim {cfg.encoder.input_dim}\n")
+        f.write(f"layers {format_layer_string(cfg.encoder.layers)}\n")
+        f.write(f"embedding_dim {cfg.embedding_dim}\n")
         f.write(f"n_classes {state.n_classes}\n")
         f.write(f"step {state.step}\n")
-        for name, arr in parameter_arrays(state).items():
+        for name, arr in arrays.items():
             _write_tensor(f, name, arr)
 
 
@@ -471,26 +479,19 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
             row_len = shape[0] if len(shape) == 1 else math.prod(shape[1:])
             tensors[name] = lines.block(n_rows, row_len, f"tensor {name!r}").reshape(shape)
 
-    n_classes = header["n_classes"]
-    if n_classes < 1:
-        raise ConfigurationError("n_classes must be >= 1")
-    shapes = _parameter_shapes(model_cfg, n_classes)
-    if set(tensors) != set(shapes):
-        missing = set(shapes) - set(tensors)
-        extra = set(tensors) - set(shapes)
+    layer_ids = range(len(model_cfg.encoder.layers))
+    names = set(_named(layer_ids, layer_ids, None, None, None))
+    if set(tensors) != names:
         raise lines.error(
             f"checkpoint tensors do not match the architecture "
-            f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
+            f"(missing {sorted(names - set(tensors))}, unexpected {sorted(set(tensors) - names)})"
         )
-    for name, shape in shapes.items():
-        if tensors[name].shape != shape:
-            raise ConfigurationError(
-                f"tensor {name!r} has shape {tensors[name].shape}, "
-                f"architecture requires {shape}"
-            )
-    # In ``_named`` order: encoder weights, encoder biases, projection, class weights.
-    arrays = [tensors[name] for name in shapes]
-    n_layers = len(model_cfg.encoder.layers)
-    encoder = EncoderParams(model_cfg.encoder, arrays[:n_layers], arrays[n_layers:2 * n_layers])
-    projection = ProjectionParams(*arrays[2 * n_layers:-1])
-    return ModelState(encoder, projection, arrays[-1], header["step"]), model_cfg
+    encoder = EncoderParams(model_cfg.encoder, [tensors[f"encoder_weight_{l}"] for l in layer_ids],
+                            [tensors[f"encoder_bias_{l}"] for l in layer_ids])
+    projection = ProjectionParams(tensors["projection_weight"], tensors["projection_bias"])
+    state = ModelState(encoder, projection, tensors["class_weights"], header["step"])
+    if state.config != model_cfg or state.n_classes != header["n_classes"]:
+        raise ConfigurationError(
+            f"tensors give embedding_dim {state.config.embedding_dim}, n_classes "
+            f"{state.n_classes}; the header {model_cfg.embedding_dim}, {header['n_classes']}")
+    return state, model_cfg

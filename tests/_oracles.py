@@ -480,7 +480,7 @@ def scan_alignments(path, inventory):
             start, end = _loadtxt(f"{start_s}\t{end_s}", "\t", np.int64)[0].tolist()
         except ValueError as exc:
             raise fail(f"non-numeric frame bounds ({exc})") from None
-        if label not in inventory:
+        if label not in inventory.labels:
             raise fail(f"phone label {label!r} not in inventory")
         if utt_id not in segments:
             order.append(utt_id)

@@ -463,6 +463,10 @@ BAD_SETTINGS = {
     "train-seed-negative": ["train", "--seed", "-1"],
     "fratio-seed-negative": ["fratio", "--seed", "-1"],
     "gradcheck-seed-negative": ["gradcheck", "--seed", "-1"],
+    # A batch needs two speakers; 0 and -1 once escaped as bare tracebacks.
+    "gradcheck-speakers-per-batch-1": ["gradcheck", "--speakers-per-batch", "1"],
+    "gradcheck-speakers-per-batch-0": ["gradcheck", "--speakers-per-batch", "0"],
+    "gradcheck-speakers-per-batch-negative": ["gradcheck", "--speakers-per-batch", "-1"],
 }
 
 
@@ -476,7 +480,10 @@ def test_non_finite_or_out_of_range_setting_is_a_config_error(pipeline, tmp_path
                          "--inventory", str(corpus / "inventory.txt")]}
     code = main([command, *inputs[command], *setting, "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: ConfigurationError: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigurationError: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 # Each required path given as "" is refused: an empty path names the working

@@ -6,6 +6,7 @@ chunked loaders are also held to the row-by-row readers of ``_oracles`` on
 fuzzed files: the same error at the same line, or the same values.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -27,9 +28,17 @@ from phonetrait.corpus import (
     load_trials,
     save_alignments,
 )
+from phonetrait.encoder import _NONLINEARITIES, EncoderConfig, EncoderParams, LayerSpec
 from phonetrait.errors import ConfigurationError, ParseError
 from phonetrait.scoring import _SCORE_CHUNK, ScoreTable, load_scores, save_scores
-from phonetrait.training import CHECKPOINT_MAGIC, load_checkpoint
+from phonetrait.trait_layer import ProjectionParams
+from phonetrait.training import (
+    CHECKPOINT_MAGIC,
+    ModelState,
+    load_checkpoint,
+    parameter_arrays,
+    save_checkpoint,
+)
 
 PHONES = PhoneInventory(("AA", "AE", "AH"))
 
@@ -240,6 +249,44 @@ def test_score_file_round_trip_is_byte_identical(tmp_path_factory, table):
         assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
     save_scores(loaded, root / "second.txt")
     assert (root / "second.txt").read_bytes() == (root / "first.txt").read_bytes()
+
+
+offsets = st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True).map(sorted)
+# Architectures parse_layer_string reads back, with arrays of edge values.
+layer_specs = st.builds(LayerSpec, offsets, st.integers(1, 6), st.sampled_from(_NONLINEARITIES))
+weights = st.sampled_from((1e300, -3.5e300, 1e-310)) | values
+
+
+@st.composite
+def model_states(draw):
+    encoder = EncoderConfig(draw(st.integers(1, 4)),
+                            draw(st.lists(layer_specs, min_size=1, max_size=3)))
+    embedding_dim, n_classes = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def array(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(weights, min_size=size, max_size=size))).reshape(shape)
+
+    shapes = encoder.weight_shapes()
+    return ModelState(
+        EncoderParams(encoder, [array(*shape) for shape in shapes],
+                      [array(shape[0]) for shape in shapes]),
+        ProjectionParams(array(embedding_dim, 2 * encoder.output_dim), array(embedding_dim)),
+        array(n_classes, embedding_dim), draw(st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_states())
+def test_checkpoint_round_trip_is_byte_identical(tmp_path_factory, state):
+    root = tmp_path_factory.mktemp("checkpoint")
+    save_checkpoint(state, state.config, root / "first")
+    loaded, loaded_cfg = load_checkpoint(root / "first")
+    assert (loaded_cfg, loaded.config, loaded.step) == (state.config, state.config, state.step)
+    for name, arr in parameter_arrays(state).items():  # bitwise: -0.0 alike
+        back = parameter_arrays(loaded)[name]
+        assert (back.shape, back.dtype, back.tobytes()) == (arr.shape, arr.dtype, arr.tobytes())
+    save_checkpoint(loaded, loaded_cfg, root / "second")
+    assert (root / "second").read_bytes() == (root / "first").read_bytes()
 
 
 def _counting_opens(calls):

@@ -25,6 +25,7 @@ from phonetrait.encoder import EncoderConfig, LayerSpec
 from phonetrait.errors import (
     BatchError,
     ConfigurationError,
+    DimensionError,
     DivergenceError,
     EmptyUtteranceError,
     ParseError,
@@ -35,6 +36,7 @@ from phonetrait.training import (
     CHECKPOINT_MAGIC,
     GradCheckReport,
     ModelConfig,
+    ModelState,
     TrainConfig,
     batch_loss_and_grads,
     compare_gradient_tables,
@@ -89,7 +91,9 @@ class TestConfigs:
 
     def test_model_config(self):
         enc = EncoderConfig(3, (LayerSpec((0,), 7, "relu"),))
-        assert ModelConfig(enc, 4).trait_dim == 7
+        state = init_model(ModelConfig(enc, 4), 2, seed=0)
+        assert state.config == ModelConfig(enc, 4)
+        assert state.projection.trait_dim == 7
         with pytest.raises(ConfigurationError):
             ModelConfig(enc, 0)
 
@@ -607,6 +611,39 @@ class TestCheckpoint:
         (tmp_path / "bad").write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"bad:{row + 1}: non-finite value in tensor 'class_weights'"):
             load_checkpoint(tmp_path / "bad")
+
+    @pytest.mark.parametrize("damage", [
+        # A config other than the state's: its header would contradict the tensors.
+        lambda state, cfg: (state, ModelConfig(cfg.encoder, cfg.embedding_dim + 1)),
+        lambda state, cfg: (ModelState(state.encoder, state.projection,
+                                       state.class_weights * np.nan), cfg),
+        # These two fail as the state is built.
+        lambda state, cfg: (ModelState(state.encoder, state.projection,
+                                       state.class_weights[:0]), cfg),
+        lambda state, cfg: (ModelState(state.encoder, state.projection,
+                                       state.class_weights[:, 1:]), cfg),
+    ], ids=["other_embedding_dim", "nan_class_weight", "zero_classes", "wrong_class_width"])
+    def test_refuses_a_state_load_would_reject(self, tmp_path, damage):
+        model_cfg = tiny_setup()[2]
+        with pytest.raises((ConfigurationError, DimensionError)):
+            save_checkpoint(*damage(init_model(model_cfg, 3, seed=0), model_cfg), tmp_path / "ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("edit, error", [
+        (("embedding_dim 3", "embedding_dim 4"), ConfigurationError),
+        (("n_classes 4", "n_classes 5"), ConfigurationError),
+        (("layers -1,0,1:4:relu", "layers -1,0,1:5:relu"), DimensionError),
+        (("layers -1,0,1:4:relu", "layers -1,0:4:relu"), DimensionError),
+    ], ids=["embedding_dim", "n_classes", "layer_width", "layer_offsets"])
+    def test_header_that_contradicts_the_tensors_is_refused(self, tmp_path, edit, error):
+        _, _, model_cfg = tiny_setup()
+        path = tmp_path / "ckpt"
+        save_checkpoint(init_model(model_cfg, 4, seed=0), model_cfg, path)
+        text = path.read_text()
+        assert edit[0] + "\n" in text
+        path.write_text(text.replace(edit[0] + "\n", edit[1] + "\n"))
+        with pytest.raises(error):
+            load_checkpoint(path)
 
     def test_header_magic_version_pinned(self):
         assert CHECKPOINT_MAGIC.endswith("v1")
