@@ -34,6 +34,8 @@ def main() -> None:
     parser.add_argument("--epochs", type=int, default=None,
                         help="override the preset epoch count for quick runs")
     args = parser.parse_args()
+    if args.epochs is not None and args.epochs < 1:
+        parser.error("--epochs must be >= 1")
 
     inventory = default_inventory()
     features, alignments, _ = generate_corpus(**presets.desk_corpus_kwargs(inventory))

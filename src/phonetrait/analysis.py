@@ -42,8 +42,9 @@ def _operating_points(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(thresholds, far, frr) at every distinct score plus a reject-all point."""
     thresholds = np.unique(np.concatenate([target, nontarget]))
-    # One step above the maximum rejects everything.
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    # The next float above the maximum rejects everything, at any magnitude:
+    # ``max + 1.0`` rounds back to the maximum once scores reach 2**53.
+    thresholds = np.append(thresholds, np.nextafter(thresholds[-1], np.inf))
     far = (nontarget.size - np.searchsorted(nontarget, thresholds, side="left")) / nontarget.size
     frr = np.searchsorted(target, thresholds, side="left") / target.size
     return thresholds, far, frr
@@ -64,8 +65,9 @@ def compute_eer(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     k = int(np.argmax(gap >= 0.0))
     if gap[k] == 0.0:
         return float(far[k]), float(thresholds[k])
-    # gap is -1 at the lowest threshold and +1 at the reject-all point, so a
-    # sign change always exists and k >= 1 here.
+    # gap is -1 at the lowest threshold, which accepts every trial, and +1 at
+    # the reject-all point, which lies above every score; so a sign change
+    # always exists and k >= 1 here.
     lam = -gap[k - 1] / (gap[k] - gap[k - 1])
     eer = far[k - 1] + lam * (far[k] - far[k - 1])
     threshold = thresholds[k - 1] + lam * (thresholds[k] - thresholds[k - 1])

@@ -20,6 +20,8 @@ save/load round-trips are exact):
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -207,6 +209,91 @@ class TrialList:
                 raise ConfigurationError(f"trial references unknown utterance id {utt!r}")
 
 
+_LOW_WORD = 0xFFFFFFFF
+
+
+def _tail_shuffles(n: int, k: int) -> bool:
+    """Whether ``Generator.choice(n, k, replace=False)`` shuffles the tail of
+    ``range(n)``, rather than sampling by Floyd's algorithm."""
+    return n > 10000 and k > n // 50
+
+
+def bounded_draws(words: Iterator[int]
+                  ) -> tuple[Callable[[int], int], Callable[[int, int], list[int]]]:
+    """NumPy's bounded random integers, made from the 32-bit words ``words`` yields.
+
+    Returns ``(below, choice)``. For a generator whose next 32-bit words are
+    ``words``, ``below(n)`` is ``int(Generator.integers(n))`` and ``choice(n,
+    k)`` is ``Generator.choice(n, k, replace=False).tolist()``, for 1 <= n <=
+    2**32. They read the words NumPy's calls read, in the same order: each
+    bounded integer is Lemire's multiply-and-shift with rejection (a range of
+    one reads no word), and ``choice`` runs Floyd's sampling and then a
+    shuffle, or for a large population a partial shuffle of its tail.
+    """
+    next_word = words.__next__
+
+    def below(n: int) -> int:
+        if n == 1:
+            return 0
+        m = next_word() * n
+        if m & _LOW_WORD < n:
+            floor = (1 << 32) % n
+            while m & _LOW_WORD < floor:
+                m = next_word() * n
+        return m >> 32
+
+    def shuffle(data: list[int], first: int) -> None:
+        for i in range(len(data) - 1, first - 1, -1):
+            j = below(i + 1)
+            data[i], data[j] = data[j], data[i]
+
+    def choice(n: int, k: int) -> list[int]:
+        if _tail_shuffles(n, k):
+            out = list(range(n))
+            shuffle(out, n - k)
+            return out[n - k:]
+        out, seen = [], set()
+        for j in range(n - k, n):
+            t = below(j + 1)
+            if t in seen:
+                t = j
+            seen.add(t)
+            out.append(t)
+        shuffle(out, 1)
+        return out
+
+    return below, choice
+
+
+def choice_words(populations: Iterable[int], k: int) -> int:
+    """The words that one ``choice(n, k)`` per population ``n`` reads in all,
+    when none is rejected."""
+    total = 0
+    for n in populations:
+        # A word per draw of k, none for the one-wide range that k == n reaches.
+        total += k - (k == n)
+        if not _tail_shuffles(n, k):
+            total += max(k - 1, 0)  # Floyd's shuffle
+    return total
+
+
+def generator_words(rng: np.random.Generator, first: int, block: int = 1) -> Iterator[int]:
+    """``rng``'s next 32-bit words, in the order ``Generator.integers`` reads
+    them: ``first`` of them in one draw when the first is read, then ``block``
+    per draw as they run out."""
+    yield from rng.integers(0, 1 << 32, size=first, dtype=np.uint64).tolist()
+    while True:
+        yield from rng.integers(0, 1 << 32, size=block, dtype=np.uint64).tolist()
+
+
+def _raw_words(bit_generator: np.random.PCG64) -> Iterator[int]:
+    """PCG64's 32-bit words: the low half of a 64-bit ``random_raw()`` word
+    drawn when it is read, then the word's buffered high half."""
+    for raw in iter(bit_generator.random_raw, None):
+        yield raw & _LOW_WORD
+        yield raw >> 32
+
+
 def _utterances_by_speaker(features) -> dict[str, list[str]]:
     """Each speaker's utterance ids, sorted."""
     by_speaker: dict[str, list[str]] = {}
@@ -283,6 +370,10 @@ class CorpusIndex:
         return eligible, np.array([self.class_label(s) for s in eligible], dtype=np.int64)
 
 
+# ``Generator.random()`` scales the top 53 bits of a 64-bit word by this.
+_UNIT_53 = 1.0 / (1 << 53)
+
+
 def generate_corpus(
     n_speakers: int,
     utts_per_speaker: int,
@@ -334,6 +425,7 @@ def generate_corpus(
     # advances the stream the same way.
     cdf = probs.cumsum()
     cdf /= cdf[-1]
+    cdf = cdf.tolist()
 
     # Pre-split seed streams: one for the signatures, one per utterance, so
     # utterances could be generated concurrently without changing the output.
@@ -352,11 +444,16 @@ def generate_corpus(
         speaker_id = f"spk{s:03d}"
         for u in range(utts_per_speaker):
             rng = np.random.default_rng(streams[1 + s * utts_per_speaker + u])
-            n_segments = int(rng.integers(ppu_lo, ppu_hi + 1))
+            # The draws of ``rng.integers`` (from 32-bit words) and of
+            # ``rng.random`` (the top 53 bits of a 64-bit word). The normals
+            # read 64-bit words only, so a buffered half-word waits for them.
+            raw = rng.bit_generator.random_raw
+            below, _ = bounded_draws(_raw_words(rng.bit_generator))
+            n_segments = ppu_lo + below(ppu_hi - ppu_lo + 1)
             phones, lengths, noise = [], [], []
             for _ in range(n_segments):
-                phones.append(int(cdf.searchsorted(rng.random(), side="right")))
-                lengths.append(int(rng.integers(seg_lo, seg_hi + 1)))
+                phones.append(bisect_right(cdf, (raw() >> 11) * _UNIT_53))
+                lengths.append(seg_lo + below(seg_hi - seg_lo + 1))
                 noise.append(rng.standard_normal((lengths[-1], feature_dim)))
             # Elementwise over the whole utterance, so every frame has the
             # bits of its own segment's ``signature + noise_std * noise``.
@@ -367,6 +464,10 @@ def generate_corpus(
             features.append(UtteranceFeatures(utt, speaker_id, frames))
             alignments.append(PhoneAlignment(utt, np.column_stack((ends - lengths, ends, phones))))
     return features, alignments, signatures
+
+
+# Random words per draw in ``make_trials``: a trial reads three or four.
+_TRIAL_WORDS = 1024
 
 
 def make_trials(
@@ -387,19 +488,21 @@ def make_trials(
     if n_nontarget > 0 and len(speakers) < 2:
         raise ConfigurationError("non-target trials need >= 2 speakers")
 
-    rng = np.random.default_rng(seed)
+    # The generator is this call's own, so its words may be drawn past the last one read.
+    below, choice = bounded_draws(generator_words(np.random.default_rng(seed), _TRIAL_WORDS,
+                                                  _TRIAL_WORDS))
     enroll_ids, test_ids = [], []
     for _ in range(n_target):
-        utts = by_speaker[pairable[int(rng.integers(len(pairable)))]]
-        a, b = rng.choice(len(utts), size=2, replace=False)
-        enroll_ids.append(utts[int(a)])
-        test_ids.append(utts[int(b)])
+        utts = by_speaker[pairable[below(len(pairable))]]
+        a, b = choice(len(utts), 2)
+        enroll_ids.append(utts[a])
+        test_ids.append(utts[b])
     for _ in range(n_nontarget):
-        i, j = rng.choice(len(speakers), size=2, replace=False)
-        enroll = by_speaker[speakers[int(i)]]
-        test = by_speaker[speakers[int(j)]]
-        enroll_ids.append(enroll[int(rng.integers(len(enroll)))])
-        test_ids.append(test[int(rng.integers(len(test)))])
+        i, j = choice(len(speakers), 2)
+        enroll = by_speaker[speakers[i]]
+        test = by_speaker[speakers[j]]
+        enroll_ids.append(enroll[below(len(enroll))])
+        test_ids.append(test[below(len(test))])
     return TrialList(enroll_ids, test_ids, np.repeat([1, 0], [n_target, n_nontarget]))
 
 

@@ -29,7 +29,14 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import CorpusIndex, PhoneInventory, check_seed
+from .corpus import (
+    CorpusIndex,
+    PhoneInventory,
+    bounded_draws,
+    check_seed,
+    choice_words,
+    generator_words,
+)
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -172,13 +179,17 @@ def sample_pair_batch(index: CorpusIndex, k: int, rng: np.random.Generator) -> P
         raise BatchError(
             f"need {k} speakers with >= 2 utterances, corpus has {len(eligible)}"
         )
-    chosen = rng.choice(len(eligible), size=k, replace=False)
+    # The draws of ``rng.choice`` calls, from the words of two bulk draws that
+    # end where those calls would (a rejected word draws one more).
+    _, choice = bounded_draws(generator_words(rng, choice_words([len(eligible)], k)))
+    chosen = choice(len(eligible), k)
+    speaker_utts = [index.utts_by_speaker[eligible[c]] for c in chosen]
+    _, choice = bounded_draws(generator_words(rng, choice_words(map(len, speaker_utts), 2)))
     enroll_utts, test_utts = [], []
-    for c in chosen:
-        utts = index.utts_by_speaker[eligible[int(c)]]
-        a, b = rng.choice(len(utts), size=2, replace=False)
-        enroll_utts.append(utts[int(a)])
-        test_utts.append(utts[int(b)])
+    for utts in speaker_utts:
+        a, b = choice(len(utts), 2)
+        enroll_utts.append(utts[a])
+        test_utts.append(utts[b])
     return PairSelection(labels[chosen], enroll_utts, test_utts)
 
 

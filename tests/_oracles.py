@@ -13,7 +13,11 @@ within ``EDGE_TOLERANCE`` instead. ``traits_center_loss`` is the
 trait-center loss as it ran before it read pooling's deviations, its
 centers taken afresh from the traits. ``choice_generate_corpus``
 is corpus generation as it ran before the phone CDF was hoisted: one
-``Generator.choice`` call and one frame block per segment. The ``scan_*``
+``Generator.choice`` call and one frame block per segment.
+``choice_make_trials`` and ``choice_sample_pair_batch`` are the trial and
+pair-batch samplers as they ran before their integers were made from 32-bit
+words drawn in bulk: one ``Generator.integers`` or ``Generator.choice`` call
+per draw. The ``scan_*``
 readers are the alignment, score and feature loaders one row at a time, each
 cell converted alone; the bulk loaders must raise their errors or return
 their values.
@@ -360,6 +364,64 @@ def choice_generate_corpus(n_speakers, utts_per_speaker, inventory, feature_dim,
     return utterances
 
 
+def ragged_corpus(utt_counts):
+    """(features, alignments) of one-frame utterances, ``utt_counts[s]`` of
+    them for speaker ``s``: a corpus for the samplers, which read only ids."""
+    from phonetrait.corpus import PhoneAlignment, UtteranceFeatures
+
+    features, alignments = [], []
+    for s, n in enumerate(utt_counts):
+        for u in range(n):
+            utt = f"spk{s:03d}_u{u:03d}"
+            features.append(UtteranceFeatures(utt, f"spk{s:03d}", np.zeros((1, 1))))
+            alignments.append(PhoneAlignment(utt, [(0, 1, 0)]))
+    return features, alignments
+
+
+def choice_make_trials(features, n_target, n_nontarget, seed):
+    """``make_trials`` with one NumPy call per draw, on valid arguments.
+
+    Returns the trials' (enroll_ids, test_ids, labels) columns as lists.
+    """
+    by_speaker = {}
+    for f in features:
+        by_speaker.setdefault(f.speaker_id, []).append(f.utterance_id)
+    speakers = sorted(by_speaker)
+    by_speaker = {speaker: sorted(by_speaker[speaker]) for speaker in speakers}
+    pairable = [s for s in speakers if len(by_speaker[s]) >= 2]
+    rng = np.random.default_rng(seed)
+    enroll_ids, test_ids = [], []
+    for _ in range(n_target):
+        utts = by_speaker[pairable[int(rng.integers(len(pairable)))]]
+        a, b = rng.choice(len(utts), size=2, replace=False)
+        enroll_ids.append(utts[int(a)])
+        test_ids.append(utts[int(b)])
+    for _ in range(n_nontarget):
+        i, j = rng.choice(len(speakers), size=2, replace=False)
+        enroll = by_speaker[speakers[int(i)]]
+        test = by_speaker[speakers[int(j)]]
+        enroll_ids.append(enroll[int(rng.integers(len(enroll)))])
+        test_ids.append(test[int(rng.integers(len(test)))])
+    return enroll_ids, test_ids, [1] * n_target + [0] * n_nontarget
+
+
+def choice_sample_pair_batch(index, k, rng):
+    """``sample_pair_batch`` with one NumPy call per draw, for a corpus with
+    at least ``k`` speakers of two or more utterances.
+
+    Returns the batch's (class_labels, enroll_utts, test_utts) as lists.
+    """
+    eligible = [s for s in index.speakers if len(index.utts_by_speaker[s]) >= 2]
+    chosen = rng.choice(len(eligible), size=k, replace=False)
+    enroll_utts, test_utts = [], []
+    for c in chosen:
+        utts = index.utts_by_speaker[eligible[int(c)]]
+        a, b = rng.choice(len(utts), size=2, replace=False)
+        enroll_utts.append(utts[int(a)])
+        test_utts.append(utts[int(b)])
+    return [index.speakers.index(eligible[int(c)]) for c in chosen], enroll_utts, test_utts
+
+
 def naive_traits(frame_embeddings: np.ndarray, frame_phones, n_phones: int):
     """Group-by-phone mean with dictionaries; returns (traits, present)."""
     groups: dict[int, list[np.ndarray]] = {}
@@ -398,7 +460,7 @@ def sweep_eer(scores, labels) -> tuple[float, float]:
     target = [s for s, l in zip(scores, labels) if l == 1]
     nontarget = [s for s, l in zip(scores, labels) if l == 0]
     thresholds = sorted(set(target) | set(nontarget))
-    thresholds.append(thresholds[-1] + 1.0)
+    thresholds.append(math.nextafter(thresholds[-1], math.inf))
     points = [_error_rates_at(t, target, nontarget) for t in thresholds]
     prev_gap = None
     for k, (far, frr) in enumerate(points):
@@ -419,7 +481,7 @@ def sweep_min_dcf(scores, labels, p_target=0.01, c_miss=1.0, c_fa=1.0) -> tuple[
     target = [s for s, l in zip(scores, labels) if l == 1]
     nontarget = [s for s, l in zip(scores, labels) if l == 0]
     thresholds = sorted(set(target) | set(nontarget))
-    thresholds.append(thresholds[-1] + 1.0)
+    thresholds.append(math.nextafter(thresholds[-1], math.inf))
     floor = min(c_miss * p_target, c_fa * (1.0 - p_target))
     best, best_threshold = None, None
     for t in thresholds:

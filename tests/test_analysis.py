@@ -131,6 +131,29 @@ class TestMinDcf:
             compute_min_dcf(np.array([0.5, 0.4]), np.array([1, 0]), 0.0, 1.0, 1.0)
 
 
+class TestScaleInvariance:
+    def test_reject_all_point_survives_large_scores(self):
+        # Above 2**53, max + 1.0 is the max again; the reject-all point must
+        # still reject every trial, so normalised minDCF stays <= 1.
+        labels = np.array([1, 1, 0, 0])
+        small = np.array([3.0, 10.0, 2.0, 10.0])
+        for scores in (small, small * 1e16):
+            assert compute_min_dcf(scores, labels, 0.01, 1.0, 1.0)[0] == 1.0
+            assert compute_eer(scores, labels)[0] == 0.5
+
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([1e-300, 1e-16, 0.5, 3.0, 1e16, 2.0 ** 900]))
+    @settings(max_examples=40, deadline=None)
+    def test_positive_factor_keeps_eer_and_min_dcf(self, seed, factor):
+        # Integer scores keep their order and ties under any positive factor,
+        # so every operating point, and with them both metrics, must stay.
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat([1, 0], [12, 15]))
+        scores = rng.integers(-20, 20, size=labels.size).astype(np.float64)
+        for metric in (compute_eer, lambda s, l: compute_min_dcf(s, l, 0.01, 1.0, 1.0)):
+            assert metric(scores * factor, labels)[0] == metric(scores, labels)[0]
+
+
 class TestMetricsReport:
     def test_counts_and_fields(self):
         scores = np.array([0.9, 0.7, 0.3, 0.6, 0.2, 0.1])

@@ -23,8 +23,11 @@ from phonetrait.corpus import (
     PhoneInventory,
     TrialList,
     UtteranceFeatures,
+    bounded_draws,
+    choice_words,
     default_inventory,
     generate_corpus,
+    generator_words,
     load_alignments,
     load_features,
     load_inventory,
@@ -39,7 +42,7 @@ from phonetrait.errors import ConfigurationError, DimensionError, ParseError
 from phonetrait.textio import atomic_write
 
 from _entry import package_env
-from _oracles import choice_generate_corpus
+from _oracles import choice_generate_corpus, choice_make_trials, ragged_corpus
 
 
 def small_inventory(n_phones=6):
@@ -162,6 +165,123 @@ class TestTrials:
         features, _, _ = small_corpus(utts=1)
         with pytest.raises(ConfigurationError):
             make_trials(features, 1, 0, seed=0)
+
+
+def twin_generators(seed, offset):
+    """Two generators in one state, each ``offset`` 32-bit words into its
+    stream, so an odd offset leaves PCG64 a buffered half-word."""
+    twins = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in twins:
+        rng.integers(2, size=offset)
+    return twins
+
+
+def counted(words, log):
+    """``words``, each also appended to ``log`` as it is read."""
+    for word in words:
+        log.append(word)
+        yield word
+
+
+# Bounds for ``below``: a one-wide range reads no word, and near 3 * 2**30
+# Lemire's method rejects about a quarter of the words it reads.
+BOUNDS = st.one_of(
+    st.sampled_from([1, 2, 3, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32]),
+    st.integers(1, 2 ** 32),
+    st.integers(3 * 2 ** 30 - 64, 3 * 2 ** 30 + 64),
+)
+
+
+class TestBoundedDraws:
+    """``bounded_draws`` against NumPy's own calls on a twin generator: the
+    same integers, and the generator left in the same state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 63), st.integers(0, 3), st.lists(BOUNDS, min_size=1, max_size=40))
+    def test_below_matches_integers(self, seed, offset, bounds):
+        numpy_rng, words_rng = twin_generators(seed, offset)
+        below, _ = bounded_draws(generator_words(words_rng, 0))
+        assert [below(n) for n in bounds] == [int(numpy_rng.integers(n)) for n in bounds]
+        assert words_rng.bit_generator.state == numpy_rng.bit_generator.state
+
+    def test_rejection_heavy_bound_reads_extra_words(self):
+        read = []
+        below, _ = bounded_draws(counted(generator_words(np.random.default_rng(3), 0), read))
+        rng = np.random.default_rng(3)
+        n = 3 * 2 ** 30 + 1
+        assert [below(n) for _ in range(200)] == rng.integers(n, size=200).tolist()
+        assert len(read) > 220
+        assert below(1) == 0 and len(read) == len(set(read))  # a zero range reads nothing
+
+    @pytest.mark.parametrize("n, k", [
+        (20000, 300),  # Floyd, k <= n // 50
+        (20000, 1000),  # the tail shuffle
+        (20000, 20000),
+        (10001, 201),
+        (7, 7), (2, 2), (1, 1), (10, 2), (5, 0), (3, 1),
+    ])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), offset=st.integers(0, 1))
+    def test_choice_matches_generator_choice(self, n, k, seed, offset):
+        numpy_rng, words_rng = twin_generators(seed, offset)
+        _, choice = bounded_draws(generator_words(words_rng, 0))
+        assert choice(n, k) == numpy_rng.choice(n, size=k, replace=False).tolist()
+        assert choice(n, k) == numpy_rng.choice(n, size=k, replace=False).tolist()
+        assert words_rng.bit_generator.state == numpy_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 63), st.lists(
+        st.tuples(st.integers(1, 100), st.integers(0, 100)).map(lambda nk: (nk[0], min(nk))),
+        min_size=1, max_size=5))
+    def test_choice_words_counts_the_words_read(self, seed, shapes):
+        # Ranges of at most 100 reject a word with odds below 1e-7.
+        read = []
+        _, choice = bounded_draws(counted(generator_words(np.random.default_rng(seed), 0), read))
+        for n, k in shapes:
+            choice(n, k)
+        assert len(read) == sum(choice_words([n], k) for n, k in shapes)
+
+    @pytest.mark.parametrize("n, k", [(20000, 1000), (20000, 20000), (10001, 201)])
+    def test_choice_words_counts_the_tail_shuffle(self, n, k):
+        # No word is rejected at this seed: each range is at most n wide, so
+        # about one word in 10**5 would be.
+        read = []
+        _, choice = bounded_draws(counted(generator_words(np.random.default_rng(1), 0), read))
+        choice(n, k)
+        assert len(read) == choice_words([n], k)
+
+    def test_generator_words_draw_first_then_blocks(self):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        words = generator_words(rng, 3, 4)
+        assert [next(words) for _ in range(3)] == twin.integers(0, 2 ** 32, 3, np.uint64).tolist()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert next(words) == int(twin.integers(0, 2 ** 32, 4, np.uint64)[0])
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# Speakers with one utterance (no target trial), two and many.
+UTT_COUNTS = st.lists(st.one_of(st.sampled_from([1, 2]), st.integers(3, 40)),
+                      min_size=1, max_size=8)
+
+
+class TestTrialsMatchPerCallOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(UTT_COUNTS, st.integers(0, 30), st.integers(0, 30), st.integers(0, 2 ** 63))
+    def test_random_corpora(self, utt_counts, n_target, n_nontarget, seed):
+        if max(utt_counts) < 2:
+            n_target = 0
+        if len(utt_counts) < 2:
+            n_nontarget = 0
+        features, _ = ragged_corpus(utt_counts)
+        trials = make_trials(features, n_target, n_nontarget, seed)
+        assert columns(trials) == choice_make_trials(features, n_target, n_nontarget, seed)
+
+    @pytest.mark.parametrize("utt_counts", [[1, 2, 60], [2, 2], [1, 1, 3], [5], [30] * 20])
+    def test_lists_longer_than_a_word_draw(self, utt_counts):
+        features, _ = ragged_corpus(utt_counts)
+        n_nontarget = 2500 if len(utt_counts) > 1 else 0
+        trials = make_trials(features, 2500, n_nontarget, seed=9)
+        assert columns(trials) == choice_make_trials(features, 2500, n_nontarget, seed=9)
 
 
 class TestGenerateCorpus:
@@ -541,8 +661,20 @@ DESK_CORPUS_DIGESTS = {
 }
 
 
+# sha256 of ``trials.txt`` from ``gen-corpus --n-target 2000 --n-nontarget
+# 2000``, the list the score-chain benchmark scores (NumPy 2.4.6).
+BENCH_TRIALS_DIGEST = "eae90dc0efaa51b6dea65b5256ba450726950b19f25ddfafc3397c061556fa08"
+
+
 def test_desk_corpus_files_match_recorded_digests(tmp_path):
     assert main(["gen-corpus", "--out-dir", str(tmp_path)]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in DESK_CORPUS_DIGESTS}
     assert digests == DESK_CORPUS_DIGESTS
+
+
+def test_benchmark_trial_list_matches_recorded_digest(tmp_path):
+    assert main(["gen-corpus", "--out-dir", str(tmp_path),
+                 "--n-target", "2000", "--n-nontarget", "2000"]) == 0
+    assert hashlib.sha256((tmp_path / "trials.txt").read_bytes()).hexdigest() \
+        == BENCH_TRIALS_DIGEST

@@ -47,3 +47,11 @@ def test_loss_ablation_runs_one_epoch():
         final_eer, evidence_eer, correlation = map(float, line[16:].split())
         assert 0.0 <= final_eer <= 1.0 and 0.0 <= evidence_eer <= 1.0
         assert -1.0 <= correlation <= 1.0
+
+
+def test_loss_ablation_refuses_no_epochs():
+    for epochs in ("0", "-1"):
+        done = subprocess.run([sys.executable, str(SCRIPTS / "loss_ablation.py"),
+                               "--epochs", epochs],
+                              env=package_env(), capture_output=True, text=True)
+        assert done.returncode == 2 and "--epochs must be >= 1" in done.stderr

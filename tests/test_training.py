@@ -53,7 +53,13 @@ from phonetrait.training import (
 from phonetrait.workspace import Workspace
 
 from _entry import package_env
-from _oracles import assert_matches, edge_shape, per_utterance_loss_and_grads
+from _oracles import (
+    assert_matches,
+    choice_sample_pair_batch,
+    edge_shape,
+    per_utterance_loss_and_grads,
+    ragged_corpus,
+)
 
 
 def tiny_setup(seed=0, n_speakers=4, utts=3, dim=3):
@@ -164,6 +170,37 @@ class TestSampling:
         b = sample_pair_batch(index, 3, np.random.default_rng(7))
         assert (a.class_labels.tolist(), a.enroll_utts, a.test_utts) == \
                (b.class_labels.tolist(), b.enroll_utts, b.test_utts)
+
+
+def assert_steps_match_oracle(index, k, seed, steps):
+    """``steps`` batches from one generator against the per-call oracle's from
+    a twin: the same batches, and the generators in one state after each."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(steps):
+        sel = sample_pair_batch(index, k, rng)
+        assert (sel.class_labels.tolist(), sel.enroll_utts, sel.test_utts) == \
+            choice_sample_pair_batch(index, k, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestSamplingMatchesPerCallOracle:
+    # Speakers with one utterance (never sampled), two and many.
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([1, 2]), st.integers(3, 40)), min_size=2,
+                    max_size=12),
+           st.integers(0, 2 ** 63), st.integers(1, 4), st.data())
+    def test_random_corpora(self, utt_counts, seed, steps, data):
+        index = CorpusIndex.build(*ragged_corpus(utt_counts))
+        eligible = len(index.pair_speakers[0])
+        if eligible >= 2:
+            k = data.draw(st.integers(2, eligible))
+            assert_steps_match_oracle(index, k, seed, steps)
+
+    @pytest.mark.parametrize("k", [10, 64])
+    def test_300_steps_leave_numpys_state(self, k):
+        # 100 speakers, 80 of them with two or more utterances.
+        index = CorpusIndex.build(*ragged_corpus([1, 2, 3, 5, 8] * 20))
+        assert_steps_match_oracle(index, k, seed=23, steps=300)
 
 
 @pytest.fixture(scope="module")
