@@ -11,7 +11,8 @@ K+16 speakers of 4 utterances each, so K=64 trains on the shape of the
 benchmark's train-k64 workload.
 
 The digest depends on the BLAS kernels of the host, so compare two versions
-on the same machine only:
+on the same machine only. The script runs BLAS on one thread whatever the
+environment asks, as a threaded kernel may sum in another order:
 
     PYTHONPATH=src python scripts/trajectory_digest.py --steps 300
     PYTHONPATH=src python scripts/trajectory_digest.py --steps 20 --speakers-per-batch 64
@@ -20,6 +21,11 @@ on the same machine only:
 import argparse
 import dataclasses
 import hashlib
+import os
+
+# Set before NumPy loads, when BLAS reads them.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                "1"))
 
 from phonetrait import presets
 from phonetrait.corpus import CorpusIndex, default_inventory, generate_corpus

@@ -17,8 +17,8 @@ import numpy as np
 
 from .corpus import PhoneInventory, check_seed
 from .errors import ConfigurationError, NumericGuardError
-from .scoring import ScoreTable, _check_writable
-from .textio import NA, LineReader, atomic_write, cell
+from .scoring import ScoreTable
+from .textio import NA, LineReader, atomic_write, cell, check_ids
 
 
 def _split_by_label(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,19 +136,26 @@ def labelled_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     return scores[keep], labels[keep]
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """``v`` times the power of two that puts its largest magnitude in [0.5, 1)."""
+    return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+
+
 def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation, refused for a set whose values are all equal. Each
+    set, then its deviations from their mean, is scaled exactly to magnitudes
+    near 1, so no sum overflows or underflows and a power-of-two scale of
+    either set gives the same bits."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ConfigurationError("correlation needs matching 1-d arrays")
     if x.size < 2:
         raise NumericGuardError("correlation needs at least 2 points")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
-    if denom < 1e-12:
+    if x.min() == x.max() or y.min() == y.max():
         raise NumericGuardError("correlation undefined for a constant score set")
-    return float((xc * yc).sum() / denom)
+    xc, yc = (_unit_scaled(v - v.mean()) for v in map(_unit_scaled, (x, y)))
+    return float((xc * yc).sum() / np.sqrt((xc * xc).sum() * (yc * yc).sum()))
 
 
 def explainability_correlation(table: ScoreTable) -> float:
@@ -199,14 +206,13 @@ def f_ratio(
     values = table.similarity[labelled]
     target = table.labels[labelled] == 1
     defined = ~np.isnan(values)
+    if not defined.any():
+        raise ConfigurationError("no phone has any labelled similarity value to sample from")
     rows = []
-    any_pool = False
     for i, phone in enumerate(inventory.labels):
         # A boolean mask keeps trial order, on which the seeded draws depend.
         within = values[defined[:, i] & target, i]
         between = values[defined[:, i] & ~target, i]
-        if within.size or between.size:
-            any_pool = True
         n_available = min(within.size, between.size)
         if n_available < n_samples:
             rows.append(FRatioRow(phone, np.nan, np.nan, np.nan, n_available, False))
@@ -219,8 +225,6 @@ def f_ratio(
         else:
             ratio = within_mean / between_mean
         rows.append(FRatioRow(phone, within_mean, between_mean, float(ratio), n_available, True))
-    if not any_pool:
-        raise ConfigurationError("no phone has any labelled similarity value to sample from")
     return rows
 
 
@@ -251,13 +255,12 @@ def _check_width(table: ScoreTable, inventory: PhoneInventory) -> None:
 def export_explanation(table: ScoreTable, row: int, inventory: PhoneInventory, path) -> None:
     """Write one trial's scores and per-phone evidence as a readable file.
 
-    A row that would make the file ambiguous to a reader (a tab in an id, an
-    NA final score, evidence that disagrees with its phones) raises
-    ConfigurationError (``scoring._check_writable``) before anything is
-    written.
+    The table's values are valid by construction (``ScoreTable``); an id that
+    holds a tab or a line break raises ConfigurationError (``check_ids``)
+    before anything is written.
     """
     _check_width(table, inventory)
-    _check_writable(table, np.array([row]))
+    check_ids((table.enroll_ids[row], table.test_ids[row]), "\t")
     label = int(table.labels[row])
     with atomic_write(path) as f:
         f.write(f"enroll {table.enroll_ids[row]}\n")

@@ -293,7 +293,7 @@ def _load_corpus(corpus_dir: str):
     inventory = load_inventory(base / INVENTORY_FILE)
     features = load_features(base / FEATURES_FILE)
     alignments = load_alignments(base / ALIGNMENTS_FILE, inventory)
-    return inventory, features, CorpusIndex.build(features, alignments)
+    return inventory, CorpusIndex.build(features, alignments)
 
 
 def cmd_gen_corpus(args, out: Path) -> int:
@@ -320,11 +320,9 @@ def cmd_gen_corpus(args, out: Path) -> int:
 
 
 def cmd_train(args, out: Path) -> int:
-    inventory, features, index = _load_corpus(_require(args.corpus_dir, "--corpus-dir"))
-    model_cfg = ModelConfig(
-        encoder=EncoderConfig(features[0].dim, parse_layer_string(args.layers)),
-        embedding_dim=args.embedding_dim,
-    )
+    inventory, index = _load_corpus(_require(args.corpus_dir, "--corpus-dir"))
+    model_cfg = ModelConfig(EncoderConfig(index.feature_dim, parse_layer_string(args.layers)),
+                            args.embedding_dim)
     train_cfg = TrainConfig(
         epochs=args.epochs,
         steps_per_epoch=args.steps_per_epoch,
@@ -351,12 +349,12 @@ def cmd_train(args, out: Path) -> int:
 
 def cmd_score(args, out: Path) -> int:
     corpus_dir = _require(args.corpus_dir, "--corpus-dir")
-    inventory, features, index = _load_corpus(corpus_dir)
-    state, model_cfg = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
-    if model_cfg.encoder.input_dim != features[0].dim:
+    inventory, index = _load_corpus(corpus_dir)
+    state = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
+    if state.config.encoder.input_dim != index.feature_dim:
         raise ConfigurationError(
-            f"checkpoint expects {model_cfg.encoder.input_dim}-dim features, "
-            f"corpus provides {features[0].dim}"
+            f"checkpoint expects {state.config.encoder.input_dim}-dim features, "
+            f"corpus provides {index.feature_dim}"
         )
     trial_path = args.trials if args.trials else str(Path(corpus_dir) / TRIALS_FILE)
     trials = load_trials(trial_path)

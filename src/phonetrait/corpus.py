@@ -307,13 +307,14 @@ class CorpusIndex:
     """Fast lookup over a corpus: features and frame phones by utterance id.
 
     ``build`` checks what ``pack`` assumes: at least one utterance, and every
-    utterance's features as wide as the first one's.
+    utterance's features ``feature_dim`` wide, as the first one's are.
     """
 
     features: dict[str, UtteranceFeatures]
     phones: dict[str, np.ndarray]  # every utterance's frame_phones(), expanded once
     speakers: list[str]
     utts_by_speaker: dict[str, list[str]]
+    feature_dim: int
 
     @classmethod
     def build(cls, features, alignments) -> "CorpusIndex":
@@ -343,6 +344,7 @@ class CorpusIndex:
             phones={utt: a.frame_phones() for utt, a in align_map.items()},
             speakers=sorted(by_speaker),
             utts_by_speaker=by_speaker,
+            feature_dim=features[0].dim,
         )
 
     def pack(self, utterance_ids: list[str], workspace: Workspace
@@ -352,7 +354,7 @@ class CorpusIndex:
         The features go to the ``workspace`` role ``features``.
         """
         lengths = [self.features[u].n_frames for u in utterance_ids]
-        shape = (sum(lengths), self.features[utterance_ids[0]].dim)
+        shape = (sum(lengths), self.feature_dim)
         return (
             np.concatenate([self.features[u].features for u in utterance_ids],
                            out=workspace.take("features", shape)),

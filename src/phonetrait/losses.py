@@ -31,7 +31,7 @@ from .trait_layer import BatchForward
 from .workspace import Workspace
 
 # Norms below this are treated as degenerate rather than normalised.
-_NORM_FLOOR = 1e-12
+NORM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,9 @@ def aam_softmax_loss(
         raise ConfigurationError("label outside the class range")
     x_norm = np.linalg.norm(x, axis=1)
     w_norm = np.linalg.norm(w, axis=1)
-    if (x_norm < _NORM_FLOOR).any():
+    if (x_norm < NORM_FLOOR).any():
         raise NumericGuardError("embedding with near-zero norm cannot be normalised")
-    if (w_norm < _NORM_FLOOR).any():
+    if (w_norm < NORM_FLOOR).any():
         raise NumericGuardError("class weight with near-zero norm cannot be normalised")
     x_hat = x / x_norm[:, None]
     w_hat = w / w_norm[:, None]

@@ -10,11 +10,13 @@ Scored trials travel as one ``ScoreTable``: id and label columns, the final
 and evidence columns (n,) and the per-phone similarity matrix (n, I), with
 NaN wherever a value is undefined. ``score_trials`` fills it, ``save_scores``
 and ``load_scores`` write and read it, and ``phonetrait.analysis`` reads its
-columns.
+columns. A table refuses any row whose line ``load_scores`` would reject
+for its values, so a writer checks only that no id holds a tab or a line
+break (``textio.check_ids``).
 
 Every cosine here comes from one kernel, ``_row_cosines``, which takes each
 row pair's dot product from a stacked matmul, divides it by the product of
-the two norms and refuses a norm below ``_NORM_FLOOR``. ``score_trials``
+the two norms and refuses a norm below ``NORM_FLOOR``. ``score_trials``
 forwards each distinct utterance once, packed with others through
 ``forward_batch``, and caches the norms of its trait rows and of its
 embedding, so a chunk of trials costs one kernel call for its per-phone
@@ -39,8 +41,8 @@ import numpy as np
 
 from .corpus import CorpusIndex, TrialList
 from .errors import ConfigurationError, DimensionError, NumericGuardError
-from .losses import _NORM_FLOOR
-from .textio import NA, LineReader, atomic_write, check_ids, numbers
+from .losses import NORM_FLOOR
+from .textio import NA, LineReader, atomic_write, check_ids, first_broken, numbers
 from .trait_layer import forward_batch
 from .training import ModelState
 from .workspace import Workspace
@@ -78,11 +80,21 @@ def _row_cosines(
 ) -> np.ndarray:
     """The cosine kernel: ``dot / (norm_a * norm_b)`` for each row pair.
 
-    Every row it is given must have a norm of at least ``_NORM_FLOOR``.
+    Every row it is given must have a norm of at least ``NORM_FLOOR``.
     """
-    if (norm_a < _NORM_FLOOR).any() or (norm_b < _NORM_FLOOR).any():
+    if (norm_a < NORM_FLOOR).any() or (norm_b < NORM_FLOOR).any():
         raise NumericGuardError("cosine similarity of a near-zero vector is undefined")
     return _row_dots(a, b) / (norm_a * norm_b)
+
+
+# A row's evidence is NA exactly when none of its per-phone cells is defined.
+_EVIDENCE_MISMATCH = "evidence must be NA exactly when no phone is defined"
+
+
+def _evidence_mismatch(evidence: np.ndarray, similarity: np.ndarray) -> np.ndarray:
+    """Which rows have an evidence score NaN where some per-phone value is
+    defined, or the reverse."""
+    return np.isnan(evidence) != np.isnan(similarity).all(axis=1)
 
 
 @dataclass
@@ -90,8 +102,10 @@ class ScoreTable:
     """Scored trials as columns, one row per trial, in trial order.
 
     NaN marks what is undefined: an evidence score where no phone is shared,
-    a per-phone cosine where either side lacks the phone. A defined value is
-    always finite, so ``~np.isnan(similarity)`` is the defined mask.
+    a per-phone cosine where either side lacks the phone. A label other than
+    1, 0 or -1 (NA), an NA final score, an infinite value, or evidence NA where
+    some phone is defined or the reverse is a ConfigurationError naming the
+    first such trial, so ``~np.isnan(similarity)`` is the defined mask.
     """
 
     enroll_ids: list[str]
@@ -111,6 +125,14 @@ class ScoreTable:
                 or any(a.shape != (n,) for a in (self.labels, self.final, self.evidence))
                 or self.similarity.ndim != 2 or self.similarity.shape[0] != n):
             raise DimensionError("score table columns must all have one row per trial")
+        if broken := first_broken(
+            (~np.isin(self.labels, (-1, 0, 1)), lambda k: "label must be 1, 0 or -1 (NA)"),
+            (np.isnan(self.final), lambda k: "final score is NA"),
+            (np.isinf(self.final) | np.isinf(self.evidence) | np.isinf(self.similarity).any(axis=1),
+             lambda k: "scores must be finite or NA"),
+            (_evidence_mismatch(self.evidence, self.similarity), lambda k: _EVIDENCE_MISMATCH),
+        ):
+            raise ConfigurationError(f"trial {broken[0]}: {broken[1]}")
 
     def __len__(self) -> int:
         return len(self.enroll_ids)
@@ -203,8 +225,6 @@ def score_trials(
 # score file I/O
 # ---------------------------------------------------------------------------
 
-# A row's evidence is NA exactly when none of its per-phone cells is defined.
-_EVIDENCE_MISMATCH = "evidence must be NA exactly when no phone is defined"
 # Score rows per ``np.loadtxt`` call in ``load_scores``; bounds the loader's
 # temporaries. Loading the desk score file (4000 rows of 45 cells) peaked at
 # 3.3 MB traced (tracemalloc) in chunks of 500, 4.7 MB in chunks of 1000 and
@@ -212,37 +232,10 @@ _EVIDENCE_MISMATCH = "evidence must be NA exactly when no phone is defined"
 _SCORE_CHUNK = 500
 
 
-def _evidence_mismatch(evidence: np.ndarray, similarity: np.ndarray) -> np.ndarray:
-    """Which rows have an evidence score NaN where some per-phone value is
-    defined, or the reverse."""
-    return np.isnan(evidence) != np.isnan(similarity).all(axis=1)
-
-
-def _check_writable(table: ScoreTable, rows: np.ndarray) -> None:
-    """ConfigurationError naming the first of ``rows`` that ``load_scores``
-    would reject, and that would make an explanation file ambiguous to its
-    reader: an id that holds a tab or a line break (``check_ids``), a label
-    other than 1, 0 or -1 (NA), an NA final score, an infinite value, or an
-    evidence score NA where some phone is defined or the reverse."""
-    check_ids(chain.from_iterable((table.enroll_ids[k], table.test_ids[k])
-                                  for k in rows.tolist()), "\t")
-    evidence, similarity = table.evidence[rows], table.similarity[rows]
-    for broken, problem in (
-        (~np.isin(table.labels[rows], (-1, 0, 1)), "label must be 1, 0 or -1 (NA)"),
-        (np.isnan(table.final[rows]), "final score is NA"),
-        (np.isinf(table.final[rows]) | np.isinf(evidence) | np.isinf(similarity).any(axis=1),
-         "scores must be finite or NA"),
-        (_evidence_mismatch(evidence, similarity), _EVIDENCE_MISMATCH),
-    ):
-        if broken.any():
-            raise ConfigurationError(f"trial {rows[np.argmax(broken)]}: {problem}")
-
-
 def save_scores(table: ScoreTable, path) -> None:
-    """Write the table, one trial per line; a row that ``load_scores`` would
-    reject raises ConfigurationError (``_check_writable``) before anything is
-    written."""
-    _check_writable(table, np.arange(len(table)))
+    """Write the table, one trial per line; an id that holds a tab or a line
+    break raises ConfigurationError (``check_ids``) before anything is written."""
+    check_ids(chain.from_iterable(zip(table.enroll_ids, table.test_ids)), "\t")
     with atomic_write(path) as f:
         for enroll, test, label, final, evidence, values in zip(
             table.enroll_ids, table.test_ids, table.labels.tolist(), table.final.tolist(),

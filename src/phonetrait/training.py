@@ -445,12 +445,13 @@ def save_checkpoint(state: ModelState, model_cfg: ModelConfig, path) -> None:
             _write_tensor(f, name, arr)
 
 
-def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
-    """Read a checkpoint and the architecture it stores; reject a version mismatch.
+def load_checkpoint(path) -> ModelState:
+    """Read a checkpoint's ``ModelState``; reject a version mismatch.
 
     A repeated tensor block, a non-finite value or a dimension past int64 is
-    a ParseError. The model is built from the tensors read; no array is
-    allocated from a count in the file.
+    a ParseError, and tensors that do not give the header's architecture a
+    ConfigurationError. The model is built from the tensors read; no array
+    is allocated from a count in the file.
     """
     with LineReader(path) as lines:
         if lines.next_line() != CHECKPOINT_MAGIC:
@@ -505,4 +506,4 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
         raise ConfigurationError(
             f"tensors give embedding_dim {state.config.embedding_dim}, n_classes "
             f"{state.n_classes}; the header {model_cfg.embedding_dim}, {header['n_classes']}")
-    return state, model_cfg
+    return state

@@ -39,8 +39,9 @@ def random_scores(rng, n=40, separation=1.0):
 
 def row(enroll="a", test="b", label=1, final=0.5, evidence=0.4, sims=None, n_phones=4):
     """One trial's ScoreTable cells; None marks an NA label, evidence or phone,
-    and ``sims=None`` leaves every phone undefined."""
-    sims = [None] * n_phones if sims is None else sims
+    and ``sims=None`` defines phone 0 alone, as the evidence, or no phone if
+    the evidence is NA."""
+    sims = [evidence] + [None] * (n_phones - 1) if sims is None else sims
     return (enroll, test, -1 if label is None else label, final,
             np.nan if evidence is None else evidence,
             [np.nan if v is None else v for v in sims])
@@ -152,6 +153,42 @@ class TestScaleInvariance:
         scores = rng.integers(-20, 20, size=labels.size).astype(np.float64)
         for metric in (compute_eer, lambda s, l: compute_min_dcf(s, l, 0.01, 1.0, 1.0)):
             assert metric(scores * factor, labels)[0] == metric(scores, labels)[0]
+
+    @staticmethod
+    def correlated_sets():
+        # A correlation of about 0.70 over 4000 points.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=4000)
+        return x, x + rng.normal(size=4000)
+
+    def test_power_of_two_scale_keeps_the_correlation_bits(self):
+        # An absolute guard on the product of the sums of squares called
+        # these sets constant at a scale of 1e-8 and overflowed from 1e76 up.
+        x, y = self.correlated_sets()
+        r = pearson_correlation(x, y)
+        assert 0.69 < r < 0.71
+        for e in range(-300, 301, 25):
+            assert pearson_correlation(np.ldexp(x, e), np.ldexp(y, e)) == r, e
+            assert pearson_correlation(np.ldexp(x, e), y) == r, e
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1e3, 1e8, 1e200])
+    def test_any_scale_keeps_the_correlation(self, scale):
+        x, y = self.correlated_sets()
+        assert abs(pearson_correlation(x * scale, y * scale) - pearson_correlation(x, y)) < 1e-12
+
+    @pytest.mark.parametrize("value", [12345.678, 1e8 / 3, 1.0, 5e-324, 1e-300, 1e300,
+                                       -1.7976931348623157e308])
+    def test_a_constant_set_has_no_correlation(self, value):
+        # Rounding leaves x - x.mean() nonzero for many constants; only the
+        # values themselves tell a constant set.
+        x, _ = self.correlated_sets()
+        for scale in (1.0, 2.0 ** -300, 1e-8, 1e8, 2.0 ** 300):
+            constant = np.full(4000, value * scale)
+            if not np.isfinite(constant[0]) or constant[0] == 0.0:
+                continue
+            for pair in ((constant, x), (x, constant)):
+                with pytest.raises(NumericGuardError, match="constant score set"):
+                    pearson_correlation(*pair)
 
 
 class TestMetricsReport:
@@ -283,7 +320,7 @@ class TestFRatio:
 
     def test_no_pools_anywhere_rejected(self):
         with pytest.raises(ConfigurationError, match="no phone"):
-            f_ratio(table([row(sims=None, n_phones=4)]), tiny_inventory(), n_samples=5, seed=0)
+            f_ratio(table([row(evidence=None)]), tiny_inventory(), n_samples=5, seed=0)
 
     def test_round_trip(self, tmp_path):
         rows = f_ratio(table(fratio_rows()), tiny_inventory(), n_samples=10, seed=0)
@@ -333,16 +370,21 @@ class TestExplanationFile:
         assert lines[6] == f"trait\t{CMU_PHONES[1]}\tNA"
         assert len(lines) == 5 + 4
 
-    @pytest.mark.parametrize("cells", [
-        dict(evidence=None, sims=[0.5, None, None, None]),
-        dict(evidence=0.5, sims=None),
-        dict(final=np.nan, evidence=0.5, sims=[0.5, None, None, None]),
-        dict(test="b\rx", evidence=0.5, sims=[0.5, None, None, None]),
+    @pytest.mark.parametrize("cells, error", [
+        (dict(evidence=None, sims=[0.5, None, None, None]), "trial 0: evidence must be NA"),
+        (dict(evidence=0.5, sims=[None] * 4), "trial 0: evidence must be NA"),
+        (dict(final=np.nan), "trial 0: final score is NA"),
+        (dict(test="b\rx"), "no tab or line break"),
     ], ids=["na_evidence_with_phone", "evidence_without_phone", "na_final", "line_break_in_id"])
-    def test_refuses_a_row_load_would_reject(self, tmp_path, cells):
-        path = tmp_path / "explanation.txt"
-        with pytest.raises(ConfigurationError):
-            export_explanation(table([row(**cells)]), 0, tiny_inventory(), path)
+    def test_refuses_a_row_load_would_reject(self, tmp_path, cells, error):
+        # The table refuses a bad value itself; the writer checks the ids.
+        if error.startswith("trial"):
+            with pytest.raises(ConfigurationError, match=error):
+                table([row(**cells)])
+        else:
+            scores = table([row(**cells)])
+            with pytest.raises(ConfigurationError, match=error):
+                export_explanation(scores, 0, tiny_inventory(), tmp_path / "explanation.txt")
         assert list(tmp_path.iterdir()) == []
 
     def test_inventory_size_checked(self):

@@ -219,7 +219,8 @@ def test_bad_label_is_named_before_a_bad_cell_in_its_row(tmp_path):
     assert str(info.value).startswith(f"{path}:2: label must be 1, 0 or NA")
 
 
-EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+               1.7976931348623157e308, -1.7976931348623157e308)
 values = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
 ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"))
 
@@ -246,9 +247,38 @@ def test_score_file_round_trip_is_byte_identical(tmp_path_factory, table):
     assert (loaded.enroll_ids, loaded.test_ids) == (table.enroll_ids, table.test_ids)
     assert loaded.labels.tobytes() == table.labels.tobytes()
     for column in ("final", "evidence", "similarity"):  # bitwise: -0.0 and NaN alike
-        assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
+        back, written = getattr(loaded, column), getattr(table, column)
+        assert np.array_equal(np.isnan(back), np.isnan(written))
+        assert back.tobytes() == written.tobytes()
     save_scores(loaded, root / "second.txt")
     assert (root / "second.txt").read_bytes() == (root / "first.txt").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_score_table_refuses_what_load_scores_rejects(tmp_path_factory, data):
+    # The table's value rules are the loader's: a row it refuses is a row
+    # whose line load_scores rejects, and a table it takes reads back bitwise.
+    n, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    cell = st.sampled_from((np.nan, np.inf, -np.inf)) | values
+    labels = [data.draw(st.sampled_from([-1, 0, 1, 2])) for _ in range(n)]
+    columns = np.array([[data.draw(cell) for _ in range(2 + width)] for _ in range(n)])
+    columns[:, 1] = [np.nan if np.isnan(r[2:]).all() and data.draw(st.booleans()) else r[1]
+                     for r in columns]  # mostly consistent NA patterns
+    path = tmp_path_factory.mktemp("rules") / "scores.txt"
+    path.write_text("".join(
+        "\t".join([f"e{k}", f"t{k}", "NA" if label < 0 else str(label)]
+                  + ["NA" if np.isnan(v) else repr(float(v)) for v in r]) + "\n"
+        for k, (label, r) in enumerate(zip(labels, columns))))
+    made = _outcome(lambda cols: ScoreTable([f"e{k}" for k in range(n)],
+                                            [f"t{k}" for k in range(n)], labels, cols[:, 0],
+                                            cols[:, 1], cols[:, 2:]), columns)
+    loaded = _outcome(load_scores, path)
+    assert (made[0] == "ok") == (loaded[0] == "ok"), (made, loaded)
+    if made[0] == "ok":
+        assert np.column_stack([loaded[1].final, loaded[1].evidence,
+                                loaded[1].similarity]).tobytes() == columns.tobytes()
+        assert loaded[1].labels.tolist() == labels
 
 
 offsets = st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True).map(sorted)
@@ -280,12 +310,12 @@ def model_states(draw):
 def test_checkpoint_round_trip_is_byte_identical(tmp_path_factory, state):
     root = tmp_path_factory.mktemp("checkpoint")
     save_checkpoint(state, state.config, root / "first")
-    loaded, loaded_cfg = load_checkpoint(root / "first")
-    assert (loaded_cfg, loaded.config, loaded.step) == (state.config, state.config, state.step)
+    loaded = load_checkpoint(root / "first")
+    assert (loaded.config, loaded.step) == (state.config, state.step)
     for name, arr in parameter_arrays(state).items():  # bitwise: -0.0 alike
         back = parameter_arrays(loaded)[name]
         assert (back.shape, back.dtype, back.tobytes()) == (arr.shape, arr.dtype, arr.tobytes())
-    save_checkpoint(loaded, loaded_cfg, root / "second")
+    save_checkpoint(loaded, loaded.config, root / "second")
     assert (root / "second").read_bytes() == (root / "first").read_bytes()
 
 

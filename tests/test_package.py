@@ -47,29 +47,32 @@ def test_only_textio_writes_files():
     assert set(writers) == {"textio.py"}, writers
 
 
-def _private_text_reads(tree: ast.Module):
-    """Every ``_`` name a module imports from corpus or textio, or reads as
-    an attribute of either."""
+def _private_reads(tree: ast.Module, modules: set[str]):
+    """Every ``_`` name, dunders aside, that a module imports from another
+    package module, or reads as an attribute of one."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in (
-                "corpus", "textio"):
-            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "phonetrait"):
+            yield from (alias.name for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.startswith("__"))
         elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-              and ast.unparse(node.value) in ("corpus", "textio")):
+              and not node.attr.startswith("__") and ast.unparse(node.value) in modules):
             yield ast.unparse(node)
 
 
-def test_no_module_reads_a_private_text_helper():
-    # The text rules are textio's public names; no module reaches into
-    # textio's or corpus's private ones.
+def test_no_module_reads_another_modules_private_name():
+    # A name another module reads is part of its module's interface, so it
+    # is public; no module reaches into another's private names.
     package = Path(phonetrait.__file__).parent
-    private = sorted(f"{path.stem}: {name}" for path in package.glob("*.py")
-                     for name in _private_text_reads(ast.parse(path.read_text())))
+    paths = sorted(package.glob("*.py"))
+    modules = {path.stem for path in paths}
+    private = sorted(f"{path.stem}: {name}" for path in paths
+                     for name in _private_reads(ast.parse(path.read_text()), modules))
     assert not private, private
 
 
 def _names_norm_floor(node: ast.AST) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == "_NORM_FLOOR" for n in ast.walk(node))
+    return any(isinstance(n, ast.Name) and n.id == "NORM_FLOOR" for n in ast.walk(node))
 
 
 def test_scoring_has_one_cosine_kernel():

@@ -1,5 +1,7 @@
 """Trial scoring: final cosine, per-phone evidence, score file round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,20 +318,29 @@ class TestScoreFileIO:
         with pytest.raises(ParseError, match="non-numeric"):
             load_scores(path)
 
-    @pytest.mark.parametrize("table", [
-        # Evidence NA with a defined phone: load_scores rejects such a row.
-        ScoreTable(["a"], ["b"], [1], [0.5], [np.nan], [[0.5, np.nan]]),
-        ScoreTable(["a"], ["b"], [1], [0.5], [0.5], [[np.nan, np.nan]]),
-        ScoreTable(["a", "c"], ["b", "d"], [1, 0], [0.5, np.nan], [0.5, 0.5], [[0.5], [0.5]]),
-        ScoreTable(["a"], ["b"], [2], [0.5], [0.5], [[0.5]]),
-        ScoreTable(["a"], ["b"], [1], [0.5], [0.5], [[np.inf]]),
+    @pytest.mark.parametrize("columns, error", [
+        # A value load_scores rejects is refused by the table itself.
+        ((["a"], ["b"], [1], [0.5], [np.nan], [[0.5, np.nan]]),
+         "trial 0: evidence must be NA exactly when no phone is defined"),
+        ((["a"], ["b"], [1], [0.5], [0.5], [[np.nan, np.nan]]),
+         "trial 0: evidence must be NA exactly when no phone is defined"),
+        ((["a", "c"], ["b", "d"], [1, 0], [0.5, np.nan], [0.5, 0.5], [[0.5], [0.5]]),
+         "trial 1: final score is NA"),
+        ((["a"], ["b"], [2], [0.5], [0.5], [[0.5]]), "trial 0: label must be 1, 0 or -1"),
+        ((["a"], ["b"], [1], [0.5], [0.5], [[np.inf]]), "trial 0: scores must be finite or NA"),
         # An id that holds a tab or a line break splits the row it is written to.
-        ScoreTable(["a\tx"], ["b"], [1], [0.5], [0.5], [[0.5]]),
-        ScoreTable(["a"], ["b\nx"], [1], [0.5], [0.5], [[0.5]]),
-        ScoreTable(["a", "c"], ["b", "d\rx"], [1, 0], [0.5, 0.5], [0.5, 0.5], [[0.5], [0.5]]),
+        ((["a\tx"], ["b"], [1], [0.5], [0.5], [[0.5]]), "no tab or line break"),
+        ((["a"], ["b\nx"], [1], [0.5], [0.5], [[0.5]]), "no tab or line break"),
+        ((["a", "c"], ["b", "d\rx"], [1, 0], [0.5, 0.5], [0.5, 0.5], [[0.5], [0.5]]),
+         "no tab or line break"),
     ], ids=["na_evidence_with_phone", "evidence_without_phone", "na_final", "bad_label",
             "infinite_phone", "tab_in_id", "newline_in_id", "carriage_return_in_id"])
-    def test_refuses_a_table_load_would_reject(self, tmp_path, table):
-        with pytest.raises(ConfigurationError):
-            save_scores(table, tmp_path / "scores.txt")
+    def test_refuses_a_table_load_would_reject(self, tmp_path, columns, error):
+        if error.startswith("trial"):
+            with pytest.raises(ConfigurationError, match=re.escape(error)):
+                ScoreTable(*columns)
+        else:
+            table = ScoreTable(*columns)
+            with pytest.raises(ConfigurationError, match=error):
+                save_scores(table, tmp_path / "scores.txt")
         assert list(tmp_path.iterdir()) == []

@@ -5,17 +5,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from _entry import package_env
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args):
-    """Run ``scripts/<name>`` on the package this process imports; its stdout."""
+def run_script(name, *args, **env):
+    """Run ``scripts/<name>`` on the package this process imports, with
+    ``env`` added to its environment; its stdout."""
     done = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
-                          env=package_env(), capture_output=True, text=True)
+                          env=package_env() | env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether NumPy's BLAS is an OpenBLAS built with every kernel, one of
+    which ``OPENBLAS_CORETYPE`` picks."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
 def test_trajectory_digest_repeats():
@@ -37,6 +48,17 @@ def test_trajectory_digest_speakers_per_batch():
                            "--speakers-per-batch", "1"],
                           env=package_env(), capture_output=True, text=True)
     assert done.returncode == 2 and "--speakers-per-batch must be >= 2" in done.stderr
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="OPENBLAS_CORETYPE picks a kernel only in a DYNAMIC_ARCH OpenBLAS")
+def test_trajectory_digest_runs_blas_on_one_thread():
+    # Haswell's kernel sums a 20-step trajectory in another order on two
+    # threads than on one, so the digest holds only if the script pins one.
+    one, two = (run_script("trajectory_digest.py", "--steps", "20", OPENBLAS_CORETYPE="Haswell",
+                           OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n) for n in ("1", "2"))
+    assert re.fullmatch(r"[0-9a-f]{64}\n", one)
+    assert two == one
 
 
 def test_loss_ablation_runs_one_epoch():

@@ -588,12 +588,13 @@ class TestCheckpoint:
         state, model_cfg = self.trained_state()
         path = tmp_path / "ckpt"
         save_checkpoint(state, model_cfg, path)
-        loaded, loaded_cfg = load_checkpoint(path)
-        assert loaded_cfg == model_cfg
+        loaded = load_checkpoint(path)
+        assert isinstance(loaded, ModelState)
+        assert loaded.config == model_cfg
         assert loaded.step == state.step
         for name, arr in parameter_arrays(state).items():
             assert np.array_equal(arr, parameter_arrays(loaded)[name])
-        save_checkpoint(loaded, loaded_cfg, tmp_path / "again")
+        save_checkpoint(loaded, loaded.config, tmp_path / "again")
         assert path.read_bytes() == (tmp_path / "again").read_bytes()
 
     def test_bad_magic(self, tmp_path):
